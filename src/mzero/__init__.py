@@ -62,8 +62,6 @@ from .polycore import (
     Poly,
     PolySystem,
     apply_functional,
-    derivative_tensor,
-    eval_system,
     parse_system,
     shift_basepoint,
     unitary_pullback,

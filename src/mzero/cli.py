@@ -4,6 +4,7 @@ Subcommands: dual, gamma, separation, certify, refine, thresholds. Every
 command prints a human-readable summary by default and a canonical JSON
 document with --json. Exit codes: 0 on success (a negative certificate is
 still a success), 2 for input problems, 3 for numerical-domain problems.
+Points are checked on entry: one finite coordinate per system variable.
 
 The JSON output is deterministic: keys are sorted, floats are printed
 with 17 significant digits, and complex values appear as {"im": ...,
@@ -12,6 +13,7 @@ exactly.
 """
 
 import argparse
+import cmath
 import json
 import sys
 from dataclasses import dataclass, field
@@ -109,20 +111,23 @@ def canonical_json(obj):
 # parsing helpers
 
 
+def _coordinate(text, where=""):
+    try:
+        value = complex(text.replace(" ", "").replace("i", "j"))
+    except ValueError:
+        raise ParseError("bad coordinate %r%s" % (text, where))
+    if not cmath.isfinite(value):
+        raise ParseError("non-finite coordinate %r%s" % (text, where))
+    return value
+
+
 def parse_point(text):
-    """Comma-separated complex coordinates; `i` or `j` marks the
+    """Comma-separated finite complex coordinates; `i` or `j` marks the
     imaginary unit, e.g. "-0.01,0.01" or "1+2i,0"."""
-    entries = [e for e in text.split(",") if e.strip()]
+    entries = [e.strip() for e in text.split(",") if e.strip()]
     if not entries:
         raise ParseError("empty point")
-    values = []
-    for entry in entries:
-        cleaned = entry.strip().replace(" ", "").replace("i", "j")
-        try:
-            values.append(complex(cleaned))
-        except ValueError:
-            raise ParseError("bad coordinate %r" % entry.strip())
-    return np.array(values, dtype=complex)
+    return np.array([_coordinate(e) for e in entries], dtype=complex)
 
 
 def read_point_file(path):
@@ -130,13 +135,8 @@ def read_point_file(path):
     with open(path) as handle:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            cleaned = line.replace(" ", "").replace("i", "j")
-            try:
-                values.append(complex(cleaned))
-            except ValueError:
-                raise ParseError("bad coordinate %r in %s" % (line, path))
+            if line:
+                values.append(_coordinate(line, " in %s" % path))
     if not values:
         raise ParseError("no coordinates in %s" % path)
     return np.array(values, dtype=complex)
@@ -151,12 +151,17 @@ def load_system(path):
     return polycore.parse_system(text)
 
 
-def _resolve_point(args):
-    if getattr(args, "point", None):
-        return parse_point(args.point)
-    if getattr(args, "point_file", None):
-        return read_point_file(args.point_file)
-    raise ParseError("a point is required (--point or --point-file)")
+def _load_with_point(cfg):
+    """The system file, with the point checked against its variables."""
+    system = load_system(cfg.system_path)
+    if cfg.point is None:
+        raise ParseError("a point is required (--point or --point-file)")
+    if len(cfg.point) != system.nvars:
+        raise ParseError(
+            "point dimension %d does not match the %d variables of the system"
+            % (len(cfg.point), system.nvars)
+        )
+    return system
 
 
 def _functional_json(fn):
@@ -169,18 +174,12 @@ def _functional_json(fn):
 # subcommands
 
 
-def _diagnostics(cfg, duality_residuals=None):
+def _diagnostics(cfg, duality_residuals):
+    keys = ("gap_tol", "delta_zero_tol", "eps", "max_iter")
     return {
-        "tolerances": {
-            "gap_tol": cfg.tolerances["gap_tol"],
-            "delta_zero_tol": cfg.tolerances["delta_zero_tol"],
-            "eps": cfg.tolerances["eps"],
-            "max_iter": cfg.tolerances["max_iter"],
-        },
+        "tolerances": {key: cfg.tolerances[key] for key in keys},
         "norm_mode": cfg.mode,
-        "duality_residuals": list(duality_residuals)
-        if duality_residuals is not None
-        else [],
+        "duality_residuals": list(duality_residuals),
     }
 
 
@@ -194,8 +193,14 @@ def _input_block(cfg):
     return block
 
 
-def _emit(cfg, document, text_lines):
+def _emit(cfg, result, text_lines, inputs=None, duality_residuals=()):
     if cfg.output == "json":
+        document = {
+            "command": cfg.command,
+            "input": _input_block(cfg) if inputs is None else inputs,
+            "result": result,
+            "diagnostics": _diagnostics(cfg, duality_residuals),
+        }
         print(canonical_json(document))
     else:
         for line in text_lines:
@@ -204,7 +209,7 @@ def _emit(cfg, document, text_lines):
 
 
 def cmd_dual(cfg, args):
-    system = load_system(cfg.system_path)
+    system = _load_with_point(cfg)
     basis = dualspace.compute_dual_basis(
         system,
         cfg.point,
@@ -222,12 +227,6 @@ def cmd_dual(cfg, args):
         "delta_values": [list(v) for v in basis.delta_values],
         "lambdas": [_functional_json(lam) for lam in basis.lambdas],
     }
-    doc = {
-        "command": "dual",
-        "input": _input_block(cfg),
-        "result": result,
-        "diagnostics": _diagnostics(cfg, basis.duality_residuals),
-    }
     lines = [
         "multiplicity: %d" % basis.mu,
         "normalized coordinates: %s" % ("yes" if basis.normalized else "no"),
@@ -236,11 +235,11 @@ def cmd_dual(cfg, args):
         "max duality residual: %.3e"
         % (max(basis.duality_residuals) if len(basis.duality_residuals) else 0.0),
     ]
-    return _emit(cfg, doc, lines)
+    return _emit(cfg, result, lines, duality_residuals=basis.duality_residuals)
 
 
 def cmd_gamma(cfg, args):
-    system = load_system(cfg.system_path)
+    system = _load_with_point(cfg)
     report = gamma.gamma_mu(system, cfg.point, mu=cfg.mu, mode=cfg.mode)
     result = {
         "gamma": report.gamma,
@@ -250,24 +249,18 @@ def cmd_gamma(cfg, args):
         "delta_mu": report.delta_mu,
         "per_order": report.per_order,
     }
-    doc = {
-        "command": "gamma",
-        "input": _input_block(cfg),
-        "result": result,
-        "diagnostics": _diagnostics(cfg),
-    }
     lines = [
         "mu: %d" % report.mu,
         "gamma_hat: %.12g" % report.gamma_hat,
         "gamma_n:   %.12g" % report.gamma_n,
         "gamma:     %.12g  (mode=%s)" % (report.gamma, report.mode),
     ]
-    return _emit(cfg, doc, lines)
+    return _emit(cfg, result, lines)
 
 
 def cmd_separation(cfg, args):
     if cfg.system_path:
-        system = load_system(cfg.system_path)
+        system = _load_with_point(cfg)
         sep = certify_mod.separation_bound(
             system, cfg.point, mu=cfg.mu, mode=cfg.mode
         )
@@ -285,12 +278,6 @@ def cmd_separation(cfg, args):
     if sep.bound is not None:
         result["bound"] = sep.bound
         result["gamma"] = sep.gamma.gamma
-    doc = {
-        "command": "separation",
-        "input": _input_block(cfg),
-        "result": result,
-        "diagnostics": _diagnostics(cfg),
-    }
     lines = [
         "mu: %d" % sep.mu,
         "d = min(%.12g, %.12g, %.12g) = %.12g" % (sep.d1, sep.d2, sep.d3, sep.d),
@@ -298,11 +285,11 @@ def cmd_separation(cfg, args):
     if sep.bound is not None:
         lines.append("gamma: %.12g" % sep.gamma.gamma)
         lines.append("exclusion radius d / (2 gamma^mu): %.12g" % sep.bound)
-    return _emit(cfg, doc, lines)
+    return _emit(cfg, result, lines)
 
 
 def cmd_certify(cfg, args):
-    system = load_system(cfg.system_path)
+    system = _load_with_point(cfg)
     cert = certify_mod.certify_cluster(system, cfg.point, mu=cfg.mu, mode=cfg.mode)
     result = {
         "holds": cert.holds,
@@ -317,12 +304,6 @@ def cmd_certify(cfg, args):
         "gamma_hat": cert.gamma_on_g.gamma_hat,
         "gamma_n": cert.gamma_on_g.gamma_n,
     }
-    doc = {
-        "command": "certify",
-        "input": _input_block(cfg),
-        "result": result,
-        "diagnostics": _diagnostics(cfg),
-    }
     verdict = (
         "certified: %d zeros (with multiplicity) in the ball" % cert.mu
         if cert.holds
@@ -335,11 +316,11 @@ def cmd_certify(cfg, args):
         "gamma on truncation: %.12g (mode=%s)" % (cert.gamma_on_g.gamma, cert.mode),
         verdict,
     ]
-    return _emit(cfg, doc, lines)
+    return _emit(cfg, result, lines)
 
 
 def cmd_refine(cfg, args):
-    system = load_system(cfg.system_path)
+    system = _load_with_point(cfg)
     trace = newton.iterate_until(
         system,
         cfg.point,
@@ -359,12 +340,6 @@ def cmd_refine(cfg, args):
         "step_norms": trace.step_norms,
         "warnings": trace.warnings,
     }
-    doc = {
-        "command": "refine",
-        "input": _input_block(cfg),
-        "result": result,
-        "diagnostics": _diagnostics(cfg),
-    }
     lines = [
         "variant: %s (mu=%d)" % (trace.variant, trace.mu),
         "iterations: %d" % (len(trace.iterates) - 1),
@@ -377,7 +352,7 @@ def cmd_refine(cfg, args):
         )
     for w in trace.warnings:
         lines.append("warning: %s" % w)
-    return _emit(cfg, doc, lines)
+    return _emit(cfg, result, lines)
 
 
 def cmd_thresholds(cfg, args):
@@ -388,18 +363,12 @@ def cmd_thresholds(cfg, args):
         "u_converge": ts.u_converge,
         "u_quadratic": ts.u_quadratic,
     }
-    doc = {
-        "command": "thresholds",
-        "input": {"variant": ts.variant, "mode": cfg.mode},
-        "result": result,
-        "diagnostics": _diagnostics(cfg),
-    }
     lines = [
         "variant: %s" % ts.variant,
         "u_converge:  %.10g" % ts.u_converge,
         "u_quadratic: %.10g" % ts.u_quadratic,
     ]
-    return _emit(cfg, doc, lines)
+    return _emit(cfg, result, lines, inputs={"variant": ts.variant, "mode": cfg.mode})
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +409,19 @@ def build_parser():
     sp = subs.add_parser("dual", help="dual basis and multiplicity at a point")
     _add_common(sp, mu=False, mode=False)
     sp.add_argument("--max-order", type=int, default=DEFAULT_TOLERANCES["max_order"])
-    sp.set_defaults(func=cmd_dual, needs_system=True, needs_point=True)
+    sp.set_defaults(func=cmd_dual, needs_system=True)
 
     sp = subs.add_parser("gamma", help="growth invariants at a normalized zero")
     _add_common(sp)
-    sp.set_defaults(func=cmd_gamma, needs_system=True, needs_point=True)
+    sp.set_defaults(func=cmd_gamma, needs_system=True)
 
     sp = subs.add_parser("separation", help="separation constant and radius")
     _add_common(sp)
-    sp.set_defaults(func=cmd_separation, needs_system=False, needs_point=False)
+    sp.set_defaults(func=cmd_separation, needs_system=False)
 
     sp = subs.add_parser("certify", help="cluster certificate at an approximate zero")
     _add_common(sp)
-    sp.set_defaults(func=cmd_certify, needs_system=True, needs_point=True)
+    sp.set_defaults(func=cmd_certify, needs_system=True)
 
     sp = subs.add_parser("refine", help="refine an approximate multiple zero")
     _add_common(sp)
@@ -464,7 +433,7 @@ def build_parser():
     )
     sp.add_argument("--eps", type=float, default=DEFAULT_TOLERANCES["eps"])
     sp.add_argument("--max-iter", type=int, default=DEFAULT_TOLERANCES["max_iter"])
-    sp.set_defaults(func=cmd_refine, needs_system=True, needs_point=True)
+    sp.set_defaults(func=cmd_refine, needs_system=True)
 
     sp = subs.add_parser("thresholds", help="convergence threshold constants")
     sp.add_argument(
@@ -474,22 +443,16 @@ def build_parser():
         required=True,
     )
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_thresholds, needs_system=False, needs_point=False)
+    sp.set_defaults(func=cmd_thresholds, needs_system=False)
 
     return parser
 
 
 def _config_from_args(args):
     tol = dict(DEFAULT_TOLERANCES)
-    for key, attr in (
-        ("gap_tol", "gap_tol"),
-        ("delta_zero_tol", "delta_zero_tol"),
-        ("eps", "eps"),
-        ("max_iter", "max_iter"),
-        ("max_order", "max_order"),
-    ):
-        if getattr(args, attr, None) is not None:
-            tol[key] = getattr(args, attr)
+    for key in tol:
+        if getattr(args, key, None) is not None:
+            tol[key] = getattr(args, key)
     cfg = RunConfig(
         command=args.command,
         system_path=getattr(args, "system", None),
@@ -499,13 +462,12 @@ def _config_from_args(args):
         tolerances=tol,
         output="json" if getattr(args, "json", False) else "text",
     )
-    if getattr(args, "needs_point", False) or getattr(args, "point", None) or getattr(
-        args, "point_file", None
-    ):
-        if getattr(args, "point", None) or getattr(args, "point_file", None):
-            cfg.point = _resolve_point(args)
-        elif getattr(args, "needs_point", False):
-            raise ParseError("a point is required (--point or --point-file)")
+    if getattr(args, "point", None):
+        cfg.point = parse_point(args.point)
+    elif getattr(args, "point_file", None):
+        cfg.point = read_point_file(args.point_file)
+    if cfg.mu is not None and cfg.mu < 2:
+        raise ParseError("--mu must be at least 2")
     if getattr(args, "needs_system", False) and not cfg.system_path:
         raise ParseError("a system file is required (--system)")
     return cfg

@@ -136,8 +136,9 @@ def gamma_n(source, x, mu, delta_mu=None, mode="estimate"):
 def gamma_mu(source, x, mu=None, mode="estimate"):
     """Combined invariant, the maximum of the two halves.
 
-    Computes the dual basis when mu is not supplied, both for the
-    multiplicity and for the terminating chain value.
+    Computes the dual basis for the multiplicity and the terminating chain
+    value (mu, when supplied, must match it). The Jacobian and each tensor
+    of order 2..deg are evaluated once and shared by both halves.
     """
     from .dualspace import compute_dual_basis
 
@@ -151,8 +152,16 @@ def gamma_mu(source, x, mu=None, mode="estimate"):
         )
     mu = basis.mu
     delta_mu = basis.delta_values[-1][-1]
-    ghat, hat_rows = gamma_hat(source, x, mode=mode)
-    gn, n_rows, _ = gamma_n(source, x, mu, delta_mu=delta_mu, mode=mode)
+    n = source.nvars
+    raw = [
+        (k, source.derivative_tensor(x, k).array)
+        for k in range(2, source.max_degree() + 1)
+    ]
+    ghat, hat_rows = 1.0, []
+    if n >= 2:
+        hat = [(k, T[: n - 1]) for k, T in raw]
+        ghat, hat_rows = _hat_supremum(J[: n - 1, 1:], hat, mode)
+    gn, n_rows = _n_supremum(delta_mu, [(k, T[n - 1 :]) for k, T in raw], mode)
     return GammaReport(
         gamma=max(ghat, gn),
         gamma_hat=ghat,

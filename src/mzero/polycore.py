@@ -1,4 +1,5 @@
-"""Sparse complex polynomials, derivative tensors, and unitary pullbacks.
+"""Sparse complex polynomials, one compiled evaluation kernel, and unitary
+pullbacks.
 
 A system is a square list of polynomials in declared variables. Points and
 coefficients are complex doubles once parsed; the parser itself works over
@@ -6,16 +7,26 @@ exact rational complex numbers so that input like `sqrt(73)/12` or `1/3`
 loses nothing before the final conversion.
 
 Multi-indices are plain tuples of non-negative ints, one entry per
-variable. `derivative_tensor` returns raw partial derivatives (without the
-1/k! scaling); `CTensor.scaled()` divides it out when a Taylor coefficient
-is wanted.
+variable. Every evaluation goes through one kernel: on first use a
+`PolySystem` compiles into an exponent matrix E (T x n, the union of its
+monomials) and a coefficient matrix C (m x T), and `partials(alphas, x)`
+returns the m x K matrix of raw partials d^alpha f_i(x) (without the
+1/alpha! scaling) for a batch of K multi-indices. Values, Jacobians,
+derivative tensors and dual functionals are slices of that one call.
+`derivative_tensor` evaluates each sorted index tuple once and spreads the
+result over the symmetric array; `CTensor.scaled()` divides out k! when a
+Taylor coefficient is wanted.
+
+A point in n variables must have shape (n,); any other shape raises
+ValueError. A system compiles once, so edits to its polynomials' terms
+after the first evaluation are not seen.
 """
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -233,48 +244,16 @@ class Poly:
             e >>= 1
         return result
 
+    def partials(self, alphas, x):
+        """Raw partials d^alpha f(x) as a vector, one entry per multi-index."""
+        return _Kernel([self], self.nvars).partials(alphas, x)[0]
+
     def eval_at(self, x):
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.nvars,):
-            raise ValueError("point has wrong dimension")
-        maxes = [0] * self.nvars
-        for mono in self.terms:
-            for j, e in enumerate(mono):
-                if e > maxes[j]:
-                    maxes[j] = e
-        pows = []
-        for j in range(self.nvars):
-            col = [1.0 + 0j]
-            for _ in range(maxes[j]):
-                col.append(col[-1] * x[j])
-            pows.append(col)
-        total = 0j
-        for mono, c in self.sorted_terms():
-            v = c
-            for j, e in enumerate(mono):
-                if e:
-                    v = v * pows[j][e]
-            total += v
-        return total
+        return complex(self.partials([(0,) * self.nvars], x)[0])
 
     def partial_at(self, alpha, x):
         """Raw partial derivative d^alpha f evaluated at x (no factorials)."""
-        x = np.asarray(x, dtype=complex)
-        total = 0j
-        for mono, c in self.sorted_terms():
-            v = c
-            ok = True
-            for j, (e, a) in enumerate(zip(mono, alpha)):
-                if e < a:
-                    ok = False
-                    break
-                for r in range(a):
-                    v *= e - r
-                if e - a:
-                    v = v * x[j] ** (e - a)
-            if ok:
-                total += v
-        return total
+        return complex(self.partials([alpha], x)[0])
 
     def shift(self, x):
         """Polynomial g with g(Y) = f(Y + x), expanded exactly in doubles."""
@@ -351,6 +330,76 @@ class CTensor:
         return self.array[(i, *idx)]
 
 
+# largest number of entries in one K x T block of the kernel
+_BLOCK = 1 << 16
+
+
+class _Kernel:
+    """Polynomials compiled to an exponent matrix E (T x n), the union of
+    their monomials, and a coefficient matrix C (m x T)."""
+
+    def __init__(self, polys, nvars):
+        monos = sorted(set().union(*(p.terms for p in polys)))
+        column = {mono: t for t, mono in enumerate(monos)}
+        self.nvars = nvars
+        self.E = np.array(monos, dtype=np.intp).reshape(len(monos), nvars)
+        self.C = np.zeros((len(polys), len(monos)), dtype=complex)
+        for i, p in enumerate(polys):
+            for mono, c in p.terms.items():
+                self.C[i, column[mono]] = c
+
+    def partials(self, alphas, x):
+        """Raw partials d^alpha f_i(x) as an m x K matrix, one column per
+        multi-index.
+
+        Term t contributes C[i, t] * prod_j G[j, alpha_j, E[t, j]], where
+        G[j, a, e] = e!/(e-a)! * x_j^(e-a) (zero for a > e) is tabulated
+        once per call. The product runs one variable at a time over K x T
+        blocks, so no K x T x n array is formed.
+        """
+        x = np.asarray(x, dtype=complex)
+        n = self.nvars
+        if x.shape != (n,):
+            raise ValueError("point has shape %s, expected (%d,)" % (x.shape, n))
+        A = np.asarray(alphas, dtype=np.intp)
+        if A.ndim != 2 or A.shape[1] != n:
+            raise ValueError("multi-indices must have %d entries" % n)
+        m, T = self.C.shape
+        out = np.zeros((m, len(A)), dtype=complex)
+        if T == 0:
+            return out
+        emax, amax = int(self.E.max(initial=0)), int(A.max(initial=0))
+        falling = np.array(
+            [[math.perm(e, a) for e in range(emax + 1)] for a in range(amax + 1)],
+            dtype=float,
+        )
+        powers = np.ones((n, emax + 1), dtype=complex)
+        for e in range(1, emax + 1):
+            powers[:, e] = powers[:, e - 1] * x
+        lowered = np.maximum(np.arange(emax + 1) - np.arange(amax + 1)[:, None], 0)
+        G = falling * powers[:, lowered]
+        step = max(1, _BLOCK // T)
+        for s in range(0, len(A), step):
+            block = A[s : s + step]
+            M = np.ones((len(block), T), dtype=complex)
+            for j in range(n):
+                M *= G[j][block[:, j : j + 1], self.E[:, j]]
+            out[:, s : s + step] = self.C @ M.T
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetric_layout(n, k):
+    """Order-k multi-indices, one per sorted index tuple (i1 <= ... <= ik),
+    and the (n,)*k map from every index tuple to the row of its sorted
+    form. np.unique lists the sorted tuples in lexicographic order, the
+    order of `itertools.combinations_with_replacement(range(n), k)`."""
+    grid = np.indices((n,) * k).reshape(k, -1).T
+    combos, inverse = np.unique(np.sort(grid, axis=1), axis=0, return_inverse=True)
+    alphas = (combos[:, :, None] == np.arange(n)).sum(axis=1)
+    return alphas, inverse.reshape((n,) * k)
+
+
 class PolySystem:
     """Square system of polynomials with named variables."""
 
@@ -362,6 +411,7 @@ class PolySystem:
                 raise ValueError("mixed variable counts")
         self.var_names = list(var_names) if var_names else ["X%d" % (i + 1) for i in range(n)]
         self.labels = list(labels) if labels else ["f%d" % (i + 1) for i in range(len(self.polys))]
+        self._kernel = None
 
     @property
     def n(self):
@@ -377,36 +427,28 @@ class PolySystem:
     def max_degree(self):
         return max((p.degree() for p in self.polys), default=0)
 
+    def partials(self, alphas, x):
+        """Raw partials d^alpha f_i(x) as an m x K matrix, one column per
+        multi-index. The system compiles on the first call."""
+        if self._kernel is None:
+            self._kernel = _Kernel(self.polys, self.nvars)
+        return self._kernel.partials(alphas, x)
+
     def eval_at(self, x):
-        return np.array([p.eval_at(x) for p in self.polys], dtype=complex)
+        return self.partials([(0,) * self.nvars], x)[:, 0]
 
     def partials_vector(self, alpha, x):
-        return np.array([p.partial_at(alpha, x) for p in self.polys], dtype=complex)
+        return self.partials([alpha], x)[:, 0]
 
     def jacobian(self, x):
-        n = self.nvars
-        J = np.empty((self.n, n), dtype=complex)
-        for j in range(n):
-            alpha = tuple(1 if i == j else 0 for i in range(n))
-            J[:, j] = self.partials_vector(alpha, x)
-        return J
+        return self.partials(np.eye(self.nvars, dtype=np.intp), x)
 
     def derivative_tensor(self, x, k):
         """Order-k derivative tensor with raw partials as entries."""
         if k < 1:
             raise ValueError("order must be at least 1")
-        n = self.nvars
-        m = self.n
-        vals = {}
-        for combo in combinations_with_replacement(range(n), k):
-            alpha = [0] * n
-            for j in combo:
-                alpha[j] += 1
-            vals[combo] = self.partials_vector(tuple(alpha), x)
-        T = np.empty((m,) + (n,) * k, dtype=complex)
-        for idx in np.ndindex(*(n,) * k):
-            T[(slice(None),) + idx] = vals[tuple(sorted(idx))]
-        return CTensor(order=k, array=T)
+        alphas, index = _symmetric_layout(self.nvars, k)
+        return CTensor(order=k, array=self.partials(alphas, x)[:, index])
 
     def shift(self, x):
         return PolySystem([p.shift(x) for p in self.polys], self.var_names, self.labels)
@@ -480,6 +522,9 @@ class NormalizedFrame:
         out = CTensor(order=k, array=T)
         self._cache[key] = out
         return out
+
+    def partials(self, alphas, y):
+        return np.stack([self.partials_vector(a, y) for a in alphas], axis=1)
 
     def partials_vector(self, alpha, y):
         k = sum(alpha)
@@ -725,43 +770,23 @@ def parse_system(text):
 
 
 # ---------------------------------------------------------------------------
-# module-level operations mirroring the methods
-
-
-def eval_system(system, x):
-    return system.eval_at(x)
-
-
-def derivative_tensor(system, x, k):
-    return system.derivative_tensor(x, k)
+# module-level operations
 
 
 def apply_functional(coeffs, target, x):
     """Apply a dual functional sum_alpha c_alpha (1/alpha!) d^alpha at x.
 
     `coeffs` maps multi-index tuples to complex weights. `target` may be a
-    Poly (returns a scalar) or anything with `partials_vector` (returns a
-    vector).
+    Poly (returns a scalar) or a system or frame (returns a vector); its
+    `partials` evaluates every multi-index in one batch.
     """
-    x = np.asarray(x, dtype=complex)
-    if isinstance(target, Poly):
-        total = 0j
-        for alpha, c in sorted(coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-            fact = 1.0
-            for a in alpha:
-                fact *= math.factorial(a)
-            total += c * target.partial_at(alpha, x) / fact
-        return total
-    total = None
-    for alpha, c in sorted(coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        fact = 1.0
-        for a in alpha:
-            fact *= math.factorial(a)
-        v = c * target.partials_vector(alpha, x) / fact
-        total = v if total is None else total + v
-    if total is None:
-        total = np.zeros(target.n, dtype=complex)
-    return total
+    if not coeffs:
+        return 0j if isinstance(target, Poly) else np.zeros(target.n, dtype=complex)
+    alphas = list(coeffs)
+    weights = np.array(
+        [coeffs[a] / math.prod(map(math.factorial, a)) for a in alphas], dtype=complex
+    )
+    return target.partials(alphas, x) @ weights
 
 
 def unitary_pullback(system, U, W):

@@ -268,6 +268,53 @@ def test_bad_point_text(capsys, ex_triple_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "point", ["0,0,0", "0", "nan,0", "0,nan", "inf,0", "1e400,0", "0,1+1e400i"]
+)
+def test_point_wrong_length_or_non_finite_is_input_error(capsys, ex_double_path, point):
+    code, out, err = run_cli(
+        capsys, "dual", "--system", ex_double_path, "--point", point, "--json"
+    )
+    assert code == 2
+    assert "input error" in err
+    assert out == ""
+
+
+def test_point_file_non_finite_is_input_error(capsys, ex_double_path, tmp_path):
+    path = tmp_path / "point.txt"
+    path.write_text("0\nnan\n")
+    code, _, err = run_cli(
+        capsys, "gamma", "--system", ex_double_path, "--point-file", str(path)
+    )
+    assert code == 2
+    assert "non-finite coordinate" in err
+
+
+def test_separation_with_system_needs_point(capsys, ex_double_path):
+    code, _, err = run_cli(capsys, "separation", "--system", ex_double_path)
+    assert code == 2
+    assert "point is required" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["separation", "--mu", "1"],
+        ["separation", "--mu", "0"],
+        ["separation", "--system", None, "--point", "0,0", "--mu", "1"],
+        ["certify", "--system", None, "--point", "0,0", "--mu", "1"],
+        ["refine", "--system", None, "--point", "0.01,0.01", "--mu", "1"],
+        ["gamma", "--system", None, "--point", "0,0", "--mu", "-3"],
+    ],
+)
+def test_mu_below_two_is_input_error(capsys, ex_double_path, argv):
+    argv = [ex_double_path if a is None else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "input error" in err and "--mu" in err
+    assert out == ""
+
+
 def test_regular_point_is_domain_error(capsys, ex_triple_path):
     # at a point far from the zero the Jacobian has full rank and the
     # corank-one premise fails

@@ -6,6 +6,7 @@ import pytest
 from mzero.dualspace import compute_dual_basis, normalizing_frame
 from mzero.errors import NotNormalizedError
 from mzero.gamma import gamma_hat, gamma_mu, gamma_n
+from mzero.polycore import PolySystem
 
 from conftest import make_normalized_system
 
@@ -57,6 +58,25 @@ def test_double_zero_after_normalization(ex_double):
     report = gamma_mu(frame, w)
     assert report.mu == 2
     assert report.gamma == pytest.approx(4 / math.sqrt(5), abs=1e-10)
+
+
+def test_gamma_mu_evaluates_each_order_once(monkeypatch):
+    system = make_normalized_system(4, 3, np.random.default_rng(31))
+    x = np.zeros(4, dtype=complex)
+    report = gamma_mu(system, x)
+    # the shared tensors give exactly what the two public halves compute
+    assert report.gamma_hat == gamma_hat(system, x)[0]
+    assert report.gamma_n == gamma_n(system, x, report.mu)[0]
+    orders = []
+    evaluate = PolySystem.derivative_tensor
+
+    def counted(self, y, k):
+        orders.append(k)
+        return evaluate(self, y, k)
+
+    monkeypatch.setattr(PolySystem, "derivative_tensor", counted)
+    assert gamma_mu(system, x) == report
+    assert orders == list(range(2, system.max_degree() + 1))
 
 
 def test_requires_normalized_shape(ex_double):

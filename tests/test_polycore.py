@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mzero import polycore
 from mzero.errors import ParseError
 from mzero.polycore import (
+    CTensor,
     Poly,
     PolySystem,
     apply_functional,
@@ -14,7 +16,7 @@ from mzero.polycore import (
     unitary_pullback,
 )
 
-from conftest import EX_DOUBLE, EX_TRIPLE, random_unitary
+from conftest import EX_DOUBLE, EX_TRIPLE, monomials, random_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +162,156 @@ def test_taylor_identity_on_binomials():
             got = apply_functional({alpha: 1.0}, p, x)
             want = 1.0 if alpha == beta else 0.0
             assert got == pytest.approx(want, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernel against the literal definition
+
+
+def _literal_partial(terms, alpha, x):
+    """d^alpha of sum_e c_e X^e, term by term from the definition
+    d^a/dX^a X^e = e!/(e-a)! X^(e-a); Python gives 0j ** 0 == 1."""
+    total = 0j
+    for mono, c in terms.items():
+        v = c
+        for e, a, xj in zip(mono, alpha, x):
+            v *= math.perm(e, a) * xj ** (e - a) if e >= a else 0
+        total += v
+    return total
+
+
+def _assert_literal(poly, alpha, x, got):
+    want = _literal_partial(poly.terms, alpha, x)
+    # bound on the summed term magnitudes, the scale of rounding errors
+    size = _literal_partial({m: abs(c) for m, c in poly.terms.items()}, alpha, abs(x))
+    assert abs(got - want) <= 1e-12 * abs(size) + 1e-15
+
+
+_coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+_coord = st.one_of(st.just(0j), st.sampled_from([1.0, -0.5 + 1.5j]), _coeff)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Square systems with up to five terms per equation (possibly none,
+    possibly only a constant) and a point that often has zero entries."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    monos = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    terms = st.dictionaries(monos, _coeff, max_size=5)
+    polys = [Poly(n, draw(terms)) for _ in range(n)]
+    x = draw(st.lists(_coord, min_size=n, max_size=n))
+    return PolySystem(polys), np.array(x, dtype=complex)
+
+
+def _check_against_literal(sys_, x):
+    n = sys_.nvars
+    deg = sys_.max_degree()
+    for k in range(deg + 2):
+        alphas = monomials(n, k)
+        got = sys_.partials(alphas, x)
+        assert got.shape == (sys_.n, len(alphas))
+        for i, p in enumerate(sys_.polys):
+            for col, alpha in enumerate(alphas):
+                _assert_literal(p, alpha, x, got[i, col])
+        if k > deg:
+            assert np.all(got == 0)
+        if k == 0:
+            assert np.array_equal(sys_.eval_at(x), got[:, 0])
+            continue
+        T = sys_.derivative_tensor(x, k).array
+        assert T.shape == (sys_.n,) + (n,) * k
+        # adjacent transpositions generate every permutation of the axes
+        for ax in range(1, k):
+            assert np.array_equal(T, np.swapaxes(T, ax, ax + 1))
+        tensor = CTensor(order=k, array=T)
+        for i, p in enumerate(sys_.polys):
+            for alpha in alphas:
+                _assert_literal(p, alpha, x, tensor.entry(i, alpha))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_systems())
+def test_kernel_partials_and_tensors_match_literal_definition(case):
+    sys_, x = case
+    _check_against_literal(sys_, x)
+    J = sys_.jacobian(x)
+    for i, p in enumerate(sys_.polys):
+        _assert_literal(p, (0,) * sys_.nvars, x, p.eval_at(x))
+        for j in range(sys_.nvars):
+            e = tuple(int(i == j) for i in range(sys_.nvars))
+            _assert_literal(p, e, x, J[i, j])
+            _assert_literal(p, e, x, p.partial_at(e, x))
+
+
+def test_kernel_blocks_give_the_same_partials(monkeypatch):
+    sys_ = parse_system(EX_TRIPLE)
+    x = np.array([0.3 - 0.2j, 0.7])
+    whole = sys_.derivative_tensor(x, 3).array
+    # at most one multi-index per block: every column goes through its own block
+    monkeypatch.setattr(polycore, "_BLOCK", 1)
+    blocked = PolySystem(sys_.polys).derivative_tensor(x, 3).array
+    assert np.allclose(blocked, whole, rtol=1e-14, atol=0)
+
+
+def test_kernel_constant_and_zero_polynomials():
+    const = Poly.constant(2, 3 - 1j)
+    zero = Poly(2)
+    sys_ = PolySystem([const, zero])
+    for x in (np.zeros(2), np.array([0.5, -2j])):
+        _check_against_literal(sys_, x)
+        assert np.array_equal(sys_.eval_at(x), [3 - 1j, 0])
+        assert np.all(sys_.jacobian(x) == 0)
+        assert np.all(sys_.derivative_tensor(x, 2).array == 0)
+    assert zero.eval_at(np.ones(2)) == 0
+    T = PolySystem([zero, zero]).derivative_tensor(np.ones(2), 3).array
+    assert T.shape == (2, 2, 2, 2) and not T.any()
+
+
+def test_zero_to_the_zero_is_one():
+    # X^2 * Y: every partial that consumes all of Y's degree sees Y^0 = 1
+    p = Poly(2, {(2, 1): 1.0})
+    x = np.zeros(2, dtype=complex)
+    assert p.partial_at((2, 1), x) == 2.0
+    assert p.partial_at((1, 1), x) == 0.0
+    assert p.eval_at(np.array([3.0, 0.0])) == 0.0
+
+
+def test_apply_functional_batches_all_multi_indices():
+    sys_ = parse_system(EX_TRIPLE)
+    x = np.array([0.3 - 0.2j, 0.7])
+    coeffs = {(0, 0): 2.0, (1, 0): -1j, (2, 1): 0.5, (0, 3): 4.0}
+    got = apply_functional(coeffs, sys_, x)
+    for i, p in enumerate(sys_.polys):
+        want = sum(
+            c * _literal_partial(p.terms, a, x) / math.prod(map(math.factorial, a))
+            for a, c in coeffs.items()
+        )
+        assert got[i] == pytest.approx(want, rel=1e-13)
+        assert apply_functional(coeffs, p, x) == pytest.approx(want, rel=1e-13)
+    assert np.array_equal(apply_functional({}, sys_, x), np.zeros(2))
+
+
+@pytest.mark.parametrize("shape", [(3,), (1,), (2, 1), (1, 2), ()])
+def test_wrong_point_shape_raises(shape):
+    sys_ = parse_system(EX_TRIPLE)
+    x = np.zeros(shape, dtype=complex)
+    for call in (
+        lambda: sys_.eval_at(x),
+        lambda: sys_.jacobian(x),
+        lambda: sys_.partials_vector((1, 0), x),
+        lambda: sys_.derivative_tensor(x, 2),
+        lambda: sys_.partials([(0, 0)], x),
+        lambda: sys_.polys[0].eval_at(x),
+        lambda: sys_.polys[0].partial_at((1, 1), x),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_multi_index_length_must_match():
+    sys_ = parse_system(EX_TRIPLE)
+    with pytest.raises(ValueError):
+        sys_.partials([(1, 0, 0)], np.zeros(2))
 
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, width=32)
