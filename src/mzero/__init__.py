@@ -26,6 +26,7 @@ from .dualspace import (
 from .errors import (
     BreadthError,
     CorankError,
+    InputError,
     MathDomainError,
     MultiplicityNotFoundError,
     MZeroError,

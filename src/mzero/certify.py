@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualspace import (
+    LOOSE_NORMALIZED_RTOL,
     compute_dual_basis,
-    is_normalized,
     kernel_chain,
-    normalizing_frame,
+    normalized_view,
 )
 from .errors import NoRootError
 from .gamma import GammaReport, _hat_supremum, _merge_rows, _n_supremum, gamma_mu
@@ -166,15 +166,11 @@ def separation_bound(source, x, mu=None, mode="estimate", auto_frame=True):
 
     Unnormalized input is moved to a normalizing frame first (distances
     are invariant under the rotation, so the radius applies unchanged in
-    the original coordinates).
+    the original coordinates); with auto_frame off it raises
+    NotNormalizedError.
     """
-    x = np.asarray(x, dtype=complex)
-    J = source.jacobian(x)
-    if not is_normalized(J):
-        if not auto_frame:
-            raise ValueError("point is not normalized and auto_frame is off")
-        frame, w, _ = normalizing_frame(source, x)
-        return separation_bound(frame, w, mu=mu, mode=mode, auto_frame=False)
+    if auto_frame:
+        source, x, _ = normalized_view(source, x)
     report = gamma_mu(source, x, mu=mu, mode=mode)
     sep = separation_constant(report.mu)
     sep.gamma = report
@@ -192,28 +188,27 @@ def residual_lower_bound(source, x, y, mu=None, mode="estimate", auto_frame=True
     """Lower bound on the residual norm at y, forced by the zero at x.
 
     Valid for y within distance d / (4 gamma^mu) of the normalized zero
-    x; the `within_radius` flag reports whether that held.
+    x; the `within_radius` flag reports whether that held. Unnormalized
+    input is handled as in `separation_bound`; the distance and the
+    residual norm do not change under the frame, so they are taken in the
+    given coordinates.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    J = source.jacobian(x)
-    if not is_normalized(J):
-        if not auto_frame:
-            raise ValueError("point is not normalized and auto_frame is off")
-        frame, w, _ = normalizing_frame(source, x)
-        return residual_lower_bound(
-            frame, w, frame.to_frame(y), mu=mu, mode=mode, auto_frame=False
-        )
+    dist = float(np.linalg.norm(y - x))
+    fy = float(np.linalg.norm(source.eval_at(y)))
+    if auto_frame:
+        source, x, J = normalized_view(source, x)
+    else:
+        J = source.jacobian(x)
     n = source.nvars
     report = gamma_mu(source, x, mu=mu, mode=mode)
     mu = report.mu
     sep = separation_constant(mu)
     Jhat = J[: n - 1, 1:]
     ainv = _a_inv_norm(Jhat, report.delta_mu)
-    dist = float(np.linalg.norm(y - x))
     r_max = sep.d / (4.0 * report.gamma**mu)
     bound = sep.d * dist**mu / (2.0 * ainv)
-    fy = float(np.linalg.norm(source.eval_at(y)))
     return ResidualBound(
         mu=mu,
         bound=bound,
@@ -229,20 +224,22 @@ def residual_lower_bound(source, x, y, mu=None, mode="estimate", auto_frame=True
 def certify_cluster(system, x, mu=None, mode="estimate"):
     """Certificate that a ball around x holds exactly mu zeros.
 
-    The input point should be an approximate zero in (close to)
-    normalized coordinates; mu defaults to the chain length detected at
-    x. The certificate compares the deviation of the system from its
-    order-mu truncation at x against a threshold; `holds` reports the
-    comparison, and the radius d / (4 gamma^mu) is meaningful only when
-    it holds.
+    The input point should be an approximate zero; mu defaults to the
+    chain length detected at x. A point whose Jacobian is not even
+    loosely in the distinguished shape (`LOOSE_NORMALIZED_RTOL`) is first
+    moved to a normalizing frame; the radius is the same in the original
+    coordinates. The certificate compares the deviation of the system
+    from its order-mu truncation at x against a threshold; `holds`
+    reports the comparison, and the radius d / (4 gamma^mu) is meaningful
+    only when it holds.
     """
-    x = np.asarray(x, dtype=complex)
+    center = np.asarray(x, dtype=complex)
+    system, x, J = normalized_view(system, center, LOOSE_NORMALIZED_RTOL)
     n = system.nvars
     if mu is None:
         basis = compute_dual_basis(system, x)
         mu = basis.mu
 
-    J = system.jacobian(x)
     Jhat = J[: n - 1, 1:]
 
     # first-order deviation: everything the truncation removes at order 1
@@ -294,7 +291,7 @@ def certify_cluster(system, x, mu=None, mode="estimate"):
     rhs = sep.d ** (mu + 1) / (2.0 * (4.0 * gamma**mu) ** mu * ainv)
 
     return ClusterCertificate(
-        center=x,
+        center=center,
         radius=radius,
         mu=mu,
         lhs=lhs,

@@ -3,18 +3,23 @@
 Subcommands: dual, gamma, separation, certify, refine, thresholds. Every
 command prints a human-readable summary by default and a canonical JSON
 document with --json. Exit codes: 0 on success (a negative certificate is
-still a success), 2 for input problems, 3 for numerical-domain problems.
-Points are checked on entry: one finite coordinate per system variable.
+still a success), 2 for input problems (including a --mu that disagrees
+with the chain length found at the point), 3 for numerical-domain
+problems, 4 for internal errors. Points are checked on entry: one finite
+coordinate per system variable. `gamma` and `certify` move a point outside
+the distinguished shape to a normalizing frame, as `separation` does.
 
 The JSON output is deterministic: keys are sorted, floats are printed
 with 17 significant digits, and complex values appear as {"im": ...,
 "re": ...} objects. Re-serializing a parsed document reproduces the bytes
-exactly.
+exactly. A result holding a non-finite number is a numerical-domain error,
+as JSON has no literal for it.
 """
 
 import argparse
 import cmath
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import certify as certify_mod
 from . import dualspace, gamma, newton, polycore
-from .errors import MathDomainError, ParseError
+from .errors import InputError, MathDomainError, ParseError
 
 DEFAULT_TOLERANCES = {
     "gap_tol": 1e-8,
@@ -70,7 +75,10 @@ def _plain(obj):
 
 
 def canonical_json(obj):
-    """Serialize with sorted keys and 17-significant-digit floats."""
+    """Serialize with sorted keys and 17-significant-digit floats.
+
+    Raises MathDomainError for a non-finite float, which JSON cannot hold.
+    """
     out = []
 
     def emit(v):
@@ -81,6 +89,8 @@ def canonical_json(obj):
         elif isinstance(v, int):
             out.append(str(v))
         elif isinstance(v, float):
+            if not math.isfinite(v):
+                raise MathDomainError("result holds the non-finite number %r" % v)
             out.append(format(v, ".17g"))
         elif isinstance(v, str):
             out.append(json.dumps(v))
@@ -240,7 +250,8 @@ def cmd_dual(cfg, args):
 
 def cmd_gamma(cfg, args):
     system = _load_with_point(cfg)
-    report = gamma.gamma_mu(system, cfg.point, mu=cfg.mu, mode=cfg.mode)
+    system, x, _ = dualspace.normalized_view(system, cfg.point)
+    report = gamma.gamma_mu(system, x, mu=cfg.mu, mode=cfg.mode)
     result = {
         "gamma": report.gamma,
         "gamma_hat": report.gamma_hat,
@@ -502,15 +513,18 @@ def main(argv=None):
             return int(exc.code) if exc.code else 0
         cfg = _config_from_args(args)
         return args.func(cfg, args)
-    except ParseError as exc:
+    except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except MathDomainError as exc:
         print("numerical-domain error: %s" % exc, file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001  keep the tool from crashing
+        import traceback  # imported only here: it adds start-up time and memory
+
+        traceback.print_exc()
         print("internal error: %s" % exc, file=sys.stderr)
-        return 3
+        return 4
 
 
 if __name__ == "__main__":

@@ -34,6 +34,8 @@ DEFAULT_MAX_ORDER = 10
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_DELTA_ZERO_TOL = 1e-8
 _NORMALIZED_RTOL = 1e-8
+# shape test for points that only need to be near the distinguished shape
+LOOSE_NORMALIZED_RTOL = 0.1
 _BREADTH_RTOL = 1e-6
 
 
@@ -448,3 +450,20 @@ def normalizing_frame(source, x):
     W = res.V[:, perm]
     frame = polycore.unitary_pullback(source, res.U, W)
     return frame, frame.to_frame(x), res
+
+
+def normalized_view(source, x, rel_tol=_NORMALIZED_RTOL):
+    """(view, w, J): (source, x) when the Jacobian at x passes
+    `is_normalized` with rel_tol, else a normalizing frame and the
+    coordinates of x in it; J is the Jacobian of the view at w.
+
+    The frame is a unitary change of coordinates, so distances, residual
+    norms, radii and the growth invariants computed in it hold in the
+    original coordinates.
+    """
+    x = np.asarray(x, dtype=complex)
+    J = source.jacobian(x)
+    if is_normalized(J, rel_tol):
+        return source, x, J
+    frame, w, _ = normalizing_frame(source, x)
+    return frame, w, frame.jacobian(w)

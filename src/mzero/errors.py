@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 Two broad families matter to callers: input problems (bad grammar, bad
-flags) and numerical-domain problems (singular where invertibility is
-required, no root in a bracket, structure checks that fail). The CLI maps
-the former to exit code 2 and the latter to exit code 3.
+flags, options that contradict the input) and numerical-domain problems
+(singular where invertibility is required, no root in a bracket, structure
+checks that fail). The CLI maps the former to exit code 2 and the latter
+to exit code 3; any other exception is an internal error, exit code 4.
 """
 
 
@@ -11,7 +12,12 @@ class MZeroError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ParseError(MZeroError, ValueError):
+class InputError(MZeroError, ValueError):
+    """The caller's input is wrong, e.g. a --mu that disagrees with the
+    chain length found at the point."""
+
+
+class ParseError(InputError):
     """Raised when a system description or a point string is malformed."""
 
 

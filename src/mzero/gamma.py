@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalizedError
+from .errors import InputError, NotNormalizedError
 from .numkit import solve_linear, tensor_norm
 
 
@@ -120,7 +120,7 @@ def gamma_n(source, x, mu, delta_mu=None, mode="estimate"):
 
         basis = compute_dual_basis(source, x)
         if basis.mu != mu:
-            raise ValueError(
+            raise InputError(
                 "requested order %d but the chain terminates at %d" % (mu, basis.mu)
             )
         delta_mu = basis.delta_values[-1][-1]
@@ -137,8 +137,9 @@ def gamma_mu(source, x, mu=None, mode="estimate"):
     """Combined invariant, the maximum of the two halves.
 
     Computes the dual basis for the multiplicity and the terminating chain
-    value (mu, when supplied, must match it). The Jacobian and each tensor
-    of order 2..deg are evaluated once and shared by both halves.
+    value (mu, when supplied, must match it; a mismatch is an InputError).
+    The Jacobian and each tensor of order 2..deg are evaluated once and
+    shared by both halves.
     """
     from .dualspace import compute_dual_basis
 
@@ -147,7 +148,7 @@ def gamma_mu(source, x, mu=None, mode="estimate"):
     _require_normalized(J)
     basis = compute_dual_basis(source, x)
     if mu is not None and basis.mu != mu:
-        raise ValueError(
+        raise InputError(
             "requested order %d but the chain terminates at %d" % (mu, basis.mu)
         )
     mu = basis.mu

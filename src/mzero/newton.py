@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dualspace import compute_dual_basis, is_normalized, kernel_chain, normalizing_frame
+from .dualspace import (
+    LOOSE_NORMALIZED_RTOL,
+    compute_dual_basis,
+    is_normalized,
+    kernel_chain,
+    normalizing_frame,
+)
 from .errors import SingularMatrixError
 from .numkit import smallest_positive_root, solve_linear
 
@@ -33,8 +39,6 @@ _BRACKET = {
     "normalized_triple": 0.05,
     "general_triple": 0.03,
 }
-
-_LOOSE_NORMALIZED_RTOL = 0.1
 
 
 @dataclass
@@ -151,7 +155,7 @@ def refine_general(source, z, mu):
 
 
 def _choose_variant(source, z, mu):
-    if mu in (2, 3) and is_normalized(source.jacobian(z), _LOOSE_NORMALIZED_RTOL):
+    if mu in (2, 3) and is_normalized(source.jacobian(z), LOOSE_NORMALIZED_RTOL):
         return "normalized_double" if mu == 2 else "normalized_triple"
     return "general"
 
@@ -166,11 +170,12 @@ def iterate_until(
 ):
     """Run a refinement iteration to tolerance and report the trace.
 
-    Stops when either the residual norm or the step norm drops to eps
-    ('tolerance'), after three consecutive growing steps ('divergence'),
-    when a linear solve degenerates ('singular_step'), or at max_iter.
-    A point that already meets the residual tolerance returns a
-    zero-iteration trace.
+    Stops when the residual norm drops to eps ('tolerance', the only
+    stop with converged=True), when a step of norm at most eps leaves the
+    residual above eps ('stagnation'), after three consecutive growing
+    steps ('divergence'), when a linear solve degenerates
+    ('singular_step'), or at max_iter. A point that already meets the
+    residual tolerance returns a zero-iteration trace.
     """
     z = np.asarray(z0, dtype=complex)
     if mu is None:
@@ -227,9 +232,12 @@ def iterate_until(
         iterates.append(z.copy())
         residuals.append(float(np.linalg.norm(source.eval_at(z))))
         steps.append(step)
-        if residuals[-1] <= eps or step <= eps:
+        if residuals[-1] <= eps:
             converged = True
             reason = "tolerance"
+            break
+        if step <= eps:
+            reason = "stagnation"
             break
         if len(steps) >= 2 and steps[-1] > steps[-2]:
             grow += 1

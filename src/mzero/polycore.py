@@ -3,8 +3,18 @@ pullbacks.
 
 A system is a square list of polynomials in declared variables. Points and
 coefficients are complex doubles once parsed; the parser itself works over
-exact rational complex numbers so that input like `sqrt(73)/12` or `1/3`
-loses nothing before the final conversion.
+exact rational complex numbers so that input like `1/3` or
+`1e-20*X + X - X` loses nothing before the final conversion, which rounds
+each coefficient once. The exception is `sqrt` of a non-square, which is
+rounded to a double before the exact arithmetic goes on (`sqrt(73)/12`
+ends one ulp from the correctly rounded value). Decimal literals convert
+exactly, so a coefficient written as `(re+imi)` from `repr` floats parses
+back bit for bit. Each equation is parsed straight into one term table:
+sums accumulate in place and a product with a single-term factor adds
+exponent tuples, so parse cost is linear in the number of terms; only a
+product of two sums, such as `(8*X1 - 3*X2)^2`, expands pairwise. Terms
+keep the order in which their monomials first appear (a term that
+cancels and comes back counts as new).
 
 Multi-indices are plain tuples of non-negative ints, one entry per
 variable. Every evaluation goes through one kernel: on first use a
@@ -24,134 +34,15 @@ after the first evaluation are not seen.
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ParseError
-
-# ---------------------------------------------------------------------------
-# exact scalars used only during parsing
-
-
-class _QC:
-    """Complex number with exact rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=Fraction(0)):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, other):
-        return _QC(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return _QC(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return _QC(-self.re, -self.im)
-
-    def __mul__(self, other):
-        return _QC(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __truediv__(self, other):
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return _QC(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
-
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
-
-    def to_complex(self):
-        return complex(float(self.re), float(self.im))
-
-
-def _sqrt_fraction(q):
-    """Square root of a non-negative Fraction, exact for perfect squares."""
-    if q < 0:
-        raise ParseError("sqrt of a negative value")
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return Fraction(math.sqrt(float(q)))
-
-
-class _QPoly:
-    """Polynomial over _QC coefficients, used while parsing expressions."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if not c.is_zero():
-                    self.terms[mono] = c
-
-    @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, nvars, j):
-        mono = tuple(1 if i == j else 0 for i in range(nvars))
-        return cls(nvars, {mono: _QC(1)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, _QC(0)) + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return _QPoly(self.nvars, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _QPoly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(mono, _QC(0)) + c1 * c2
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return _QPoly(self.nvars, out)
-
-    def constant_value(self):
-        if any(sum(m) > 0 for m in self.terms):
-            return None
-        return self.terms.get((0,) * self.nvars, _QC(0))
-
-    def pow_int(self, e):
-        result = _QPoly.constant(self.nvars, _QC(1))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
 
 # ---------------------------------------------------------------------------
 # runtime polynomial types
@@ -566,51 +457,145 @@ class NormalizedFrame:
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# While parsing, a polynomial is a term table: a dict from exponent tuples
+# to nonzero _QC coefficients, in the order in which the monomials first
+# appear.
+
+
+class _QC:
+    """Complex number with exact rational real and imaginary parts; both
+    parts are Fractions."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=Fraction(0)):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        return _QC(self.re + other.re, self.im + other.im)
+
+    def __neg__(self):
+        return _QC(-self.re, -self.im)
+
+    def __mul__(self, other):
+        # a factor of exactly one takes no arithmetic
+        if self.re == 1 and not self.im:
+            return other
+        if other.re == 1 and not other.im:
+            return self
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _QC(a * c - b * d, a * d + b * c)
+
+    def __truediv__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        den = c * c + d * d
+        return _QC((a * c + b * d) / den, (b * c - a * d) / den)
+
+    def is_zero(self):
+        return not self.re and not self.im
+
+    def to_complex(self):
+        return complex(float(self.re), float(self.im))
+
+
+_ONE = _QC(Fraction(1))
+
+
+def _rational(text):
+    """Exact value of a decimal literal such as `12`, `0.25` or `1e-300`."""
+    return Fraction(*Decimal(text).as_integer_ratio())
+
+
+def _sqrt_fraction(q):
+    """Square root of a non-negative Fraction, exact for perfect squares."""
+    if q < 0:
+        raise ParseError("sqrt of a negative value")
+    num, den = q.numerator, q.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return Fraction(math.sqrt(float(q)))
+
+
+def _accumulate(terms, mono, c):
+    """Add c to the coefficient of mono in place, dropping it on cancellation."""
+    old = terms.get(mono)
+    if old is None:
+        terms[mono] = c
+        return
+    s = old + c
+    if s.is_zero():
+        del terms[mono]
+    else:
+        terms[mono] = s
+
+
+def _product(a, b):
+    """Product of two term tables.
+
+    When one side has a single term, its exponent tuple is added to each
+    term of the other side and one scalar product is taken per term; no
+    sum can cancel, and the result keeps the other side's order. Otherwise
+    every pair of terms is accumulated.
+    """
+    if len(a) == 1 or len(b) == 1:
+        if len(a) != 1:
+            a, b = b, a
+        ((m1, c1),) = a.items()
+        if any(m1):
+            return {tuple(map(operator.add, m1, m)): c1 * c for m, c in b.items()}
+        return {m: c1 * c for m, c in b.items()}
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            _accumulate(out, tuple(map(operator.add, m1, m2)), c1 * c2)
+    return out
+
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)(?P<imag>i(?![A-Za-z0-9_]))?
+    \s*(?:
+      (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)(?P<imag>i(?![A-Za-z0-9_]))?
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>[-+*/^(),])
+    | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
 
 
 def _tokenize(stmt):
+    """(kind, text) tokens of one expression in a single regex scan; kind
+    is num, imag (text without the `i`), ident or op."""
     tokens = []
-    pos = 0
-    while pos < len(stmt):
-        ch = stmt[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(stmt, pos)
-        if not m:
-            raise ParseError("unexpected character %r in %r" % (ch, stmt.strip()))
-        if m.lastgroup in ("num", "imag") or m.group("num"):
-            kind = "imag" if m.group("imag") else "num"
-            tokens.append((kind, m.group("num")))
-        elif m.group("ident"):
-            tokens.append(("ident", m.group("ident")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(stmt):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(
+                "unexpected character %r in %r" % (m.group(kind), stmt.strip())
+            )
+        tokens.append((kind, m.group("num" if kind == "imag" else kind)))
     return tokens
 
 
 class _ExprParser:
-    def __init__(self, tokens, var_index, nvars):
-        self.tokens = tokens
-        self.pos = 0
-        self.var_index = var_index
-        self.nvars = nvars
+    """Recursive-descent parser from tokens to one term table.
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+    Every table a parse method returns is new, so `parse_expr` adds each
+    further term in place into the table of its first term.
+    """
+
+    def __init__(self, tokens, variables):
+        self.tokens = tokens + [(None, None)]  # end marker
+        self.pos = 0
+        self.variables = variables
+        self.zero = (0,) * len(variables)
 
     def take(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -619,97 +604,110 @@ class _ExprParser:
         if kind != "op" or val != op:
             raise ParseError("expected %r" % op)
 
+    def constant(self, c):
+        return {self.zero: c} if not c.is_zero() else {}
+
+    def constant_value(self, terms):
+        """The scalar of a table without variable terms, else None."""
+        if any(map(any, terms)):
+            return None
+        return terms.get(self.zero, _QC(Fraction(0)))
+
+    def power(self, base, e):
+        """base^e by repeated squaring."""
+        result = {self.zero: _ONE}
+        while True:
+            if e & 1:
+                result = _product(result, base)
+            e >>= 1
+            if not e:
+                return result
+            base = _product(base, base)
+
     def parse(self):
         value = self.parse_expr()
-        if self.pos != len(self.tokens):
+        if self.pos != len(self.tokens) - 1:
             raise ParseError("trailing tokens after expression")
         return value
 
     def parse_expr(self):
-        value = self.parse_term()
+        terms = self.parse_term()
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.pos += 1
-                rhs = self.parse_term()
-                value = value + rhs if val == "+" else value - rhs
-            else:
-                return value
+            kind, val = self.tokens[self.pos]
+            if kind != "op" or val not in "+-":
+                return terms
+            self.pos += 1
+            rhs = self.parse_term()
+            for mono, c in rhs.items():
+                _accumulate(terms, mono, c if val == "+" else -c)
 
     def parse_term(self):
         value = self.parse_factor()
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.pos += 1
-                rhs = self.parse_factor()
-                if val == "*":
-                    value = value * rhs
-                else:
-                    c = rhs.constant_value()
-                    if c is None:
-                        raise ParseError("division only by constant scalars")
-                    if c.is_zero():
-                        raise ParseError("division by zero")
-                    value = _QPoly(
-                        value.nvars, {m: v / c for m, v in value.terms.items()}
-                    )
-            else:
+            kind, val = self.tokens[self.pos]
+            if kind != "op" or val not in "*/":
                 return value
+            self.pos += 1
+            rhs = self.parse_factor()
+            if val == "*":
+                value = _product(value, rhs)
+                continue
+            c = self.constant_value(rhs)
+            if c is None:
+                raise ParseError("division only by constant scalars")
+            if c.is_zero():
+                raise ParseError("division by zero")
+            value = {m: v / c for m, v in value.items()}
 
     def parse_factor(self):
-        kind, val = self.peek()
+        kind, val = self.tokens[self.pos]
         if kind == "op" and val in "+-":
             self.pos += 1
             inner = self.parse_factor()
-            return inner if val == "+" else -inner
+            return inner if val == "+" else {m: -c for m, c in inner.items()}
         return self.parse_power()
 
     def parse_power(self):
         base = self.parse_atom()
-        kind, val = self.peek()
+        kind, val = self.tokens[self.pos]
         if kind == "op" and val == "^":
             self.pos += 1
-            e = self.parse_exponent()
-            return base.pow_int(e)
+            return self.power(base, self.parse_exponent())
         return base
 
     def parse_exponent(self):
-        kind, val = self.peek()
+        kind, val = self.take()
         if kind == "num":
-            self.pos += 1
-            frac = Fraction(val)
-            if frac.denominator != 1 or frac < 0:
-                raise ParseError("exponent must be a non-negative integer")
-            return int(frac)
-        if kind == "op" and val == "(":
-            self.pos += 1
-            inner = self.parse_expr()
+            q = _rational(val)
+        elif kind == "op" and val == "(":
+            c = self.constant_value(self.parse_expr())
             self.expect_op(")")
-            c = inner.constant_value()
-            if c is None or c.im != 0 or c.re.denominator != 1 or c.re < 0:
+            if c is None or c.im:
                 raise ParseError("exponent must be a non-negative integer")
-            return int(c.re)
-        raise ParseError("expected an exponent after '^'")
+            q = c.re
+        else:
+            raise ParseError("expected an exponent after '^'")
+        if q.denominator != 1 or q < 0:
+            raise ParseError("exponent must be a non-negative integer")
+        return int(q)
 
     def parse_atom(self):
         kind, val = self.take()
         if kind == "num":
-            return _QPoly.constant(self.nvars, _QC(Fraction(val)))
+            return self.constant(_QC(_rational(val)))
         if kind == "imag":
-            return _QPoly.constant(self.nvars, _QC(0, Fraction(val)))
+            return self.constant(_QC(Fraction(0), _rational(val)))
         if kind == "ident":
             if val == "sqrt":
                 self.expect_op("(")
-                inner = self.parse_expr()
+                c = self.constant_value(self.parse_expr())
                 self.expect_op(")")
-                c = inner.constant_value()
-                if c is None or c.im != 0:
+                if c is None or c.im:
                     raise ParseError("sqrt takes a constant rational argument")
-                return _QPoly.constant(self.nvars, _QC(_sqrt_fraction(c.re)))
-            if val not in self.var_index:
+                return self.constant(_QC(_sqrt_fraction(c.re)))
+            if val not in self.variables:
                 raise ParseError("unknown identifier %r" % val)
-            return _QPoly.variable(self.nvars, self.var_index[val])
+            return {self.variables[val]: _ONE}
         if kind == "op" and val == "(":
             inner = self.parse_expr()
             self.expect_op(")")
@@ -749,8 +747,11 @@ def parse_system(text):
     for name in var_names:
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name == "sqrt":
             raise ParseError("bad variable name %r" % name)
-    var_index = {name: j for j, name in enumerate(var_names)}
     nvars = len(var_names)
+    variables = {
+        name: tuple(int(i == j) for i in range(nvars))
+        for j, name in enumerate(var_names)
+    }
 
     labels = []
     polys = []
@@ -766,11 +767,13 @@ def parse_system(text):
         tokens = _tokenize(expr_text)
         if not tokens:
             raise ParseError("empty expression for %r" % label)
-        qpoly = _ExprParser(tokens, var_index, nvars).parse()
+        try:
+            terms = _ExprParser(tokens, variables).parse()
+            coeffs = {m: c.to_complex() for m, c in terms.items()}
+        except OverflowError:
+            raise ParseError("%r has a number too large for a double" % label) from None
         labels.append(label)
-        polys.append(
-            Poly(nvars, {m: c.to_complex() for m, c in qpoly.terms.items()})
-        )
+        polys.append(Poly(nvars, coeffs))
 
     system = PolySystem(polys, var_names, labels)
     if not system.is_square():

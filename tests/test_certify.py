@@ -152,6 +152,16 @@ def test_certificate_at_exact_zero(ex_triple):
     assert abs(cert.h_norms[1]) <= 1e-12
 
 
+def test_certificate_moves_off_shape_point_to_a_frame(ex_double):
+    # the Jacobian of the double zero at the origin has a nonzero first
+    # column; unframed, the certificate had radius 0 and gamma inf
+    cert = certify_cluster(ex_double, ORIGIN2, mu=2)
+    assert cert.holds
+    assert cert.radius == pytest.approx(0.0223899, abs=1e-6)
+    assert cert.gamma_on_g.gamma == pytest.approx(4 / math.sqrt(5), abs=1e-10)
+    assert np.array_equal(cert.center, ORIGIN2)
+
+
 def test_certificate_formula_consistency(ex_triple):
     # mu is supplied: thresholded detection at an approximate zero sees the
     # chain break immediately, the order is established at the zero itself

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from mzero import newton
 from mzero.cli import canonical_json, main, parse_point
+from mzero.errors import MathDomainError
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +93,19 @@ def test_gamma_json(capsys, ex_triple_path):
     assert doc["result"]["gamma_hat"] == pytest.approx(12 / 73**0.5, abs=1e-10)
 
 
+def test_gamma_moves_off_shape_point_to_a_frame(capsys, ex_double_path):
+    # the double zero's Jacobian at the origin has a nonzero first column
+    at0 = ["--system", ex_double_path, "--point", "0,0", "--json"]
+    code, out, _ = run_cli(capsys, "gamma", *at0)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["mu"] == 2
+    assert result["gamma"] == pytest.approx(4 / 5**0.5, abs=1e-10)
+    code, out, _ = run_cli(capsys, "separation", *at0)
+    assert code == 0
+    assert json.loads(out)["result"]["gamma"] == result["gamma"]
+
+
 # ---------------------------------------------------------------------------
 # separation
 
@@ -165,6 +180,25 @@ def test_certify_negative_still_exits_zero(capsys, ex_triple_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["holds"] is False
+
+
+def test_certify_moves_off_shape_point_to_a_frame(capsys, ex_double_path):
+    code, out, _ = run_cli(
+        capsys,
+        "certify",
+        "--system",
+        ex_double_path,
+        "--point",
+        "0,0",
+        "--mu",
+        "2",
+        "--json",
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["holds"] is True
+    assert result["radius"] == pytest.approx(0.0223899, abs=1e-6)
+    assert result["gamma"] == pytest.approx(4 / 5**0.5, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +346,46 @@ def test_mu_below_two_is_input_error(capsys, ex_double_path, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "input error" in err and "--mu" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["gamma", "separation"])
+def test_mu_disagreeing_with_the_chain_is_input_error(capsys, ex_triple_path, command):
+    code, out, err = run_cli(
+        capsys, command, "--system", ex_triple_path, "--point", "0,0", "--mu", "2"
+    )
+    assert code == 2
+    assert "input error" in err and "terminates at 3" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "value", [float("inf"), -float("inf"), float("nan"), complex(0, float("inf"))]
+)
+def test_canonical_json_rejects_non_finite_numbers(value):
+    with pytest.raises(MathDomainError, match="non-finite"):
+        canonical_json({"result": [1.0, value]})
+
+
+def test_non_finite_result_is_domain_error(capsys, monkeypatch):
+    broken = newton.ThresholdSet("normalized_double", 2, float("inf"), 0.03)
+    monkeypatch.setattr(newton, "threshold_constants", lambda variant: broken)
+    code, out, err = run_cli(
+        capsys, "thresholds", "--variant", "normalized_double", "--json"
+    )
+    assert code == 3
+    assert "numerical-domain error" in err and "non-finite" in err
+    assert out == ""
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(variant):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setattr(newton, "threshold_constants", broken)
+    code, out, err = run_cli(capsys, "thresholds", "--variant", "normalized_double")
+    assert code == 4
+    assert "internal error: unexpected state" in err
     assert out == ""
 
 

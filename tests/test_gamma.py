@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mzero.dualspace import compute_dual_basis, normalizing_frame
-from mzero.errors import NotNormalizedError
+from mzero.dualspace import (
+    compute_dual_basis,
+    normalized_view,
+    normalizing_frame,
+)
+from mzero.errors import InputError, NotNormalizedError
 from mzero.gamma import gamma_hat, gamma_mu, gamma_n
 from mzero.polycore import PolySystem
 
@@ -82,6 +86,22 @@ def test_gamma_mu_evaluates_each_order_once(monkeypatch):
 def test_requires_normalized_shape(ex_double):
     with pytest.raises(NotNormalizedError):
         gamma_mu(ex_double, ORIGIN2)
+
+
+def test_normalized_view_moves_off_shape_point(ex_double):
+    frame, w, _ = normalizing_frame(ex_double, ORIGIN2)
+    view, v, J = normalized_view(ex_double, ORIGIN2)
+    assert np.array_equal(v, w)
+    assert np.array_equal(J, view.jacobian(v))
+    assert gamma_mu(view, v) == gamma_mu(frame, w)
+    with pytest.raises(InputError):
+        gamma_mu(view, v, mu=3)
+    # a normalized point is used as it is
+    x = np.zeros(3, dtype=complex)
+    system = make_normalized_system(3, 3, np.random.default_rng(34))
+    view, v, J = normalized_view(system, x)
+    assert view is system and np.array_equal(v, x)
+    assert np.array_equal(J, system.jacobian(x))
 
 
 def test_mu_mismatch_is_rejected(ex_triple):

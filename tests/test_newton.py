@@ -183,6 +183,16 @@ def test_divergence_stop():
     assert trace.stop_reason == "divergence"
 
 
+def test_stagnation_stop(ex_double):
+    # mu = 3 at a double zero: the steps shrink below eps while the residual
+    # stays near 1.19e-3, which is not convergence
+    trace = iterate_until(ex_double, START, mu=3, variant="general")
+    assert not trace.converged
+    assert trace.stop_reason == "stagnation"
+    assert trace.step_norms[-1] <= 1e-10
+    assert trace.residual_norms[-1] == pytest.approx(1.186e-3, rel=1e-2)
+
+
 def test_max_iter_stop(ex_triple):
     trace = iterate_until(
         ex_triple, START, mu=3, variant="normalized_triple", eps=1e-16, max_iter=1

@@ -77,6 +77,8 @@ def test_parse_comments_and_semicolons():
         "vars: X\nf: 1/X",              # division by a variable
         "vars: X\nf: X +",              # dangling operator
         "vars: X\nf: sqrt(X)",          # sqrt of a non-constant
+        "vars: X\nf: 1e400*X",          # coefficient beyond the double range
+        "vars: X\nf: sqrt(2*10^400)*X", # sqrt argument beyond the double range
     ],
 )
 def test_parse_rejects(bad):
@@ -88,6 +90,88 @@ def test_unary_minus_and_power():
     sys_ = parse_system("vars: X\nf: -X^3 + (-2)*X")
     assert sys_.polys[0].terms[(3,)] == -1.0
     assert sys_.polys[0].terms[(1,)] == -2.0
+
+
+def test_parse_reports_the_offending_character():
+    with pytest.raises(ParseError, match=r"unexpected character '\$'"):
+        parse_system("vars: X\nf: X $ 2")
+
+
+@pytest.mark.parametrize(
+    "expr, terms",
+    [
+        ("X - X", {}),
+        ("(X+Y)^2 - X^2 - 2*X*Y - Y^2", {}),
+        # exact sums: in doubles 1e-20 + 1 - 1 would be 0
+        ("1e-20*X + X - X", {(1, 0): 1e-20}),
+        # (2i)^3 = -8i, negated and divided by 3
+        ("-(2i*X)^3/3", {(3, 0): 8j / 3}),
+        ("X^0 + 0*Y + 0.0i", {(0, 0): 1.0}),
+        # decimal literals are exact: in doubles this is 0.30000000000000004
+        ("(0.1 + 0.2)*X", {(1, 0): 0.3}),
+    ],
+)
+def test_parse_is_exact(expr, terms):
+    sys_ = parse_system("vars: X Y\nf: %s\ng: Y" % expr)
+    assert sys_.polys[0].terms == terms
+
+
+def test_parse_keeps_order_of_first_appearance():
+    text = "vars: X Y\nf: Y^2 + 3 + X*(Y + 1) + 2*Y^2 + X^2\ng: (Y + X)*(X - 1)"
+    f, g = parse_system(text).polys
+    assert list(f.terms) == [(0, 2), (0, 0), (1, 1), (1, 0), (2, 0)]
+    assert f.terms[(0, 2)] == 3.0
+    # a product of two sums lists its terms row by row
+    assert list(g.terms) == [(1, 1), (0, 1), (2, 0), (1, 0)]
+    # a term that cancels and comes back counts as new
+    g = parse_system(text + " - X*Y + 5*X*Y").polys[1]
+    assert list(g.terms) == [(0, 1), (2, 0), (1, 0), (1, 1)]
+    assert g.terms[(1, 1)] == 5.0
+
+
+float_parts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]),
+)
+
+
+@st.composite
+def written_tables(draw):
+    """n and n term dicts (n in 1..4, degree <= 4) with complex coefficients."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    monos = st.lists(st.integers(min_value=0, max_value=n - 1), max_size=4).map(
+        lambda idx: tuple(idx.count(j) for j in range(n))
+    )
+    tables = []
+    for _ in range(n):
+        keys = draw(st.lists(monos, min_size=1, max_size=6, unique=True))
+        tables.append({m: complex(draw(float_parts), draw(float_parts)) for m in keys})
+    return n, tables
+
+
+def _term_text(mono, c):
+    sign = "-" if math.copysign(1.0, c.imag) < 0 else "+"
+    factors = ["(%r%s%ri)" % (c.real, sign, abs(c.imag))]
+    factors += ["X%d^%d" % (j + 1, e) for j, e in enumerate(mono) if e]
+    return "*".join(factors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(written_tables())
+def test_parse_round_trips_repr_coefficients(case):
+    n, tables = case
+    lines = ["vars: " + " ".join("X%d" % (j + 1) for j in range(n))]
+    for i, terms in enumerate(tables):
+        body = " + ".join(_term_text(m, c) for m, c in terms.items())
+        lines.append("f%d: %s" % (i + 1, body))
+    sys_ = parse_system("\n".join(lines))
+    for poly, terms in zip(sys_.polys, tables):
+        expected = Poly(n, terms)
+        assert list(poly.terms) == list(expected.terms)
+        for mono, c in expected.terms.items():
+            # exact rationals have no signed zero: -0.0 parts come back as 0.0
+            assert poly.terms[mono].real == c.real
+            assert poly.terms[mono].imag == c.imag
 
 
 # ---------------------------------------------------------------------------
