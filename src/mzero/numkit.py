@@ -8,28 +8,16 @@ reading before using this module:
   runs and equivalent inputs produce identical factors.
 * `tensor_norm` measures a symmetric multilinear map A : C^n x ... x C^n
   -> C^m by the spectral norm of its (m * n^(k-1)) x n unfolding. Orders
-  one and two are exact. For order three and up the spectral value is
-  estimated by seeded power iteration on the unfolding, and the Frobenius
-  norm of the full array is reported as a certified upper bound.
+  one and two are exact. For order three and up the estimate is the
+  spectral norm of the same unfolding, taken by one SVD; it bounds the
+  multilinear norm from above (the exact symmetric norm is NP-hard in
+  general). The Frobenius norm of the full array is reported as the
+  certified upper bound.
 """
-
-import os
 
 import numpy as np
 
 from .errors import AsymmetricTensorError, NoRootError, SingularMatrixError
-
-DEFAULT_SEED = 0x5EED
-_SEED_ENV = "MZERO_SEED"
-
-
-def _resolve_seed(seed=None):
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get(_SEED_ENV)
-    if env:
-        return int(env, 0)
-    return DEFAULT_SEED
 
 
 class SvdResult:
@@ -137,37 +125,7 @@ def _check_symmetric(T):
             )
 
 
-def _power_iteration_top_sv(M, seed, restarts=16, iters=200, tol=1e-12):
-    """Largest singular value of M by restarted power iteration on M^H M."""
-    rng = np.random.default_rng(seed)
-    n = M.shape[1]
-    best = 0.0
-    for _ in range(restarts):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v = v / nv
-        prev = 0.0
-        for _ in range(iters):
-            w = M @ v
-            sigma = np.linalg.norm(w)
-            if sigma == 0.0:
-                break
-            v = M.conj().T @ w
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                break
-            v = v / nv
-            if abs(sigma - prev) <= tol * max(1.0, sigma):
-                prev = sigma
-                break
-            prev = sigma
-        best = max(best, prev)
-    return float(best)
-
-
-def tensor_norm(T, mode="auto", seed=None):
+def tensor_norm(T, mode="auto"):
     """Norm of a symmetric multilinear map stored as an (m, n, ..., n) array.
 
     Parameters
@@ -176,12 +134,9 @@ def tensor_norm(T, mode="auto", seed=None):
         Shape (m,) + (n,) * k for a map of order k. Axes 1..k must be
         symmetric; passing an asymmetric array is an error.
     mode : str
-        "auto"/"estimate" prefers the power-iteration estimate for order
+        "auto"/"estimate" takes the unfolding's spectral norm for order
         three and up, "certified" asks for upper bounds only. Orders one
         and two are exact in every mode.
-    seed : int, optional
-        Overrides the power-iteration seed (default 0x5EED, also settable
-        through the MZERO_SEED environment variable).
 
     Returns
     -------
@@ -200,8 +155,7 @@ def tensor_norm(T, mode="auto", seed=None):
     fro = float(np.linalg.norm(arr.ravel()))
     if mode == "certified":
         return TensorNorm(fro, fro, "frobenius")
-    est = _power_iteration_top_sv(M, _resolve_seed(seed))
-    return TensorNorm(fro, min(est, fro), "hopm")
+    return TensorNorm(fro, min(matrix_spectral_norm(M), fro), "unfolding")
 
 
 def smallest_positive_root(fn, upper, tol=1e-10, grid=1024):
