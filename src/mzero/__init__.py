@@ -19,7 +19,6 @@ from .dualspace import (
     DualFunctional,
     chainrule_Lk,
     compute_dual_basis,
-    corank_one_check,
     is_normalized,
     normalizing_frame,
 )
@@ -35,7 +34,7 @@ from .errors import (
     ParseError,
     SingularMatrixError,
 )
-from .gamma import GammaReport, gamma_hat, gamma_mu, gamma_n
+from .gamma import GammaReport, LocalModel, gamma_mu
 from .newton import (
     NewtonTrace,
     ThresholdSet,
@@ -64,7 +63,6 @@ from .polycore import (
     PolySystem,
     apply_functional,
     parse_system,
-    shift_basepoint,
     unitary_pullback,
 )
 

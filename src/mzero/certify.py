@@ -20,14 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualspace import (
-    LOOSE_NORMALIZED_RTOL,
-    compute_dual_basis,
-    kernel_chain,
-    normalized_view,
-)
+from .dualspace import LOOSE_NORMALIZED_RTOL
 from .errors import NoRootError
-from .gamma import GammaReport, _hat_supremum, _merge_rows, _n_supremum, gamma_mu
+from .gamma import GammaReport, LocalModel
 from .numkit import matrix_spectral_norm, smallest_positive_root
 
 # table entries above this order have no independent cross-check yet
@@ -161,27 +156,26 @@ def separation_constant(mu, tol=1e-10):
     return SeparationResult(mu=mu, d=d, d1=d1, d2=d2, d3=d3)
 
 
-def separation_bound(source, x, mu=None, mode="estimate", auto_frame=True):
+def separation_bound(source, x, mu=None, mode="estimate", auto_frame=True, **tolerances):
     """Exclusion radius d / (2 gamma^mu) around a normalized zero.
 
     Unnormalized input is moved to a normalizing frame first (distances
     are invariant under the rotation, so the radius applies unchanged in
     the original coordinates); with auto_frame off it raises
-    NotNormalizedError.
+    NotNormalizedError. mu, when given, must match the detected chain
+    length; tolerances (gap_tol, delta_zero_tol) go to that detection.
     """
-    if auto_frame:
-        source, x, _ = normalized_view(source, x)
-    report = gamma_mu(source, x, mu=mu, mode=mode)
+    report = LocalModel(source, x, mu, frame=auto_frame, **tolerances).gamma(mode)
     sep = separation_constant(report.mu)
     sep.gamma = report
     sep.bound = sep.d / (2.0 * report.gamma**report.mu)
     return sep
 
 
-def _a_inv_norm(Jhat, delta_mu):
-    s = np.linalg.svd(Jhat, compute_uv=False)
+def _a_inv_norm(model):
+    s = np.linalg.svd(model.Jhat, compute_uv=False)
     inv_hat = 1.0 / float(s[-1])
-    return max(inv_hat / math.sqrt(2.0), math.sqrt(2.0) / abs(delta_mu))
+    return max(inv_hat / math.sqrt(2.0), math.sqrt(2.0) / abs(model.delta_mu))
 
 
 def residual_lower_bound(source, x, y, mu=None, mode="estimate", auto_frame=True):
@@ -197,16 +191,11 @@ def residual_lower_bound(source, x, y, mu=None, mode="estimate", auto_frame=True
     y = np.asarray(y, dtype=complex)
     dist = float(np.linalg.norm(y - x))
     fy = float(np.linalg.norm(source.eval_at(y)))
-    if auto_frame:
-        source, x, J = normalized_view(source, x)
-    else:
-        J = source.jacobian(x)
-    n = source.nvars
-    report = gamma_mu(source, x, mu=mu, mode=mode)
+    model = LocalModel(source, x, mu, frame=auto_frame)
+    report = model.gamma(mode)
     mu = report.mu
     sep = separation_constant(mu)
-    Jhat = J[: n - 1, 1:]
-    ainv = _a_inv_norm(Jhat, report.delta_mu)
+    ainv = _a_inv_norm(model)
     r_max = sep.d / (4.0 * report.gamma**mu)
     bound = sep.d * dist**mu / (2.0 * ainv)
     return ResidualBound(
@@ -221,73 +210,50 @@ def residual_lower_bound(source, x, y, mu=None, mode="estimate", auto_frame=True
     )
 
 
-def certify_cluster(system, x, mu=None, mode="estimate"):
+def certify_cluster(system, x, mu=None, mode="estimate", **tolerances):
     """Certificate that a ball around x holds exactly mu zeros.
 
     The input point should be an approximate zero; mu defaults to the
-    chain length detected at x. A point whose Jacobian is not even
-    loosely in the distinguished shape (`LOOSE_NORMALIZED_RTOL`) is first
-    moved to a normalizing frame; the radius is the same in the original
-    coordinates. The certificate compares the deviation of the system
-    from its order-mu truncation at x against a threshold; `holds`
-    reports the comparison, and the radius d / (4 gamma^mu) is meaningful
-    only when it holds.
+    chain length detected at x (tolerances, gap_tol and delta_zero_tol,
+    go to that detection) and a given mu is taken as it is. A point whose
+    Jacobian is not even loosely in the distinguished shape
+    (`LOOSE_NORMALIZED_RTOL`) is first moved to a normalizing frame; the
+    radius is the same in the original coordinates. The certificate
+    compares the deviation of the system from its order-mu truncation at
+    x against a threshold; `holds` reports the comparison, and the radius
+    d / (4 gamma^mu) is meaningful only when it holds.
     """
     center = np.asarray(x, dtype=complex)
-    system, x, J = normalized_view(system, center, LOOSE_NORMALIZED_RTOL)
-    n = system.nvars
-    if mu is None:
-        basis = compute_dual_basis(system, x)
-        mu = basis.mu
-
-    Jhat = J[: n - 1, 1:]
+    model = LocalModel(
+        system,
+        center,
+        mu,
+        rel_tol=LOOSE_NORMALIZED_RTOL,
+        trust_mu=True,
+        **tolerances,
+    )
+    J, mu = model.J, model.mu
+    n = model.view.nvars
 
     # first-order deviation: everything the truncation removes at order 1
     H1 = np.zeros((n, n), dtype=complex)
     H1[: n - 1, 0] = J[: n - 1, 0]
     H1[n - 1, :] = J[n - 1, :]
-    # chain of the order-mu truncation, which subtracts the value, the
-    # full first-order term and the pure first-variable terms of orders
-    # 2..mu-1 of the last equation: its Jacobian block at x is exactly
-    # Jhat, so the correction solves run against that block directly
-    a1 = np.zeros(n, dtype=complex)
-    a1[0] = 1.0
-    values = kernel_chain(system, x, a1, Jhat, mu)
-    h_values = [v[-1] for v in values[:-1]]
-    delta_mu_value = values[-1][-1]
-    h_norms = [matrix_spectral_norm(H1)] + [abs(h) for h in h_values]
-
-    # growth invariant of the truncated system, from adjusted tensors
-    deg = system.max_degree()
-    hat_tensors = []
-    n_tensors = []
-    for k in range(2, deg + 1):
-        raw = system.derivative_tensor(x, k).array
-        hat_tensors.append((k, raw[: n - 1]))
-        last = raw[n - 1 : n].copy()
-        if 2 <= k <= mu - 1:
-            idx = (0,) + (0,) * k
-            last[idx] -= math.factorial(k) * h_values[k - 2]
-        n_tensors.append((k, last))
-    ghat, hat_rows = _hat_supremum(Jhat, hat_tensors, mode)
-    gn, n_rows = _n_supremum(delta_mu_value, n_tensors, mode)
-    gamma = max(ghat, gn)
-    report = GammaReport(
-        gamma=gamma,
-        gamma_hat=ghat,
-        gamma_n=gn,
-        mu=mu,
-        delta_mu=complex(delta_mu_value),
-        mode=mode,
-        per_order=_merge_rows(hat_rows, n_rows),
-    )
+    # the order-mu truncation subtracts the value, the full first-order
+    # term and the pure first-variable terms of orders 2..mu-1 of the
+    # last equation: its Jacobian block at x is exactly Jhat, so its
+    # chain is the model's chain along e1, and the subtracted terms are
+    # that chain's values below mu
+    h_norms = [matrix_spectral_norm(H1)] + [abs(v[-1]) for v in model.chain[:-1]]
+    report = model.gamma(mode, truncate=True)
+    gamma = report.gamma
 
     sep = separation_constant(mu)
     radius = sep.d / (4.0 * gamma**mu)
-    lhs = float(np.linalg.norm(system.eval_at(x)))
+    lhs = float(np.linalg.norm(model.view.eval_at(model.x)))
     for k in range(1, mu):
         lhs += h_norms[k - 1] * radius**k
-    ainv = _a_inv_norm(Jhat, delta_mu_value)
+    ainv = _a_inv_norm(model)
     rhs = sep.d ** (mu + 1) / (2.0 * (4.0 * gamma**mu) ** mu * ainv)
 
     return ClusterCertificate(

@@ -6,8 +6,10 @@ document with --json. Exit codes: 0 on success (a negative certificate is
 still a success), 2 for input problems (including a --mu that disagrees
 with the chain length found at the point), 3 for numerical-domain
 problems, 4 for internal errors. Points are checked on entry: one finite
-coordinate per system variable. `gamma` and `certify` move a point outside
-the distinguished shape to a normalizing frame, as `separation` does.
+coordinate per system variable, and at least two variables. `gamma` and
+`certify` move a point outside the distinguished shape to a normalizing
+frame, as `separation` does. `--gap-tol` and `--delta-zero-tol` reach
+every detection of the chain length.
 
 The JSON output is deterministic: keys are sorted, floats are printed
 with 17 significant digits, and complex values appear as {"im": ...,
@@ -171,7 +173,16 @@ def _load_with_point(cfg):
             "point dimension %d does not match the %d variables of the system"
             % (len(cfg.point), system.nvars)
         )
+    if system.nvars < 2:
+        raise InputError(
+            "a corank-one zero needs at least two variables, got %d" % system.nvars
+        )
     return system
+
+
+def _detection(cfg):
+    """The tolerances of the chain-length detection, from the flags."""
+    return {key: cfg.tolerances[key] for key in ("gap_tol", "delta_zero_tol")}
 
 
 def _functional_json(fn):
@@ -250,8 +261,8 @@ def cmd_dual(cfg, args):
 
 def cmd_gamma(cfg, args):
     system = _load_with_point(cfg)
-    system, x, _ = dualspace.normalized_view(system, cfg.point)
-    report = gamma.gamma_mu(system, x, mu=cfg.mu, mode=cfg.mode)
+    model = gamma.LocalModel(system, cfg.point, cfg.mu, **_detection(cfg))
+    report = model.gamma(cfg.mode)
     result = {
         "gamma": report.gamma,
         "gamma_hat": report.gamma_hat,
@@ -273,7 +284,7 @@ def cmd_separation(cfg, args):
     if cfg.system_path:
         system = _load_with_point(cfg)
         sep = certify_mod.separation_bound(
-            system, cfg.point, mu=cfg.mu, mode=cfg.mode
+            system, cfg.point, mu=cfg.mu, mode=cfg.mode, **_detection(cfg)
         )
     else:
         if cfg.mu is None:
@@ -301,7 +312,9 @@ def cmd_separation(cfg, args):
 
 def cmd_certify(cfg, args):
     system = _load_with_point(cfg)
-    cert = certify_mod.certify_cluster(system, cfg.point, mu=cfg.mu, mode=cfg.mode)
+    cert = certify_mod.certify_cluster(
+        system, cfg.point, mu=cfg.mu, mode=cfg.mode, **_detection(cfg)
+    )
     result = {
         "holds": cert.holds,
         "radius": cert.radius,
@@ -339,6 +352,7 @@ def cmd_refine(cfg, args):
         variant=cfg.variant,
         eps=cfg.tolerances["eps"],
         max_iter=cfg.tolerances["max_iter"],
+        **_detection(cfg),
     )
     result = {
         "converged": trace.converged,
@@ -435,7 +449,7 @@ def build_parser():
     sp.set_defaults(func=cmd_certify, needs_system=True)
 
     sp = subs.add_parser("refine", help="refine an approximate multiple zero")
-    _add_common(sp)
+    _add_common(sp, mode=False)
     sp.add_argument(
         "--variant",
         choices=("auto",) + newton.VARIANTS,

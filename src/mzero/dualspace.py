@@ -8,9 +8,13 @@ coefficients solve a small linear system against the invertible Jacobian
 block. The chain terminates at the first order whose raw functional falls
 outside the column space of the Jacobian; that order is the multiplicity.
 
-Two independent construction routes are provided. `compute_dual_basis`
-uses the order-raising recursion directly on the input system.
-`chainrule_Lk` rebuilds the same functionals on a rotated view of the
+One recursion loop, `_chain`, builds every chain. Its callers differ
+only in how the raw functional of each order is formed, how it is
+corrected and when the chain stops. `compute_dual_basis` forms it with
+the order-raising map on the input system and stops at the
+multiplicity; `kernel_chain` runs the same recursion to a fixed order
+along a given first-order direction. `chainrule_Lk` is an independent
+second route: it forms the raw functionals on a rotated view of the
 system through a derivative-level product rule, without expanding the
 rotated polynomials. Agreement of the two routes is a useful end-to-end
 check and is exercised in the test suite.
@@ -33,7 +37,7 @@ from .numkit import solve_least_squares, solve_linear, svd
 DEFAULT_MAX_ORDER = 10
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_DELTA_ZERO_TOL = 1e-8
-_NORMALIZED_RTOL = 1e-8
+NORMALIZED_RTOL = 1e-8
 # shape test for points that only need to be near the distinguished shape
 LOOSE_NORMALIZED_RTOL = 0.1
 _BREADTH_RTOL = 1e-6
@@ -60,12 +64,6 @@ class DualFunctional:
     @classmethod
     def one(cls, nvars):
         return cls(nvars, {(0,) * nvars: 1.0})
-
-    @classmethod
-    def d(cls, nvars, sigma):
-        """The first-order functional along variable index sigma (0-based)."""
-        alpha = tuple(1 if j == sigma else 0 for j in range(nvars))
-        return cls(nvars, {alpha: 1.0})
 
     def order(self):
         return max((sum(a) for a in self.coeffs), default=0)
@@ -162,7 +160,7 @@ class DualBasis:
     singular_values: np.ndarray = None
 
 
-def is_normalized(J, rel_tol=_NORMALIZED_RTOL):
+def is_normalized(J, rel_tol=NORMALIZED_RTOL):
     """Whether a Jacobian has the distinguished shape: first column and
     the off-first entries of the last row both negligible."""
     J = np.asarray(J, dtype=complex)
@@ -172,21 +170,6 @@ def is_normalized(J, rel_tol=_NORMALIZED_RTOL):
     col = float(np.linalg.norm(J[:, 0]))
     row = float(np.linalg.norm(J[-1, 1:]))
     return col <= rel_tol * scale and row <= rel_tol * scale
-
-
-def corank_one_check(source, x, gap_tol=DEFAULT_GAP_TOL):
-    """Return (ok, singular_values) for the Jacobian at x.
-
-    ok means exactly one negligible singular value: the smallest is below
-    gap_tol relative to the second smallest, and the second smallest is
-    not itself negligible against the largest.
-    """
-    J = source.jacobian(np.asarray(x, dtype=complex))
-    s = np.linalg.svd(J, compute_uv=False)
-    if len(s) < 2:
-        return False, s
-    ok = bool(s[-1] <= gap_tol * s[-2] and s[-2] > gap_tol * s[0])
-    return ok, s
 
 
 def _delta_from_chain(a_rows, lambdas, k, nvars):
@@ -209,6 +192,36 @@ def _first_order(vec):
     return DualFunctional(n, dict(zip(units, vec)))
 
 
+def _chain(source, x, a1, correct, stop, max_order, raw=_delta_from_chain):
+    """The breadth-one recursion (Li & Zhi, J. Symb. Comput. 2012) from
+    Lambda_1 = sum a1 d.
+
+    Order k applies the raw functional `raw(a_rows, lambdas, k, n)` built
+    from the chain so far to source at x. `stop(k, vals)` ends the chain
+    there; otherwise `correct(k, vals)` gives the trailing coordinates of
+    the first-order correction that turns the raw functional into
+    Lambda_k. Returns (lambdas, a_rows, deltas, values), or None when no
+    stop came by max_order.
+    """
+    n = source.nvars
+    lambdas = [DualFunctional.one(n), _first_order(a1)]
+    a_rows = [a1]
+    deltas = []
+    values = []
+    for k in range(2, max_order + 1):
+        delta = raw(a_rows, lambdas, k, n)
+        vals = delta.apply(source, x)
+        deltas.append(delta)
+        values.append(vals)
+        if stop(k, vals):
+            return lambdas, a_rows, deltas, values
+        a_k = np.zeros(n, dtype=complex)
+        a_k[1:] = correct(k, vals)
+        lambdas.append(delta + _first_order(a_k))
+        a_rows.append(a_k)
+    return None
+
+
 def kernel_chain(source, x, a1, Jhat, order):
     """Raw chain values at x along the first-order direction a1.
 
@@ -219,19 +232,14 @@ def kernel_chain(source, x, a1, Jhat, order):
     order-k functional applied to source at x, for k = 2..order.
     """
     n = source.nvars
-    lambdas = [DualFunctional.one(n), _first_order(a1)]
-    a_rows = [a1]
-    values = []
-    for k in range(2, order + 1):
-        delta = _delta_from_chain(a_rows, lambdas, k, n)
-        vals = delta.apply(source, x)
-        values.append(vals)
-        if k == order:
-            break
-        a_k = np.zeros(n, dtype=complex)
-        a_k[1:] = solve_linear(Jhat, -vals[: n - 1])
-        lambdas.append(delta + _first_order(a_k))
-        a_rows.append(a_k)
+    _, _, _, values = _chain(
+        source,
+        x,
+        a1,
+        lambda k, vals: solve_linear(Jhat, -vals[: n - 1]),
+        lambda k, vals: k == order,
+        order,
+    )
     return values
 
 
@@ -241,6 +249,7 @@ def compute_dual_basis(
     max_order=DEFAULT_MAX_ORDER,
     gap_tol=DEFAULT_GAP_TOL,
     delta_zero_tol=DEFAULT_DELTA_ZERO_TOL,
+    J=None,
 ):
     """Multiplicity structure of an isolated zero with corank-one Jacobian.
 
@@ -254,6 +263,8 @@ def compute_dual_basis(
     gap_tol, delta_zero_tol : float
         Relative tolerances for the corank test and for deciding when a
         raw functional still lies in the Jacobian column space.
+    J : ndarray, optional
+        The Jacobian of source at x, when the caller has it already.
 
     Raises
     ------
@@ -265,7 +276,8 @@ def compute_dual_basis(
     """
     x = np.asarray(x, dtype=complex)
     n = source.nvars
-    J = source.jacobian(x)
+    if J is None:
+        J = source.jacobian(x)
     res = svd(J)
     s = res.s
     if len(s) < 2 or not (s[-1] <= gap_tol * s[-2] and s[-2] > gap_tol * s[0]):
@@ -273,7 +285,6 @@ def compute_dual_basis(
             "Jacobian is not corank one at the point (singular values %s)"
             % np.array2string(s, precision=3)
         )
-    corank_gap = float(s[-1] / s[-2])
     normalized = is_normalized(J)
 
     if normalized:
@@ -282,49 +293,36 @@ def compute_dual_basis(
     else:
         a1 = res.V[:, -1].copy()
     u_last = res.U[:, -1]
-
-    lambdas = [DualFunctional.one(n), _first_order(a1)]
-    a_rows = [a1]
-    deltas = []
-    delta_values = []
-
-    mu = None
     Jhat = J[: n - 1, 1:]
-    for k in range(2, max_order + 1):
-        delta = _delta_from_chain(a_rows, lambdas, k, n)
-        vals = delta.apply(source, x)
-        scale = float(np.linalg.norm(vals))
+
+    def outside_column_space(k, vals):
+        resid = abs(vals[-1]) if normalized else abs(np.vdot(u_last, vals))
+        return resid > delta_zero_tol * float(np.linalg.norm(vals)) + 1e-14
+
+    def correction(k, vals):
         if normalized:
-            resid = abs(vals[-1])
-        else:
-            resid = abs(np.vdot(u_last, vals))
-        deltas.append(delta)
-        delta_values.append(vals)
-        if resid > delta_zero_tol * scale + 1e-14:
-            mu = k
-            break
-        # still inside the column space: solve for the correction
-        if normalized:
-            ahat = solve_linear(Jhat, -vals[: n - 1])
-            solve_resid = 0.0
-        else:
-            ahat, solve_resid = solve_least_squares(J[:, 1:], -vals)
-        if solve_resid > _BREADTH_RTOL * scale + 1e-12:
+            return solve_linear(Jhat, -vals[: n - 1])
+        ahat, solve_resid = solve_least_squares(J[:, 1:], -vals)
+        if solve_resid > _BREADTH_RTOL * float(np.linalg.norm(vals)) + 1e-12:
             raise BreadthError(
                 "correction solve residual %.3e is too large for a "
                 "single-chain structure at order %d" % (solve_resid, k)
             )
-        a_k = np.zeros(n, dtype=complex)
-        a_k[1:] = ahat
-        lambdas.append(delta + _first_order(a_k))
-        a_rows.append(a_k)
+        return ahat
 
-    if mu is None:
+    chain = _chain(source, x, a1, correction, outside_column_space, max_order)
+    if chain is None:
         raise MultiplicityNotFoundError(
             "no terminating order found up to max_order=%d" % max_order
         )
+    return _dual_basis(source, x, chain, s, normalized)
 
-    lambdas = lambdas[:mu]
+
+def _dual_basis(source, x, chain, s, normalized):
+    """DualBasis of a finished chain, whose length is the multiplicity;
+    s are the singular values of the Jacobian at x."""
+    lambdas, a_rows, deltas, delta_values = chain
+    mu = len(lambdas)
     duality = np.zeros(mu - 1)
     for j in range(1, mu):
         duality[j - 1] = float(np.max(np.abs(lambdas[j].apply(source, x))))
@@ -335,12 +333,25 @@ def compute_dual_basis(
         a_coeffs=np.array(a_rows),
         mu=mu,
         breadth_one=True,
-        corank_gap=corank_gap,
+        corank_gap=float(s[-1] / s[-2]) if len(s) >= 2 and s[-2] > 0 else float("inf"),
         delta_values=delta_values,
         duality_residuals=duality,
         normalized=normalized,
         singular_values=np.array(s, dtype=float),
     )
+
+
+def _product_rule_delta(a_rows, lambdas, k, n):
+    """Raw order-k functional by the derivative product rule,
+    P_k = sum over j and sigma of (j/k) a_{j,sigma} D_sigma(L_{k-j})."""
+    pk = DualFunctional(n)
+    for j in range(1, k):
+        L = lambdas[k - j]
+        for sigma in range(n):
+            coeff = a_rows[j - 1][sigma]
+            if coeff != 0:
+                pk = pk + L.dop(sigma) * (coeff * j / k)
+    return pk
 
 
 def chainrule_Lk(
@@ -371,67 +382,29 @@ def chainrule_Lk(
             "frame Jacobian at the point is not in the distinguished shape"
         )
     s = np.linalg.svd(J, compute_uv=False)
-    corank_gap = float(s[-1] / s[-2]) if len(s) >= 2 and s[-2] > 0 else float("inf")
     Jhat = J[: n - 1, 1:]
-
     a1 = np.zeros(n, dtype=complex)
     a1[0] = 1.0
-    lambdas = [DualFunctional.one(n), DualFunctional.d(n, 0)]
-    a_rows = [a1]
-    deltas = []
-    delta_values = []
-    mu = None
 
-    limit = kmax if kmax is not None else max_order
-    for k in range(2, limit + 1):
-        pk = DualFunctional(n)
-        for j in range(1, k):
-            L = lambdas[k - j]
-            for sigma in range(n):
-                coeff = a_rows[j - 1][sigma]
-                if coeff != 0:
-                    pk = pk + L.dop(sigma) * (coeff * j / k)
-        vals = pk.apply(frame, w)
-        deltas.append(pk)
-        delta_values.append(vals)
-        if kmax is None:
-            scale = float(np.linalg.norm(vals))
-            if abs(vals[-1]) > delta_zero_tol * scale + 1e-14:
-                mu = k
-                break
-        if k == limit and kmax is not None:
-            break
-        ahat = solve_linear(Jhat, -vals[: n - 1])
-        a_k = np.zeros(n, dtype=complex)
-        a_k[1:] = ahat
-        lambdas.append(pk + _first_order(a_k))
-        a_rows.append(a_k)
+    def stop(k, vals):
+        if kmax is not None:
+            return k == kmax
+        return abs(vals[-1]) > delta_zero_tol * float(np.linalg.norm(vals)) + 1e-14
 
-    if kmax is None:
-        if mu is None:
-            raise MultiplicityNotFoundError(
-                "no terminating order found up to max_order=%d" % max_order
-            )
-        lambdas = lambdas[:mu]
-    else:
-        mu = kmax
-
-    duality = np.zeros(max(len(lambdas) - 1, 0))
-    for j in range(1, len(lambdas)):
-        duality[j - 1] = float(np.max(np.abs(lambdas[j].apply(frame, w))))
-
-    return DualBasis(
-        lambdas=lambdas,
-        deltas=deltas,
-        a_coeffs=np.array(a_rows),
-        mu=mu,
-        breadth_one=True,
-        corank_gap=corank_gap,
-        delta_values=delta_values,
-        duality_residuals=duality,
-        normalized=True,
-        singular_values=np.array(s, dtype=float),
+    chain = _chain(
+        frame,
+        w,
+        a1,
+        lambda k, vals: solve_linear(Jhat, -vals[: n - 1]),
+        stop,
+        kmax if kmax is not None else max_order,
+        _product_rule_delta,
     )
+    if chain is None:
+        raise MultiplicityNotFoundError(
+            "no terminating order found up to max_order=%d" % max_order
+        )
+    return _dual_basis(frame, w, chain, s, True)
 
 
 def normalizing_frame(source, x):
@@ -452,7 +425,7 @@ def normalizing_frame(source, x):
     return frame, frame.to_frame(x), res
 
 
-def normalized_view(source, x, rel_tol=_NORMALIZED_RTOL):
+def normalized_view(source, x, rel_tol=NORMALIZED_RTOL):
     """(view, w, J): (source, x) when the Jacobian at x passes
     `is_normalized` with rel_tol, else a normalizing frame and the
     coordinates of x in it; J is the Jacobian of the view at w.

@@ -1,4 +1,12 @@
-"""Growth invariants of a system at a normalized corank-one zero.
+"""Growth invariants of a system at a corank-one zero, read from one
+local model of the system at the point.
+
+`LocalModel` computes once what every bound of the package needs at a
+point: the view (the input, or a normalizing frame), the Jacobian and
+its invertible block Jhat there, the chain values along the kernel
+coordinate up to the terminating value delta_mu, and the derivative
+tensors. Gamma, the separation radius, the residual bound and the
+cluster certificate all read from it.
 
 The invariants bound how fast higher derivatives grow relative to the
 invertible part of the Jacobian. They come in two halves. The first
@@ -7,10 +15,6 @@ equations by the inverse of their invertible block and takes a k-th-ish
 root. The second does the same for the last equation, scaled by the value
 of the terminating chain functional instead of a Jacobian block. Both are
 clamped below by one.
-
-All formulas assume the distinguished coordinate shape (first Jacobian
-column and the off-first last row negligible); call sites with rotated
-input should move to a normalizing frame first.
 """
 
 import math
@@ -18,6 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dualspace import (
+    NORMALIZED_RTOL,
+    compute_dual_basis,
+    is_normalized,
+    kernel_chain,
+    normalized_view,
+)
 from .errors import InputError, NotNormalizedError
 from .numkit import solve_linear, tensor_norm
 
@@ -33,142 +44,120 @@ class GammaReport:
     per_order: list
 
 
-def _require_normalized(J):
-    from .dualspace import is_normalized
+class LocalModel:
+    """Local data of a system at one point, each piece computed once.
 
-    if not is_normalized(J):
-        raise NotNormalizedError(
-            "point is not in the distinguished coordinate shape; "
-            "compute in a normalizing frame instead"
-        )
+    A point whose Jacobian fails `is_normalized` with rel_tol moves to a
+    normalizing frame (`normalized_view`); with frame off it raises
+    NotNormalizedError instead. The frame is unitary, so distances, radii
+    and the invariants hold in the original coordinates. Without mu the
+    chain length is detected by `compute_dual_basis`, with the keyword
+    tolerances (gap_tol, delta_zero_tol, max_order); a given mu must
+    match it (InputError), unless trust_mu takes it as it is.
 
-
-def _hat_supremum(Jhat, tensors, mode):
-    """Sup over orders of the preconditioned leading-block coefficients.
-
-    tensors yields (k, raw_array) with raw_array the order-k derivative
-    tensor of the leading n-1 equations, unscaled.
+    Attributes: `view` and `x`, the system worked in and the point in its
+    coordinates; `J` there and `Jhat` = J[:n-1, 1:]; `mu`; `chain`, the
+    raw chain values along e1 (entry k-2 holds order k, for k = 2..mu);
+    `delta_mu`, the order-mu value on the last equation; `tensors`, the
+    raw derivative tensor of each order 2..deg.
     """
-    best = 1.0
-    rows = []
-    for k, raw in tensors:
-        scaled = raw / math.factorial(k)
-        m = scaled.shape[0]
-        flat = scaled.reshape(m, -1)
-        pre = solve_linear(Jhat, flat).reshape(scaled.shape)
-        nrm = tensor_norm(pre, mode=mode).value(mode)
-        val = nrm ** (1.0 / (k - 1))
-        rows.append({"order": k, "hat": val})
-        if val > best:
-            best = val
-    return best, rows
 
-
-def _n_supremum(delta_mu, tensors, mode):
-    """Sup over orders for the last equation, scaled by the terminating
-    chain value. tensors yields (k, raw_array) of shape (1, n, ..., n)."""
-    best = 1.0
-    rows = []
-    scale = abs(delta_mu)
-    for k, raw in tensors:
-        scaled = raw / math.factorial(k)
-        nrm = tensor_norm(scaled, mode=mode).value(mode) / scale
-        val = nrm ** (1.0 / (k - 1))
-        rows.append({"order": k, "n": val})
-        if val > best:
-            best = val
-    return best, rows
-
-
-def _merge_rows(hat_rows, n_rows):
-    by_order = {}
-    for row in hat_rows:
-        by_order.setdefault(row["order"], {"order": row["order"]}).update(row)
-    for row in n_rows:
-        by_order.setdefault(row["order"], {"order": row["order"]}).update(row)
-    return [by_order[k] for k in sorted(by_order)]
-
-
-def gamma_hat(source, x, mode="estimate"):
-    """Leading-block invariant at a normalized point."""
-    x = np.asarray(x, dtype=complex)
-    n = source.nvars
-    J = source.jacobian(x)
-    _require_normalized(J)
-    if n < 2:
-        return 1.0, []
-    Jhat = J[: n - 1, 1:]
-    deg = source.max_degree()
-    tensors = (
-        (k, source.derivative_tensor(x, k).array[: n - 1]) for k in range(2, deg + 1)
-    )
-    return _hat_supremum(Jhat, tensors, mode)
-
-
-def gamma_n(source, x, mu, delta_mu=None, mode="estimate"):
-    """Last-equation invariant at a normalized point.
-
-    delta_mu is the value of the order-mu chain functional on the last
-    equation; when omitted it is recomputed from the dual basis.
-    """
-    x = np.asarray(x, dtype=complex)
-    n = source.nvars
-    J = source.jacobian(x)
-    _require_normalized(J)
-    if delta_mu is None:
-        from .dualspace import compute_dual_basis
-
-        basis = compute_dual_basis(source, x)
-        if basis.mu != mu:
+    def __init__(
+        self,
+        source,
+        x,
+        mu=None,
+        frame=True,
+        rel_tol=NORMALIZED_RTOL,
+        trust_mu=False,
+        **tolerances,
+    ):
+        x = np.asarray(x, dtype=complex)
+        n = source.nvars
+        if n < 2:
             raise InputError(
-                "requested order %d but the chain terminates at %d" % (mu, basis.mu)
+                "a corank-one zero needs at least two variables, got %d" % n
             )
-        delta_mu = basis.delta_values[-1][-1]
-    deg = source.max_degree()
-    tensors = (
-        (k, source.derivative_tensor(x, k).array[n - 1 : n])
-        for k in range(2, deg + 1)
-    )
-    val, rows = _n_supremum(delta_mu, tensors, mode)
-    return val, rows, delta_mu
+        if frame:
+            source, x, J = normalized_view(source, x, rel_tol)
+        else:
+            J = source.jacobian(x)
+            if not is_normalized(J, rel_tol):
+                raise NotNormalizedError(
+                    "point is not in the distinguished coordinate shape; "
+                    "compute in a normalizing frame instead"
+                )
+        chain = None
+        if mu is None or not trust_mu:
+            basis = compute_dual_basis(source, x, J=J, **tolerances)
+            if mu is not None and basis.mu != mu:
+                raise InputError(
+                    "requested order %d but the chain terminates at %d"
+                    % (mu, basis.mu)
+                )
+            mu = basis.mu
+            if basis.normalized:
+                # the recursion ran along e1 against Jhat already
+                chain = basis.delta_values
+        self.view = source
+        self.x = x
+        self.J = J
+        self.Jhat = J[: n - 1, 1:]
+        self.mu = mu
+        if chain is None:
+            e1 = np.zeros(n, dtype=complex)
+            e1[0] = 1.0
+            chain = kernel_chain(source, x, e1, self.Jhat, mu)
+        self.chain = chain
+        self.delta_mu = chain[-1][-1]
+        self.tensors = {
+            k: source.derivative_tensor(x, k).array
+            for k in range(2, source.max_degree() + 1)
+        }
+
+    def gamma(self, mode="estimate", truncate=False):
+        """Combined invariant, the maximum of the two halves.
+
+        With truncate, the last equation loses its pure first-variable
+        terms of orders 2..mu-1 (their coefficients are the chain values
+        below mu): the invariant of the order-mu truncation that
+        `certify.certify_cluster` compares the system against.
+        """
+        n = self.view.nvars
+        scale = abs(self.delta_mu)
+        ghat = gn = 1.0
+        rows = []
+        for k, raw in self.tensors.items():
+            fact = math.factorial(k)
+            lead = raw[: n - 1] / fact
+            pre = solve_linear(self.Jhat, lead.reshape(n - 1, -1)).reshape(lead.shape)
+            hat = tensor_norm(pre, mode=mode).value(mode) ** (1.0 / (k - 1))
+            last = raw[n - 1 :]
+            if truncate and k < self.mu:
+                last = last.copy()
+                last[(0,) * (k + 1)] -= fact * self.chain[k - 2][-1]
+            nrm = tensor_norm(last / fact, mode=mode).value(mode) / scale
+            val = nrm ** (1.0 / (k - 1))
+            rows.append({"order": k, "hat": hat, "n": val})
+            ghat = max(ghat, hat)
+            gn = max(gn, val)
+        return GammaReport(
+            gamma=max(ghat, gn),
+            gamma_hat=ghat,
+            gamma_n=gn,
+            mu=self.mu,
+            delta_mu=complex(self.delta_mu),
+            mode=mode,
+            per_order=rows,
+        )
 
 
 def gamma_mu(source, x, mu=None, mode="estimate"):
-    """Combined invariant, the maximum of the two halves.
+    """Combined invariant at a point in the distinguished shape.
 
-    Computes the dual basis for the multiplicity and the terminating chain
-    value (mu, when supplied, must match it; a mismatch is an InputError).
-    The Jacobian and each tensor of order 2..deg are evaluated once and
-    shared by both halves.
+    Refuses any other point (NotNormalizedError); `LocalModel` moves such
+    a point to a normalizing frame. mu, when supplied, must match the
+    detected chain length (a mismatch is an InputError). The Jacobian and
+    each tensor of order 2..deg are evaluated once.
     """
-    from .dualspace import compute_dual_basis
-
-    x = np.asarray(x, dtype=complex)
-    J = source.jacobian(x)
-    _require_normalized(J)
-    basis = compute_dual_basis(source, x)
-    if mu is not None and basis.mu != mu:
-        raise InputError(
-            "requested order %d but the chain terminates at %d" % (mu, basis.mu)
-        )
-    mu = basis.mu
-    delta_mu = basis.delta_values[-1][-1]
-    n = source.nvars
-    raw = [
-        (k, source.derivative_tensor(x, k).array)
-        for k in range(2, source.max_degree() + 1)
-    ]
-    ghat, hat_rows = 1.0, []
-    if n >= 2:
-        hat = [(k, T[: n - 1]) for k, T in raw]
-        ghat, hat_rows = _hat_supremum(J[: n - 1, 1:], hat, mode)
-    gn, n_rows = _n_supremum(delta_mu, [(k, T[n - 1 :]) for k, T in raw], mode)
-    return GammaReport(
-        gamma=max(ghat, gn),
-        gamma_hat=ghat,
-        gamma_n=gn,
-        mu=mu,
-        delta_mu=complex(delta_mu),
-        mode=mode,
-        per_order=_merge_rows(hat_rows, n_rows),
-    )
+    return LocalModel(source, x, mu, frame=False).gamma(mode)

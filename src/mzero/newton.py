@@ -167,8 +167,13 @@ def iterate_until(
     variant="auto",
     eps=1e-10,
     max_iter=50,
+    **tolerances,
 ):
     """Run a refinement iteration to tolerance and report the trace.
+
+    Without mu, the chain length is detected at z0 by
+    `compute_dual_basis` with the given tolerances (gap_tol,
+    delta_zero_tol).
 
     Stops when the residual norm drops to eps ('tolerance', the only
     stop with converged=True), when a step of norm at most eps leaves the
@@ -179,7 +184,7 @@ def iterate_until(
     """
     z = np.asarray(z0, dtype=complex)
     if mu is None:
-        basis = compute_dual_basis(source, z)
+        basis = compute_dual_basis(source, z, **tolerances)
         mu = basis.mu
     if variant == "auto":
         variant = _choose_variant(source, z, mu)

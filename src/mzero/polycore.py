@@ -809,8 +809,3 @@ def unitary_pullback(system, U, W):
     if isinstance(system, NormalizedFrame):
         return system.compose(U, W)
     return NormalizedFrame(system, U, W)
-
-
-def shift_basepoint(system, x):
-    """System in local coordinates centered at x, g(Y) = f(Y + x)."""
-    return system.shift(x)

@@ -389,6 +389,49 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "command", ["dual", "gamma", "separation", "certify", "refine"]
+)
+def test_delta_zero_tol_reaches_the_chain_detection(capsys, ex_triple_path, command):
+    # with delta_zero_tol = 1 no chain value counts as outside the column
+    # space, so no order terminates the chain below the order cap
+    code, out, err = run_cli(
+        capsys, command, "--system", ex_triple_path, "--point", "0,0",
+        "--delta-zero-tol", "1",
+    )
+    assert code == 3
+    assert "no terminating order" in err
+    assert out == ""
+
+
+def test_refine_has_no_mode_flag(capsys, ex_triple_path):
+    code, out, err = run_cli(
+        capsys, "refine", "--system", ex_triple_path, "--point", "0.01,0",
+        "--mode", "certified",
+    )
+    assert code == 2
+    assert "unrecognized arguments: --mode" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual"],
+        ["gamma"],
+        ["separation"],
+        ["certify", "--mu", "3"],
+        ["refine", "--mu", "3"],
+    ],
+)
+def test_one_variable_is_input_error(capsys, tmp_path, argv):
+    path = tmp_path / "cubic.mz"
+    path.write_text("vars: X\nf1: X^3\n")
+    code, out, err = run_cli(capsys, *argv, "--system", str(path), "--point", "0")
+    assert code == 2
+    assert "input error" in err and "at least two variables" in err
+    assert out == ""
+
+
 def test_regular_point_is_domain_error(capsys, ex_triple_path):
     # at a point far from the zero the Jacobian has full rank and the
     # corank-one premise fails

@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mzero.certify import certify_cluster, separation_bound
+from mzero.cli import main
 from mzero.dualspace import (
     compute_dual_basis,
     normalized_view,
     normalizing_frame,
 )
 from mzero.errors import InputError, NotNormalizedError
-from mzero.gamma import gamma_hat, gamma_mu, gamma_n
-from mzero.polycore import PolySystem
+from mzero.gamma import gamma_mu
+from mzero.polycore import PolySystem, unitary_pullback
 
-from conftest import make_normalized_system
+from conftest import make_normalized_system, random_unitary
 
 ORIGIN2 = np.zeros(2, dtype=complex)
 
@@ -33,9 +36,9 @@ def test_triple_zero_leading_block_by_hand(ex_triple):
     T = ex_triple.derivative_tensor(ORIGIN2, 2).array[:1] / 2.0
     M = np.linalg.solve(Jhat, T.reshape(1, -1)).reshape(T.shape)
     ref = np.linalg.svd(M.reshape(-1, 2), compute_uv=False)[0]
-    got, rows = gamma_hat(ex_triple, ORIGIN2)
-    assert got == pytest.approx(max(1.0, ref), rel=1e-12)
-    assert rows[0]["order"] == 2
+    report = gamma_mu(ex_triple, ORIGIN2)
+    assert report.gamma_hat == pytest.approx(max(1.0, ref), rel=1e-12)
+    assert report.per_order[0]["order"] == 2
 
 
 def test_triple_zero_last_equation_by_hand(ex_triple):
@@ -43,7 +46,7 @@ def test_triple_zero_last_equation_by_hand(ex_triple):
     delta = basis.delta_values[-1][-1]
     T = ex_triple.derivative_tensor(ORIGIN2, 3).array[1:] / 6.0
     ref = np.linalg.svd(T.reshape(-1, 2), compute_uv=False)[0] / abs(delta)
-    got, rows, _ = gamma_n(ex_triple, ORIGIN2, 3)
+    got = gamma_mu(ex_triple, ORIGIN2, mu=3).gamma_n
     assert got == pytest.approx(max(1.0, math.sqrt(ref)), rel=1e-8)
 
 
@@ -68,9 +71,9 @@ def test_gamma_mu_evaluates_each_order_once(monkeypatch):
     system = make_normalized_system(4, 3, np.random.default_rng(31))
     x = np.zeros(4, dtype=complex)
     report = gamma_mu(system, x)
-    # the shared tensors give exactly what the two public halves compute
-    assert report.gamma_hat == gamma_hat(system, x)[0]
-    assert report.gamma_n == gamma_n(system, x, report.mu)[0]
+    # each half is the supremum of its per-order rows, clamped at one
+    assert report.gamma_hat == max([1.0] + [r["hat"] for r in report.per_order])
+    assert report.gamma_n == max([1.0] + [r["n"] for r in report.per_order])
     orders = []
     evaluate = PolySystem.derivative_tensor
 
@@ -108,7 +111,7 @@ def test_mu_mismatch_is_rejected(ex_triple):
     with pytest.raises(ValueError):
         gamma_mu(ex_triple, ORIGIN2, mu=2)
     with pytest.raises(ValueError):
-        gamma_n(ex_triple, ORIGIN2, 4)
+        gamma_mu(ex_triple, ORIGIN2, mu=4)
 
 
 def test_certified_mode_dominates_estimate():
@@ -147,3 +150,61 @@ def test_supremum_over_unit_directions():
     hat_row = {r["order"]: r for r in report.per_order}[2]["hat"]
     assert best <= hat_row * (1 + 1e-9)
     assert best >= hat_row * 0.98
+
+
+def test_one_jacobian_per_call_at_a_normalized_point(
+    monkeypatch, capsys, ex_triple, ex_triple_path
+):
+    # the local model evaluates J once and hands it to the chain detection
+    calls = []
+    evaluate = PolySystem.jacobian
+
+    def counted(self, y):
+        calls.append(1)
+        return evaluate(self, y)
+
+    monkeypatch.setattr(PolySystem, "jacobian", counted)
+    runs = {
+        "gamma_mu": lambda: gamma_mu(ex_triple, ORIGIN2),
+        "separation_bound": lambda: separation_bound(ex_triple, ORIGIN2),
+        "certify_cluster": lambda: certify_cluster(ex_triple, ORIGIN2),
+        "cli gamma": lambda: main(
+            ["gamma", "--system", ex_triple_path, "--point", "0,0", "--json"]
+        ),
+    }
+    counts = {}
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        counts[name] = len(calls)
+    capsys.readouterr()
+    assert counts == dict.fromkeys(runs, 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.sampled_from([2, 3, 4]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_local_model_is_unitary_and_shift_invariant(n, mu, seed):
+    # g(Y) = U^H f(W (Y - s)) has the zero of f at the origin moved to s and
+    # rotated out of the distinguished shape; the model reaches it through
+    # a normalizing frame, and every bound must come out as at the origin
+    rng = np.random.default_rng(seed)
+    system = make_normalized_system(n, mu, rng)
+    U, W = random_unitary(n, rng), random_unitary(n, rng)
+    s = rng.normal(size=n) + 1j * rng.normal(size=n)
+    moved = unitary_pullback(system, U, W).materialize().shift(-s)
+    x = np.zeros(n, dtype=complex)
+
+    report = gamma_mu(system, x)
+    sep = separation_bound(system, x)
+    cert = certify_cluster(system, x)
+    moved_sep = separation_bound(moved, s)
+    moved_cert = certify_cluster(moved, s)
+    assert report.mu == mu
+    assert moved_sep.mu == moved_cert.mu == mu
+    assert moved_sep.gamma.gamma == pytest.approx(report.gamma, rel=1e-9)
+    assert moved_sep.bound == pytest.approx(sep.bound, rel=1e-9)
+    assert moved_cert.radius == pytest.approx(cert.radius, rel=1e-9)

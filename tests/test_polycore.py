@@ -12,7 +12,6 @@ from mzero.polycore import (
     PolySystem,
     apply_functional,
     parse_system,
-    shift_basepoint,
     unitary_pullback,
 )
 
@@ -426,7 +425,7 @@ def test_shift_evaluates_at_offset(coeffs, xs, ys):
 
 def test_shift_basepoint_moves_zero():
     sys_ = parse_system(EX_DOUBLE)
-    moved = shift_basepoint(sys_, np.array([0.25, 0.0]))
+    moved = sys_.shift(np.array([0.25, 0.0]))
     # (1/4, 0) is a zero of the original, so the origin is one of the shifted
     assert np.allclose(moved.eval_at(np.zeros(2)), 0.0, atol=1e-15)
 
