@@ -75,43 +75,48 @@ class ClusterCertificate:
     mode: str
 
 
+# _WEIGHTS[s][j] is the weight W(s - j, j) of the degree-s state; rows
+# 0 and 1 stay empty, and rows are appended as higher orders ask for them
+_WEIGHTS = [[], []]
+
+
 def coefficient_table(mu):
     """Integer tables (c, t) driving the exclusion function for order mu.
 
     Entries of c sit on total degree mu; entries of t have total degree
-    at most mu - 2. Both are produced by repeatedly substituting the
+    at most mu - 2. Both come from repeatedly substituting the
     non-diagonal part of a split Taylor expansion into itself until every
-    term reaches total degree mu.
+    term reaches total degree mu: a term x^i y^j (j >= 1) of degree below
+    mu is tabulated in t as (i, j - 1) and replaced by the terms
+    x^(i+k) y^(j-1+l), k + l >= 2, weighted by binomial(k + l, k); a term
+    of degree mu lands in c; pure powers of x (j = 0) are exact and drop.
+
+    Substitution is linear in the weights and raises the degree by
+    k + l - 1 >= 1, so the total weight W(i, j) reaching a state depends
+    only on the states of lower degree, never on mu. The triangle of W is
+    built row by row, each entry pulling from every row below it, at a
+    cost of O(mu^4) integer operations; rows are kept for the process, so
+    a higher order only adds its new rows. c is row mu of W and t holds
+    rows 2..mu-1, both over j >= 1.
     """
     if mu < 2:
         raise ValueError("order must be at least 2")
-    c = {}
-    t = {}
-
-    def push(i, j, beta):
-        if j == 0:
-            # pure diagonal powers are handled exactly, not tabulated
-            return
-        if i + j == mu:
-            c[(i, j)] = c.get((i, j), 0) + beta
-            return
-        t[(i, j - 1)] = t.get((i, j - 1), 0) + beta
-        for k in range(mu + 1):
-            for l in range(mu + 1):
-                if k + l < 2:
-                    continue
-                if i + k + j - 1 + l > mu:
-                    continue
-                factor = math.factorial(k + l) // (
-                    math.factorial(k) * math.factorial(l)
-                )
-                push(i + k, j - 1 + l, beta * factor)
-
-    for s in range(2, mu + 1):
+    while len(_WEIGHTS) <= mu:
+        s = len(_WEIGHTS)
+        row = []
         for j in range(s + 1):
-            i = s - j
-            push(i, j, math.factorial(s) // (math.factorial(i) * math.factorial(j)))
-
+            w = math.comb(s, j)
+            # source (s0 - j0, j0) with j0 >= 1 reaches (s - j, j) by
+            # k = (s - j) - (s0 - j0) >= 0 and l = j - j0 + 1 >= 0
+            for s0 in range(2, s):
+                for j0 in range(max(1, s0 - s + j), min(s0, j + 1) + 1):
+                    w += _WEIGHTS[s0][j0] * math.comb(s - s0 + 1, s - j - s0 + j0)
+            row.append(w)
+        _WEIGHTS.append(row)
+    c = {(mu - j, j): _WEIGHTS[mu][j] for j in range(1, mu + 1)}
+    t = {
+        (s - j, j - 1): _WEIGHTS[s][j] for s in range(2, mu) for j in range(1, s + 1)
+    }
     return CoefficientTable(mu=mu, c=c, t=t, anchored=(mu <= _ANCHORED_MAX))
 
 
