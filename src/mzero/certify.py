@@ -146,8 +146,12 @@ def p_of_d(mu, table=None):
     return p
 
 
-def separation_constant(mu, tol=1e-10):
-    """Universal constant d(mu) with its three ingredients."""
+def separation_constant(mu, tol=1e-13):
+    """Universal constant d(mu) with its three ingredients.
+
+    d3 is the first root of `p_of_d` to relative tolerance tol, taken
+    from the side where p is still positive.
+    """
     table = coefficient_table(mu)
     cm = table.c[(mu - 1, 1)]
     d1 = math.sqrt(1.0 / (cm * cm + 1.0))

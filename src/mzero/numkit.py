@@ -162,8 +162,13 @@ def smallest_positive_root(fn, upper, tol=1e-10, grid=1024):
     """First zero crossing of a scalar function on (0, upper].
 
     The function must be positive at zero. The interval is scanned on a
-    uniform grid to find the first sign change, then bisected to width
-    `tol`. Raises NoRootError when every grid value stays positive.
+    uniform grid to find the first sign change, then bisected until the
+    bracket [lo, hi] is no wider than `tol * hi`, a relative tolerance,
+    so roots near zero keep their digits. The value returned is lo, the
+    last point where fn was seen positive: it sits on the positive side
+    of the crossing, within relative `tol` of it, so a radius built from
+    it does not overshoot. Raises NoRootError when every grid value
+    stays positive.
     """
     if not upper > 0.0:
         raise ValueError("upper bracket must be positive")
@@ -185,10 +190,13 @@ def smallest_positive_root(fn, upper, tol=1e-10, grid=1024):
         prev = t
     if hi is None:
         raise NoRootError("no sign change on (0, %g] with %d samples" % (upper, grid))
-    while hi - lo > tol:
+    while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # the bracket is down to adjacent floats
+            break
         if fn(mid) <= 0.0:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return lo

@@ -142,6 +142,13 @@ def test_smallest_positive_root_picks_first():
     assert root == pytest.approx(0.1, abs=1e-10)
 
 
+def test_smallest_positive_root_is_relative_and_stays_positive():
+    # a root far below an absolute 1e-10 keeps its digits, and the value
+    # returned sits on the side where the function is still positive
+    root = smallest_positive_root(lambda t: 3e-12 - t, 1.0, tol=1e-13)
+    assert 0 < 3e-12 - root <= 1e-13 * 3e-12
+
+
 def test_smallest_positive_root_no_crossing():
     with pytest.raises(NoRootError):
         smallest_positive_root(lambda t: 1.0 + t * t, 2.0)
