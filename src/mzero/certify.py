@@ -25,8 +25,9 @@ from .errors import NoRootError
 from .gamma import GammaReport, LocalModel
 from .numkit import matrix_spectral_norm, smallest_positive_root
 
-# table entries above this order have no independent cross-check yet
-_ANCHORED_MAX = 3
+# orders up to this one are cross-checked against recursive substitution
+# and a 50-digit root of p in tests/test_certify.py; above it, not yet
+_ANCHORED_MAX = 20
 
 
 @dataclass

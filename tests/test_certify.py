@@ -41,7 +41,10 @@ def test_coefficient_table_order_three():
 
 def test_coefficient_table_order_four_structure():
     tab3, tab4 = coefficient_table(3), coefficient_table(4)
-    assert not tab4.anchored
+    # the cross-checks below anchor orders up to 20, none above
+    assert tab4.anchored
+    assert coefficient_table(20).anchored
+    assert not coefficient_table(21).anchored
     assert all(i + j == 4 for (i, j) in tab4.c)
     assert all(1 <= i + j <= 2 for (i, j) in tab4.t)
     assert all(v > 0 for v in tab4.c.values())
@@ -49,6 +52,57 @@ def test_coefficient_table_order_four_structure():
     folded = dict(tab3.t)
     folded.update({(i, j - 1): v for (i, j), v in tab3.c.items()})
     assert tab4.t == folded
+
+
+def recursive_table(mu):
+    """The table by literal recursive substitution, exponential in mu."""
+    c, t = {}, {}
+
+    def push(i, j, beta):
+        if j == 0:
+            return
+        if i + j == mu:
+            c[(i, j)] = c.get((i, j), 0) + beta
+            return
+        t[(i, j - 1)] = t.get((i, j - 1), 0) + beta
+        for k in range(mu + 1):
+            for l in range(mu + 1):
+                if k + l >= 2 and i + k + j - 1 + l <= mu:
+                    push(i + k, j - 1 + l, beta * math.comb(k + l, k))
+
+    for s in range(2, mu + 1):
+        for j in range(s + 1):
+            push(s - j, j, math.comb(s, j))
+    return c, t
+
+
+@pytest.mark.parametrize("mu", range(2, 10))
+def test_coefficient_table_matches_recursive_substitution(mu):
+    tab = coefficient_table(mu)
+    assert (tab.c, tab.t) == recursive_table(mu)
+
+
+def test_separation_constant_matches_high_precision_root():
+    # p from the same integer table, evaluated with 50 digits: d3 must sit
+    # just below its first root, where p is still positive
+    import mpmath
+
+    mp = mpmath.mp
+    for mu in range(2, 21):
+        tab = coefficient_table(mu)
+
+        def p(d):
+            w = mp.sqrt(1 - d * d)
+            total = w**mu - mp.fsum(v * w**i * d**j for (i, j), v in tab.c.items())
+            tail = 1 + mp.fsum(v * w**i * d**j for (i, j), v in tab.t.items())
+            return total - d * tail
+
+        with mpmath.workdps(50):
+            d3 = mp.mpf(separation_constant(mu).d3)
+            assert p(d3) > 0, mu
+            assert all(p(d3 * k / 16) > 0 for k in range(16)), mu
+            root = mp.findroot(p, (d3, d3 * (1 + mp.mpf("1e-9"))), solver="bisect")
+            assert abs(d3 - root) <= 1e-12 * root, mu
 
 
 @pytest.mark.parametrize(
