@@ -172,6 +172,17 @@ def is_normalized(J, rel_tol=NORMALIZED_RTOL):
     return col <= rel_tol * scale and row <= rel_tol * scale
 
 
+def _check_corank_one(s, gap_tol):
+    """Refuse singular values s of a Jacobian that show no clean
+    one-dimensional kernel: sigma_n must fall to gap_tol * sigma_{n-1}
+    and sigma_{n-1} must stay above gap_tol * sigma_1 (CorankError)."""
+    if len(s) < 2 or not (s[-1] <= gap_tol * s[-2] and s[-2] > gap_tol * s[0]):
+        raise CorankError(
+            "Jacobian is not corank one at the point (singular values %s)"
+            % np.array2string(s, precision=3)
+        )
+
+
 def _delta_from_chain(a_rows, lambdas, k, nvars):
     """Raw order-k functional from the chain built so far."""
     delta = DualFunctional(nvars)
@@ -280,11 +291,7 @@ def compute_dual_basis(
         J = source.jacobian(x)
     res = svd(J)
     s = res.s
-    if len(s) < 2 or not (s[-1] <= gap_tol * s[-2] and s[-2] > gap_tol * s[0]):
-        raise CorankError(
-            "Jacobian is not corank one at the point (singular values %s)"
-            % np.array2string(s, precision=3)
-        )
+    _check_corank_one(s, gap_tol)
     normalized = is_normalized(J)
 
     if normalized:
@@ -382,6 +389,7 @@ def chainrule_Lk(
             "frame Jacobian at the point is not in the distinguished shape"
         )
     s = np.linalg.svd(J, compute_uv=False)
+    _check_corank_one(s, gap_tol)
     Jhat = J[: n - 1, 1:]
     a1 = np.zeros(n, dtype=complex)
     a1[0] = 1.0
@@ -407,17 +415,19 @@ def chainrule_Lk(
     return _dual_basis(frame, w, chain, s, True)
 
 
-def normalizing_frame(source, x):
+def normalizing_frame(source, x, J=None):
     """Rotated view whose Jacobian at x is the distinguished shape.
 
     Returns (frame, w, svd_result) where w are the coordinates of x in the
     frame. The kernel-most right singular vector becomes the first frame
     variable; the left factor is kept in its original order, which places
-    the near-degenerate row last.
+    the near-degenerate row last. J, the Jacobian of source at x, is
+    evaluated unless the caller has it already.
     """
     x = np.asarray(x, dtype=complex)
     n = source.nvars
-    J = source.jacobian(x)
+    if J is None:
+        J = source.jacobian(x)
     res = svd(J)
     perm = [n - 1] + list(range(n - 1))
     W = res.V[:, perm]
@@ -438,5 +448,5 @@ def normalized_view(source, x, rel_tol=NORMALIZED_RTOL):
     J = source.jacobian(x)
     if is_normalized(J, rel_tol):
         return source, x, J
-    frame, w, _ = normalizing_frame(source, x)
+    frame, w, _ = normalizing_frame(source, x, J)
     return frame, w, frame.jacobian(w)

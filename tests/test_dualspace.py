@@ -130,6 +130,15 @@ def test_chainrule_requires_normalized(ex_double):
         chainrule_Lk(ex_double, ORIGIN2)
 
 
+def test_chainrule_rejects_corank_two():
+    # the frame Jacobian at the origin, [[0,1,0],[0,0,0],[0,0,0]], has the
+    # distinguished shape but a two-dimensional kernel
+    sys_ = parse_system("vars: X Y Z\nf: Y + X^2\ng: X^3\nh: Z^2")
+    frame = unitary_pullback(sys_, np.eye(3), np.eye(3))
+    with pytest.raises(CorankError):
+        chainrule_Lk(frame, np.zeros(3, dtype=complex))
+
+
 def test_chainrule_agrees_with_direct_chain(ex_triple):
     direct = compute_dual_basis(ex_triple, ORIGIN2)
     chained = chainrule_Lk(ex_triple, ORIGIN2)

@@ -152,10 +152,8 @@ def test_supremum_over_unit_directions():
     assert best >= hat_row * 0.98
 
 
-def test_one_jacobian_per_call_at_a_normalized_point(
-    monkeypatch, capsys, ex_triple, ex_triple_path
-):
-    # the local model evaluates J once and hands it to the chain detection
+def count_jacobians(monkeypatch, runs):
+    """Jacobian evaluations of the input system made by each run."""
     calls = []
     evaluate = PolySystem.jacobian
 
@@ -164,6 +162,18 @@ def test_one_jacobian_per_call_at_a_normalized_point(
         return evaluate(self, y)
 
     monkeypatch.setattr(PolySystem, "jacobian", counted)
+    counts = {}
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        counts[name] = len(calls)
+    return counts
+
+
+def test_one_jacobian_per_call_at_a_normalized_point(
+    monkeypatch, capsys, ex_triple, ex_triple_path
+):
+    # the local model evaluates J once and hands it to the chain detection
     runs = {
         "gamma_mu": lambda: gamma_mu(ex_triple, ORIGIN2),
         "separation_bound": lambda: separation_bound(ex_triple, ORIGIN2),
@@ -172,13 +182,25 @@ def test_one_jacobian_per_call_at_a_normalized_point(
             ["gamma", "--system", ex_triple_path, "--point", "0,0", "--json"]
         ),
     }
-    counts = {}
-    for name, run in runs.items():
-        calls.clear()
-        run()
-        counts[name] = len(calls)
+    counts = count_jacobians(monkeypatch, runs)
     capsys.readouterr()
     assert counts == dict.fromkeys(runs, 1)
+
+
+def test_two_jacobians_per_call_at_an_off_shape_point(
+    monkeypatch, capsys, ex_double_path
+):
+    # one J at the input point, which the frame reuses, and one of the
+    # frame at the point's frame coordinates
+    at0 = ["--system", ex_double_path, "--point", "0,0", "--json"]
+    runs = {
+        "gamma": lambda: main(["gamma"] + at0),
+        "separation": lambda: main(["separation"] + at0),
+        "certify": lambda: main(["certify"] + at0 + ["--mu", "2"]),
+    }
+    counts = count_jacobians(monkeypatch, runs)
+    capsys.readouterr()
+    assert counts == dict.fromkeys(runs, 2)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
