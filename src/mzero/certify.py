@@ -16,6 +16,7 @@ system counted with multiplicity.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,10 @@ class ClusterCertificate:
 
 
 # _WEIGHTS[s][j] is the weight W(s - j, j) of the degree-s state; rows
-# 0 and 1 stay empty, and rows are appended as higher orders ask for them
+# 0 and 1 stay empty, and rows are appended, under the lock, as higher
+# orders ask for them
 _WEIGHTS = [[], []]
+_WEIGHTS_LOCK = threading.Lock()
 
 
 def coefficient_table(mu):
@@ -102,18 +105,19 @@ def coefficient_table(mu):
     """
     if mu < 2:
         raise ValueError("order must be at least 2")
-    while len(_WEIGHTS) <= mu:
-        s = len(_WEIGHTS)
-        row = []
-        for j in range(s + 1):
-            w = math.comb(s, j)
-            # source (s0 - j0, j0) with j0 >= 1 reaches (s - j, j) by
-            # k = (s - j) - (s0 - j0) >= 0 and l = j - j0 + 1 >= 0
-            for s0 in range(2, s):
-                for j0 in range(max(1, s0 - s + j), min(s0, j + 1) + 1):
-                    w += _WEIGHTS[s0][j0] * math.comb(s - s0 + 1, s - j - s0 + j0)
-            row.append(w)
-        _WEIGHTS.append(row)
+    with _WEIGHTS_LOCK:
+        while len(_WEIGHTS) <= mu:
+            s = len(_WEIGHTS)
+            row = []
+            for j in range(s + 1):
+                w = math.comb(s, j)
+                # source (s0 - j0, j0) with j0 >= 1 reaches (s - j, j) by
+                # k = (s - j) - (s0 - j0) >= 0 and l = j - j0 + 1 >= 0
+                for s0 in range(2, s):
+                    for j0 in range(max(1, s0 - s + j), min(s0, j + 1) + 1):
+                        w += _WEIGHTS[s0][j0] * math.comb(s - s0 + 1, s - j - s0 + j0)
+                row.append(w)
+            _WEIGHTS.append(row)
     c = {(mu - j, j): _WEIGHTS[mu][j] for j in range(1, mu + 1)}
     t = {
         (s - j, j - 1): _WEIGHTS[s][j] for s in range(2, mu) for j in range(1, s + 1)
