@@ -16,7 +16,6 @@ system counted with multiplicity.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .numkit import matrix_spectral_norm, smallest_positive_root
 
 # orders up to this one are cross-checked against recursive substitution
 # and a 50-digit root of p in tests/test_certify.py; above it, not yet
-_ANCHORED_MAX = 20
+ANCHORED_MAX = 20
 
 
 @dataclass
@@ -77,13 +76,6 @@ class ClusterCertificate:
     mode: str
 
 
-# _WEIGHTS[s][j] is the weight W(s - j, j) of the degree-s state; rows
-# 0 and 1 stay empty, and rows are appended, under the lock, as higher
-# orders ask for them
-_WEIGHTS = [[], []]
-_WEIGHTS_LOCK = threading.Lock()
-
-
 def coefficient_table(mu):
     """Integer tables (c, t) driving the exclusion function for order mu.
 
@@ -99,30 +91,28 @@ def coefficient_table(mu):
     k + l - 1 >= 1, so the total weight W(i, j) reaching a state depends
     only on the states of lower degree, never on mu. The triangle of W is
     built row by row, each entry pulling from every row below it, at a
-    cost of O(mu^4) integer operations; rows are kept for the process, so
-    a higher order only adds its new rows. c is row mu of W and t holds
+    cost of O(mu^4) integer operations. c is row mu of W and t holds
     rows 2..mu-1, both over j >= 1.
     """
     if mu < 2:
         raise ValueError("order must be at least 2")
-    with _WEIGHTS_LOCK:
-        while len(_WEIGHTS) <= mu:
-            s = len(_WEIGHTS)
-            row = []
-            for j in range(s + 1):
-                w = math.comb(s, j)
-                # source (s0 - j0, j0) with j0 >= 1 reaches (s - j, j) by
-                # k = (s - j) - (s0 - j0) >= 0 and l = j - j0 + 1 >= 0
-                for s0 in range(2, s):
-                    for j0 in range(max(1, s0 - s + j), min(s0, j + 1) + 1):
-                        w += _WEIGHTS[s0][j0] * math.comb(s - s0 + 1, s - j - s0 + j0)
-                row.append(w)
-            _WEIGHTS.append(row)
-    c = {(mu - j, j): _WEIGHTS[mu][j] for j in range(1, mu + 1)}
-    t = {
-        (s - j, j - 1): _WEIGHTS[s][j] for s in range(2, mu) for j in range(1, s + 1)
-    }
-    return CoefficientTable(mu=mu, c=c, t=t, anchored=(mu <= _ANCHORED_MAX))
+    # W[s][j] is the weight W(s - j, j) of the degree-s state; rows 0
+    # and 1 stay empty
+    W = [[], []]
+    for s in range(2, mu + 1):
+        row = []
+        for j in range(s + 1):
+            w = math.comb(s, j)
+            # source (s0 - j0, j0) with j0 >= 1 reaches (s - j, j) by
+            # k = (s - j) - (s0 - j0) >= 0 and l = j - j0 + 1 >= 0
+            for s0 in range(2, s):
+                for j0 in range(max(1, s0 - s + j), min(s0, j + 1) + 1):
+                    w += W[s0][j0] * math.comb(s - s0 + 1, s - j - s0 + j0)
+            row.append(w)
+        W.append(row)
+    c = {(mu - j, j): W[mu][j] for j in range(1, mu + 1)}
+    t = {(s - j, j - 1): W[s][j] for s in range(2, mu) for j in range(1, s + 1)}
+    return CoefficientTable(mu=mu, c=c, t=t, anchored=(mu <= ANCHORED_MAX))
 
 
 def p_of_d(mu, table=None):

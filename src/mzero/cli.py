@@ -6,9 +6,11 @@ document with --json. Exit codes: 0 on success (a negative certificate is
 still a success), 2 for input problems (including a --mu that disagrees
 with the chain length found at the point), 3 for numerical-domain
 problems, 4 for internal errors. Points are checked on entry: one finite
-coordinate per system variable, and at least two variables. `gamma` and
-`certify` move a point outside the distinguished shape to a normalizing
-frame, as `separation` does. `--gap-tol` and `--delta-zero-tol` reach
+coordinate per system variable, and at least two variables. `separation`
+and `certify` take a --mu of at most `certify.ANCHORED_MAX`, the orders
+whose universal constant is cross-checked. `gamma` and `certify` move a
+point outside the distinguished shape to a normalizing frame, as
+`separation` does. `--gap-tol` and `--delta-zero-tol` reach
 every detection of the chain length.
 
 The JSON output is deterministic: keys are sorted, floats are printed
@@ -493,6 +495,12 @@ def _config_from_args(args):
         cfg.point = read_point_file(args.point_file)
     if cfg.mu is not None and cfg.mu < 2:
         raise ParseError("--mu must be at least 2")
+    top = certify_mod.ANCHORED_MAX
+    if cfg.command in ("separation", "certify") and (cfg.mu or 0) > top:
+        raise ParseError(
+            "--mu must be at most %d, the largest order whose constant d(mu) "
+            "is cross-checked" % top
+        )
     if getattr(args, "needs_system", False) and not cfg.system_path:
         raise ParseError("a system file is required (--system)")
     return cfg

@@ -349,6 +349,29 @@ def test_mu_below_two_is_input_error(capsys, ex_double_path, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["separation", "--mu", "21"],
+        ["separation", "--mu", "212"],
+        ["separation", "--system", None, "--point", "0,0", "--mu", "21"],
+        ["certify", "--system", None, "--point", "0,0", "--mu", "21"],
+    ],
+)
+def test_mu_above_the_anchored_orders_is_input_error(capsys, ex_double_path, argv):
+    argv = [ex_double_path if a is None else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "input error" in err and "at most 20" in err
+    assert out == ""
+
+
+def test_separation_takes_the_largest_anchored_order(capsys):
+    code, out, _ = run_cli(capsys, "separation", "--mu", "20", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["mu"] == 20
+
+
 @pytest.mark.parametrize("command", ["gamma", "separation"])
 def test_mu_disagreeing_with_the_chain_is_input_error(capsys, ex_triple_path, command):
     code, out, err = run_cli(
