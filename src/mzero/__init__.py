@@ -1,71 +1,65 @@
 """Multiplicity structure, certified separation bounds, and quadratically
 convergent refinement for corank-one multiple zeros of square polynomial
-systems."""
+systems.
 
-from .certify import (
-    ClusterCertificate,
-    CoefficientTable,
-    ResidualBound,
-    SeparationResult,
-    certify_cluster,
-    coefficient_table,
-    p_of_d,
-    residual_lower_bound,
-    separation_bound,
-    separation_constant,
-)
-from .dualspace import (
-    DualBasis,
-    DualFunctional,
-    chainrule_Lk,
-    compute_dual_basis,
-    is_normalized,
-    normalizing_frame,
-)
-from .errors import (
-    BreadthError,
-    CorankError,
-    InputError,
-    MathDomainError,
-    MultiplicityNotFoundError,
-    MZeroError,
-    NoRootError,
-    NotNormalizedError,
-    ParseError,
-    SingularMatrixError,
-)
-from .gamma import GammaReport, LocalModel, gamma_mu
-from .newton import (
-    NewtonTrace,
-    ThresholdSet,
-    iterate_until,
-    n1_step,
-    rational_functions,
-    refine_double,
-    refine_general,
-    refine_triple,
-    threshold_constants,
-)
-from .numkit import (
-    SvdResult,
-    TensorNorm,
-    matrix_spectral_norm,
-    smallest_positive_root,
-    solve_least_squares,
-    solve_linear,
-    svd,
-    tensor_norm,
-)
-from .polycore import (
-    CTensor,
-    NormalizedFrame,
-    Poly,
-    PolySystem,
-    apply_functional,
-    parse_system,
-    unitary_pullback,
-)
+The package loads lazily (PEP 562): `import mzero` imports no layer, and
+a name below, or a layer module such as `mzero.certify`, is imported from
+its home module on first use. So the numpy-free `constants` layer can be
+used without paying for numpy and the numeric layers.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "certify": (
+        "ClusterCertificate", "ResidualBound", "certify_cluster",
+        "residual_lower_bound", "separation_bound",
+    ),
+    "constants": (
+        "CoefficientTable", "SeparationResult", "ThresholdSet", "coefficient_table",
+        "p_of_d", "rational_functions", "separation_constant",
+        "smallest_positive_root", "threshold_constants",
+    ),
+    "dualspace": (
+        "DualBasis", "DualFunctional", "chainrule_Lk", "compute_dual_basis",
+        "is_normalized", "normalizing_frame",
+    ),
+    "errors": (
+        "BreadthError", "CorankError", "InputError", "MathDomainError",
+        "MultiplicityNotFoundError", "MZeroError", "NoRootError",
+        "NotNormalizedError", "ParseError", "SingularMatrixError",
+    ),
+    "gamma": ("GammaReport", "LocalModel", "gamma_mu"),
+    "newton": (
+        "NewtonTrace", "iterate_until", "n1_step", "refine_double",
+        "refine_general", "refine_triple",
+    ),
+    "numkit": (
+        "SvdResult", "TensorNorm", "matrix_spectral_norm", "solve_least_squares",
+        "solve_linear", "svd", "tensor_norm",
+    ),
+    "polycore": (
+        "CTensor", "NormalizedFrame", "Poly", "PolySystem", "apply_functional",
+        "parse_system", "unitary_pullback",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli")
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module("." + name, __name__)
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

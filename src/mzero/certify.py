@@ -3,9 +3,8 @@
 For a multiplicity-mu zero in normalized coordinates, a universal
 constant d(mu) in (0, 1) controls a punctured ball around the zero that
 contains no other zero: the exclusion radius is d / (2 gamma^mu). The
-constant is the minimum of three quantities; two are in closed form, the
-third is the first positive root of a scalar function assembled from an
-integer coefficient table.
+constant and its coefficient table live in the numpy-free `constants`
+module; they are imported here under their old names.
 
 For an approximate zero x, `certify_cluster` builds the order-mu
 truncation of the system at x (exactly normalized there by construction),
@@ -20,33 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import ANCHORED_MAX, CoefficientTable, SeparationResult  # noqa: F401
+from .constants import coefficient_table, p_of_d, separation_constant  # noqa: F401
 from .dualspace import LOOSE_NORMALIZED_RTOL
-from .errors import NoRootError
 from .gamma import GammaReport, LocalModel
-from .numkit import matrix_spectral_norm, smallest_positive_root
-
-# orders up to this one are cross-checked against recursive substitution
-# and a 50-digit root of p in tests/test_certify.py; above it, not yet
-ANCHORED_MAX = 20
-
-
-@dataclass
-class CoefficientTable:
-    mu: int
-    c: dict
-    t: dict
-    anchored: bool
-
-
-@dataclass
-class SeparationResult:
-    mu: int
-    d: float
-    d1: float
-    d2: float
-    d3: float
-    gamma: GammaReport = None
-    bound: float = None
+from .numkit import matrix_spectral_norm
 
 
 @dataclass
@@ -74,90 +51,6 @@ class ClusterCertificate:
     gamma_on_g: GammaReport
     d: float
     mode: str
-
-
-def coefficient_table(mu):
-    """Integer tables (c, t) driving the exclusion function for order mu.
-
-    Entries of c sit on total degree mu; entries of t have total degree
-    at most mu - 2. Both come from repeatedly substituting the
-    non-diagonal part of a split Taylor expansion into itself until every
-    term reaches total degree mu: a term x^i y^j (j >= 1) of degree below
-    mu is tabulated in t as (i, j - 1) and replaced by the terms
-    x^(i+k) y^(j-1+l), k + l >= 2, weighted by binomial(k + l, k); a term
-    of degree mu lands in c; pure powers of x (j = 0) are exact and drop.
-
-    Substitution is linear in the weights and raises the degree by
-    k + l - 1 >= 1, so the total weight W(i, j) reaching a state depends
-    only on the states of lower degree, never on mu. The triangle of W is
-    built row by row, each entry pulling from every row below it, at a
-    cost of O(mu^4) integer operations. c is row mu of W and t holds
-    rows 2..mu-1, both over j >= 1.
-    """
-    if mu < 2:
-        raise ValueError("order must be at least 2")
-    # W[s][j] is the weight W(s - j, j) of the degree-s state; rows 0
-    # and 1 stay empty
-    W = [[], []]
-    for s in range(2, mu + 1):
-        row = []
-        for j in range(s + 1):
-            w = math.comb(s, j)
-            # source (s0 - j0, j0) with j0 >= 1 reaches (s - j, j) by
-            # k = (s - j) - (s0 - j0) >= 0 and l = j - j0 + 1 >= 0
-            for s0 in range(2, s):
-                for j0 in range(max(1, s0 - s + j), min(s0, j + 1) + 1):
-                    w += W[s0][j0] * math.comb(s - s0 + 1, s - j - s0 + j0)
-            row.append(w)
-        W.append(row)
-    c = {(mu - j, j): W[mu][j] for j in range(1, mu + 1)}
-    t = {(s - j, j - 1): W[s][j] for s in range(2, mu) for j in range(1, s + 1)}
-    return CoefficientTable(mu=mu, c=c, t=t, anchored=(mu <= ANCHORED_MAX))
-
-
-def p_of_d(mu, table=None):
-    """Scalar exclusion function whose first positive root gives d3.
-
-    Every tabulated term carries the (1 - d^2)^(i/2) factor, including
-    the t-terms with j = 0; the function is positive at zero and crosses
-    below zero before d reaches one.
-    """
-    if table is None:
-        table = coefficient_table(mu)
-    mu = table.mu
-    c_items = sorted(table.c.items())
-    t_items = sorted(table.t.items())
-
-    def p(d):
-        w = (1.0 - d * d) ** 0.5
-        total = w**mu
-        for (i, j), coeff in c_items:
-            total = total - coeff * w**i * d**j
-        tail = 1.0
-        for (i, j), coeff in t_items:
-            tail = tail + coeff * w**i * d**j
-        return total - d * tail
-
-    return p
-
-
-def separation_constant(mu, tol=1e-13):
-    """Universal constant d(mu) with its three ingredients.
-
-    d3 is the first root of `p_of_d` to relative tolerance tol, taken
-    from the side where p is still positive.
-    """
-    table = coefficient_table(mu)
-    cm = table.c[(mu - 1, 1)]
-    d1 = math.sqrt(1.0 / (cm * cm + 1.0))
-    d2 = math.sqrt(1.0 / (mu - 1.0))
-    p = p_of_d(mu, table)
-    try:
-        d3 = smallest_positive_root(p, d2, tol=tol)
-    except NoRootError:
-        d3 = smallest_positive_root(p, 1.0 - 1e-9, tol=tol)
-    d = min(d1, d2, d3)
-    return SeparationResult(mu=mu, d=d, d1=d1, d2=d2, d3=d3)
 
 
 def separation_bound(source, x, mu=None, mode="estimate", auto_frame=True, **tolerances):

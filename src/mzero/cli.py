@@ -7,11 +7,15 @@ still a success), 2 for input problems (including a --mu that disagrees
 with the chain length found at the point), 3 for numerical-domain
 problems, 4 for internal errors. Points are checked on entry: one finite
 coordinate per system variable, and at least two variables. `separation`
-and `certify` take a --mu of at most `certify.ANCHORED_MAX`, the orders
+and `certify` take a --mu of at most `constants.ANCHORED_MAX`, the orders
 whose universal constant is cross-checked. `gamma` and `certify` move a
 point outside the distinguished shape to a normalizing frame, as
 `separation` does. `--gap-tol` and `--delta-zero-tol` reach
 every detection of the chain length.
+
+Each command imports only the layers it runs: `separation --mu k`
+without a system and `thresholds` read the numpy-free `constants` module
+alone, and numpy is loaded where a point is parsed.
 
 The JSON output is deterministic: keys are sorted, floats are printed
 with 17 significant digits, and complex values appear as {"im": ...,
@@ -27,10 +31,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import certify as certify_mod
-from . import dualspace, gamma, newton, polycore
+from . import constants
 from .errors import InputError, MathDomainError, ParseError
 
 DEFAULT_TOLERANCES = {
@@ -46,7 +47,7 @@ DEFAULT_TOLERANCES = {
 class RunConfig:
     command: str
     system_path: str = None
-    point: np.ndarray = None
+    point: object = None  # complex numpy array
     mu: int = None
     mode: str = "estimate"
     variant: str = "auto"
@@ -59,22 +60,16 @@ class RunConfig:
 
 
 def _plain(obj):
-    """Convert result objects to plain lists/dicts/scalars."""
+    """Convert result objects to plain lists/dicts/scalars; numpy arrays
+    and scalars become their Python equivalents through `tolist`."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (complex, np.complexfloating)):
-        c = complex(obj)
-        return {"im": c.imag, "re": c.real}
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
+    if hasattr(obj, "tolist"):
+        return _plain(obj.tolist())
+    if isinstance(obj, complex):
+        return {"im": obj.imag, "re": obj.real}
     return obj
 
 
@@ -141,6 +136,8 @@ def parse_point(text):
     entries = [e.strip() for e in text.split(",") if e.strip()]
     if not entries:
         raise ParseError("empty point")
+    import numpy as np  # commands without a point never load numpy
+
     return np.array([_coordinate(e) for e in entries], dtype=complex)
 
 
@@ -153,10 +150,14 @@ def read_point_file(path):
                 values.append(_coordinate(line, " in %s" % path))
     if not values:
         raise ParseError("no coordinates in %s" % path)
+    import numpy as np
+
     return np.array(values, dtype=complex)
 
 
 def load_system(path):
+    from . import polycore
+
     try:
         with open(path) as handle:
             text = handle.read()
@@ -232,6 +233,8 @@ def _emit(cfg, result, text_lines, inputs=None, duality_residuals=()):
 
 
 def cmd_dual(cfg, args):
+    from . import dualspace
+
     system = _load_with_point(cfg)
     basis = dualspace.compute_dual_basis(
         system,
@@ -262,6 +265,8 @@ def cmd_dual(cfg, args):
 
 
 def cmd_gamma(cfg, args):
+    from . import gamma
+
     system = _load_with_point(cfg)
     model = gamma.LocalModel(system, cfg.point, cfg.mu, **_detection(cfg))
     report = model.gamma(cfg.mode)
@@ -284,14 +289,16 @@ def cmd_gamma(cfg, args):
 
 def cmd_separation(cfg, args):
     if cfg.system_path:
+        from . import certify
+
         system = _load_with_point(cfg)
-        sep = certify_mod.separation_bound(
+        sep = certify.separation_bound(
             system, cfg.point, mu=cfg.mu, mode=cfg.mode, **_detection(cfg)
         )
     else:
         if cfg.mu is None:
             raise ParseError("separation needs --mu when no system is given")
-        sep = certify_mod.separation_constant(cfg.mu)
+        sep = constants.separation_constant(cfg.mu)
     result = {
         "mu": sep.mu,
         "d": sep.d,
@@ -313,8 +320,10 @@ def cmd_separation(cfg, args):
 
 
 def cmd_certify(cfg, args):
+    from . import certify
+
     system = _load_with_point(cfg)
-    cert = certify_mod.certify_cluster(
+    cert = certify.certify_cluster(
         system, cfg.point, mu=cfg.mu, mode=cfg.mode, **_detection(cfg)
     )
     result = {
@@ -346,6 +355,8 @@ def cmd_certify(cfg, args):
 
 
 def cmd_refine(cfg, args):
+    from . import newton
+
     system = _load_with_point(cfg)
     trace = newton.iterate_until(
         system,
@@ -383,7 +394,7 @@ def cmd_refine(cfg, args):
 
 
 def cmd_thresholds(cfg, args):
-    ts = newton.threshold_constants(args.threshold_variant)
+    ts = constants.threshold_constants(args.threshold_variant)
     result = {
         "variant": ts.variant,
         "mu": ts.mu,
@@ -454,7 +465,7 @@ def build_parser():
     _add_common(sp, mode=False)
     sp.add_argument(
         "--variant",
-        choices=("auto",) + newton.VARIANTS,
+        choices=("auto",) + constants.VARIANTS,
         default="auto",
         help="iteration variant (auto picks by mu and coordinate shape)",
     )
@@ -466,7 +477,7 @@ def build_parser():
     sp.add_argument(
         "--variant",
         dest="threshold_variant",
-        choices=("normalized_double", "normalized_triple", "general_triple"),
+        choices=constants.THRESHOLD_VARIANTS,
         required=True,
     )
     sp.add_argument("--json", action="store_true")
@@ -495,7 +506,7 @@ def _config_from_args(args):
         cfg.point = read_point_file(args.point_file)
     if cfg.mu is not None and cfg.mu < 2:
         raise ParseError("--mu must be at least 2")
-    top = certify_mod.ANCHORED_MAX
+    top = constants.ANCHORED_MAX
     if cfg.command in ("separation", "certify") and (cfg.mu or 0) > top:
         raise ParseError(
             "--mu must be at most %d, the largest order whose constant d(mu) "

@@ -12,14 +12,17 @@ chain values. It works in any coordinates and for any order.
 Each variant contracts quadratically once the scale-free start quality
 u = gamma^mu * distance is below the variant's threshold constant. The
 constants are the first positive roots of explicit one-variable rational
-equations; `threshold_constants` solves them to ten digits.
+equations; `threshold_constants` solves them to ten digits. It lives in
+the numpy-free `constants` module, with `ThresholdSet`,
+`rational_functions` and `VARIANTS`, and is re-exported here.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import VARIANTS, ThresholdSet  # noqa: F401
+from .constants import rational_functions, threshold_constants  # noqa: F401
 from .dualspace import (
     LOOSE_NORMALIZED_RTOL,
     compute_dual_basis,
@@ -28,25 +31,7 @@ from .dualspace import (
     normalizing_frame,
 )
 from .errors import SingularMatrixError
-from .numkit import smallest_positive_root, solve_linear
-
-VARIANTS = ("normalized_double", "normalized_triple", "general")
-_THRESHOLD_VARIANTS = ("normalized_double", "normalized_triple", "general_triple")
-
-# scan brackets sit safely below the first pole of each equation
-_BRACKET = {
-    "normalized_double": 0.05,
-    "normalized_triple": 0.05,
-    "general_triple": 0.03,
-}
-
-
-@dataclass
-class ThresholdSet:
-    variant: str
-    mu: int
-    u_converge: float
-    u_quadratic: float
+from .numkit import solve_linear
 
 
 @dataclass
@@ -262,174 +247,4 @@ def iterate_until(
         variant=variant,
         mu=mu,
         warnings=warnings,
-    )
-
-
-# ---------------------------------------------------------------------------
-# threshold constants
-
-
-def _b21(u):
-    return (1 - 2 * u) ** 2 * u / ((2 * (1 - 2 * u) ** 2 - 1) * (1 - u))
-
-
-def _b22(u):
-    return u / ((2 * (1 - 2 * u) ** 2 - 1) * (1 - u))
-
-
-def _b23(u):
-    num = u * (
-        32 * u**6 - 144 * u**5 + 272 * u**4 - 288 * u**3 + 174 * u**2 - 52 * u + 5
-    )
-    den = (
-        (24 * u**3 - 36 * u**2 + 18 * u - 1)
-        * (u - 1) ** 3
-        * (8 * u**2 - 8 * u + 1)
-    )
-    return num / den
-
-
-def _b24(u):
-    num = (2 * u - 1) ** 3 * (u - 2) * u
-    den = (
-        (24 * u**3 - 36 * u**2 + 18 * u - 1)
-        * (u - 1) ** 3
-        * (8 * u**2 - 8 * u + 1)
-    )
-    return num / den
-
-
-def _a2(u):
-    return 1.0 / ((2 * (1 - 2 * u) ** 2 - 1) * (1 - 2 * u))
-
-
-def _a3(u):
-    num = (2 * u - 1) ** 4 * (8 * u**2 - 8 * u + 1)
-    den = 128 * u**6 - 384 * u**5 + 464 * u**4 - 320 * u**3 + 136 * u**2 - 30 * u + 1
-    return num / den
-
-
-def _b33(u):
-    poly = (
-        3072 * u**12
-        - 25088 * u**11
-        + 92480 * u**10
-        - 202336 * u**9
-        + 289640 * u**8
-        - 282020 * u**7
-        + 188614 * u**6
-        - 85997 * u**5
-        + 26342 * u**4
-        - 5368 * u**3
-        + 702 * u**2
-        - 42 * u
-    )
-    pref = -_a3(u) / (
-        3 * (2 * u - 1) ** 4 * (8 * u**2 - 8 * u + 1) ** 2 * (u - 1) ** 4
-    )
-    return pref * poly
-
-
-def _b34(u):
-    num = _a3(u) * (
-        16 * u**6 - 72 * u**5 + 130 * u**4 - 106 * u**3 + 42 * u**2 - 9 * u
-    )
-    den = 3 * (8 * u**2 - 8 * u + 1) ** 2 * (u - 1) ** 4 * (2 * u - 1)
-    return num / den
-
-
-def _general_parts(u):
-    l1 = (1 - 2 * u) ** 2 / ((2 * (1 - 2 * u) ** 2 - 1) * (1 - u) ** 3)
-    l2 = (2 * u - 1) ** 6 / (
-        (128 * u**6 - 384 * u**5 + 480 * u**4 - 336 * u**3 + 140 * u**2 - 32 * u + 1)
-        * (1 - u) ** 3
-    )
-    r = l1 * u / (1 - l1 * u)
-    l3 = math.sqrt(1 + r * r)
-    return l1, l2, l3, r
-
-
-def _general_b1(u):
-    l1, _, _, r = _general_parts(u)
-    return u + r
-
-
-def _general_b2(u):
-    l1, l2, l3, r = _general_parts(u)
-    s = l1 * l3 * u
-    t2 = l2 * l3 * u
-    A = 4 * s * (1 - s) / ((1 - 2 * u) ** 2 * (1 - 2 * s) ** 2)
-    P = (1 + A) ** 2
-    terms = [
-        (l2 / 3) * P * (u + r),
-        (l2 / 3) * P * l1 * l3**2 * u / (1 - s),
-        (l2**2 / 3) * (8 + 7 * A + 2 * A**2) * (u + r),
-        (7 * l2**2 / 3) * P * (u**2 + (l1 * u) ** 2 / (1 - l1 * u)),
-        (4 * l2**2 / 3) * P * u * (u + r) ** 2,
-        (17 * l2 / 3) * P * l3**2 * u,
-        (P / 6) * 8 * l2**3 * l3**2 * u * (12 * t2**2 - 16 * t2 + 6) / (1 - 2 * t2) ** 3,
-        (P / 3) * u * 8 * l2**3 * l3**3 * u * (4 - 6 * t2) / (1 - 2 * t2) ** 2,
-        (l2 / 2) * P * 4 * l1**2 * l3**2 * u * (4 * s**2 - 6 * s + 3) / (1 - 2 * s) ** 3,
-        P * l2 * u * 4 * l1**2 * l3**3 * u * (3 - 4 * s) / (1 - 2 * s) ** 2,
-    ]
-    return sum(terms)
-
-
-def rational_functions(variant, u):
-    """Named values of the bound-tracking rational functions at u."""
-    if variant == "normalized_double":
-        return {
-            "b_2_1": _b21(u),
-            "b_2_2": _b22(u),
-            "b_2_3": _b23(u),
-            "b_2_4": _b24(u),
-        }
-    if variant == "normalized_triple":
-        return {
-            "a_2": _a2(u),
-            "a_3": _a3(u),
-            "b_2_1": _b21(u),
-            "b_3_3": _b33(u),
-            "b_3_4": _b34(u),
-        }
-    if variant == "general_triple":
-        l1, l2, l3, _ = _general_parts(u)
-        return {
-            "l_1": l1,
-            "l_2": l2,
-            "l_3": l3,
-            "b_1": _general_b1(u),
-            "b_2": _general_b2(u),
-        }
-    raise ValueError("unknown variant %r" % variant)
-
-
-def _threshold_equation(variant):
-    if variant == "normalized_double":
-        return lambda u: 2 * _b21(u) ** 2 + 2 * _b23(u) ** 2
-    if variant == "normalized_triple":
-        return lambda u: 2 * _b21(u) ** 2 + 2 * _b33(u) ** 2
-    if variant == "general_triple":
-        return lambda u: _general_b1(u) ** 2 + _general_b2(u) ** 2
-    raise ValueError("unknown variant %r" % variant)
-
-
-def threshold_constants(variant, tol=1e-12):
-    """Convergence and quadratic-decay thresholds for a variant.
-
-    u_converge solves sum-of-squares = 1 (the next error is strictly
-    smaller); u_quadratic solves sum-of-squares = 1/4 (the error at step
-    k shrinks by (1/2)^(2^k - 1)).
-    """
-    if variant not in _THRESHOLD_VARIANTS:
-        raise ValueError(
-            "variant must be one of %s" % (", ".join(_THRESHOLD_VARIANTS))
-        )
-    eq = _threshold_equation(variant)
-    upper = _BRACKET[variant]
-    u_conv = smallest_positive_root(lambda u: 1.0 - eq(u), upper, tol=tol)
-    u_quad = smallest_positive_root(lambda u: 0.25 - eq(u), upper, tol=tol)
-    mu = 2 if variant == "normalized_double" else 3
-    return ThresholdSet(
-        variant=variant, mu=mu, u_converge=u_conv, u_quadratic=u_quad
     )

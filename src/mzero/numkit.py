@@ -13,11 +13,15 @@ reading before using this module:
   multilinear norm from above (the exact symmetric norm is NP-hard in
   general). The Frobenius norm of the full array is reported as the
   certified upper bound.
+
+The scalar root finder `smallest_positive_root` lives in the numpy-free
+`constants` module and is re-exported here.
 """
 
 import numpy as np
 
-from .errors import AsymmetricTensorError, NoRootError, SingularMatrixError
+from .constants import smallest_positive_root  # noqa: F401  re-exported
+from .errors import AsymmetricTensorError, SingularMatrixError
 
 
 class SvdResult:
@@ -156,47 +160,3 @@ def tensor_norm(T, mode="auto"):
     if mode == "certified":
         return TensorNorm(fro, fro, "frobenius")
     return TensorNorm(fro, min(matrix_spectral_norm(M), fro), "unfolding")
-
-
-def smallest_positive_root(fn, upper, tol=1e-10, grid=1024):
-    """First zero crossing of a scalar function on (0, upper].
-
-    The function must be positive at zero. The interval is scanned on a
-    uniform grid to find the first sign change, then bisected until the
-    bracket [lo, hi] is no wider than `tol * hi`, a relative tolerance,
-    so roots near zero keep their digits. The value returned is lo, the
-    last point where fn was seen positive: it sits on the positive side
-    of the crossing, within relative `tol` of it, so a radius built from
-    it does not overshoot. Raises NoRootError when every grid value
-    stays positive.
-    """
-    if not upper > 0.0:
-        raise ValueError("upper bracket must be positive")
-    f0 = fn(0.0)
-    if not f0 > 0.0:
-        raise ValueError("function must be positive at zero")
-    lo = 0.0
-    hi = None
-    prev = 0.0
-    for i in range(1, grid + 1):
-        t = upper * i / grid
-        v = fn(t)
-        if np.isnan(v):
-            break
-        if v <= 0.0:
-            lo = prev
-            hi = t
-            break
-        prev = t
-    if hi is None:
-        raise NoRootError("no sign change on (0, %g] with %d samples" % (upper, grid))
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # the bracket is down to adjacent floats
-            break
-        if fn(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return lo

@@ -12,6 +12,7 @@ from mzero.certify import (
     separation_constant,
 )
 from mzero.dualspace import normalizing_frame
+from mzero.errors import InputError
 
 ORIGIN2 = np.zeros(2, dtype=complex)
 
@@ -139,6 +140,13 @@ def test_separation_constant_higher_order_runs():
     assert abs(p(sep.d3)) <= 1e-8
     # p starts positive and the root returned is the first crossing
     assert p(sep.d3 * 0.5) > 0
+
+
+def test_separation_constant_refuses_orders_above_the_anchored_range():
+    # the limit the CLI puts on --mu holds for library callers too; from
+    # mu = 212 on, d1 would overflow a float
+    with pytest.raises(InputError, match="at most 20"):
+        separation_constant(21)
 
 
 def test_separation_bound_double_zero(ex_double):

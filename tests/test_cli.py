@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mzero import newton
+import mzero
+from mzero import constants
 from mzero.cli import canonical_json, main, parse_point
 from mzero.errors import MathDomainError
 
@@ -390,9 +393,26 @@ def test_canonical_json_rejects_non_finite_numbers(value):
         canonical_json({"result": [1.0, value]})
 
 
+@pytest.mark.parametrize(
+    "value, plain",
+    [
+        (np.float64(0.1), 0.1),
+        (np.complex128(1.5 - 2j), 1.5 - 2j),
+        (np.int64(-7), -7),
+        (np.bool_(True), True),
+        (np.array(1 + 2j), 1 + 2j),
+        (np.array([1 + 2j, -0.5j]), [1 + 2j, -0.5j]),
+        (np.array([[1 + 2j, 0], [3, -1j]]), [[1 + 2j, 0j], [3 + 0j, -1j]]),
+    ],
+    ids=["float64", "complex128", "int64", "bool_", "0-d", "1-d", "2-d"],
+)
+def test_canonical_json_numpy_values_match_python_values(value, plain):
+    assert canonical_json({"v": value}) == canonical_json({"v": plain})
+
+
 def test_non_finite_result_is_domain_error(capsys, monkeypatch):
-    broken = newton.ThresholdSet("normalized_double", 2, float("inf"), 0.03)
-    monkeypatch.setattr(newton, "threshold_constants", lambda variant: broken)
+    broken = constants.ThresholdSet("normalized_double", 2, float("inf"), 0.03)
+    monkeypatch.setattr(constants, "threshold_constants", lambda variant: broken)
     code, out, err = run_cli(
         capsys, "thresholds", "--variant", "normalized_double", "--json"
     )
@@ -405,7 +425,7 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     def broken(variant):
         raise RuntimeError("unexpected state")
 
-    monkeypatch.setattr(newton, "threshold_constants", broken)
+    monkeypatch.setattr(constants, "threshold_constants", broken)
     code, out, err = run_cli(capsys, "thresholds", "--variant", "normalized_double")
     assert code == 4
     assert "internal error: unexpected state" in err
@@ -487,3 +507,71 @@ def test_console_script(ex_triple_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["mu"] == 3
+
+
+# ---------------------------------------------------------------------------
+# start-up: each command loads only the layers it runs
+
+
+def run_fresh(code):
+    """Run code in a new interpreter that can import the package and
+    return the value its last output line prints as JSON."""
+    src = os.path.dirname(os.path.dirname(mzero.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+NUMPY_LOADED = "\nimport json, sys; print(json.dumps('numpy' in sys.modules))"
+RUN_MAIN = "from mzero.cli import main; assert main(%r) == 0"
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import mzero", "import mzero.cli", RUN_MAIN % ["separation", "--mu", "3", "--json"]]
+    + [
+        RUN_MAIN % ["thresholds", "--variant", variant, "--json"]
+        for variant in constants.THRESHOLD_VARIANTS
+    ],
+    ids=["import", "import-cli", "separation"] + list(constants.THRESHOLD_VARIANTS),
+)
+def test_constants_commands_do_not_load_numpy(code):
+    assert run_fresh(code + NUMPY_LOADED) is False
+
+
+def test_a_command_with_a_point_loads_numpy(ex_triple_path):
+    argv = ["dual", "--system", ex_triple_path, "--point", "0,0", "--json"]
+    assert run_fresh(RUN_MAIN % argv + NUMPY_LOADED) is True
+
+
+def test_package_names_resolve_to_their_home_modules():
+    code = """
+import json, sys, mzero
+home = {name: getattr(mzero, name).__module__ for name in mzero.__all__}
+print(json.dumps(sorted(
+    name for name, module in home.items()
+    if not module.startswith("mzero.")
+    or getattr(sys.modules[module], name) is not getattr(mzero, name)
+)))"""
+    assert run_fresh(code) == []
+
+
+def test_package_resolves_the_layer_modules():
+    # the traced benchmark reaches every layer module through the package
+    perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+    code = """
+import importlib, json, sys
+sys.path.insert(0, %r)
+from traced_cli import LAYER_MODULES
+import mzero
+print(json.dumps([
+    m for m in LAYER_MODULES + ("constants", "errors")
+    if getattr(mzero, m) is not importlib.import_module("mzero." + m)
+]))"""
+    assert run_fresh(code % perfbench) == []
