@@ -1,8 +1,10 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mzero import polycore
 from mzero.errors import ParseError
@@ -171,6 +173,130 @@ def test_parse_round_trips_repr_coefficients(case):
             # exact rationals have no signed zero: -0.0 parts come back as 0.0
             assert poly.terms[mono].real == c.real
             assert poly.terms[mono].imag == c.imag
+
+
+# term scanner: statements of single terms skip the exact parser
+
+LITERALS = ["0", "0.000", "0.0", "1", "12", "2.5", "0.1", "3.25e-5", "5e-324",
+            "1e-400", "1e+300", "1e400", "1.7976931348623157e308"]
+literals = st.one_of(st.sampled_from(LITERALS), st.floats(min_value=0, allow_infinity=False).map(repr))
+edge = st.sampled_from(["0", "1e-400", "1e400"])
+spaces = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def scanner_statements(draw):
+    """Random sums of single terms over X, Y, Z, U, V in every form the scanner
+    reads, with repeated monomials, zero, underflowing and overflowing
+    literals, and now and then a factor only the exact parser reads."""
+    def ws(text):
+        return draw(spaces) + text + draw(spaces)
+
+    def term():
+        form = draw(st.sampled_from(["real", "imag", "complex", "none"]))
+        if form == "real":
+            coef = ws(draw(st.one_of(literals, edge)))
+        elif form == "imag":
+            coef = ws(draw(literals) + "i")
+        elif form == "complex":
+            re_sign = draw(st.sampled_from(["", "-", "+"]))
+            # exactly, -1e-400 rounds to -0.0 and -0 to 0.0
+            re_lit, im_lit = draw(st.one_of(literals, edge)), draw(st.one_of(literals, edge))
+            coef = ws("(" + ws(re_sign) + ws(re_lit) + ws(draw(st.sampled_from("+-")))
+                      + ws(im_lit + "i") + ")")
+        else:
+            coef = None
+        factors = [
+            ws(draw(st.sampled_from("XYZUV")))
+            + draw(st.sampled_from(["", "", "^0", "^1", "^2", ws("^") + ws("3")]))
+            for _ in range(draw(st.integers(min_value=0 if coef else 1, max_value=3)))
+        ]
+        if coef:
+            factors.insert(0, coef)
+        if draw(st.integers(0, 19)) == 19:
+            factors.append(draw(st.sampled_from(["4", "sqrt(9)", "(X+1)", "W"])))
+        # a missing `*` now and then, as in `2iX` or `X Y`
+        text = factors[0]
+        for factor in factors[1:]:
+            text += draw(st.sampled_from(["*"] * 19 + [""])) + factor
+        if draw(st.integers(0, 19)) == 19:
+            text += "/4"
+        return text
+
+    body = ws(draw(st.sampled_from(["", "+", "-"]))) + term()
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        body += ws(draw(st.sampled_from(["+", "-"] * 10 + [""]))) + term()
+    return body
+
+
+def _bits(system):
+    """Each polynomial's terms with both parts and their signs, in order."""
+    return [
+        [(m, c.real, math.copysign(1, c.real), c.imag, math.copysign(1, c.imag))
+         for m, c in p.terms.items()]
+        for p in system.polys
+    ]
+
+
+def _outcome(text):
+    try:
+        return _bits(parse_system(text))
+    except ParseError:
+        return ParseError
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(scanner_statements())
+@example("(-0+2i)*X + (2.5-0.000i)*Y")
+@example("(-1e-400+2i)*X")
+@example("(1-1e-400i)*Y")
+@example("- X + 0*Y + -0.0*Z + 5e-324*U + 1e+300*V")
+@example("X + 1e400*Y")
+@example("X Y + 2iX")
+def test_term_scanner_matches_exact_parser(stmt):
+    text = "vars: X Y Z U V\nf: %s\ng: Y\nh: Z\nu: U\nv: V" % stmt
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polycore, "_scan_terms", lambda *args: None)
+        exact = _outcome(text)
+    assert _outcome(text) == exact
+
+
+@pytest.mark.parametrize(
+    "stmt, scanned",
+    [
+        ("(-1.5-2e-3i)*X^2*Y + 2i*Z - 3 + X", True),
+        (" - ( 0.25 + 1i ) * X ^ 0 * Y\t+ Z", True),
+        ("(1e-400+2i)*X", False),    # underflow: the exact path keeps its sign
+        ("1e400*X", False),          # overflow: the exact path reports it
+        ("X + 2*X", False),          # a repeated monomial needs an exact sum
+        ("X/2", False),
+        ("sqrt(2)*X", False),
+        ("(X+Y)^2", False),
+        ("2*W", False),              # unknown identifier
+        ("2 X", False),
+        ("", False),
+    ],
+)
+def test_term_scanner_selection(stmt, scanned):
+    index = {"X": 0, "Y": 1, "Z": 2}
+    got = polycore._scan_terms(stmt, index, {"": (0, 0, 0)})
+    assert (got is not None) == scanned
+
+
+def test_term_scanner_reads_the_benchmark_format(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).parents[1] / "perfbench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    polys = gen.planted_system(6, 3, np.random.default_rng(5))
+
+    def refuse(*args):
+        raise AssertionError("statement left the term scanner")
+
+    monkeypatch.setattr(polycore, "_tokenize", refuse)
+    parsed = parse_system(gen.system_text(polys))
+    assert [p.terms for p in parsed.polys] == [Poly(6, t).terms for t in polys]
 
 
 # ---------------------------------------------------------------------------
