@@ -10,15 +10,13 @@ correctly rounded double, as the exact path's one final rounding is, so
 both routes give the same bits. Any other statement goes to the exact
 parser (35-50 us a term), which works over rational complex numbers so
 that input like `1/3` or `1e-20*X + X - X` loses nothing before each
-coefficient is rounded once. The exception is `sqrt` of a non-square,
-which is rounded to a double before the exact arithmetic goes on
-(`sqrt(73)/12` ends one ulp from the correctly rounded value). Each
-equation is parsed straight into one term table: sums accumulate in place
-and a product with a single-term factor adds exponent tuples, so parse
-cost is linear in the number of terms; only a product of two sums, such
-as `(8*X1 - 3*X2)^2`, expands pairwise. Terms keep the order in which
-their monomials first appear (a term that cancels and comes back counts
-as new).
+coefficient is rounded once; `sqrt` of a non-square is kept to 2^-200
+relative, far below that rounding. Each equation is parsed straight into
+one term table: sums accumulate in place and a product with a
+single-term factor adds exponent tuples, so parse cost is linear in the
+number of terms; only a product of two sums, such as `(8*X1 - 3*X2)^2`,
+expands pairwise. Terms keep the order in which their monomials first
+appear (a term that cancels and comes back counts as new).
 
 Multi-indices are plain tuples of non-negative ints, one entry per
 variable. Every evaluation goes through one kernel: on first use a
@@ -497,14 +495,15 @@ def _rational(text):
 
 
 def _sqrt_fraction(q):
-    """Square root of a non-negative Fraction, exact for perfect squares."""
+    """Square root of a non-negative Fraction p/d: sqrt(p*d)/d with the
+    integer root taken after scaling p*d to 400+ bits, so the result is
+    exact for perfect squares and within 2^-200 relative otherwise."""
     if q < 0:
         raise ParseError("sqrt of a negative value")
+    float(q)  # an argument beyond the double range raises OverflowError
     num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return Fraction(math.sqrt(float(q)))
+    shift = max(0, 201 - (num * den).bit_length() // 2)
+    return Fraction(math.isqrt(num * den << 2 * shift), den << shift)
 
 
 def _accumulate(terms, mono, c):

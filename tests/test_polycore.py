@@ -1,5 +1,6 @@
 import importlib.util
 import math
+from decimal import Context, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,15 @@ def test_parse_triple_system_expands_cube():
 def test_parse_sqrt_of_perfect_square_is_exact():
     sys_ = parse_system("vars: X\nf: sqrt(9)*X")
     assert sys_.polys[0].terms[(1,)] == 3.0
+
+
+def test_parse_keeps_surds_exact():
+    # sqrt(73)/12 = 0.71200031210979426398..., rounded once from 60 digits
+    wide = Context(prec=60)
+    root = float(wide.divide(Decimal(73).sqrt(wide), 12))
+    assert root == 0.7120003121097943
+    sys_ = parse_system("vars: X Y\nf: sqrt(73)/12*X + sqrt(2)*sqrt(2)*Y\ng: Y")
+    assert sys_.polys[0].terms == {(1, 0): root, (0, 1): 2.0}
 
 
 def test_parse_imaginary_and_scientific():
