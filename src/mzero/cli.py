@@ -10,8 +10,9 @@ coordinate per system variable, and at least two variables. `separation`
 and `certify` take a --mu of at most `constants.ANCHORED_MAX`, the orders
 whose universal constant is cross-checked. `gamma` and `certify` move a
 point outside the distinguished shape to a normalizing frame, as
-`separation` does. `--gap-tol` and `--delta-zero-tol` reach
-every detection of the chain length.
+`separation` does. `--gap-tol` and `--delta-zero-tol` reach every
+detection of the chain length; they and `--eps` must be finite and
+positive, `--max-order` at least 1 and `--max-iter` at least 0.
 
 Each command imports only the layers it runs: `separation --mu k`
 without a system and `thresholds` read the numpy-free `constants` module
@@ -491,6 +492,12 @@ def _config_from_args(args):
     for key in tol:
         if getattr(args, key, None) is not None:
             tol[key] = getattr(args, key)
+    for key in ("gap_tol", "delta_zero_tol", "eps"):
+        if not 0 < tol[key] < math.inf:
+            raise ParseError("--%s must be finite and above 0" % key.replace("_", "-"))
+    for key, low in (("max_order", 1), ("max_iter", 0)):
+        if tol[key] < low:
+            raise ParseError("--%s must be at least %d" % (key.replace("_", "-"), low))
     cfg = RunConfig(
         command=args.command,
         system_path=getattr(args, "system", None),

@@ -12,7 +12,8 @@ reading before using this module:
   spectral norm of the same unfolding, taken by one SVD; it bounds the
   multilinear norm from above (the exact symmetric norm is NP-hard in
   general). The Frobenius norm of the full array is reported as the
-  certified upper bound.
+  certified upper bound. `symmetric_tensor_norm` skips the symmetry check
+  for arrays symmetric by construction.
 
 The scalar root finder `smallest_positive_root` lives in the numpy-free
 `constants` module and is re-exported here.
@@ -149,8 +150,14 @@ def tensor_norm(T, mode="auto"):
     arr = np.asarray(getattr(T, "array", T), dtype=complex)
     if arr.ndim < 2:
         raise ValueError("expected at least an (m, n) array")
-    k = arr.ndim - 1
     _check_symmetric(arr)
+    return symmetric_tensor_norm(arr, mode)
+
+
+def symmetric_tensor_norm(arr, mode="auto"):
+    """`tensor_norm` of a complex array symmetric by construction, such as
+    a kernel tensor, without the check (which costs more than the SVDs)."""
+    k = arr.ndim - 1
     n = arr.shape[-1]
     M = arr.reshape(-1, n)
     if k <= 2:

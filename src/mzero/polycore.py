@@ -2,21 +2,20 @@
 pullbacks.
 
 A system is a square list of polynomials in declared variables. Points and
-coefficients are complex doubles once parsed. A statement that is a sum
-of distinct monomials, each with a signed decimal, `<num>i` or
-`(<num>±<num>i)` coefficient (as written from `repr` floats), is read by
-one regex match per term, about 3 us a term. float() of a literal is its
-correctly rounded double, as the exact path's one final rounding is, so
-both routes give the same bits. Any other statement goes to the exact
-parser (35-50 us a term), which works over rational complex numbers so
-that input like `1/3` or `1e-20*X + X - X` loses nothing before each
-coefficient is rounded once; `sqrt` of a non-square is kept to 2^-200
-relative, far below that rounding. Each equation is parsed straight into
-one term table: sums accumulate in place and a product with a
-single-term factor adds exponent tuples, so parse cost is linear in the
-number of terms; only a product of two sums, such as `(8*X1 - 3*X2)^2`,
-expands pairwise. Terms keep the order in which their monomials first
-appear (a term that cancels and comes back counts as new).
+coefficients are complex doubles once parsed. A statement of distinct
+monomials, each with a signed decimal, `<num>i` or `(<num>±<num>i)`
+coefficient (as written from `repr` floats), is read by one regex match
+per term, about 3 us a term; float() of a literal is the correctly
+rounded double that the exact path's one final rounding also gives. Any
+other statement goes to the exact parser (35-50 us a term), which works
+over rational complex numbers so that `1/3` or `1e-20*X + X - X` loses
+nothing before each coefficient is rounded once; `sqrt` of a non-square
+is kept to 2^-200 relative. Each equation is parsed straight into one
+term table: sums accumulate in place and a product with a single-term
+factor adds exponent tuples, so parse cost is linear in the number of
+terms; only a product of two sums, such as `(8*X1 - 3*X2)^2`, expands
+pairwise. Terms keep the order in which their monomials first appear (a
+term that cancels and comes back counts as new).
 
 Multi-indices are plain tuples of non-negative ints, one entry per
 variable. Every evaluation goes through one kernel: on first use a
@@ -495,9 +494,8 @@ def _rational(text):
 
 
 def _sqrt_fraction(q):
-    """Square root of a non-negative Fraction p/d: sqrt(p*d)/d with the
-    integer root taken after scaling p*d to 400+ bits, so the result is
-    exact for perfect squares and within 2^-200 relative otherwise."""
+    """Square root of a non-negative Fraction p/d, isqrt(p*d*4^s)/(d*2^s) with
+    a 200-bit or longer root: exact for squares, else within 2^-200 relative."""
     if q < 0:
         raise ParseError("sqrt of a negative value")
     float(q)  # an argument beyond the double range raises OverflowError
@@ -702,12 +700,10 @@ class _ExprParser:
         raise ParseError("unexpected token %r" % (val,))
 
 
-# One term of a statement of single terms: a sign, a decimal, `<num>i` or
-# `(<num>±<num>i)` coefficient, `*`-joined `name^k` factors, then a sign
-# or the end. Any other character matches alone, with every group empty,
-# so findall's matches tile the statement. The possessive quantifiers
-# (*+, ++, ?+) lose no match, as each piece ends at a delimiter, and save
-# about 40% of the match time.
+# One term: a sign, a decimal, `<num>i` or `(<num>±<num>i)` coefficient,
+# `*`-joined `name^k` factors, then a sign or the end. Any other character
+# matches alone with empty groups, so findall tiles the statement. Pieces
+# end at delimiters, so possessive *+ ++ ?+ lose no match and save 40%.
 _NUM = r"\d++(?:\.\d++)?+(?:[eE][+-]?+\d++)?+"
 _FACTOR = r"[A-Za-z_]\w*+(?:\s*+\^\s*+\d++)?+"
 _TERM_RE = re.compile(
@@ -721,11 +717,10 @@ _TERM_RE = re.compile(
 
 
 def _scan_terms(text, index, monos):
-    """Term table of one statement read by `_TERM_RE`, or None when it
-    needs the exact parser: other syntax, a repeated monomial, a literal
-    that overflows or a nonzero one that underflows in a complex literal
-    (where its signed zero would survive). `0.0 - x` negates without the
-    signed zero exact zeros lack. `monos` maps factor text to exponents."""
+    """Term table of one statement read by `_TERM_RE`, or None when it needs
+    the exact parser: other syntax, a repeated monomial, a literal that
+    overflows or a nonzero part of `(a±bi)` that underflows (its zero keeps
+    its sign). `monos` maps factor text to exponent tuples."""
     found = _TERM_RE.findall(text)
     terms = {}
     for sign, rsign, re_text, isign, im_text, num, imag, mono, bare in found:
@@ -733,8 +728,9 @@ def _scan_terms(text, index, monos):
             a, b = float(re_text), float(im_text)
             if not a and _rational(re_text) or not b and _rational(im_text):
                 return None
-            a, b = 0.0 - a if rsign == "-" else a, 0.0 - b if isign == "-" else b
-            c = complex(a, b)
+            # 0.0 - x negates without a signed zero, which exact zeros lack
+            c = complex(0.0 - a if rsign == "-" else a,
+                        0.0 - b if isign == "-" else b)
         elif num:
             c = complex(0.0, float(num)) if imag else complex(float(num))
         elif bare:
@@ -748,15 +744,14 @@ def _scan_terms(text, index, monos):
             exps = list(monos[""])
             for factor in mono.split("*"):
                 name, _, e = factor.partition("^")
-                if name.strip() not in index or len(e) > 9:
+                j = index.get(name.strip())
+                if j is None or len(e) > 9:
                     return None  # unknown name, or an exponent to leave to Fraction
-                exps[index[name.strip()]] += int(e) if e else 1
+                exps[j] += int(e or 1)
             key = monos[mono] = tuple(exps)
         terms[key] = c
-    total = sum(terms.values())
-    if not found or len(terms) != len(found) or total - total:
-        return None
-    return terms
+    total = sum(terms.values())  # not finite when a literal overflowed
+    return terms if len(terms) == len(found) > 0 and not total - total else None
 
 
 def parse_system(text):

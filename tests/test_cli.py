@@ -369,6 +369,28 @@ def test_mu_above_the_anchored_orders_is_input_error(capsys, ex_double_path, arg
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("gamma", "--gap-tol", "nan"),
+        ("gamma", "--gap-tol", "-1"),
+        ("gamma", "--gap-tol", "0"),
+        ("separation", "--delta-zero-tol", "inf"),
+        ("dual", "--delta-zero-tol", "-0.5"),
+        ("dual", "--max-order", "0"),
+        ("refine", "--eps", "-1"),
+        ("refine", "--eps", "nan"),
+        ("refine", "--max-iter", "-1"),
+    ],
+)
+def test_tolerance_flags_are_checked_on_entry(capsys, ex_triple_path, command, flag, value):
+    argv = [command, "--system", ex_triple_path, "--point", "-0.01,0.01", flag, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "input error" in err and flag in err
+    assert out == ""
+
+
 def test_separation_takes_the_largest_anchored_order(capsys):
     code, out, _ = run_cli(capsys, "separation", "--mu", "20", "--json")
     assert code == 0

@@ -288,8 +288,7 @@ def test_term_scanner_matches_exact_parser(stmt):
     ],
 )
 def test_term_scanner_selection(stmt, scanned):
-    index = {"X": 0, "Y": 1, "Z": 2}
-    got = polycore._scan_terms(stmt, index, {"": (0, 0, 0)})
+    got = polycore._scan_terms(stmt, {"X": 0, "Y": 1, "Z": 2}, {"": (0, 0, 0)})
     assert (got is not None) == scanned
 
 
