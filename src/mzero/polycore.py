@@ -746,7 +746,7 @@ def _scan_terms(text, index, monos):
                 name, _, e = factor.partition("^")
                 j = index.get(name.strip())
                 if j is None or len(e) > 9:
-                    return None  # unknown name, or an exponent to leave to Fraction
+                    return None  # unknown name, or a long exponent int() may refuse
                 exps[j] += int(e or 1)
             key = monos[mono] = tuple(exps)
         terms[key] = c
