@@ -147,26 +147,29 @@ class Poly:
         """Raw partial derivative d^alpha f evaluated at x (no factorials)."""
         return complex(self.partials([alpha], x)[0])
 
-    def substitute(self, forms):
-        """Polynomial with each variable j replaced by the Poly forms[j],
-        expanded in doubles; each power of a form is taken once."""
-        out = Poly.constant(self.nvars, 0.0)
-        powers = {}
-        for mono, c in self.sorted_terms():
-            term = Poly.constant(self.nvars, c)
-            for j, e in enumerate(mono):
-                if e:
-                    if (j, e) not in powers:
-                        powers[j, e] = forms[j].pow_int(e)
-                    term = term * powers[j, e]
-            out = out + term
-        return out
-
     def shift(self, x):
         """Polynomial g with g(Y) = f(Y + x), expanded exactly in doubles."""
         x = np.asarray(x, dtype=complex)
-        n = self.nvars
-        return self.substitute([Poly.variable(n, j) + x[j] for j in range(n)])
+        out = Poly.constant(self.nvars, 0.0)
+        cache = {}
+        for mono, c in self.sorted_terms():
+            term = Poly.constant(self.nvars, c)
+            for j, e in enumerate(mono):
+                if e == 0:
+                    continue
+                key = (j, e)
+                if key not in cache:
+                    base = Poly(
+                        self.nvars,
+                        {
+                            tuple(1 if i == j else 0 for i in range(self.nvars)): 1.0,
+                            (0,) * self.nvars: x[j],
+                        },
+                    )
+                    cache[key] = base.pow_int(e)
+                term = term * cache[key]
+            out = out + term
+        return out
 
     def subs_linear(self, W):
         """Polynomial g with g(Y) = f(W @ Y) for a square matrix W."""
@@ -174,10 +177,23 @@ class Poly:
         n = self.nvars
         if W.shape != (n, n):
             raise ValueError("substitution matrix has wrong shape")
-        return self.substitute([
+        forms = [
             Poly(n, {tuple(1 if i == j else 0 for i in range(n)): W[b, j] for j in range(n)})
             for b in range(n)
-        ])
+        ]
+        out = Poly.constant(n, 0.0)
+        cache = {}
+        for mono, c in self.sorted_terms():
+            term = Poly.constant(n, c)
+            for b, e in enumerate(mono):
+                if e == 0:
+                    continue
+                key = (b, e)
+                if key not in cache:
+                    cache[key] = forms[b].pow_int(e)
+                term = term * cache[key]
+            out = out + term
+        return out
 
     def __repr__(self):
         return "Poly(nvars=%d, nterms=%d, degree=%d)" % (
