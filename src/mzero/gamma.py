@@ -30,7 +30,7 @@ from .dualspace import (
     normalized_view,
 )
 from .errors import InputError, NotNormalizedError
-from .numkit import solve_linear, symmetric_tensor_norm
+from .numkit import solve_linear, tensor_norm
 
 
 @dataclass
@@ -131,12 +131,12 @@ class LocalModel:
             fact = math.factorial(k)
             lead = raw[: n - 1] / fact
             pre = solve_linear(self.Jhat, lead.reshape(n - 1, -1)).reshape(lead.shape)
-            hat = symmetric_tensor_norm(pre, mode).value(mode) ** (1.0 / (k - 1))
+            hat = tensor_norm(pre, mode, check=False).value(mode) ** (1.0 / (k - 1))
             last = raw[n - 1 :]
             if truncate and k < self.mu:
                 last = last.copy()
                 last[(0,) * (k + 1)] -= fact * self.chain[k - 2][-1]
-            nrm = symmetric_tensor_norm(last / fact, mode).value(mode) / scale
+            nrm = tensor_norm(last / fact, mode, check=False).value(mode) / scale
             val = nrm ** (1.0 / (k - 1))
             rows.append({"order": k, "hat": hat, "n": val})
             ghat = max(ghat, hat)

@@ -12,8 +12,7 @@ reading before using this module:
   spectral norm of the same unfolding, taken by one SVD; it bounds the
   multilinear norm from above (the exact symmetric norm is NP-hard in
   general). The Frobenius norm of the full array is reported as the
-  certified upper bound. `symmetric_tensor_norm` skips the symmetry check
-  for arrays symmetric by construction.
+  certified upper bound.
 
 The scalar root finder `smallest_positive_root` lives in the numpy-free
 `constants` module and is re-exported here.
@@ -130,7 +129,7 @@ def _check_symmetric(T):
             )
 
 
-def tensor_norm(T, mode="auto"):
+def tensor_norm(T, mode="auto", check=True):
     """Norm of a symmetric multilinear map stored as an (m, n, ..., n) array.
 
     Parameters
@@ -142,6 +141,9 @@ def tensor_norm(T, mode="auto"):
         "auto"/"estimate" takes the unfolding's spectral norm for order
         three and up, "certified" asks for upper bounds only. Orders one
         and two are exact in every mode.
+    check : bool
+        False skips the symmetry check (dearer than the SVDs) for arrays
+        symmetric by construction, such as kernel tensors.
 
     Returns
     -------
@@ -150,14 +152,9 @@ def tensor_norm(T, mode="auto"):
     arr = np.asarray(getattr(T, "array", T), dtype=complex)
     if arr.ndim < 2:
         raise ValueError("expected at least an (m, n) array")
-    _check_symmetric(arr)
-    return symmetric_tensor_norm(arr, mode)
-
-
-def symmetric_tensor_norm(arr, mode="auto"):
-    """`tensor_norm` of a complex array symmetric by construction, such as
-    a kernel tensor, without the check (which costs more than the SVDs)."""
     k = arr.ndim - 1
+    if check:
+        _check_symmetric(arr)
     n = arr.shape[-1]
     M = arr.reshape(-1, n)
     if k <= 2:

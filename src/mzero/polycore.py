@@ -3,19 +3,17 @@ pullbacks.
 
 A system is a square list of polynomials in declared variables. Points and
 coefficients are complex doubles once parsed. A statement of distinct
-monomials, each with a signed decimal, `<num>i` or `(<num>±<num>i)`
-coefficient (as written from `repr` floats), is read by one regex match
-per term, about 3 us a term; float() of a literal is the correctly
-rounded double that the exact path's one final rounding also gives. Any
-other statement goes to the exact parser (35-50 us a term), which works
-over rational complex numbers so that `1/3` or `1e-20*X + X - X` loses
-nothing before each coefficient is rounded once; `sqrt` of a non-square
-is kept to 2^-200 relative. Each equation is parsed straight into one
-term table: sums accumulate in place and a product with a single-term
-factor adds exponent tuples, so parse cost is linear in the number of
-terms; only a product of two sums, such as `(8*X1 - 3*X2)^2`, expands
-pairwise. Terms keep the order in which their monomials first appear (a
-term that cancels and comes back counts as new).
+monomials with signed decimal, `<num>i` or `(<num>±<num>i)` coefficients is
+read by one regex match per term, about 3 us a term; float() of a literal is
+the correctly rounded double that the exact path's one final rounding also
+gives. Other statements go to the exact parser (35-50 us a term), which works
+over rational complex numbers so that `1/3` or `1e-20*X + X - X` loses nothing
+before each coefficient is rounded once; `sqrt` of a non-square is kept to
+2^-200 relative. Each equation becomes one term table: sums accumulate in
+place and a product with a single-term factor adds exponent tuples, so parse
+cost is linear in the number of terms; only a product of two sums, such as
+`(8*X1 - 3*X2)^2`, expands pairwise. Terms keep the order in which their
+monomials first appear (a term that cancels and comes back counts as new).
 
 Multi-indices are plain tuples of non-negative ints, one entry per
 variable. Every evaluation goes through one kernel: on first use a
@@ -716,27 +714,20 @@ class _ExprParser:
         raise ParseError("unexpected token %r" % (val,))
 
 
-# One term: a sign, a decimal, `<num>i` or `(<num>±<num>i)` coefficient,
+# One term: a sign, a decimal, `<num>i` or `(<num>±<num>i)` coefficient and
 # `*`-joined `name^k` factors, then a sign or the end. Any other character
-# matches alone with empty groups, so findall tiles the statement. Pieces
-# end at delimiters, so possessive *+ ++ ?+ lose no match and save 40%.
-_NUM = r"\d++(?:\.\d++)?+(?:[eE][+-]?+\d++)?+"
-_FACTOR = r"[A-Za-z_]\w*+(?:\s*+\^\s*+\d++)?+"
+# matches alone with empty groups, so findall tiles the statement.
+_NUM = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_MONO = r"[A-Za-z_]\w*(?:\s*\^\s*\d+)?(?:\s*\*\s*[A-Za-z_]\w*(?:\s*\^\s*\d+)?)*"
 _TERM_RE = re.compile(
-    r"""\s*+([+-])?+\s*+(?:
-      (?:\(\s*+([+-])?+\s*+({0})\s*+([+-])\s*+({0})i\s*+\) | ({0})(i)?+)
-      (?:\s*+\*\s*+({1}))?+ | ({1})) \s*+(?=[+-]|\Z) | [\s\S]""".format(
-        _NUM, r"{0}(?:\s*+\*\s*+{0})*+".format(_FACTOR)
-    ),
-    re.VERBOSE | re.ASCII,
-)
+    r"\s*([+-]?)\s*(?:(?:\(\s*([+-]?)\s*({0})\s*([+-])\s*({0})i\s*\)|({0})(i?))"
+    r"(?:\s*\*\s*({1}))?|({1}))\s*(?=[+-]|\Z)|[\s\S]".format(_NUM, _MONO), re.ASCII)
 
 
 def _scan_terms(text, index, monos):
     """Term table of one statement read by `_TERM_RE`, or None when it needs
-    the exact parser: other syntax, a repeated monomial, a literal that
-    overflows or a nonzero part of `(a±bi)` that underflows (its zero keeps
-    its sign). `monos` maps factor text to exponent tuples."""
+    the exact parser: other syntax, a repeated monomial, an overflowing literal,
+    a nonzero `(a±bi)` part that rounds to a signed 0. `monos` caches exponents."""
     found = _TERM_RE.findall(text)
     terms = {}
     for sign, rsign, re_text, isign, im_text, num, imag, mono, bare in found:
@@ -745,8 +736,7 @@ def _scan_terms(text, index, monos):
             if not a and _rational(re_text) or not b and _rational(im_text):
                 return None
             # 0.0 - x negates without a signed zero, which exact zeros lack
-            c = complex(0.0 - a if rsign == "-" else a,
-                        0.0 - b if isign == "-" else b)
+            c = complex(0.0 - a if rsign == "-" else a, 0.0 - b if isign == "-" else b)
         elif num:
             c = complex(0.0, float(num)) if imag else complex(float(num))
         elif bare:
@@ -821,18 +811,15 @@ def parse_system(text):
             raise ParseError("bad polynomial label %r" % label)
         if label in labels:
             raise ParseError("duplicate polynomial label %r" % label)
-        coeffs = _scan_terms(expr_text, index, monos)
-        if coeffs is None:
-            tokens = _tokenize(expr_text)
-            if not tokens:
-                raise ParseError("empty expression for %r" % label)
-            try:
-                terms = _ExprParser(tokens, variables).parse()
+        if not expr_text.strip():
+            raise ParseError("empty expression for %r" % label)
+        try:
+            coeffs = _scan_terms(expr_text, index, monos)
+            if coeffs is None:
+                terms = _ExprParser(_tokenize(expr_text), variables).parse()
                 coeffs = {m: c.to_complex() for m, c in terms.items()}
-            except OverflowError:
-                raise ParseError(
-                    "%r has a number too large for a double" % label
-                ) from None
+        except OverflowError:
+            raise ParseError("%r has a number too large for a double" % label) from None
         labels.append(label)
         polys.append(Poly(nvars, coeffs))
 
