@@ -484,6 +484,11 @@ def build_parser():
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_thresholds, needs_system=False)
 
+    # every option that takes a value, for _join_value_flags
+    parser.value_flags = {
+        flag for sub in subs.choices.values() for action in sub._actions
+        if action.nargs is None for flag in action.option_strings
+    }
     return parser
 
 
@@ -524,29 +529,21 @@ def _config_from_args(args):
     return cfg
 
 
-def _join_value_flags(argv):
-    """Glue flag values onto their flags with '=', so coordinates that
-    begin with a minus sign are not mistaken for options."""
-    joined = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in ("--point", "--point-file") and i + 1 < len(argv):
-            joined.append(tok + "=" + argv[i + 1])
-            skip = True
-        else:
-            joined.append(tok)
+def _join_value_flags(argv, flags):
+    """Glue the value of each flag in `flags` onto it with '=', so a value
+    that begins with a minus sign (a coordinate, `-1e-8`) is not mistaken
+    for an option."""
+    joined, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in flags else None
+        joined.append(tok if value is None else tok + "=" + value)
     return joined
 
 
 def main(argv=None):
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        argv = _join_value_flags(list(argv))
         parser = build_parser()
+        argv = _join_value_flags(sys.argv[1:] if argv is None else argv, parser.value_flags)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -6,14 +6,10 @@ coefficients are complex doubles once parsed. A statement of distinct
 monomials with signed decimal, `<num>i` or `(<num>±<num>i)` coefficients is
 read by one regex match per term, about 3 us a term; float() of a literal is
 the correctly rounded double that the exact path's one final rounding also
-gives. Other statements go to the exact parser (35-50 us a term), which works
-over rational complex numbers so that `1/3` or `1e-20*X + X - X` loses nothing
-before each coefficient is rounded once; `sqrt` of a non-square is kept to
-2^-200 relative. Each equation becomes one term table: sums accumulate in
-place and a product with a single-term factor adds exponent tuples, so parse
-cost is linear in the number of terms; only a product of two sums, such as
-`(8*X1 - 3*X2)^2`, expands pairwise. Terms keep the order in which their
-monomials first appear (a term that cancels and comes back counts as new).
+gives. Other statements go to the exact parser in `mzero.exactparse` (35-50
+us a term, rational arithmetic), imported on the first statement that needs
+it. Terms keep the order in which their monomials first appear (a term that
+cancels and comes back counts as new).
 
 Multi-indices are plain tuples of non-negative ints, one entry per
 variable. Every evaluation goes through one kernel: on first use a
@@ -32,12 +28,10 @@ after the first evaluation are not seen.
 """
 
 import functools
+import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,6 +39,11 @@ from .errors import ParseError
 
 # ---------------------------------------------------------------------------
 # runtime polynomial types
+
+
+def _unit(n, j):
+    """Exponent tuple of the variable j among n."""
+    return tuple(int(i == j) for i in range(n))
 
 
 class Poly:
@@ -71,8 +70,7 @@ class Poly:
 
     @classmethod
     def variable(cls, nvars, j):
-        mono = tuple(1 if i == j else 0 for i in range(nvars))
-        return cls(nvars, {mono: 1.0 + 0j})
+        return cls(nvars, {_unit(nvars, j): 1.0 + 0j})
 
     def degree(self):
         if not self.terms:
@@ -145,29 +143,26 @@ class Poly:
         """Raw partial derivative d^alpha f evaluated at x (no factorials)."""
         return complex(self.partials([alpha], x)[0])
 
-    def shift(self, x):
-        """Polynomial g with g(Y) = f(Y + x), expanded exactly in doubles."""
-        x = np.asarray(x, dtype=complex)
+    def substitute(self, forms):
+        """Polynomial with each variable j replaced by the Poly forms[j],
+        expanded in doubles; each power of a form is taken once."""
         out = Poly.constant(self.nvars, 0.0)
-        cache = {}
+        powers = {}
         for mono, c in self.sorted_terms():
             term = Poly.constant(self.nvars, c)
             for j, e in enumerate(mono):
-                if e == 0:
-                    continue
-                key = (j, e)
-                if key not in cache:
-                    base = Poly(
-                        self.nvars,
-                        {
-                            tuple(1 if i == j else 0 for i in range(self.nvars)): 1.0,
-                            (0,) * self.nvars: x[j],
-                        },
-                    )
-                    cache[key] = base.pow_int(e)
-                term = term * cache[key]
+                if e:
+                    if (j, e) not in powers:
+                        powers[j, e] = forms[j].pow_int(e)
+                    term = term * powers[j, e]
             out = out + term
         return out
+
+    def shift(self, x):
+        """Polynomial g with g(Y) = f(Y + x), expanded exactly in doubles."""
+        x = np.asarray(x, dtype=complex)
+        n, zero = self.nvars, (0,) * self.nvars
+        return self.substitute([Poly(n, {_unit(n, j): 1.0, zero: x[j]}) for j in range(n)])
 
     def subs_linear(self, W):
         """Polynomial g with g(Y) = f(W @ Y) for a square matrix W."""
@@ -175,23 +170,7 @@ class Poly:
         n = self.nvars
         if W.shape != (n, n):
             raise ValueError("substitution matrix has wrong shape")
-        forms = [
-            Poly(n, {tuple(1 if i == j else 0 for i in range(n)): W[b, j] for j in range(n)})
-            for b in range(n)
-        ]
-        out = Poly.constant(n, 0.0)
-        cache = {}
-        for mono, c in self.sorted_terms():
-            term = Poly.constant(n, c)
-            for b, e in enumerate(mono):
-                if e == 0:
-                    continue
-                key = (b, e)
-                if key not in cache:
-                    cache[key] = forms[b].pow_int(e)
-                term = term * cache[key]
-            out = out + term
-        return out
+        return self.substitute([Poly(n, {_unit(n, j): w for j, w in enumerate(row)}) for row in W])
 
     def __repr__(self):
         return "Poly(nvars=%d, nterms=%d, degree=%d)" % (
@@ -280,14 +259,15 @@ class _Kernel:
 
 @functools.lru_cache(maxsize=None)
 def _symmetric_layout(n, k):
-    """Order-k multi-indices, one per sorted index tuple (i1 <= ... <= ik),
-    and the (n,)*k map from every index tuple to the row of its sorted
-    form. np.unique lists the sorted tuples in lexicographic order, the
-    order of `itertools.combinations_with_replacement(range(n), k)`."""
-    grid = np.indices((n,) * k).reshape(k, -1).T
-    combos, inverse = np.unique(np.sort(grid, axis=1), axis=0, return_inverse=True)
-    alphas = (combos[:, :, None] == np.arange(n)).sum(axis=1)
-    return alphas, inverse.reshape((n,) * k)
+    """Order-k multi-indices, one per sorted index tuple (i1 <= ... <= ik) in
+    the lexicographic order of `itertools.combinations_with_replacement`, and
+    the (n,)*k map from every index tuple to the row of its sorted form."""
+    shape = (n,) * k
+    combos = np.array(list(itertools.combinations_with_replacement(range(n), k)))
+    row = np.empty(n**k, dtype=np.intp)
+    row[np.ravel_multi_index(combos.T, shape)] = np.arange(len(combos))
+    index = row[np.ravel_multi_index(np.sort(np.indices(shape).reshape(k, -1), axis=0), shape)]
+    return (combos[:, :, None] == np.arange(n)).sum(axis=1), index.reshape(shape)
 
 
 class PolySystem:
@@ -455,265 +435,8 @@ class NormalizedFrame:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing: the term scanner; other statements go to `exactparse`
 #
-# While parsing, a polynomial is a term table: a dict from exponent tuples
-# to nonzero _QC coefficients, in the order in which the monomials first
-# appear.
-
-
-class _QC:
-    """Complex number with exact rational real and imaginary parts; both
-    parts are Fractions."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=Fraction(0)):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other):
-        return _QC(self.re + other.re, self.im + other.im)
-
-    def __neg__(self):
-        return _QC(-self.re, -self.im)
-
-    def __mul__(self, other):
-        # a factor of exactly one takes no arithmetic
-        if self.re == 1 and not self.im:
-            return other
-        if other.re == 1 and not other.im:
-            return self
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _QC(a * c - b * d, a * d + b * c)
-
-    def __truediv__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        den = c * c + d * d
-        return _QC((a * c + b * d) / den, (b * c - a * d) / den)
-
-    def is_zero(self):
-        return not self.re and not self.im
-
-    def to_complex(self):
-        return complex(float(self.re), float(self.im))
-
-
-_ONE = _QC(Fraction(1))
-
-
-def _rational(text):
-    """Exact value of a decimal literal such as `12`, `0.25` or `1e-300`."""
-    return Fraction(*Decimal(text).as_integer_ratio())
-
-
-def _sqrt_fraction(q):
-    """Square root of a non-negative Fraction p/d, isqrt(p*d*4^s)/(d*2^s) with
-    a 200-bit or longer root: exact for squares, else within 2^-200 relative."""
-    if q < 0:
-        raise ParseError("sqrt of a negative value")
-    float(q)  # an argument beyond the double range raises OverflowError
-    num, den = q.numerator, q.denominator
-    shift = max(0, 201 - (num * den).bit_length() // 2)
-    return Fraction(math.isqrt(num * den << 2 * shift), den << shift)
-
-
-def _accumulate(terms, mono, c):
-    """Add c to the coefficient of mono in place, dropping it on cancellation."""
-    old = terms.get(mono)
-    if old is None:
-        terms[mono] = c
-        return
-    s = old + c
-    if s.is_zero():
-        del terms[mono]
-    else:
-        terms[mono] = s
-
-
-def _product(a, b):
-    """Product of two term tables.
-
-    When one side has a single term, its exponent tuple is added to each
-    term of the other side and one scalar product is taken per term; no
-    sum can cancel, and the result keeps the other side's order. Otherwise
-    every pair of terms is accumulated.
-    """
-    if len(a) == 1 or len(b) == 1:
-        if len(a) != 1:
-            a, b = b, a
-        ((m1, c1),) = a.items()
-        if any(m1):
-            return {tuple(map(operator.add, m1, m)): c1 * c for m, c in b.items()}
-        return {m: c1 * c for m, c in b.items()}
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            _accumulate(out, tuple(map(operator.add, m1, m2)), c1 * c2)
-    return out
-
-
-_TOKEN_RE = re.compile(
-    r"""
-    \s*(?:
-      (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)(?P<imag>i(?![A-Za-z0-9_]))?
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op>[-+*/^(),])
-    | (?P<bad>\S)
-    )
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokenize(stmt):
-    """(kind, text) tokens of one expression in a single regex scan; kind
-    is num, imag (text without the `i`), ident or op."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(stmt):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(
-                "unexpected character %r in %r" % (m.group(kind), stmt.strip())
-            )
-        tokens.append((kind, m.group("num" if kind == "imag" else kind)))
-    return tokens
-
-
-class _ExprParser:
-    """Recursive-descent parser from tokens to one term table.
-
-    Every table a parse method returns is new, so `parse_expr` adds each
-    further term in place into the table of its first term.
-    """
-
-    def __init__(self, tokens, variables):
-        self.tokens = tokens + [(None, None)]  # end marker
-        self.pos = 0
-        self.variables = variables
-        self.zero = (0,) * len(variables)
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ParseError("expected %r" % op)
-
-    def constant(self, c):
-        return {self.zero: c} if not c.is_zero() else {}
-
-    def constant_value(self, terms):
-        """The scalar of a table without variable terms, else None."""
-        if any(map(any, terms)):
-            return None
-        return terms.get(self.zero, _QC(Fraction(0)))
-
-    def power(self, base, e):
-        """base^e by repeated squaring."""
-        result = {self.zero: _ONE}
-        while True:
-            if e & 1:
-                result = _product(result, base)
-            e >>= 1
-            if not e:
-                return result
-            base = _product(base, base)
-
-    def parse(self):
-        value = self.parse_expr()
-        if self.pos != len(self.tokens) - 1:
-            raise ParseError("trailing tokens after expression")
-        return value
-
-    def parse_expr(self):
-        terms = self.parse_term()
-        while True:
-            kind, val = self.tokens[self.pos]
-            if kind != "op" or val not in "+-":
-                return terms
-            self.pos += 1
-            rhs = self.parse_term()
-            for mono, c in rhs.items():
-                _accumulate(terms, mono, c if val == "+" else -c)
-
-    def parse_term(self):
-        value = self.parse_factor()
-        while True:
-            kind, val = self.tokens[self.pos]
-            if kind != "op" or val not in "*/":
-                return value
-            self.pos += 1
-            rhs = self.parse_factor()
-            if val == "*":
-                value = _product(value, rhs)
-                continue
-            c = self.constant_value(rhs)
-            if c is None:
-                raise ParseError("division only by constant scalars")
-            if c.is_zero():
-                raise ParseError("division by zero")
-            value = {m: v / c for m, v in value.items()}
-
-    def parse_factor(self):
-        kind, val = self.tokens[self.pos]
-        if kind == "op" and val in "+-":
-            self.pos += 1
-            inner = self.parse_factor()
-            return inner if val == "+" else {m: -c for m, c in inner.items()}
-        return self.parse_power()
-
-    def parse_power(self):
-        base = self.parse_atom()
-        kind, val = self.tokens[self.pos]
-        if kind == "op" and val == "^":
-            self.pos += 1
-            return self.power(base, self.parse_exponent())
-        return base
-
-    def parse_exponent(self):
-        kind, val = self.take()
-        if kind == "num":
-            q = _rational(val)
-        elif kind == "op" and val == "(":
-            c = self.constant_value(self.parse_expr())
-            self.expect_op(")")
-            if c is None or c.im:
-                raise ParseError("exponent must be a non-negative integer")
-            q = c.re
-        else:
-            raise ParseError("expected an exponent after '^'")
-        if q.denominator != 1 or q < 0:
-            raise ParseError("exponent must be a non-negative integer")
-        return int(q)
-
-    def parse_atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            return self.constant(_QC(_rational(val)))
-        if kind == "imag":
-            return self.constant(_QC(Fraction(0), _rational(val)))
-        if kind == "ident":
-            if val == "sqrt":
-                self.expect_op("(")
-                c = self.constant_value(self.parse_expr())
-                self.expect_op(")")
-                if c is None or c.im:
-                    raise ParseError("sqrt takes a constant rational argument")
-                return self.constant(_QC(_sqrt_fraction(c.re)))
-            if val not in self.variables:
-                raise ParseError("unknown identifier %r" % val)
-            return {self.variables[val]: _ONE}
-        if kind == "op" and val == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError("unexpected token %r" % (val,))
-
-
 # One term: a sign, a decimal, `<num>i` or `(<num>±<num>i)` coefficient and
 # `*`-joined `name^k` factors, then a sign or the end. Any other character
 # matches alone with empty groups, so findall tiles the statement.
@@ -722,6 +445,8 @@ _MONO = r"[A-Za-z_]\w*(?:\s*\^\s*\d+)?(?:\s*\*\s*[A-Za-z_]\w*(?:\s*\^\s*\d+)?)*"
 _TERM_RE = re.compile(
     r"\s*([+-]?)\s*(?:(?:\(\s*([+-]?)\s*({0})\s*([+-])\s*({0})i\s*\)|({0})(i?))"
     r"(?:\s*\*\s*({1}))?|({1}))\s*(?=[+-]|\Z)|[\s\S]".format(_NUM, _MONO), re.ASCII)
+# a literal with a nonzero digit before its exponent
+_NONZERO = re.compile(r"[0.]*[1-9]").match
 
 
 def _scan_terms(text, index, monos):
@@ -733,7 +458,7 @@ def _scan_terms(text, index, monos):
     for sign, rsign, re_text, isign, im_text, num, imag, mono, bare in found:
         if re_text:
             a, b = float(re_text), float(im_text)
-            if not a and _rational(re_text) or not b and _rational(im_text):
+            if not a and _NONZERO(re_text) or not b and _NONZERO(im_text):
                 return None
             # 0.0 - x negates without a signed zero, which exact zeros lack
             c = complex(0.0 - a if rsign == "-" else a, 0.0 - b if isign == "-" else b)
@@ -793,10 +518,7 @@ def parse_system(text):
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name == "sqrt":
             raise ParseError("bad variable name %r" % name)
     nvars = len(var_names)
-    variables = {
-        name: tuple(int(i == j) for i in range(nvars))
-        for j, name in enumerate(var_names)
-    }
+    variables = {name: _unit(nvars, j) for j, name in enumerate(var_names)}
     index = {name: j for j, name in enumerate(var_names)}
     monos = {"": (0,) * nvars}
 
@@ -816,8 +538,9 @@ def parse_system(text):
         try:
             coeffs = _scan_terms(expr_text, index, monos)
             if coeffs is None:
-                terms = _ExprParser(_tokenize(expr_text), variables).parse()
-                coeffs = {m: c.to_complex() for m, c in terms.items()}
+                from . import exactparse  # loaded by the first statement it reads
+
+                coeffs = exactparse.parse_terms(expr_text, variables)
         except OverflowError:
             raise ParseError("%r has a number too large for a double" % label) from None
         labels.append(label)

@@ -12,7 +12,9 @@ from banning the handful of monomials whose coefficients feed the chain
 values below order mu.
 """
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +56,16 @@ def ex_triple_path(tmp_path):
     p = tmp_path / "triple.mz"
     p.write_text(EX_TRIPLE)
     return str(p)
+
+
+def perfbench_gen():
+    """The benchmark's seeded system generator, `perfbench/gen.py`."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).parents[1] / "perfbench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def random_unitary(n, rng):

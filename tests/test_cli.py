@@ -11,6 +11,8 @@ from mzero import constants
 from mzero.cli import canonical_json, main, parse_point
 from mzero.errors import MathDomainError
 
+from conftest import EX_TRIPLE, perfbench_gen
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -381,6 +383,11 @@ def test_mu_above_the_anchored_orders_is_input_error(capsys, ex_double_path, arg
         ("refine", "--eps", "-1"),
         ("refine", "--eps", "nan"),
         ("refine", "--max-iter", "-1"),
+        # exponent forms argparse would take for options if left unglued
+        ("gamma", "--gap-tol", "-1e-8"),
+        ("separation", "--delta-zero-tol", "-1E-3"),
+        ("dual", "--delta-zero-tol", "-1e-8"),
+        ("refine", "--eps", "-1e-3"),
     ],
 )
 def test_tolerance_flags_are_checked_on_entry(capsys, ex_triple_path, command, flag, value):
@@ -570,6 +577,27 @@ def test_constants_commands_do_not_load_numpy(code):
 def test_a_command_with_a_point_loads_numpy(ex_triple_path):
     argv = ["dual", "--system", ex_triple_path, "--point", "0,0", "--json"]
     assert run_fresh(RUN_MAIN % argv + NUMPY_LOADED) is True
+
+
+EXACT_MODULES = "\nimport json, sys; print(json.dumps(sorted(set(sys.modules) & %r)))" % {
+    "mzero.exactparse", "fractions", "decimal"
+}
+
+
+def test_a_scanned_system_does_not_load_the_exact_parser(tmp_path):
+    gen = perfbench_gen()
+    path = tmp_path / "dense.txt"
+    path.write_text(gen.system_text(gen.planted_system(4, 2, np.random.default_rng(1))))
+    path = str(path)
+    parse = "from mzero.polycore import parse_system; parse_system(open(%r).read())" % path
+    assert run_fresh(parse + EXACT_MODULES) == []
+    argv = ["dual", "--system", path, "--point", "0,0,0,0", "--json"]
+    assert run_fresh(RUN_MAIN % argv + EXACT_MODULES) == []
+
+
+def test_a_statement_the_scanner_declines_loads_the_exact_parser():
+    parse = "from mzero.polycore import parse_system; parse_system(%r)" % EX_TRIPLE
+    assert run_fresh(parse + EXACT_MODULES) == ["decimal", "fractions", "mzero.exactparse"]
 
 
 def test_package_names_resolve_to_their_home_modules():

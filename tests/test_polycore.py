@@ -1,13 +1,16 @@
-import importlib.util
+import itertools
+import json
 import math
+import os
+import shutil
+import subprocess
 from decimal import Context, Decimal
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mzero import polycore
+from mzero import exactparse, polycore
 from mzero.errors import ParseError
 from mzero.polycore import (
     CTensor,
@@ -18,7 +21,7 @@ from mzero.polycore import (
     unitary_pullback,
 )
 
-from conftest import EX_DOUBLE, EX_TRIPLE, monomials, random_unitary
+from conftest import EX_DOUBLE, EX_TRIPLE, monomials, perfbench_gen, random_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +296,45 @@ def test_term_scanner_selection(stmt, scanned):
 
 
 def test_term_scanner_reads_the_benchmark_format(monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", Path(__file__).parents[1] / "perfbench" / "gen.py"
-    )
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = perfbench_gen()
     polys = gen.planted_system(6, 3, np.random.default_rng(5))
 
     def refuse(*args):
         raise AssertionError("statement left the term scanner")
 
-    monkeypatch.setattr(polycore, "_tokenize", refuse)
+    monkeypatch.setattr(exactparse, "_tokenize", refuse)
     parsed = parse_system(gen.system_text(polys))
     assert [p.terms for p in parsed.polys] == [Poly(6, t).terms for t in polys]
+
+
+def test_parser_imports_and_parses_on_the_oldest_supported_python(tmp_path):
+    # pyproject.toml allows Python 3.10; a regex feature of 3.11 once broke it
+    exe = shutil.which("python3.10")
+    if exe is None:
+        pytest.skip("no python3.10 on PATH")
+    src = os.path.dirname(os.path.dirname(polycore.__file__))
+    # PYENV_VERSION lets a pyenv shim pick its 3.10 install; others ignore it
+    env = dict(os.environ, PYENV_VERSION="3.10", PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
+                           capture_output=True, text=True, env=env)
+    if probe.returncode or probe.stdout.strip() != "(3, 10)":
+        pytest.skip("python3.10 on PATH does not run: %s" % probe.stderr.strip()[-200:])
+    # the parser needs no numpy, and a 3.10 install may lack it
+    (tmp_path / "numpy.py").write_text("ndarray = object\n")
+    texts = [EX_DOUBLE, EX_TRIPLE, "vars: X Y\nf: (0.5-2e-3i)*X^2*Y - 1i*Y\ng: 2*X + Y^3"]
+    code = (
+        "import json, sys, mzero.exactparse, mzero.polycore as pc\n"
+        "print(json.dumps([[[list(m), c.real.hex(), c.imag.hex()] for m, c in p.terms.items()]"
+        " for text in sys.argv[1:] for p in pc.parse_system(text).polys]))"
+    )
+    proc = subprocess.run([exe, "-c", code, *texts], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    expected = [
+        [[list(m), c.real.hex(), c.imag.hex()] for m, c in p.terms.items()]
+        for text in texts
+        for p in parse_system(text).polys
+    ]
+    assert json.loads(proc.stdout) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +351,17 @@ def _hand_partial(poly, j):
         lowered[j] -= 1
         out[tuple(lowered)] = out.get(tuple(lowered), 0j) + c * mono[j]
     return Poly(poly.nvars, out)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 7) for k in range(1, 6)])
+def test_symmetric_layout_matches_itertools(n, k):
+    combos = list(itertools.combinations_with_replacement(range(n), k))
+    alphas, index = polycore._symmetric_layout(n, k)
+    assert alphas.tolist() == [[c.count(j) for j in range(n)] for c in combos]
+    assert index.shape == (n,) * k
+    row = {c: r for r, c in enumerate(combos)}
+    for idx in itertools.product(range(n), repeat=k):
+        assert index[idx] == row[tuple(sorted(idx))]
 
 
 def test_eval_matches_direct():
@@ -563,6 +603,40 @@ def test_shift_basepoint_moves_zero():
     moved = sys_.shift(np.array([0.25, 0.0]))
     # (1/4, 0) is a zero of the original, so the origin is one of the shifted
     assert np.allclose(moved.eval_at(np.zeros(2)), 0.0, atol=1e-15)
+
+
+def _reference_expansion(p, base):
+    """The expansion shift and subs_linear each ran before they shared
+    Poly.substitute: powers of base(j), the Poly replacing variable j."""
+    out = Poly.constant(p.nvars, 0.0)
+    cache = {}
+    for mono, c in p.sorted_terms():
+        term = Poly.constant(p.nvars, c)
+        for j, e in enumerate(mono):
+            if e == 0:
+                continue
+            if (j, e) not in cache:
+                cache[j, e] = base(j).pow_int(e)
+            term = term * cache[j, e]
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_substitution_matches_the_reference_expansion(case):
+    rng = np.random.default_rng(case)
+    n = 1 + case % 3
+    p = Poly(n, {tuple(rng.integers(0, 4, size=n)): complex(*rng.normal(size=2))
+                 for _ in range(6)})
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    if case % 2:
+        W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        got, base = p.subs_linear(W), lambda b: Poly(n, dict(zip(unit, W[b])))
+    else:
+        # real and negated coordinates give zero imaginary parts of either sign
+        x = -np.asarray(rng.normal(size=n) + 1j * rng.normal(size=n) * (case % 4 == 0))
+        got, base = p.shift(x), lambda j: Poly(n, {unit[j]: 1.0, (0,) * n: x[j]})
+    assert _bits(PolySystem([got])) == _bits(PolySystem([_reference_expansion(p, base)]))
 
 
 def test_subs_linear_evaluates_through_matrix():
