@@ -39,7 +39,7 @@ _EXPORTS = {
         "solve_linear", "svd", "tensor_norm",
     ),
     "polycore": (
-        "CTensor", "NormalizedFrame", "Poly", "PolySystem", "apply_functional",
+        "NormalizedFrame", "Poly", "PolySystem", "apply_functional",
         "parse_system", "unitary_pullback",
     ),
 }

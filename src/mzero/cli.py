@@ -142,13 +142,22 @@ def parse_point(text):
     return np.array([_coordinate(e) for e in entries], dtype=complex)
 
 
+def _read_text(path, what):
+    """A file's text; a file that cannot be opened or is not UTF-8 is an
+    input error."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError("cannot read %s %s: %s" % (what, path, exc))
+
+
 def read_point_file(path):
     values = []
-    with open(path) as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                values.append(_coordinate(line, " in %s" % path))
+    for raw in _read_text(path, "point file").split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            values.append(_coordinate(line, " in %s" % path))
     if not values:
         raise ParseError("no coordinates in %s" % path)
     import numpy as np
@@ -159,12 +168,7 @@ def read_point_file(path):
 def load_system(path):
     from . import polycore
 
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ParseError("cannot read system file %s: %s" % (path, exc))
-    return polycore.parse_system(text)
+    return polycore.parse_system(_read_text(path, "system file"))
 
 
 def _load_with_point(cfg):

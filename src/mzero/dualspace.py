@@ -20,7 +20,6 @@ rotated polynomials. Agreement of the two routes is a useful end-to-end
 check and is exercised in the test suite.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,9 +64,6 @@ class DualFunctional:
     def one(cls, nvars):
         return cls(nvars, {(0,) * nvars: 1.0})
 
-    def order(self):
-        return max((sum(a) for a in self.coeffs), default=0)
-
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
@@ -111,24 +107,8 @@ class DualFunctional:
             out[key] = out.get(key, 0j) + c * (alpha[sigma] + 1)
         return DualFunctional(self.nvars, out)
 
-    def lower(self, sigma):
-        """Formal anti-raising map d^beta -> d^(beta - e_sigma), dropping
-        terms with no derivative along sigma. Used by closedness checks."""
-        out = {}
-        for alpha, c in self.coeffs.items():
-            if alpha[sigma] == 0:
-                continue
-            shifted = list(alpha)
-            shifted[sigma] -= 1
-            key = tuple(shifted)
-            out[key] = out.get(key, 0j) + c
-        return DualFunctional(self.nvars, out)
-
     def apply(self, target, x):
         return polycore.apply_functional(self.coeffs, target, x)
-
-    def as_vector(self, alphas):
-        return np.array([self.coeffs.get(a, 0j) for a in alphas], dtype=complex)
 
     def __repr__(self):
         parts = []

@@ -111,7 +111,7 @@ class LocalModel:
         self.chain = chain
         self.delta_mu = chain[-1][-1]
         self.tensors = {
-            k: source.derivative_tensor(x, k).array
+            k: source.derivative_tensor(x, k)
             for k in range(2, source.max_degree() + 1)
         }
 

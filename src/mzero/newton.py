@@ -30,7 +30,7 @@ from .dualspace import (
     kernel_chain,
     normalizing_frame,
 )
-from .errors import SingularMatrixError
+from .errors import InputError, SingularMatrixError
 from .numkit import solve_linear
 
 
@@ -86,8 +86,8 @@ def refine_triple(source, z):
     y = n1_step(source, z)
     J = source.jacobian(y)
     Jhat = J[: n - 1, 1:]
-    T2 = source.derivative_tensor(y, 2).array
-    T3 = source.derivative_tensor(y, 3).array
+    T2 = source.derivative_tensor(y, 2)
+    T3 = source.derivative_tensor(y, 3)
     # correction shared by numerator and denominator
     C = solve_linear(Jhat, 0.5 * T2[: n - 1, 0, 0])
     num = T2[n - 1, 0, 0] / 6.0 - J[n - 1, 1:] @ C
@@ -174,11 +174,11 @@ def iterate_until(
     if variant == "auto":
         variant = _choose_variant(source, z, mu)
     if variant not in VARIANTS:
-        raise ValueError("unknown variant %r" % variant)
+        raise InputError("unknown variant %r" % variant)
     if variant == "normalized_double" and mu != 2:
-        raise ValueError("order-two variant needs mu == 2")
+        raise InputError("order-two variant needs mu == 2")
     if variant == "normalized_triple" and mu != 3:
-        raise ValueError("order-three variant needs mu == 3")
+        raise InputError("order-three variant needs mu == 3")
 
     iterates = [z.copy()]
     residuals = [float(np.linalg.norm(source.eval_at(z)))]

@@ -34,9 +34,6 @@ class SvdResult:
         self.s = s
         self.V = V
 
-    def reconstruct(self):
-        return (self.U * self.s) @ self.V.conj().T
-
 
 def svd(A):
     """Full SVD with the deterministic phase convention described above."""
@@ -149,7 +146,7 @@ def tensor_norm(T, mode="auto", check=True):
     -------
     TensorNorm
     """
-    arr = np.asarray(getattr(T, "array", T), dtype=complex)
+    arr = np.asarray(T, dtype=complex)
     if arr.ndim < 2:
         raise ValueError("expected at least an (m, n) array")
     k = arr.ndim - 1

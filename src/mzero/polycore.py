@@ -19,8 +19,7 @@ returns the m x K matrix of raw partials d^alpha f_i(x) (without the
 1/alpha! scaling) for a batch of K multi-indices. Values, Jacobians,
 derivative tensors and dual functionals are slices of that one call.
 `derivative_tensor` evaluates each sorted index tuple once and spreads the
-result over the symmetric array; `CTensor.scaled()` divides out k! when a
-Taylor coefficient is wanted.
+result over the symmetric (m, n, ..., n) ndarray.
 
 A point in n variables must have shape (n,); any other shape raises
 ValueError. A system compiles once, so edits to its polynomials' terms
@@ -31,11 +30,9 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ParseError
+from .errors import MathDomainError, ParseError
 
 # ---------------------------------------------------------------------------
 # runtime polynomial types
@@ -49,8 +46,8 @@ def _unit(n, j):
 class Poly:
     """Sparse polynomial with complex coefficients.
 
-    terms maps exponent tuples to nonzero complex coefficients. All
-    arithmetic returns new objects; instances are treated as immutable.
+    terms maps exponent tuples to nonzero complex coefficients; instances
+    are treated as immutable.
     """
 
     __slots__ = ("nvars", "terms")
@@ -64,73 +61,10 @@ class Poly:
                 if c != 0:
                     self.terms[mono] = c
 
-    @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: complex(c)})
-
-    @classmethod
-    def variable(cls, nvars, j):
-        return cls(nvars, {_unit(nvars, j): 1.0 + 0j})
-
     def degree(self):
         if not self.terms:
             return 0
         return max(sum(m) for m in self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.nvars, other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0j) + c
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return Poly(self.nvars, out)
-
-    def __radd__(self, other):
-        return self + other
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.nvars, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            c = complex(other)
-            return Poly(self.nvars, {m: v * c for m, v in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                out[mono] = out.get(mono, 0j) + c1 * c2
-        return Poly(self.nvars, out)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def pow_int(self, e):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = Poly.constant(self.nvars, 1.0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def partials(self, alphas, x):
         """Raw partials d^alpha f(x) as a vector, one entry per multi-index."""
@@ -143,60 +77,12 @@ class Poly:
         """Raw partial derivative d^alpha f evaluated at x (no factorials)."""
         return complex(self.partials([alpha], x)[0])
 
-    def substitute(self, forms):
-        """Polynomial with each variable j replaced by the Poly forms[j],
-        expanded in doubles; each power of a form is taken once."""
-        out = Poly.constant(self.nvars, 0.0)
-        powers = {}
-        for mono, c in self.sorted_terms():
-            term = Poly.constant(self.nvars, c)
-            for j, e in enumerate(mono):
-                if e:
-                    if (j, e) not in powers:
-                        powers[j, e] = forms[j].pow_int(e)
-                    term = term * powers[j, e]
-            out = out + term
-        return out
-
-    def shift(self, x):
-        """Polynomial g with g(Y) = f(Y + x), expanded exactly in doubles."""
-        x = np.asarray(x, dtype=complex)
-        n, zero = self.nvars, (0,) * self.nvars
-        return self.substitute([Poly(n, {_unit(n, j): 1.0, zero: x[j]}) for j in range(n)])
-
-    def subs_linear(self, W):
-        """Polynomial g with g(Y) = f(W @ Y) for a square matrix W."""
-        W = np.asarray(W, dtype=complex)
-        n = self.nvars
-        if W.shape != (n, n):
-            raise ValueError("substitution matrix has wrong shape")
-        return self.substitute([Poly(n, {_unit(n, j): w for j, w in enumerate(row)}) for row in W])
-
     def __repr__(self):
         return "Poly(nvars=%d, nterms=%d, degree=%d)" % (
             self.nvars,
             len(self.terms),
             self.degree(),
         )
-
-
-@dataclass
-class CTensor:
-    """Raw derivative tensor of order k, shape (m, n, ..., n)."""
-
-    order: int
-    array: np.ndarray
-
-    def scaled(self):
-        """Entries divided by k!, the Taylor-coefficient normalization."""
-        return self.array / math.factorial(self.order)
-
-    def entry(self, i, alpha):
-        """Raw partial d^alpha f_i read from the symmetric array."""
-        idx = []
-        for j, a in enumerate(alpha):
-            idx.extend([j] * a)
-        return self.array[(i, *idx)]
 
 
 # largest number of entries in one K x T block of the kernel
@@ -257,11 +143,65 @@ class _Kernel:
         return out
 
 
+def _accumulate(out, terms):
+    """Add a term dict into `out` in place; a sum that is exactly zero
+    drops its monomial, which a later term appends anew."""
+    for mono, c in terms.items():
+        out[mono] = out.get(mono, 0j) + c
+        if out[mono] == 0:
+            del out[mono]
+
+
+def _product(a, b):
+    """Product of two term dicts, exact zeros dropped."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            out[mono] = out.get(mono, 0j) + c1 * c2
+    return {mono: c for mono, c in out.items() if c != 0}
+
+
+def _expand(terms, forms):
+    """Term dict of a polynomial with variable j replaced by the term dict
+    forms[j], expanded in doubles. Terms are taken by degree, then exponent
+    tuple; each power of a form is built once, by repeated squaring."""
+    zero = (0,) * len(forms)
+    out, powers = {}, {}
+    for mono, c in sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        term = {zero: c}
+        for j, e in enumerate(mono):
+            if not e:
+                continue
+            if (j, e) not in powers:
+                power, base, k = {zero: 1 + 0j}, forms[j], e
+                while k:
+                    if k & 1:
+                        power = _product(power, base)
+                    base = _product(base, base)
+                    k >>= 1
+                powers[j, e] = power
+            term = _product(term, powers[j, e])
+        _accumulate(out, term)
+    return out
+
+
+# largest n^k of a dense derivative tensor; its index map takes several
+# arrays of k * n^k ints to build (n = 2, k = 18 peaks near 130 MB)
+_MAX_TENSOR = 1 << 18
+
+
 @functools.lru_cache(maxsize=None)
 def _symmetric_layout(n, k):
     """Order-k multi-indices, one per sorted index tuple (i1 <= ... <= ik) in
     the lexicographic order of `itertools.combinations_with_replacement`, and
-    the (n,)*k map from every index tuple to the row of its sorted form."""
+    the (n,)*k map from every index tuple to the row of its sorted form.
+    Raises MathDomainError, before allocating, when n^k is above _MAX_TENSOR."""
+    if n**k > _MAX_TENSOR:
+        raise MathDomainError(
+            "an order-%d derivative tensor in %d variables has %d entries per "
+            "polynomial, above the limit of %d" % (k, n, n**k, _MAX_TENSOR)
+        )
     shape = (n,) * k
     combos = np.array(list(itertools.combinations_with_replacement(range(n), k)))
     row = np.empty(n**k, dtype=np.intp)
@@ -314,14 +254,19 @@ class PolySystem:
         return self.partials(np.eye(self.nvars, dtype=np.intp), x)
 
     def derivative_tensor(self, x, k):
-        """Order-k derivative tensor with raw partials as entries."""
+        """Order-k derivative tensor, an (m, n, ..., n) array of raw partials."""
         if k < 1:
             raise ValueError("order must be at least 1")
         alphas, index = _symmetric_layout(self.nvars, k)
-        return CTensor(order=k, array=self.partials(alphas, x)[:, index])
+        return self.partials(alphas, x)[:, index]
 
     def shift(self, x):
-        return PolySystem([p.shift(x) for p in self.polys], self.var_names, self.labels)
+        """System g with g(Y) = f(Y + x), expanded in doubles."""
+        x = np.asarray(x, dtype=complex)
+        n, zero = self.nvars, (0,) * self.nvars
+        forms = [Poly(n, {_unit(n, j): 1.0, zero: x[j]}).terms for j in range(n)]
+        polys = [Poly(n, _expand(p.terms, forms)) for p in self.polys]
+        return PolySystem(polys, self.var_names, self.labels)
 
     def __repr__(self):
         return "PolySystem(%d polys in %d vars, labels=%r)" % (
@@ -385,13 +330,12 @@ class NormalizedFrame:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        T = self.system.derivative_tensor(self.W @ y, k).array
+        T = self.system.derivative_tensor(self.W @ y, k)
         T = np.tensordot(self.U.conj().T, T, axes=(1, 0))
         for ax in range(1, k + 1):
             T = np.moveaxis(np.tensordot(T, self.W, axes=(ax, 0)), -1, ax)
-        out = CTensor(order=k, array=T)
-        self._cache[key] = out
-        return out
+        self._cache[key] = T
+        return T
 
     def partials(self, alphas, y):
         """Raw partials d^alpha g_i(y) as an m x K matrix, one column per
@@ -408,7 +352,7 @@ class NormalizedFrame:
             # flat position of each multi-index's sorted index tuple
             C = np.cumsum(A[cols], axis=1)
             flat = sum((C <= t).sum(axis=1) * n ** (k - 1 - t) for t in range(k))
-            T = self.derivative_tensor(y, k).array.reshape(self.n, -1)
+            T = self.derivative_tensor(y, k).reshape(self.n, -1)
             out[:, cols] = T[:, flat]
         return out
 
@@ -418,15 +362,15 @@ class NormalizedFrame:
     def materialize(self):
         """Expand the rotated system into explicit polynomials."""
         n = self.nvars
-        substituted = [p.subs_linear(self.W) for p in self.system.polys]
-        Uh = self.U.conj().T
+        forms = [Poly(n, {_unit(n, j): w for j, w in enumerate(row)}).terms for row in self.W]
+        substituted = [_expand(p.terms, forms) for p in self.system.polys]
         out = []
-        for i in range(self.n):
-            g = Poly.constant(n, 0.0)
-            for a in range(self.n):
-                if Uh[i, a] != 0:
-                    g = g + substituted[a] * Uh[i, a]
-            out.append(g)
+        for row in self.U.conj().T:
+            g = {}
+            for u, terms in zip(row, substituted):
+                if u != 0:
+                    _accumulate(g, Poly(n, {m: c * complex(u) for m, c in terms.items()}).terms)
+            out.append(Poly(n, g))
         labels = ["g%d" % (i + 1) for i in range(self.n)]
         return PolySystem(out, self.system.var_names, labels)
 

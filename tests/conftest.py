@@ -176,13 +176,21 @@ def lowering_residual(basis):
         {a for lam in basis.lambdas for a in lam.coeffs},
         key=lambda t: (sum(t), t),
     )
-    span = np.array([lam.as_vector(alphas) for lam in basis.lambdas]).T
+
+    def as_vector(coeffs):
+        return np.array([coeffs.get(a, 0j) for a in alphas], dtype=complex)
+
+    def lower(coeffs, sigma):
+        # formal anti-raising map d^beta -> d^(beta - e_sigma), one to one
+        return {a[:sigma] + (a[sigma] - 1,) + a[sigma + 1 :]: c
+                for a, c in coeffs.items() if a[sigma]}
+
+    span = np.array([as_vector(lam.coeffs) for lam in basis.lambdas]).T
     worst = 0.0
     nvars = basis.lambdas[0].nvars
     for k, lam in enumerate(basis.lambdas):
         for sigma in range(nvars):
-            low = lam.lower(sigma)
-            vec = low.as_vector(alphas)
+            vec = as_vector(lower(lam.coeffs, sigma))
             if not np.any(vec):
                 continue
             sub = span[:, :k] if k else np.zeros((len(alphas), 1))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mzero
-from mzero import constants
+from mzero import constants, polycore
 from mzero.cli import canonical_json, main, parse_point
 from mzero.errors import MathDomainError
 
@@ -329,6 +329,24 @@ def test_point_file_non_finite_is_input_error(capsys, ex_double_path, tmp_path):
     assert "non-finite coordinate" in err
 
 
+@pytest.mark.parametrize(
+    "flag, kind",
+    [("--point-file", "missing"), ("--point-file", "directory"),
+     ("--point-file", "not utf-8"), ("--system", "not utf-8")],
+)
+def test_unreadable_input_file_is_input_error(capsys, ex_double_path, tmp_path, flag, kind):
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes("vars: X1 X2 # \xb5\n".encode("latin-1"))
+    path = str({"missing": tmp_path / "missing.txt", "directory": tmp_path, "not utf-8": latin}[kind])
+    argv = ["--system", ex_double_path, "--point-file", path]
+    if flag == "--system":
+        argv = ["--system", path, "--point", "0,0"]
+    code, out, err = run_cli(capsys, "dual", *argv)
+    assert code == 2
+    assert "input error: cannot read" in err
+    assert out == ""
+
+
 def test_separation_with_system_needs_point(capsys, ex_double_path):
     code, _, err = run_cli(capsys, "separation", "--system", ex_double_path)
     assert code == 2
@@ -411,6 +429,31 @@ def test_mu_disagreeing_with_the_chain_is_input_error(capsys, ex_triple_path, co
     )
     assert code == 2
     assert "input error" in err and "terminates at 3" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("variant, mu", [("normalized_double", "3"), ("normalized_triple", "2")])
+def test_variant_contradicting_mu_is_input_error(capsys, ex_triple_path, variant, mu):
+    code, out, err = run_cli(
+        capsys, "refine", "--system", ex_triple_path, "--point", "-0.01,0.01",
+        "--variant", variant, "--mu", mu,
+    )
+    assert code == 2
+    assert "input error" in err and "variant needs mu" in err
+    assert out == ""
+
+
+def test_oversized_derivative_tensor_is_domain_error(capsys, tmp_path, monkeypatch):
+    # off the distinguished shape, refine --mu k takes order-k tensors of a
+    # frame; a small limit keeps the refused layout cheap to reach
+    monkeypatch.setattr(polycore, "_MAX_TENSOR", 2**11)
+    path = tmp_path / "square.txt"
+    path.write_text("vars: X1 X2\nf1: X1^2\nf2: X2\n")
+    code, out, err = run_cli(
+        capsys, "refine", "--system", str(path), "--point", "0.01,0.01", "--mu", "12"
+    )
+    assert code == 3
+    assert "numerical-domain error" in err and "above the limit of 2048" in err
     assert out == ""
 
 
@@ -614,14 +657,18 @@ print(json.dumps(sorted(
 
 def test_package_resolves_the_layer_modules():
     # the traced benchmark reaches every layer module through the package
+    # and patches the polycore methods it names
     perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
     code = """
 import importlib, json, sys
 sys.path.insert(0, %r)
-from traced_cli import LAYER_MODULES
+from traced_cli import CLASS_METHODS, LAYER_MODULES
 import mzero
 print(json.dumps([
     m for m in LAYER_MODULES + ("constants", "errors")
     if getattr(mzero, m) is not importlib.import_module("mzero." + m)
+] + [
+    cls + "." + meth for cls, (_, methods) in CLASS_METHODS.items() for meth in methods
+    if not hasattr(getattr(mzero.polycore, cls, None), meth)
 ]))"""
     assert run_fresh(code % perfbench) == []

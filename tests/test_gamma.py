@@ -33,7 +33,7 @@ def test_triple_zero_leading_block_by_hand(ex_triple):
     # preconditioned second-order block has an exact spectral norm
     J = ex_triple.jacobian(ORIGIN2)
     Jhat = J[:1, 1:]
-    T = ex_triple.derivative_tensor(ORIGIN2, 2).array[:1] / 2.0
+    T = ex_triple.derivative_tensor(ORIGIN2, 2)[:1] / 2.0
     M = np.linalg.solve(Jhat, T.reshape(1, -1)).reshape(T.shape)
     ref = np.linalg.svd(M.reshape(-1, 2), compute_uv=False)[0]
     report = gamma_mu(ex_triple, ORIGIN2)
@@ -44,7 +44,7 @@ def test_triple_zero_leading_block_by_hand(ex_triple):
 def test_triple_zero_last_equation_by_hand(ex_triple):
     basis = compute_dual_basis(ex_triple, ORIGIN2)
     delta = basis.delta_values[-1][-1]
-    T = ex_triple.derivative_tensor(ORIGIN2, 3).array[1:] / 6.0
+    T = ex_triple.derivative_tensor(ORIGIN2, 3)[1:] / 6.0
     ref = np.linalg.svd(T.reshape(-1, 2), compute_uv=False)[0] / abs(delta)
     got = gamma_mu(ex_triple, ORIGIN2, mu=3).gamma_n
     assert got == pytest.approx(max(1.0, math.sqrt(ref)), rel=1e-8)
@@ -140,7 +140,7 @@ def test_supremum_over_unit_directions():
     report = gamma_mu(sys_, ORIGIN2)
     J = sys_.jacobian(ORIGIN2)
     Jhat = J[:1, 1:]
-    T = sys_.derivative_tensor(ORIGIN2, 2).array[:1] / 2.0
+    T = sys_.derivative_tensor(ORIGIN2, 2)[:1] / 2.0
     pre = np.linalg.solve(Jhat, T.reshape(1, -1)).reshape(T.shape)
     best = 0.0
     for _ in range(20000):

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from mzero import exactparse, polycore
 from mzero.errors import ParseError
 from mzero.polycore import (
-    CTensor,
     Poly,
     PolySystem,
     apply_functional,
@@ -398,7 +397,7 @@ def test_derivative_tensor_symmetric_and_consistent():
     rng = np.random.default_rng(23)
     sys_ = parse_system(EX_TRIPLE)
     x = rng.normal(size=2)
-    T = sys_.derivative_tensor(x, 3).array
+    T = sys_.derivative_tensor(x, 3)
     assert np.allclose(T, np.swapaxes(T, 1, 2), atol=1e-12)
     assert np.allclose(T, np.swapaxes(T, 2, 3), atol=1e-12)
     # entry (i, alpha) carries the raw mixed partial
@@ -411,11 +410,8 @@ def test_taylor_identity_on_binomials():
     # the scaled functionals are dual to the shifted monomial basis
     x = np.array([0.4, -0.7 + 0.2j])
     for beta in [(1, 0), (0, 2), (2, 1), (1, 2)]:
-        p = Poly.constant(2, 1.0)
-        for j, e in enumerate(beta):
-            base = Poly(2, {tuple(1 if i == j else 0 for i in range(2)): 1.0,
-                            (0, 0): -x[j]})
-            p = p * base.pow_int(e)
+        # (X - x)^beta, the monomial X^beta moved to x
+        p = PolySystem([Poly(2, {beta: 1.0})]).shift(-x).polys[0]
         for alpha in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2)]:
             got = apply_functional({alpha: 1.0}, p, x)
             want = 1.0 if alpha == beta else 0.0
@@ -436,6 +432,11 @@ def _literal_partial(terms, alpha, x):
             v *= math.perm(e, a) * xj ** (e - a) if e >= a else 0
         total += v
     return total
+
+
+def _entry(T, i, alpha):
+    """Raw partial d^alpha f_i read from a symmetric derivative tensor."""
+    return T[(i, *(j for j, a in enumerate(alpha) for _ in range(a)))]
 
 
 def _assert_literal(poly, alpha, x, got):
@@ -476,15 +477,14 @@ def _check_against_literal(sys_, x):
         if k == 0:
             assert np.array_equal(sys_.eval_at(x), got[:, 0])
             continue
-        T = sys_.derivative_tensor(x, k).array
+        T = sys_.derivative_tensor(x, k)
         assert T.shape == (sys_.n,) + (n,) * k
         # adjacent transpositions generate every permutation of the axes
         for ax in range(1, k):
             assert np.array_equal(T, np.swapaxes(T, ax, ax + 1))
-        tensor = CTensor(order=k, array=T)
         for i, p in enumerate(sys_.polys):
             for alpha in alphas:
-                _assert_literal(p, alpha, x, tensor.entry(i, alpha))
+                _assert_literal(p, alpha, x, _entry(T, i, alpha))
 
 
 @settings(max_examples=60, deadline=None)
@@ -504,24 +504,24 @@ def test_kernel_partials_and_tensors_match_literal_definition(case):
 def test_kernel_blocks_give_the_same_partials(monkeypatch):
     sys_ = parse_system(EX_TRIPLE)
     x = np.array([0.3 - 0.2j, 0.7])
-    whole = sys_.derivative_tensor(x, 3).array
+    whole = sys_.derivative_tensor(x, 3)
     # at most one multi-index per block: every column goes through its own block
     monkeypatch.setattr(polycore, "_BLOCK", 1)
-    blocked = PolySystem(sys_.polys).derivative_tensor(x, 3).array
+    blocked = PolySystem(sys_.polys).derivative_tensor(x, 3)
     assert np.allclose(blocked, whole, rtol=1e-14, atol=0)
 
 
 def test_kernel_constant_and_zero_polynomials():
-    const = Poly.constant(2, 3 - 1j)
+    const = Poly(2, {(0, 0): 3 - 1j})
     zero = Poly(2)
     sys_ = PolySystem([const, zero])
     for x in (np.zeros(2), np.array([0.5, -2j])):
         _check_against_literal(sys_, x)
         assert np.array_equal(sys_.eval_at(x), [3 - 1j, 0])
         assert np.all(sys_.jacobian(x) == 0)
-        assert np.all(sys_.derivative_tensor(x, 2).array == 0)
+        assert np.all(sys_.derivative_tensor(x, 2) == 0)
     assert zero.eval_at(np.ones(2)) == 0
-    T = PolySystem([zero, zero]).derivative_tensor(np.ones(2), 3).array
+    T = PolySystem([zero, zero]).derivative_tensor(np.ones(2), 3)
     assert T.shape == (2, 2, 2, 2) and not T.any()
 
 
@@ -581,7 +581,7 @@ def test_shift_round_trip(coeffs, point):
     p = Poly(2, {(2, 0): coeffs[0], (1, 1): coeffs[1], (0, 2): coeffs[2],
                  (1, 0): coeffs[3], (0, 1): coeffs[4], (0, 0): coeffs[5]})
     x = np.array(point, dtype=complex)
-    back = p.shift(x).shift(-x)
+    back = PolySystem([p]).shift(x).shift(-x).polys[0]
     for mono in p.terms:
         assert back.terms.get(mono, 0.0) == pytest.approx(p.terms[mono], abs=1e-9)
 
@@ -595,7 +595,8 @@ def test_shift_evaluates_at_offset(coeffs, xs, ys):
                  (1, 0): coeffs[3], (0, 1): coeffs[4], (0, 0): coeffs[5]})
     x = np.array(xs, dtype=complex)
     y = np.array(ys, dtype=complex)
-    assert p.shift(x).eval_at(y) == pytest.approx(p.eval_at(y + x), abs=1e-9)
+    shifted = PolySystem([p]).shift(x).polys[0]
+    assert shifted.eval_at(y) == pytest.approx(p.eval_at(y + x), abs=1e-9)
 
 
 def test_shift_basepoint_moves_zero():
@@ -605,20 +606,36 @@ def test_shift_basepoint_moves_zero():
     assert np.allclose(moved.eval_at(np.zeros(2)), 0.0, atol=1e-15)
 
 
-def _reference_expansion(p, base):
-    """The expansion shift and subs_linear each ran before they shared
-    Poly.substitute: powers of base(j), the Poly replacing variable j."""
-    out = Poly.constant(p.nvars, 0.0)
-    cache = {}
-    for mono, c in p.sorted_terms():
-        term = Poly.constant(p.nvars, c)
+def _reference_expansion(terms, base, n):
+    """Term dict of terms with variable j replaced by the form base(j), in
+    the order of operations shift and materialize keep: terms by degree,
+    then exponent tuple; each power built once by squaring; exact zeros
+    dropped."""
+    def mul(a, b):
+        out = {}
+        for (m1, c1), (m2, c2) in itertools.product(a.items(), b.items()):
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            out[m] = out.get(m, 0j) + c1 * c2
+        return {m: c for m, c in out.items() if c != 0}
+
+    out, cache = {}, {}
+    for mono, c in sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        term = {(0,) * n: c}
         for j, e in enumerate(mono):
-            if e == 0:
-                continue
-            if (j, e) not in cache:
-                cache[j, e] = base(j).pow_int(e)
-            term = term * cache[j, e]
-        out = out + term
+            if e and (j, e) not in cache:
+                power, form, k = {(0,) * n: 1 + 0j}, base(j), e
+                while k:
+                    if k & 1:
+                        power = mul(power, form)
+                    form = mul(form, form)
+                    k >>= 1
+                cache[j, e] = power
+            if e:
+                term = mul(term, cache[j, e])
+        for m, t in term.items():
+            out[m] = out.get(m, 0j) + t
+            if out[m] == 0:
+                del out[m]
     return out
 
 
@@ -630,13 +647,19 @@ def test_substitution_matches_the_reference_expansion(case):
                  for _ in range(6)})
     unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     if case % 2:
+        # one polynomial in a rotated view: conj(u) * p(W @ Y)
         W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        got, base = p.subs_linear(W), lambda b: Poly(n, dict(zip(unit, W[b])))
+        u = complex(np.exp(2j * np.pi * rng.uniform()))
+        got = unitary_pullback(PolySystem([p]), [[u]], W).materialize()
+        want = _reference_expansion(p.terms, lambda b: Poly(n, dict(zip(unit, W[b]))).terms, n)
+        want = {m: 0j + c * u.conjugate() for m, c in want.items() if c * u.conjugate() != 0}
     else:
         # real and negated coordinates give zero imaginary parts of either sign
         x = -np.asarray(rng.normal(size=n) + 1j * rng.normal(size=n) * (case % 4 == 0))
-        got, base = p.shift(x), lambda j: Poly(n, {unit[j]: 1.0, (0,) * n: x[j]})
-    assert _bits(PolySystem([got])) == _bits(PolySystem([_reference_expansion(p, base)]))
+        got = PolySystem([p]).shift(x)
+        want = _reference_expansion(
+            p.terms, lambda j: Poly(n, {unit[j]: 1.0, (0,) * n: x[j]}).terms, n)
+    assert _bits(got) == _bits(PolySystem([Poly(n, want)]))
 
 
 def test_subs_linear_evaluates_through_matrix():
@@ -644,8 +667,9 @@ def test_subs_linear_evaluates_through_matrix():
     sys_ = parse_system(EX_TRIPLE)
     W = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     y = rng.normal(size=2) + 1j * rng.normal(size=2)
-    for p in sys_.polys:
-        assert p.subs_linear(W).eval_at(y) == pytest.approx(p.eval_at(W @ y), rel=1e-12)
+    flat = unitary_pullback(sys_, np.eye(2), W).materialize()
+    for p, g in zip(sys_.polys, flat.polys):
+        assert g.eval_at(y) == pytest.approx(p.eval_at(W @ y), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +686,8 @@ def test_frame_matches_materialized():
     y = rng.normal(size=2) + 1j * rng.normal(size=2)
     assert np.allclose(frame.eval_at(y), flat.eval_at(y), atol=1e-12)
     assert np.allclose(frame.jacobian(y), flat.jacobian(y), atol=1e-12)
-    T_frame = frame.derivative_tensor(y, 3).array
-    T_flat = flat.derivative_tensor(y, 3).array
+    T_frame = frame.derivative_tensor(y, 3)
+    T_flat = flat.derivative_tensor(y, 3)
     assert np.allclose(T_frame, T_flat, atol=1e-10)
 
 
@@ -719,7 +743,7 @@ def test_frame_partials_batch_mixes_orders():
             want = frame.eval_at(y)
         else:
             T = frame.derivative_tensor(y, k)
-            want = np.array([T.entry(i, alpha) for i in range(3)])
+            want = np.array([_entry(T, i, alpha) for i in range(3)])
         assert np.array_equal(got[:, col], want)
     assert np.allclose(got, flat.partials(alphas, y), atol=1e-10)
 
