@@ -2,35 +2,29 @@
 
 The multiplicity structure of a zero whose Jacobian has a one-dimensional
 kernel is a single chain of differential functionals Lambda_0, ...,
-Lambda_{mu-1}. Each step of the chain is built from the previous ones by
-the order-raising map `psi`, corrected by first-order terms whose
-coefficients solve a small linear system against the invertible Jacobian
-block. The chain terminates at the first order whose raw functional falls
-outside the column space of the Jacobian; that order is the multiplicity.
+Lambda_{mu-1}, Lambda_k = Delta_k + sum a_k d: a raw functional built from
+the lower ones by the order-raising map `psi`, corrected by first-order
+terms that solve a small linear system against the Jacobian. The chain
+ends at the first order whose raw value falls outside the column space of
+the Jacobian; that order is the multiplicity.
 
-One recursion loop, `_chain`, builds every chain. Its callers differ
-only in how the raw functional of each order is formed, how it is
-corrected and when the chain stops. `compute_dual_basis` forms it with
-the order-raising map on the input system and stops at the
-multiplicity; `kernel_chain` runs the same recursion to a fixed order
-along a given first-order direction. `chainrule_Lk` is an independent
-second route: it forms the raw functionals on a rotated view of the
-system through a derivative-level product rule, without expanding the
-rotated polynomials. Agreement of the two routes is a useful end-to-end
-check and is exercised in the test suite.
+Lambda_k(f) is the t^k Taylor coefficient of f along the curve x + a_1 t
++ ... + a_k t^k, so the one recursion loop, `_chain`, reads each raw value
+from the kernel's `curve_taylor` and forms no functional. The functionals,
+by `psi`, are the symbolic record that a `DualBasis` builds on first use.
+`chainrule_Lk` is an independent second route: it forms the raw
+functionals of a rotated view by a derivative-level product rule and
+applies them through contracted derivative tensors. The test suite checks
+that the routes agree.
 """
 
-from dataclasses import dataclass, field
+import functools
 
 import numpy as np
 
 from . import polycore
-from .errors import (
-    BreadthError,
-    CorankError,
-    MultiplicityNotFoundError,
-    NotNormalizedError,
-)
+from .errors import BreadthError, CorankError, InputError
+from .errors import MultiplicityNotFoundError, NotNormalizedError
 from .numkit import solve_least_squares, solve_linear, svd
 
 DEFAULT_MAX_ORDER = 10
@@ -53,16 +47,7 @@ class DualFunctional:
 
     def __init__(self, nvars, coeffs=None):
         self.nvars = nvars
-        self.coeffs = {}
-        if coeffs:
-            for alpha, c in coeffs.items():
-                c = complex(c)
-                if c != 0:
-                    self.coeffs[alpha] = c
-
-    @classmethod
-    def one(cls, nvars):
-        return cls(nvars, {(0,) * nvars: 1.0})
+        self.coeffs = {alpha: complex(c) for alpha, c in (coeffs or {}).items() if c != 0}
 
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -70,20 +55,12 @@ class DualFunctional:
     def __add__(self, other):
         out = dict(self.coeffs)
         for alpha, c in other.coeffs.items():
-            s = out.get(alpha, 0j) + c
-            if s == 0:
-                out.pop(alpha, None)
-            else:
-                out[alpha] = s
+            out[alpha] = out.get(alpha, 0j) + c
         return DualFunctional(self.nvars, out)
 
     def __mul__(self, scalar):
         scalar = complex(scalar)
-        return DualFunctional(
-            self.nvars, {a: c * scalar for a, c in self.coeffs.items()}
-        )
-
-    __rmul__ = __mul__
+        return DualFunctional(self.nvars, {a: c * scalar for a, c in self.coeffs.items()})
 
     def psi(self, sigma):
         """Order-raising map: keep terms with no support left of sigma,
@@ -117,27 +94,42 @@ class DualFunctional:
         return "DualFunctional(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-@dataclass
 class DualBasis:
     """Chain of dual functionals at a corank-one zero.
 
-    lambdas holds Lambda_0 .. Lambda_{mu-1}; deltas holds the raw
-    functionals of orders 2 .. mu before first-order correction, with
-    delta_values their application to the system at the base point.
     a_coeffs row k-1 is the correction vector of step k (row 0 is the
-    kernel direction). corank_gap is sigma_n / sigma_{n-1}.
+    kernel direction). delta_values holds the raw values of orders 2 .. mu
+    at the base point and duality_residuals the largest entry of
+    Lambda_k(f), k = 1 .. mu-1. corank_gap is sigma_n / sigma_{n-1}, and
+    singular_values are those of the Jacobian. `lambdas` (Lambda_0 ..
+    Lambda_{mu-1}) and `deltas` (the raw functionals of orders 2 .. mu)
+    are built from a_coeffs on first use. A plain class: a dataclass costs
+    every process that loads this module the exec of its methods.
     """
 
-    lambdas: list
-    deltas: list
-    a_coeffs: np.ndarray
-    mu: int
-    breadth_one: bool
-    corank_gap: float
-    delta_values: list = field(default_factory=list)
-    duality_residuals: np.ndarray = None
-    normalized: bool = True
-    singular_values: np.ndarray = None
+    def __init__(self, a_coeffs, delta_values, duality_residuals, singular_values, normalized):
+        s = singular_values
+        self.a_coeffs = a_coeffs
+        self.mu = len(a_coeffs) + 1
+        self.breadth_one = True
+        self.corank_gap = float(s[-1] / s[-2]) if len(s) >= 2 and s[-2] > 0 else float("inf")
+        self.delta_values = delta_values
+        self.duality_residuals = duality_residuals
+        self.normalized = normalized
+        self.singular_values = singular_values
+
+    @functools.cached_property
+    def functionals(self):
+        """(lambdas, deltas), by the order-raising map from a_coeffs."""
+        return _chain_functionals(self.a_coeffs)
+
+    @property
+    def lambdas(self):
+        return self.functionals[0]
+
+    @property
+    def deltas(self):
+        return self.functionals[1]
 
 
 def is_normalized(J, rel_tol=NORMALIZED_RTOL):
@@ -183,33 +175,35 @@ def _first_order(vec):
     return DualFunctional(n, dict(zip(units, vec)))
 
 
-def _chain(source, x, a1, correct, stop, max_order, raw=_delta_from_chain):
+def _chain_functionals(a_rows, raw=_delta_from_chain):
+    """(lambdas, deltas) of the chain with correction rows a_rows: Lambda_0
+    .. Lambda_{len(a_rows)} and the raw functionals of orders 2 ..
+    len(a_rows) + 1, each `raw(a_rows, lambdas, k, n)` of the chain below."""
+    n = len(a_rows[0])
+    lambdas = [DualFunctional(n, {(0,) * n: 1.0}), _first_order(a_rows[0])]
+    deltas = []
+    for k in range(2, len(a_rows) + 2):
+        deltas.append(raw(a_rows, lambdas, k, n))
+        if k <= len(a_rows):
+            lambdas.append(deltas[-1] + _first_order(a_rows[k - 1]))
+    return lambdas, deltas
+
+
+def _chain(source, x, a1, correct, stop, max_order):
     """The breadth-one recursion (Li & Zhi, J. Symb. Comput. 2012) from
     Lambda_1 = sum a1 d.
 
-    Order k applies the raw functional `raw(a_rows, lambdas, k, n)` built
-    from the chain so far to source at x. `stop(k, vals)` ends the chain
+    The raw value of order k is the t^k Taylor coefficient of source along
+    x + a_1 t + ... + a_{k-1} t^(k-1). `stop(k, vals)` ends the chain
     there; otherwise `correct(k, vals)` gives the trailing coordinates of
-    the first-order correction that turns the raw functional into
-    Lambda_k. Returns (lambdas, a_rows, deltas, values), or None when no
-    stop came by max_order.
+    a_k. Returns (a_rows, values), or None when no stop came by max_order.
     """
-    n = source.nvars
-    lambdas = [DualFunctional.one(n), _first_order(a1)]
-    a_rows = [a1]
-    deltas = []
-    values = []
+    a_rows, values = [a1], []
     for k in range(2, max_order + 1):
-        delta = raw(a_rows, lambdas, k, n)
-        vals = delta.apply(source, x)
-        deltas.append(delta)
-        values.append(vals)
-        if stop(k, vals):
-            return lambdas, a_rows, deltas, values
-        a_k = np.zeros(n, dtype=complex)
-        a_k[1:] = correct(k, vals)
-        lambdas.append(delta + _first_order(a_k))
-        a_rows.append(a_k)
+        values.append(source.curve_taylor(x, a_rows, k)[:, k])
+        if stop(k, values[-1]):
+            return a_rows, values
+        a_rows.append(np.concatenate([[0], correct(k, values[-1])]))
     return None
 
 
@@ -220,50 +214,28 @@ def kernel_chain(source, x, a1, Jhat, order):
     with no membership test: every order below `order` is corrected by
     the trailing-coordinate solve against Jhat, the leading (n-1) x (n-1)
     block of the Jacobian. Returns the list whose entry k-2 is the raw
-    order-k functional applied to source at x, for k = 2..order.
+    order-k functional applied to source at x, for k = 2..order. An order
+    below 2 is an InputError: a corank-one chain has mu >= 2.
     """
+    if order < 2:
+        raise InputError("a corank-one chain has order mu >= 2, got %r" % order)
     n = source.nvars
-    _, _, _, values = _chain(
-        source,
-        x,
-        a1,
-        lambda k, vals: solve_linear(Jhat, -vals[: n - 1]),
-        lambda k, vals: k == order,
-        order,
-    )
-    return values
+    chain = _chain(source, x, a1, lambda k, vals: solve_linear(Jhat, -vals[: n - 1]),
+                   lambda k, vals: k == order, order)
+    return chain[1]
 
 
-def compute_dual_basis(
-    source,
-    x,
-    max_order=DEFAULT_MAX_ORDER,
-    gap_tol=DEFAULT_GAP_TOL,
-    delta_zero_tol=DEFAULT_DELTA_ZERO_TOL,
-    J=None,
-):
+def compute_dual_basis(source, x, max_order=DEFAULT_MAX_ORDER, gap_tol=DEFAULT_GAP_TOL,
+                       delta_zero_tol=DEFAULT_DELTA_ZERO_TOL, J=None):
     """Multiplicity structure of an isolated zero with corank-one Jacobian.
 
-    Parameters
-    ----------
-    source : PolySystem or NormalizedFrame
-    x : array_like
-        Base point, in the coordinates of `source`.
-    max_order : int
-        Recursion cap; exceeding it raises MultiplicityNotFoundError.
-    gap_tol, delta_zero_tol : float
-        Relative tolerances for the corank test and for deciding when a
-        raw functional still lies in the Jacobian column space.
-    J : ndarray, optional
-        The Jacobian of source at x, when the caller has it already.
-
-    Raises
-    ------
-    CorankError
-        If the Jacobian does not show a clean one-dimensional kernel.
-    BreadthError
-        If a correction solve leaves a residual incompatible with a
-        single-chain structure.
+    source is a PolySystem or NormalizedFrame and x the base point in its
+    coordinates; J, the Jacobian there, is evaluated unless given. gap_tol
+    and delta_zero_tol are the relative tolerances of the corank test and
+    of deciding when a raw value still lies in the Jacobian column space.
+    Raises CorankError without a clean one-dimensional kernel,
+    BreadthError when a correction solve leaves a residual incompatible
+    with a single chain, and MultiplicityNotFoundError past max_order.
     """
     x = np.asarray(x, dtype=complex)
     n = source.nvars
@@ -302,30 +274,18 @@ def compute_dual_basis(
         raise MultiplicityNotFoundError(
             "no terminating order found up to max_order=%d" % max_order
         )
-    return _dual_basis(source, x, chain, s, normalized)
+    return _dual_basis(J, *chain, s, normalized)
 
 
-def _dual_basis(source, x, chain, s, normalized):
-    """DualBasis of a finished chain, whose length is the multiplicity;
-    s are the singular values of the Jacobian at x."""
-    lambdas, a_rows, deltas, delta_values = chain
-    mu = len(lambdas)
-    duality = np.zeros(mu - 1)
-    for j in range(1, mu):
-        duality[j - 1] = float(np.max(np.abs(lambdas[j].apply(source, x))))
-
-    return DualBasis(
-        lambdas=lambdas,
-        deltas=deltas,
-        a_coeffs=np.array(a_rows),
-        mu=mu,
-        breadth_one=True,
-        corank_gap=float(s[-1] / s[-2]) if len(s) >= 2 and s[-2] > 0 else float("inf"),
-        delta_values=delta_values,
-        duality_residuals=duality,
-        normalized=normalized,
-        singular_values=np.array(s, dtype=float),
-    )
+def _dual_basis(J, a_rows, delta_values, s, normalized):
+    """DualBasis of a finished chain, whose length is the multiplicity; J
+    and s are the Jacobian at the base point and its singular values.
+    Lambda_k(f) is the raw value of order k plus J a_k (J a_1 for k = 1)."""
+    a_coeffs = np.array(a_rows)
+    lam_vals = J @ a_coeffs.T
+    lam_vals[:, 1:] += np.array(delta_values[:-1]).T.reshape(len(J), -1)
+    return DualBasis(a_coeffs, delta_values, np.max(np.abs(lam_vals), axis=0),
+                     np.array(s, dtype=float), normalized)
 
 
 def _product_rule_delta(a_rows, lambdas, k, n):
@@ -341,14 +301,8 @@ def _product_rule_delta(a_rows, lambdas, k, n):
     return pk
 
 
-def chainrule_Lk(
-    frame,
-    w,
-    kmax=None,
-    max_order=DEFAULT_MAX_ORDER,
-    gap_tol=DEFAULT_GAP_TOL,
-    delta_zero_tol=DEFAULT_DELTA_ZERO_TOL,
-):
+def chainrule_Lk(frame, w, kmax=None, max_order=DEFAULT_MAX_ORDER, gap_tol=DEFAULT_GAP_TOL,
+                 delta_zero_tol=DEFAULT_DELTA_ZERO_TOL):
     """Dual chain on a rotated view, via the derivative product rule.
 
     The raw order-k functionals are accumulated as P_k = sum over j and
@@ -379,20 +333,20 @@ def chainrule_Lk(
             return k == kmax
         return abs(vals[-1]) > delta_zero_tol * float(np.linalg.norm(vals)) + 1e-14
 
-    chain = _chain(
-        frame,
-        w,
-        a1,
-        lambda k, vals: solve_linear(Jhat, -vals[: n - 1]),
-        stop,
-        kmax if kmax is not None else max_order,
-        _product_rule_delta,
-    )
-    if chain is None:
+    a_rows, values = [a1], []
+    for k in range(2, (kmax if kmax is not None else max_order) + 1):
+        functionals = _chain_functionals(a_rows, _product_rule_delta)
+        values.append(functionals[1][-1].apply(frame, w))
+        if stop(k, values[-1]):
+            break
+        a_rows.append(np.concatenate([[0], solve_linear(Jhat, -values[-1][: n - 1])]))
+    else:
         raise MultiplicityNotFoundError(
             "no terminating order found up to max_order=%d" % max_order
         )
-    return _dual_basis(frame, w, chain, s, True)
+    basis = _dual_basis(J, a_rows, values, s, True)
+    basis.functionals = functionals
+    return basis
 
 
 def normalizing_frame(source, x, J=None):

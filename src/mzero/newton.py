@@ -171,6 +171,8 @@ def iterate_until(
     if mu is None:
         basis = compute_dual_basis(source, z, **tolerances)
         mu = basis.mu
+    if mu < 2:
+        raise InputError("a corank-one zero has mu >= 2, got %r" % mu)
     if variant == "auto":
         variant = _choose_variant(source, z, mu)
     if variant not in VARIANTS:

@@ -19,7 +19,10 @@ returns the m x K matrix of raw partials d^alpha f_i(x) (without the
 1/alpha! scaling) for a batch of K multi-indices. Values, Jacobians,
 derivative tensors and dual functionals are slices of that one call.
 `derivative_tensor` evaluates each sorted index tuple once and spreads the
-result over the symmetric (m, n, ..., n) ndarray.
+result over the symmetric (m, n, ..., n) ndarray. The kernel's second
+entry point, `curve_taylor(x, A, k)`, returns the Taylor coefficients up to
+t^k of the system along a polynomial curve through x, by truncated power
+series over the same E and C; the dual chain reads its values there.
 
 A point in n variables must have shape (n,); any other shape raises
 ValueError. A system compiles once, so edits to its polynomials' terms
@@ -142,6 +145,37 @@ class _Kernel:
             out[:, s : s + step] = self.C @ M.T
         return out
 
+    def curve_taylor(self, x, A, k):
+        """Taylor coefficients at t^0..t^k of f_i along x + sum_i A[i] t^(i+1)
+        as an m x (k+1) matrix (rows of A past the k-th cannot reach t^k).
+
+        Variable j follows the series x_j + sum_i A[i, j] t^(i+1); its
+        powers up to the largest exponent, then per monomial the product of
+        the powers its exponents pick, are power series truncated after t^k.
+        """
+        x = np.asarray(x, dtype=complex)
+        n = self.nvars
+        if x.shape != (n,):
+            raise ValueError("point has shape %s, expected (%d,)" % (x.shape, n))
+        S = np.vstack([x, np.asarray(A, dtype=complex).reshape(-1, n)[:k]]).T
+        P = np.zeros((int(self.E.max(initial=0)) + 1, n, k + 1), dtype=complex)
+        P[0, :, 0] = 1.0
+        for e in range(1, len(P)):
+            P[e] = _series_product(P[e - 1], S)
+        M = np.ones((len(self.E), 1), dtype=complex)
+        for j in range(n):
+            M = _series_product(P[self.E[:, j], j], M)
+        return self.C @ M
+
+
+def _series_product(a, b):
+    """Product of power series stored along the last axis, truncated to the
+    length of a; b may be shorter, its missing coefficients zero."""
+    out = a * b[..., :1]
+    for d in range(1, min(a.shape[-1], b.shape[-1])):
+        out[..., d:] += a[..., :-d] * b[..., d : d + 1]
+    return out
+
 
 def _accumulate(out, terms):
     """Add a term dict into `out` in place; a sum that is exactly zero
@@ -221,7 +255,6 @@ class PolySystem:
                 raise ValueError("mixed variable counts")
         self.var_names = list(var_names) if var_names else ["X%d" % (i + 1) for i in range(n)]
         self.labels = list(labels) if labels else ["f%d" % (i + 1) for i in range(len(self.polys))]
-        self._kernel = None
 
     @property
     def n(self):
@@ -237,12 +270,20 @@ class PolySystem:
     def max_degree(self):
         return max((p.degree() for p in self.polys), default=0)
 
+    @functools.cached_property
+    def _kernel(self):
+        """The compiled system, built on the first evaluation."""
+        return _Kernel(self.polys, self.nvars)
+
     def partials(self, alphas, x):
         """Raw partials d^alpha f_i(x) as an m x K matrix, one column per
-        multi-index. The system compiles on the first call."""
-        if self._kernel is None:
-            self._kernel = _Kernel(self.polys, self.nvars)
+        multi-index."""
         return self._kernel.partials(alphas, x)
+
+    def curve_taylor(self, x, A, k):
+        """Taylor coefficients of f along x + sum_i A[i] t^(i+1) at
+        t^0..t^k, an m x (k+1) matrix (`_Kernel.curve_taylor`)."""
+        return self._kernel.curve_taylor(x, A, k)
 
     def eval_at(self, x):
         return self.partials([(0,) * self.nvars], x)[:, 0]
@@ -279,9 +320,9 @@ class PolySystem:
 class NormalizedFrame:
     """View of a system in rotated coordinates, g(Y) = U^H f(W @ Y).
 
-    Derivatives of g are produced by contracting the derivative tensors of
-    the underlying system, so nothing is expanded symbolically unless
-    `materialize` is called. Tensor evaluations are cached per base point.
+    Values, Jacobians and Taylor coefficients along curves map those of
+    the underlying system; higher derivatives contract its derivative
+    tensors. Nothing is expanded unless `materialize` is called.
     """
 
     def __init__(self, system, U, W):
@@ -291,7 +332,6 @@ class NormalizedFrame:
         n = system.nvars
         if self.U.shape != (system.n, system.n) or self.W.shape != (n, n):
             raise ValueError("frame matrices have wrong shape")
-        self._cache = {}
 
     @property
     def n(self):
@@ -324,17 +364,19 @@ class NormalizedFrame:
         J = self.system.jacobian(self.W @ y)
         return self.U.conj().T @ J @ self.W
 
+    def curve_taylor(self, y, A, k):
+        """Taylor coefficients of g along y + sum_i A[i] t^(i+1): those of
+        the system along W @ y + sum_i (W @ A[i]) t^(i+1), mapped by U^H."""
+        A = np.asarray(A, dtype=complex).reshape(-1, self.nvars)
+        taylor = self.system.curve_taylor(self.W @ np.asarray(y, dtype=complex), A @ self.W.T, k)
+        return self.U.conj().T @ taylor
+
     def derivative_tensor(self, y, k):
         y = np.asarray(y, dtype=complex)
-        key = (y.tobytes(), k)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         T = self.system.derivative_tensor(self.W @ y, k)
         T = np.tensordot(self.U.conj().T, T, axes=(1, 0))
         for ax in range(1, k + 1):
             T = np.moveaxis(np.tensordot(T, self.W, axes=(ax, 0)), -1, ax)
-        self._cache[key] = T
         return T
 
     def partials(self, alphas, y):

@@ -9,7 +9,8 @@ linear form, which pins its third-order chain value at exactly 192.
 multiplicity-mu zero at the origin whose Jacobian is already in the
 distinguished shape (kernel along the first variable). The exactness comes
 from banning the handful of monomials whose coefficients feed the chain
-values below order mu.
+values below order mu. `make_planted_system` covers any mu >= 2 by a
+nonlinear change of coordinates of (X_2, ..., X_n, X_1^mu).
 """
 
 import importlib.util
@@ -130,6 +131,35 @@ def make_normalized_system(n, mu, rng, coeff_scale=0.2, fill=0.6):
     names = ["X%d" % (i + 1) for i in range(n)]
     labels = ["f%d" % (i + 1) for i in range(n)]
     return PolySystem(polys, names, labels)
+
+
+def make_planted_system(n, mu, rng, coeff_scale=0.3):
+    """Random system with an exact multiplicity-mu zero at the origin, for
+    any mu >= 2.
+
+    phi(X) = X + random complex quadratics is a local change of
+    coordinates at the origin, and g = (phi_2, ..., phi_n, phi_1^mu) is
+    (Y_2, ..., Y_n, Y_1^mu) in the coordinates Y = phi(X): its zero at the
+    origin has multiplicity exactly mu, and its Jacobian there is in the
+    distinguished shape.
+    """
+    quad = monomials(n, 2)
+    phi = []
+    for j in range(n):
+        terms = {_unit(n, j): 1.0 + 0j}
+        for m in quad:
+            terms[m] = coeff_scale * complex(rng.normal(), rng.normal())
+        phi.append(terms)
+    power = {(0,) * n: 1.0 + 0j}
+    for _ in range(mu):
+        product = {}
+        for m1, c1 in power.items():
+            for m2, c2 in phi[0].items():
+                m = tuple(a + b for a, b in zip(m1, m2))
+                product[m] = product.get(m, 0j) + c1 * c2
+        power = product
+    polys = [Poly(n, terms) for terms in phi[1:] + [power]]
+    return PolySystem(polys)
 
 
 def macaulay_multiplicity(system, max_order=6, tol=1e-8):

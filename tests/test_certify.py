@@ -224,6 +224,11 @@ def test_certificate_moves_off_shape_point_to_a_frame(ex_double):
     assert np.array_equal(cert.center, ORIGIN2)
 
 
+def test_certificate_mu_below_two_is_input_error(ex_triple):
+    with pytest.raises(InputError, match="mu >= 2"):
+        certify_cluster(ex_triple, ORIGIN2, mu=1)
+
+
 def test_certificate_formula_consistency(ex_triple):
     # mu is supplied: thresholded detection at an approximate zero sees the
     # chain break immediately, the order is established at the zero itself

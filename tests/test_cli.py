@@ -444,14 +444,12 @@ def test_variant_contradicting_mu_is_input_error(capsys, ex_triple_path, variant
 
 
 def test_oversized_derivative_tensor_is_domain_error(capsys, tmp_path, monkeypatch):
-    # off the distinguished shape, refine --mu k takes order-k tensors of a
-    # frame; a small limit keeps the refused layout cheap to reach
+    # gamma takes the derivative tensor of every order up to the degree, 12
+    # here; a small limit keeps the refused layout cheap to reach
     monkeypatch.setattr(polycore, "_MAX_TENSOR", 2**11)
     path = tmp_path / "square.txt"
-    path.write_text("vars: X1 X2\nf1: X1^2\nf2: X2\n")
-    code, out, err = run_cli(
-        capsys, "refine", "--system", str(path), "--point", "0.01,0.01", "--mu", "12"
-    )
+    path.write_text("vars: X1 X2\nf1: X2 + X1^12\nf2: X1^2\n")
+    code, out, err = run_cli(capsys, "gamma", "--system", str(path), "--point", "0,0")
     assert code == 3
     assert "numerical-domain error" in err and "above the limit of 2048" in err
     assert out == ""

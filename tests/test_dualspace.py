@@ -7,6 +7,7 @@ from mzero.dualspace import (
     chainrule_Lk,
     compute_dual_basis,
     is_normalized,
+    kernel_chain,
     normalizing_frame,
 )
 from mzero.errors import (
@@ -14,12 +15,20 @@ from mzero.errors import (
     MultiplicityNotFoundError,
     NotNormalizedError,
 )
-from mzero.polycore import parse_system, unitary_pullback
+from mzero.newton import refine_general
+from mzero.polycore import (
+    NormalizedFrame,
+    PolySystem,
+    apply_functional,
+    parse_system,
+    unitary_pullback,
+)
 
 from conftest import (
     lowering_residual,
     macaulay_multiplicity,
     make_normalized_system,
+    make_planted_system,
     random_unitary,
 )
 
@@ -191,3 +200,65 @@ def test_general_chain_is_rotation_invariant():
         scale = max(1.0, float(np.linalg.norm(vals)))
         assert abs(np.vdot(u_last, vals)) <= 1e-9 * scale
     assert abs(np.vdot(u_last, b1.delta_values[-1])) > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# planted zeros of any multiplicity
+
+
+def planted_views(n, mu):
+    """A planted system with its zero at the origin, and a unitary pullback
+    of it, whose Jacobian at the origin is off the distinguished shape."""
+    rng = np.random.default_rng(1000 + 10 * n + mu)
+    system = make_planted_system(n, mu, rng)
+    return system, unitary_pullback(system, random_unitary(n, rng), random_unitary(n, rng))
+
+
+@pytest.mark.parametrize("n,mu", [(3, 5), (3, 6), (4, 6), (3, 8)])
+def test_planted_multiplicity_is_detected(n, mu):
+    for source in planted_views(n, mu):
+        basis = compute_dual_basis(source, np.zeros(n, dtype=complex))
+        assert basis.mu == mu
+        assert basis.normalized == isinstance(source, PolySystem)
+        assert np.max(basis.duality_residuals) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "n,mu", [(2, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 6), (2, 7), (3, 8)]
+)
+def test_curve_values_match_the_symbolic_functionals(n, mu):
+    # the chain reads its values from the kernel curve; the functionals of
+    # the order-raising map, applied through partials (contracted tensors
+    # in a frame), must give the same numbers
+    x = np.zeros(n, dtype=complex)
+    for source in planted_views(n, mu):
+        basis = compute_dual_basis(source, x)
+        assert len(basis.deltas) == len(basis.delta_values) == mu - 1
+        for delta, vals in zip(basis.deltas, basis.delta_values):
+            want = apply_functional(delta.coeffs, source, x)
+            assert np.linalg.norm(vals - want) <= 1e-14 * np.linalg.norm(want)
+        J = source.jacobian(x)
+        for k, lam in enumerate(basis.lambdas[1:], start=1):
+            want = lam.apply(source, x)
+            got = J @ basis.a_coeffs[k - 1] + (basis.delta_values[k - 2] if k > 1 else 0)
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_chain_values_take_no_derivative_tensor(monkeypatch):
+    rng = np.random.default_rng(61)
+    system = make_planted_system(3, 5, rng)
+    frame = unitary_pullback(system, random_unitary(3, rng), random_unitary(3, rng))
+
+    def refuse(self, x, k):
+        raise AssertionError("an order-%d derivative tensor was built" % k)
+
+    monkeypatch.setattr(PolySystem, "derivative_tensor", refuse)
+    monkeypatch.setattr(NormalizedFrame, "derivative_tensor", refuse)
+    x = np.zeros(3, dtype=complex)
+    e1 = np.array([1, 0, 0], dtype=complex)
+    for source in (system, frame):
+        assert compute_dual_basis(source, x).mu == 5
+        values = kernel_chain(source, x, e1, source.jacobian(x)[:2, 1:], 5)
+        assert len(values) == 4
+        z, _info = refine_general(source, np.full(3, 1e-3, dtype=complex), 5)
+        assert np.linalg.norm(z) < 1e-3

@@ -12,7 +12,7 @@ from mzero.dualspace import (
     normalizing_frame,
 )
 from mzero.errors import InputError, NotNormalizedError
-from mzero.gamma import gamma_mu
+from mzero.gamma import LocalModel, gamma_mu
 from mzero.polycore import PolySystem, unitary_pullback
 
 from conftest import make_normalized_system, random_unitary
@@ -112,6 +112,11 @@ def test_mu_mismatch_is_rejected(ex_triple):
         gamma_mu(ex_triple, ORIGIN2, mu=2)
     with pytest.raises(ValueError):
         gamma_mu(ex_triple, ORIGIN2, mu=4)
+
+
+def test_trusted_mu_below_two_is_input_error(ex_triple):
+    with pytest.raises(InputError, match="mu >= 2"):
+        LocalModel(ex_triple, ORIGIN2, mu=0, trust_mu=True)
 
 
 def test_certified_mode_dominates_estimate():

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from mzero.errors import InputError
 from mzero.newton import (
     VARIANTS,
     iterate_until,
@@ -13,7 +16,7 @@ from mzero.newton import (
 )
 from mzero.polycore import parse_system, unitary_pullback
 
-from conftest import make_normalized_system, random_unitary
+from conftest import make_normalized_system, make_planted_system, random_unitary
 
 START = np.array([-0.01, 0.01], dtype=complex)
 
@@ -151,6 +154,15 @@ def test_variant_mu_mismatch(ex_triple):
         iterate_until(ex_triple, START, mu=3, variant="thirdorder")
 
 
+def test_mu_below_two_is_input_error(ex_triple):
+    # also at a point that already meets the tolerance, where no step runs
+    for z in (START, np.zeros(2, dtype=complex)):
+        with pytest.raises(InputError, match="mu >= 2"):
+            iterate_until(ex_triple, z, mu=1, variant="general")
+    with pytest.raises(InputError, match="mu >= 2"):
+        refine_general(ex_triple, START, 1)
+
+
 def test_variants_tuple():
     assert set(VARIANTS) == {"normalized_double", "normalized_triple", "general"}
 
@@ -249,3 +261,23 @@ def test_general_contraction_rotated(n, mu):
     # roughly quadratic contraction down to rounding level
     assert errs[1] <= errs[0] ** 2 * 10 + 1e-14
     assert errs[2] <= 1e-12
+
+
+@pytest.mark.parametrize("mu", [5, 6, 7, 8])
+def test_general_contraction_order_on_planted_zeros(mu):
+    # the paper claims quadratic convergence with no rate constant: the order
+    # read from the last three errors above the rounding floor is near two,
+    # on the planted system and on a unitary pullback of it
+    rng = np.random.default_rng(120 + mu)
+    system = make_planted_system(3, mu, rng)
+    frame = unitary_pullback(system, random_unitary(3, rng), random_unitary(3, rng))
+    for source in (system, frame):
+        direction = rng.normal(size=3) + 1j * rng.normal(size=3)
+        z = 1e-2 * direction / np.linalg.norm(direction)
+        errs = [np.linalg.norm(z)]
+        for _ in range(5):
+            z, _info = refine_general(source, z, mu)
+            errs.append(np.linalg.norm(z))
+        e0, e1, e2 = [e for e in errs if e > 1e-11][-3:]
+        assert math.log(e2 / e1) / math.log(e1 / e0) >= 1.8
+        assert errs[-1] <= 1e-12

@@ -748,6 +748,27 @@ def test_frame_partials_batch_mixes_orders():
     assert np.allclose(got, flat.partials(alphas, y), atol=1e-10)
 
 
+def test_curve_taylor_matches_the_sampled_curve():
+    # f(x + A[0] t + A[1] t^2) is a polynomial in t of degree at most 6
+    # here; sampled at 8 roots of unity, its coefficients are the DFT
+    rng = np.random.default_rng(30)
+    sys_ = parse_system("vars: X Y Z\nf: X^2*Y + Z^3 - X\ng: Y*Z^2 + X*Y\nh: X^3 + Y^2*Z + 2")
+    frame = unitary_pullback(sys_, random_unitary(3, rng), random_unitary(3, rng))
+    x = rng.normal(size=3) + 1j * rng.normal(size=3)
+    A = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    t = np.exp(2j * np.pi * np.arange(8) / 8)
+    for source in (sys_, frame):
+        samples = np.array([source.eval_at(x + A[0] * s + A[1] * s**2) for s in t])
+        want = np.fft.fft(samples, axis=0).T / 8
+        got = source.curve_taylor(x, A, 7)
+        assert got.shape == (3, 8)
+        assert np.allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        # a row of A past t^k cannot reach it
+        assert np.allclose(source.curve_taylor(x, A, 1), got[:, :2], rtol=1e-15, atol=0)
+    empty = PolySystem([Poly(2, {}), Poly(2, {})]).curve_taylor(np.ones(2), [[1, 2]], 3)
+    assert empty.shape == (2, 4) and not empty.any()
+
+
 def test_system_shift_composition():
     sys_ = parse_system(EX_TRIPLE)
     a = np.array([0.1, 0.2])
