@@ -15,7 +15,6 @@ system counted with multiplicity.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,33 +23,18 @@ from .constants import coefficient_table, p_of_d, separation_constant  # noqa: F
 from .dualspace import LOOSE_NORMALIZED_RTOL
 from .gamma import GammaReport, LocalModel
 from .numkit import matrix_spectral_norm
+from .record import Record
 
 
-@dataclass
-class ResidualBound:
-    mu: int
-    bound: float
-    fy_norm: float
-    distance: float
-    within_radius: bool
-    a_inv_norm: float
-    d: float
-    gamma: GammaReport = None
+class ResidualBound(Record):
+    _fields = ("mu", "bound", "fy_norm", "distance", "within_radius", "a_inv_norm", "d",
+               "gamma")
+    _defaults = {"gamma": None}
 
 
-@dataclass
-class ClusterCertificate:
-    center: np.ndarray
-    radius: float
-    mu: int
-    lhs: float
-    rhs: float
-    holds: bool
-    h_norms: list
-    a_inv_norm: float
-    gamma_on_g: GammaReport
-    d: float
-    mode: str
+class ClusterCertificate(Record):
+    _fields = ("center", "radius", "mu", "lhs", "rhs", "holds", "h_norms", "a_inv_norm",
+               "gamma_on_g", "d", "mode")
 
 
 def separation_bound(source, x, mu=None, mode="estimate", auto_frame=True, **tolerances):

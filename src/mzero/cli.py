@@ -16,7 +16,9 @@ positive, `--max-order` at least 1 and `--max-iter` at least 0.
 
 Each command imports only the layers it runs: `separation --mu k`
 without a system and `thresholds` read the numpy-free `constants` module
-alone, and numpy is loaded where a point is parsed.
+alone, `dual` and `gamma` never load it, and numpy is loaded where a
+point is parsed. The parser is built for the invoked command alone, and
+result records are plain classes, not dataclasses.
 
 The JSON output is deterministic: keys are sorted, floats are printed
 with 17 significant digits, and complex values appear as {"im": ...,
@@ -30,10 +32,8 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-
-from . import constants
 from .errors import InputError, MathDomainError, ParseError
+from .record import Record
 
 DEFAULT_TOLERANCES = {
     "gap_tol": 1e-8,
@@ -44,16 +44,14 @@ DEFAULT_TOLERANCES = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    system_path: str = None
-    point: object = None  # complex numpy array
-    mu: int = None
-    mode: str = "estimate"
-    variant: str = "auto"
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    output: str = "text"
+class RunConfig(Record):
+    """One call's settings; point is a complex numpy array."""
+
+    _fields = ("command", "system_path", "point", "mu", "mode", "variant", "tolerances",
+               "output")
+    _defaults = {"system_path": None, "point": None, "mu": None, "mode": "estimate",
+                 "variant": "auto", "tolerances": lambda: dict(DEFAULT_TOLERANCES),
+                 "output": "text"}
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +191,13 @@ def _detection(cfg):
     return {key: cfg.tolerances[key] for key in ("gap_tol", "delta_zero_tol")}
 
 
+def _pick(record, names):
+    """A result record's fields named in `names`, by name."""
+    return {name: getattr(record, name) for name in names.split()}
+
+
 def _functional_json(fn):
-    return [
-        {"alpha": list(alpha), "coeff": c} for alpha, c in fn.sorted_items()
-    ]
+    return [{"alpha": list(alpha), "coeff": c} for alpha, c in fn.sorted_items()]
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +243,7 @@ def cmd_dual(cfg, args):
 
     system = _load_with_point(cfg)
     basis = dualspace.compute_dual_basis(
-        system,
-        cfg.point,
-        max_order=cfg.tolerances["max_order"],
-        gap_tol=cfg.tolerances["gap_tol"],
-        delta_zero_tol=cfg.tolerances["delta_zero_tol"],
+        system, cfg.point, max_order=cfg.tolerances["max_order"], **_detection(cfg)
     )
     result = {
         "mu": basis.mu,
@@ -275,14 +272,7 @@ def cmd_gamma(cfg, args):
     system = _load_with_point(cfg)
     model = gamma.LocalModel(system, cfg.point, cfg.mu, **_detection(cfg))
     report = model.gamma(cfg.mode)
-    result = {
-        "gamma": report.gamma,
-        "gamma_hat": report.gamma_hat,
-        "gamma_n": report.gamma_n,
-        "mu": report.mu,
-        "delta_mu": report.delta_mu,
-        "per_order": report.per_order,
-    }
+    result = _pick(report, "gamma gamma_hat gamma_n mu delta_mu per_order")
     lines = [
         "mu: %d" % report.mu,
         "gamma_hat: %.12g" % report.gamma_hat,
@@ -303,17 +293,12 @@ def cmd_separation(cfg, args):
     else:
         if cfg.mu is None:
             raise ParseError("separation needs --mu when no system is given")
-        sep = constants.separation_constant(cfg.mu)
-    result = {
-        "mu": sep.mu,
-        "d": sep.d,
-        "d1": sep.d1,
-        "d2": sep.d2,
-        "d3": sep.d3,
-    }
+        from .constants import separation_constant
+
+        sep = separation_constant(cfg.mu)
+    result = _pick(sep, "mu d d1 d2 d3")
     if sep.bound is not None:
-        result["bound"] = sep.bound
-        result["gamma"] = sep.gamma.gamma
+        result.update(bound=sep.bound, gamma=sep.gamma.gamma)
     lines = [
         "mu: %d" % sep.mu,
         "d = min(%.12g, %.12g, %.12g) = %.12g" % (sep.d1, sep.d2, sep.d3, sep.d),
@@ -331,19 +316,8 @@ def cmd_certify(cfg, args):
     cert = certify.certify_cluster(
         system, cfg.point, mu=cfg.mu, mode=cfg.mode, **_detection(cfg)
     )
-    result = {
-        "holds": cert.holds,
-        "radius": cert.radius,
-        "mu": cert.mu,
-        "lhs": cert.lhs,
-        "rhs": cert.rhs,
-        "d": cert.d,
-        "h_norms": cert.h_norms,
-        "a_inv_norm": cert.a_inv_norm,
-        "gamma": cert.gamma_on_g.gamma,
-        "gamma_hat": cert.gamma_on_g.gamma_hat,
-        "gamma_n": cert.gamma_on_g.gamma_n,
-    }
+    result = _pick(cert, "holds radius mu lhs rhs d h_norms a_inv_norm")
+    result.update(_pick(cert.gamma_on_g, "gamma gamma_hat gamma_n"))
     verdict = (
         "certified: %d zeros (with multiplicity) in the ball" % cert.mu
         if cert.holds
@@ -372,17 +346,8 @@ def cmd_refine(cfg, args):
         max_iter=cfg.tolerances["max_iter"],
         **_detection(cfg),
     )
-    result = {
-        "converged": trace.converged,
-        "stop_reason": trace.stop_reason,
-        "variant": trace.variant,
-        "mu": trace.mu,
-        "iterations": len(trace.iterates) - 1,
-        "iterates": [list(z) for z in trace.iterates],
-        "residual_norms": trace.residual_norms,
-        "step_norms": trace.step_norms,
-        "warnings": trace.warnings,
-    }
+    result = _pick(trace, "converged stop_reason variant mu residual_norms step_norms warnings")
+    result.update(iterations=len(trace.iterates) - 1, iterates=[list(z) for z in trace.iterates])
     lines = [
         "variant: %s (mu=%d)" % (trace.variant, trace.mu),
         "iterations: %d" % (len(trace.iterates) - 1),
@@ -399,13 +364,10 @@ def cmd_refine(cfg, args):
 
 
 def cmd_thresholds(cfg, args):
+    from . import constants
+
     ts = constants.threshold_constants(args.threshold_variant)
-    result = {
-        "variant": ts.variant,
-        "mu": ts.mu,
-        "u_converge": ts.u_converge,
-        "u_quadratic": ts.u_quadratic,
-    }
+    result = _pick(ts, "variant mu u_converge u_quadratic")
     lines = [
         "variant: %s" % ts.variant,
         "u_converge:  %.10g" % ts.u_converge,
@@ -418,75 +380,64 @@ def cmd_thresholds(cfg, args):
 # argument wiring
 
 
-def _add_common(sub, point=True, mu=True, mode=True):
+def _add_common(sub, mu=True, mode=True):
     sub.add_argument("--system", help="path to a system description file")
-    if point:
-        sub.add_argument("--point", help="comma-separated complex coordinates")
-        sub.add_argument("--point-file", help="file with one coordinate per line")
+    sub.add_argument("--point", help="comma-separated complex coordinates")
+    sub.add_argument("--point-file", help="file with one coordinate per line")
     if mu:
         sub.add_argument("--mu", type=int, help="multiplicity (detected if omitted)")
     if mode:
-        sub.add_argument(
-            "--mode",
-            choices=("estimate", "certified"),
-            default="estimate",
-            help="tensor norm handling for growth invariants",
-        )
+        sub.add_argument("--mode", choices=("estimate", "certified"), default="estimate",
+                         help="tensor norm handling for growth invariants")
     sub.add_argument("--gap-tol", type=float, default=DEFAULT_TOLERANCES["gap_tol"])
-    sub.add_argument(
-        "--delta-zero-tol",
-        type=float,
-        default=DEFAULT_TOLERANCES["delta_zero_tol"],
-    )
+    sub.add_argument("--delta-zero-tol", type=float, default=DEFAULT_TOLERANCES["delta_zero_tol"])
     sub.add_argument("--json", action="store_true", help="canonical JSON output")
 
 
-def build_parser():
+# name: (handler, help, keywords of _add_common or None)
+COMMANDS = {
+    "dual": (cmd_dual, "dual basis and multiplicity at a point", dict(mu=False, mode=False)),
+    "gamma": (cmd_gamma, "growth invariants at a normalized zero", {}),
+    "separation": (cmd_separation, "separation constant and radius", {}),
+    "certify": (cmd_certify, "cluster certificate at an approximate zero", {}),
+    "refine": (cmd_refine, "refine an approximate multiple zero", dict(mode=False)),
+    "thresholds": (cmd_thresholds, "convergence threshold constants", None),
+}
+
+
+def build_parser(command=None):
+    """The parser with the subparser of `command` alone, or of every
+    command when `command` names none."""
     parser = argparse.ArgumentParser(
         prog="mzero",
         description="Multiplicity structure, separation bounds, and refinement "
         "for corank-one multiple zeros of polynomial systems.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # a lone subparser needs the metavar for the usage line to list every
+    # command; with all of them, errors name the argument `command`
+    metavar = "{%s}" % ",".join(COMMANDS) if len(names) == 1 else None
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _, help_text, common = COMMANDS[name]
+        sp = subs.add_parser(name, help=help_text)
+        if common is not None:
+            _add_common(sp, **common)
+        if name == "dual":
+            sp.add_argument("--max-order", type=int, default=DEFAULT_TOLERANCES["max_order"])
+        elif name == "refine":
+            from .constants import VARIANTS
 
-    sp = subs.add_parser("dual", help="dual basis and multiplicity at a point")
-    _add_common(sp, mu=False, mode=False)
-    sp.add_argument("--max-order", type=int, default=DEFAULT_TOLERANCES["max_order"])
-    sp.set_defaults(func=cmd_dual, needs_system=True)
+            sp.add_argument("--variant", choices=("auto",) + VARIANTS, default="auto",
+                            help="iteration variant (auto picks by mu and coordinate shape)")
+            sp.add_argument("--eps", type=float, default=DEFAULT_TOLERANCES["eps"])
+            sp.add_argument("--max-iter", type=int, default=DEFAULT_TOLERANCES["max_iter"])
+        elif name == "thresholds":
+            from .constants import THRESHOLD_VARIANTS
 
-    sp = subs.add_parser("gamma", help="growth invariants at a normalized zero")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_gamma, needs_system=True)
-
-    sp = subs.add_parser("separation", help="separation constant and radius")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_separation, needs_system=False)
-
-    sp = subs.add_parser("certify", help="cluster certificate at an approximate zero")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_certify, needs_system=True)
-
-    sp = subs.add_parser("refine", help="refine an approximate multiple zero")
-    _add_common(sp, mode=False)
-    sp.add_argument(
-        "--variant",
-        choices=("auto",) + constants.VARIANTS,
-        default="auto",
-        help="iteration variant (auto picks by mu and coordinate shape)",
-    )
-    sp.add_argument("--eps", type=float, default=DEFAULT_TOLERANCES["eps"])
-    sp.add_argument("--max-iter", type=int, default=DEFAULT_TOLERANCES["max_iter"])
-    sp.set_defaults(func=cmd_refine, needs_system=True)
-
-    sp = subs.add_parser("thresholds", help="convergence threshold constants")
-    sp.add_argument(
-        "--variant",
-        dest="threshold_variant",
-        choices=constants.THRESHOLD_VARIANTS,
-        required=True,
-    )
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_thresholds, needs_system=False)
+            sp.add_argument("--variant", dest="threshold_variant", choices=THRESHOLD_VARIANTS,
+                            required=True)
+            sp.add_argument("--json", action="store_true")
 
     # every option that takes a value, for _join_value_flags
     parser.value_flags = {
@@ -522,13 +473,15 @@ def _config_from_args(args):
         cfg.point = read_point_file(args.point_file)
     if cfg.mu is not None and cfg.mu < 2:
         raise ParseError("--mu must be at least 2")
-    top = constants.ANCHORED_MAX
-    if cfg.command in ("separation", "certify") and (cfg.mu or 0) > top:
-        raise ParseError(
-            "--mu must be at most %d, the largest order whose constant d(mu) "
-            "is cross-checked" % top
-        )
-    if getattr(args, "needs_system", False) and not cfg.system_path:
+    if cfg.command in ("separation", "certify") and cfg.mu is not None:
+        from .constants import ANCHORED_MAX
+
+        if cfg.mu > ANCHORED_MAX:
+            raise ParseError(
+                "--mu must be at most %d, the largest order whose constant d(mu) "
+                "is cross-checked" % ANCHORED_MAX
+            )
+    if cfg.command in ("dual", "gamma", "certify", "refine") and not cfg.system_path:
         raise ParseError("a system file is required (--system)")
     return cfg
 
@@ -546,14 +499,15 @@ def _join_value_flags(argv, flags):
 
 def main(argv=None):
     try:
-        parser = build_parser()
-        argv = _join_value_flags(sys.argv[1:] if argv is None else argv, parser.value_flags)
+        argv = sys.argv[1:] if argv is None else argv
+        parser = build_parser(argv[0] if argv else None)
+        argv = _join_value_flags(argv, parser.value_flags)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code) if exc.code else 0
         cfg = _config_from_args(args)
-        return args.func(cfg, args)
+        return COMMANDS[cfg.command][0](cfg, args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

@@ -7,9 +7,9 @@ arithmetic: this module imports no numpy and no other layer, and
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import InputError, NoRootError
+from .record import Record
 
 # orders up to this one are cross-checked against recursive substitution
 # and a 50-digit root of p in tests/test_certify.py; above it, not yet
@@ -76,23 +76,15 @@ def smallest_positive_root(fn, upper, tol=1e-10, grid=1024):
 # separation constant
 
 
-@dataclass
-class CoefficientTable:
-    mu: int
-    c: dict
-    t: dict
-    anchored: bool
+class CoefficientTable(Record):
+    _fields = ("mu", "c", "t", "anchored")
 
 
-@dataclass
-class SeparationResult:
-    mu: int
-    d: float
-    d1: float
-    d2: float
-    d3: float
-    gamma: object = None  # the GammaReport, set by certify.separation_bound
-    bound: float = None
+class SeparationResult(Record):
+    """gamma, the GammaReport, and bound are set by certify.separation_bound."""
+
+    _fields = ("mu", "d", "d1", "d2", "d3", "gamma", "bound")
+    _defaults = {"gamma": None, "bound": None}
 
 
 def coefficient_table(mu):
@@ -189,12 +181,8 @@ def separation_constant(mu, tol=1e-13):
 # threshold constants
 
 
-@dataclass
-class ThresholdSet:
-    variant: str
-    mu: int
-    u_converge: float
-    u_quadratic: float
+class ThresholdSet(Record):
+    _fields = ("variant", "mu", "u_converge", "u_quadratic")
 
 
 def _b21(u):

@@ -25,7 +25,7 @@ import numpy as np
 from . import polycore
 from .errors import BreadthError, CorankError, InputError
 from .errors import MultiplicityNotFoundError, NotNormalizedError
-from .numkit import solve_least_squares, solve_linear, svd
+from .numkit import matrix_spectral_norm, solve_least_squares, solve_linear, svd
 
 DEFAULT_MAX_ORDER = 10
 DEFAULT_GAP_TOL = 1e-8
@@ -132,16 +132,18 @@ class DualBasis:
         return self.functionals[1]
 
 
-def is_normalized(J, rel_tol=NORMALIZED_RTOL):
+def is_normalized(J, rel_tol=NORMALIZED_RTOL, s=None):
     """Whether a Jacobian has the distinguished shape: first column and
-    the off-first entries of the last row both negligible."""
+    the off-first entries of the last row both negligible against its
+    largest singular value, taken from s, its singular values, if given."""
     J = np.asarray(J, dtype=complex)
-    scale = float(np.linalg.svd(J, compute_uv=False)[0]) if J.size else 0.0
+    scale = matrix_spectral_norm(J) if s is None else float(s[0])
     if scale == 0.0:
         return True
-    col = float(np.linalg.norm(J[:, 0]))
-    row = float(np.linalg.norm(J[-1, 1:]))
-    return col <= rel_tol * scale and row <= rel_tol * scale
+    # relative to the scale, so entries near the overflow threshold do not overflow
+    col = float(np.linalg.norm(J[:, 0] / scale))
+    row = float(np.linalg.norm(J[-1, 1:] / scale))
+    return col <= rel_tol and row <= rel_tol
 
 
 def _check_corank_one(s, gap_tol):
@@ -226,11 +228,12 @@ def kernel_chain(source, x, a1, Jhat, order):
 
 
 def compute_dual_basis(source, x, max_order=DEFAULT_MAX_ORDER, gap_tol=DEFAULT_GAP_TOL,
-                       delta_zero_tol=DEFAULT_DELTA_ZERO_TOL, J=None):
+                       delta_zero_tol=DEFAULT_DELTA_ZERO_TOL, J=None, res=None):
     """Multiplicity structure of an isolated zero with corank-one Jacobian.
 
     source is a PolySystem or NormalizedFrame and x the base point in its
-    coordinates; J, the Jacobian there, is evaluated unless given. gap_tol
+    coordinates; J, the Jacobian there, is evaluated unless given, and
+    res, its factorization by `numkit.svd`, is taken unless given. gap_tol
     and delta_zero_tol are the relative tolerances of the corank test and
     of deciding when a raw value still lies in the Jacobian column space.
     Raises CorankError without a clean one-dimensional kernel,
@@ -241,10 +244,11 @@ def compute_dual_basis(source, x, max_order=DEFAULT_MAX_ORDER, gap_tol=DEFAULT_G
     n = source.nvars
     if J is None:
         J = source.jacobian(x)
-    res = svd(J)
+    if res is None:
+        res = svd(J)
     s = res.s
     _check_corank_one(s, gap_tol)
-    normalized = is_normalized(J)
+    normalized = is_normalized(J, s=s)
 
     if normalized:
         a1 = np.zeros(n, dtype=complex)
@@ -349,20 +353,21 @@ def chainrule_Lk(frame, w, kmax=None, max_order=DEFAULT_MAX_ORDER, gap_tol=DEFAU
     return basis
 
 
-def normalizing_frame(source, x, J=None):
+def normalizing_frame(source, x, J=None, res=None):
     """Rotated view whose Jacobian at x is the distinguished shape.
 
     Returns (frame, w, svd_result) where w are the coordinates of x in the
     frame. The kernel-most right singular vector becomes the first frame
     variable; the left factor is kept in its original order, which places
-    the near-degenerate row last. J, the Jacobian of source at x, is
-    evaluated unless the caller has it already.
+    the near-degenerate row last. J, the Jacobian of source at x, and res,
+    its `numkit.svd`, are computed unless the caller has them already.
     """
     x = np.asarray(x, dtype=complex)
     n = source.nvars
     if J is None:
         J = source.jacobian(x)
-    res = svd(J)
+    if res is None:
+        res = svd(J)
     perm = [n - 1] + list(range(n - 1))
     W = res.V[:, perm]
     frame = polycore.unitary_pullback(source, res.U, W)
@@ -370,9 +375,11 @@ def normalizing_frame(source, x, J=None):
 
 
 def normalized_view(source, x, rel_tol=NORMALIZED_RTOL):
-    """(view, w, J): (source, x) when the Jacobian at x passes
+    """(view, w, J, res): (source, x) when the Jacobian at x passes
     `is_normalized` with rel_tol, else a normalizing frame and the
-    coordinates of x in it; J is the Jacobian of the view at w.
+    coordinates of x in it; J is the Jacobian of the view at w, and res
+    its `numkit.svd` when the view is source, else None. One SVD of the
+    input's Jacobian serves the shape test and the frame.
 
     The frame is a unitary change of coordinates, so distances, residual
     norms, radii and the growth invariants computed in it hold in the
@@ -380,7 +387,8 @@ def normalized_view(source, x, rel_tol=NORMALIZED_RTOL):
     """
     x = np.asarray(x, dtype=complex)
     J = source.jacobian(x)
-    if is_normalized(J, rel_tol):
-        return source, x, J
-    frame, w, _ = normalizing_frame(source, x, J)
-    return frame, w, frame.jacobian(w)
+    res = svd(J)
+    if is_normalized(J, rel_tol, res.s):
+        return source, x, J, res
+    frame, w, _ = normalizing_frame(source, x, J, res)
+    return frame, w, frame.jacobian(w), None

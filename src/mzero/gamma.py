@@ -18,7 +18,6 @@ clamped below by one.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,19 +28,13 @@ from .dualspace import (
     kernel_chain,
     normalized_view,
 )
-from .errors import InputError, NotNormalizedError
-from .numkit import solve_linear, tensor_norm
+from .errors import InputError, MathDomainError, NotNormalizedError
+from .numkit import solve_linear, svd, tensor_norm
+from .record import Record
 
 
-@dataclass
-class GammaReport:
-    gamma: float
-    gamma_hat: float
-    gamma_n: float
-    mu: int
-    delta_mu: complex
-    mode: str
-    per_order: list
+class GammaReport(Record):
+    _fields = ("gamma", "gamma_hat", "gamma_n", "mu", "delta_mu", "mode", "per_order")
 
 
 class LocalModel:
@@ -53,7 +46,9 @@ class LocalModel:
     and the invariants hold in the original coordinates. Without mu the
     chain length is detected by `compute_dual_basis`, with the keyword
     tolerances (gap_tol, delta_zero_tol, max_order); a given mu must
-    match it (InputError), unless trust_mu takes it as it is.
+    match it (InputError), unless trust_mu takes it as it is; a trusted mu
+    whose chain value vanishes, so that nothing can be scaled by it, is a
+    MathDomainError.
 
     Attributes: `view` and `x`, the system worked in and the point in its
     coordinates; `J` there and `Jhat` = J[:n-1, 1:]; `mu`; `chain`, the
@@ -79,17 +74,18 @@ class LocalModel:
                 "a corank-one zero needs at least two variables, got %d" % n
             )
         if frame:
-            source, x, J = normalized_view(source, x, rel_tol)
+            source, x, J, res = normalized_view(source, x, rel_tol)
         else:
             J = source.jacobian(x)
-            if not is_normalized(J, rel_tol):
+            res = svd(J)
+            if not is_normalized(J, rel_tol, res.s):
                 raise NotNormalizedError(
                     "point is not in the distinguished coordinate shape; "
                     "compute in a normalizing frame instead"
                 )
         chain = None
         if mu is None or not trust_mu:
-            basis = compute_dual_basis(source, x, J=J, **tolerances)
+            basis = compute_dual_basis(source, x, J=J, res=res, **tolerances)
             if mu is not None and basis.mu != mu:
                 raise InputError(
                     "requested order %d but the chain terminates at %d"
@@ -110,6 +106,12 @@ class LocalModel:
             chain = kernel_chain(source, x, e1, self.Jhat, mu)
         self.chain = chain
         self.delta_mu = chain[-1][-1]
+        if self.delta_mu == 0:
+            # only a trusted mu gets here: a detected chain ends on a nonzero value
+            raise MathDomainError(
+                "the terminating value delta_mu is 0 at order %d: the chain does not end there"
+                % mu
+            )
         self.tensors = {
             k: source.derivative_tensor(x, k)
             for k in range(2, source.max_degree() + 1)

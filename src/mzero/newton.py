@@ -17,8 +17,6 @@ the numpy-free `constants` module, with `ThresholdSet`,
 `rational_functions` and `VARIANTS`, and is re-exported here.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .constants import VARIANTS, ThresholdSet  # noqa: F401
@@ -32,19 +30,13 @@ from .dualspace import (
 )
 from .errors import InputError, SingularMatrixError
 from .numkit import solve_linear
+from .record import Record
 
 
-@dataclass
-class NewtonTrace:
-    iterates: list
-    residual_norms: list
-    step_norms: list
-    frames: list
-    converged: bool
-    stop_reason: str
-    variant: str
-    mu: int
-    warnings: list = field(default_factory=list)
+class NewtonTrace(Record):
+    _fields = ("iterates", "residual_norms", "step_norms", "frames", "converged",
+               "stop_reason", "variant", "mu", "warnings")
+    _defaults = {"warnings": list}
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,32 @@ reading before using this module:
   certified upper bound.
 
 The scalar root finder `smallest_positive_root` lives in the numpy-free
-`constants` module and is re-exported here.
+`constants` module and is re-exported here on first use (PEP 562), so the
+layers that never read it do not load `constants`. A factorization or
+solve that LAPACK cannot finish, such as an SVD of a matrix holding a
+non-finite entry, raises MathDomainError.
 """
 
 import numpy as np
 
-from .constants import smallest_positive_root  # noqa: F401  re-exported
-from .errors import AsymmetricTensorError, SingularMatrixError
+from .errors import AsymmetricTensorError, MathDomainError, SingularMatrixError
+
+
+def __getattr__(name):
+    if name != "smallest_positive_root":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from .constants import smallest_positive_root
+
+    return smallest_positive_root
+
+
+def _lapack(routine, *args, **kwargs):
+    """routine(*args, **kwargs), an np.linalg routine, with its
+    LinAlgError raised as MathDomainError."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise MathDomainError("%s failed: %s" % (routine.__name__, exc)) from None
 
 
 class SvdResult:
@@ -38,7 +57,7 @@ class SvdResult:
 def svd(A):
     """Full SVD with the deterministic phase convention described above."""
     A = np.asarray(A, dtype=complex)
-    U, s, Vh = np.linalg.svd(A, full_matrices=True)
+    U, s, Vh = _lapack(np.linalg.svd, A, full_matrices=True)
     V = Vh.conj().T
     for j in range(V.shape[1]):
         col = V[:, j]
@@ -58,7 +77,7 @@ def matrix_spectral_norm(A):
     A = np.asarray(A, dtype=complex)
     if A.size == 0:
         return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    return float(_lapack(np.linalg.svd, A, compute_uv=False)[0])
 
 
 def solve_linear(A, b):
@@ -69,21 +88,21 @@ def solve_linear(A, b):
         raise ValueError("solve_linear expects a square matrix")
     if A.size == 0:
         return np.zeros(b.shape[1:] if b.ndim > 1 else 0, dtype=complex)
-    s = np.linalg.svd(A, compute_uv=False)
+    s = _lapack(np.linalg.svd, A, compute_uv=False)
     eps = np.finfo(float).eps
     if s[-1] <= A.shape[0] * eps * s[0] or s[-1] == 0.0:
         raise SingularMatrixError(
             "matrix is singular to working precision (sigma_min=%.3e)" % s[-1],
             sigma_min=float(s[-1]),
         )
-    return np.linalg.solve(A, b)
+    return _lapack(np.linalg.solve, A, b)
 
 
 def solve_least_squares(A, b):
     """Minimum-norm least squares solution and the residual two-norm."""
     A = np.asarray(A, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    x, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
+    x, _, _, _ = _lapack(np.linalg.lstsq, A, b, rcond=None)
     resid = float(np.linalg.norm(A @ x - b))
     return x, resid
 

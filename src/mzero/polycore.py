@@ -25,8 +25,10 @@ t^k of the system along a polynomial curve through x, by truncated power
 series over the same E and C; the dual chain reads its values there.
 
 A point in n variables must have shape (n,); any other shape raises
-ValueError. A system compiles once, so edits to its polynomials' terms
-after the first evaluation are not seen.
+ValueError. A value or partial that overflows a double raises
+MathDomainError; one that is exactly zero stays zero even where a power
+of a coordinate overflows. A system compiles once, so edits to its
+polynomials' terms after the first evaluation are not seen.
 """
 
 import functools
@@ -131,18 +133,24 @@ class _Kernel:
             [[math.perm(e, a) for e in range(emax + 1)] for a in range(amax + 1)],
             dtype=float,
         )
-        powers = np.ones((n, emax + 1), dtype=complex)
-        for e in range(1, emax + 1):
-            powers[:, e] = powers[:, e - 1] * x
-        lowered = np.maximum(np.arange(emax + 1) - np.arange(amax + 1)[:, None], 0)
-        G = falling * powers[:, lowered]
-        step = max(1, _BLOCK // T)
-        for s in range(0, len(A), step):
-            block = A[s : s + step]
-            M = np.ones((len(block), T), dtype=complex)
-            for j in range(n):
-                M *= G[j][block[:, j : j + 1], self.E[:, j]]
-            out[:, s : s + step] = self.C @ M.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = np.ones((n, emax + 1), dtype=complex)
+            for e in range(1, emax + 1):
+                powers[:, e] = powers[:, e - 1] * x
+            lowered = np.maximum(np.arange(emax + 1) - np.arange(amax + 1)[:, None], 0)
+            G = falling * powers[:, lowered]
+            step = max(1, _BLOCK // T)
+            for s in range(0, len(A), step):
+                block = A[s : s + step]
+                M = np.ones((len(block), T), dtype=complex)
+                for j in range(n):
+                    M *= G[j][block[:, j : j + 1], self.E[:, j]]
+                out[:, s : s + step] = self.C @ M.T
+                if not np.isfinite(out[:, s : s + step]).all():
+                    # an overflowed power times a zero falling factorial is
+                    # NaN where the partial of that term is exactly zero
+                    M[(block[:, None, :] > self.E).any(axis=2)] = 0
+                    out[:, s : s + step] = _finite(self.C @ M.T)
         return out
 
     def curve_taylor(self, x, A, k):
@@ -160,12 +168,20 @@ class _Kernel:
         S = np.vstack([x, np.asarray(A, dtype=complex).reshape(-1, n)[:k]]).T
         P = np.zeros((int(self.E.max(initial=0)) + 1, n, k + 1), dtype=complex)
         P[0, :, 0] = 1.0
-        for e in range(1, len(P)):
-            P[e] = _series_product(P[e - 1], S)
-        M = np.ones((len(self.E), 1), dtype=complex)
-        for j in range(n):
-            M = _series_product(P[self.E[:, j], j], M)
-        return self.C @ M
+        with np.errstate(over="ignore", invalid="ignore"):
+            for e in range(1, len(P)):
+                P[e] = _series_product(P[e - 1], S)
+            M = np.ones((len(self.E), 1), dtype=complex)
+            for j in range(n):
+                M = _series_product(P[self.E[:, j], j], M)
+            return _finite(self.C @ M)
+
+
+def _finite(values):
+    """values, refused (MathDomainError) when one overflowed a double."""
+    if not np.isfinite(values).all():
+        raise MathDomainError("the system or a derivative overflows a double at the point")
+    return values
 
 
 def _series_product(a, b):

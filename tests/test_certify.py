@@ -12,7 +12,8 @@ from mzero.certify import (
     separation_constant,
 )
 from mzero.dualspace import normalizing_frame
-from mzero.errors import InputError
+from mzero.errors import InputError, MathDomainError
+from mzero.polycore import parse_system
 
 ORIGIN2 = np.zeros(2, dtype=complex)
 
@@ -255,3 +256,11 @@ def test_mu_two_has_no_intermediate_orders(ex_double):
     assert cert.mu == 2
     assert len(cert.h_norms) == 1  # only the first-order deviation block
     assert cert.holds
+
+
+def test_vanishing_terminating_value_is_domain_error():
+    # a trusted mu = 3, but the chain of (X1^2, X2) ends at order 2: its
+    # order-3 value is exactly zero and no bound can divide by it
+    system = parse_system("vars: X1 X2; f1: X1^2; f2: X2")
+    with pytest.raises(MathDomainError, match="delta_mu is 0 at order 3"):
+        certify_cluster(system, ORIGIN2, mu=3)

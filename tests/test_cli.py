@@ -8,10 +8,14 @@ import pytest
 
 import mzero
 from mzero import constants, polycore
-from mzero.cli import canonical_json, main, parse_point
+from mzero.cli import COMMANDS, build_parser, canonical_json, main, parse_point
 from mzero.errors import MathDomainError
 
-from conftest import EX_TRIPLE, perfbench_gen
+from conftest import EX_DOUBLE, EX_TRIPLE, perfbench_gen
+
+# X1^2 overflows a double at X1 = 1e200, and its chain at the origin ends
+# at order 2
+SQUARE = "vars: X1 X2\nf1: X1^2\nf2: X2\n"
 
 
 def run_cli(capsys, *argv):
@@ -583,16 +587,21 @@ def test_console_script(ex_triple_path):
 # start-up: each command loads only the layers it runs
 
 
+def fresh_env(**extra):
+    """The environment of a new interpreter that can import the package."""
+    src = os.path.dirname(os.path.dirname(mzero.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def run_fresh(code):
     """Run code in a new interpreter that can import the package and
     return the value its last output line prints as JSON."""
-    src = os.path.dirname(os.path.dirname(mzero.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=fresh_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -670,3 +679,70 @@ print(json.dumps([
     if not hasattr(getattr(mzero.polycore, cls, None), meth)
 ]))"""
     assert run_fresh(code % perfbench) == []
+
+
+LOADED = "\nimport json, sys; print(json.dumps(sorted(set(sys.modules) & %r)))"
+
+
+def test_import_cli_loads_neither_dataclasses_nor_constants():
+    assert run_fresh("import mzero.cli" + LOADED % {"dataclasses", "mzero.constants"}) == []
+
+
+def test_no_layer_loads_dataclasses():
+    code = "import importlib, mzero\nfor m in mzero._SUBMODULES: importlib.import_module('mzero.' + m)"
+    assert run_fresh(code + LOADED % {"dataclasses"}) == []
+
+
+@pytest.mark.parametrize("command", ["dual", "gamma"])
+def test_dual_and_gamma_do_not_load_constants(ex_triple_path, command):
+    argv = [command, "--system", ex_triple_path, "--point", "0,0", "--json"]
+    assert run_fresh(RUN_MAIN % argv + LOADED % {"mzero.constants"}) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["bogus"], [], ["certify", "extra"]] + [[c, "--help"] for c in COMMANDS],
+    ids=lambda argv: " ".join(argv) or "bare",
+)
+def test_one_command_parser_prints_what_the_full_parser_does(capsys, argv):
+    # main builds the subparser of argv[0] alone; help, usage and errors
+    # must read as with every subparser built
+    code, out, err = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert (code, out, err) == (exc.value.code, full.out, full.err)
+
+
+AT_ZERO = ["--system", "SYSTEM", "--point", "0,0"]
+WORKED = (("double", EX_DOUBLE, "2"), ("triple", EX_TRIPLE, "3"))
+
+
+@pytest.mark.parametrize(
+    "text, argv, code",
+    [pytest.param(text, [command] + AT_ZERO, 0, id=command + "-" + name)
+     for name, text, _ in WORKED for command in ("dual", "gamma", "separation", "certify")]
+    + [pytest.param(text, ["refine", "--system", "SYSTEM", "--point=-0.01,0.01", "--mu", mu],
+                    0, id="refine-" + name) for name, text, mu in WORKED]
+    + [pytest.param(None, ["thresholds", "--variant", "general_triple"], 0, id="thresholds")]
+    + [pytest.param(SQUARE, [command, "--system", "SYSTEM", "--point", "1e200,0"], 3,
+                    id=command + "-overflow") for command in ("gamma", "refine", "certify")]
+    + [pytest.param(SQUARE, ["certify"] + AT_ZERO + ["--mu", "3"], 3, id="certify-delta-zero")],
+)
+def test_no_warning_reaches_stderr(tmp_path, text, argv, code):
+    # a new interpreter per call, in which every warning is an error
+    path = tmp_path / "system.mz"
+    if text is not None:
+        path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mzero.cli"] + [a.replace("SYSTEM", str(path)) for a in argv],
+        capture_output=True,
+        text=True,
+        env=fresh_env(PYTHONWARNINGS="error"),
+    )
+    got, err = proc.returncode, proc.stderr
+    assert "Warning" not in err
+    assert got == code, err
+    if code:
+        # the overflow and the vanishing delta_mu each get one line
+        assert err.startswith("numerical-domain error: ") and err.count("\n") == 1

@@ -93,18 +93,20 @@ def test_requires_normalized_shape(ex_double):
 
 def test_normalized_view_moves_off_shape_point(ex_double):
     frame, w, _ = normalizing_frame(ex_double, ORIGIN2)
-    view, v, J = normalized_view(ex_double, ORIGIN2)
+    view, v, J, res = normalized_view(ex_double, ORIGIN2)
     assert np.array_equal(v, w)
     assert np.array_equal(J, view.jacobian(v))
+    assert res is None
     assert gamma_mu(view, v) == gamma_mu(frame, w)
     with pytest.raises(InputError):
         gamma_mu(view, v, mu=3)
     # a normalized point is used as it is
     x = np.zeros(3, dtype=complex)
     system = make_normalized_system(3, 3, np.random.default_rng(34))
-    view, v, J = normalized_view(system, x)
+    view, v, J, res = normalized_view(system, x)
     assert view is system and np.array_equal(v, x)
     assert np.array_equal(J, system.jacobian(x))
+    assert np.allclose(res.U @ np.diag(res.s) @ res.V.conj().T, J, atol=1e-14)
 
 
 def test_mu_mismatch_is_rejected(ex_triple):
@@ -235,3 +237,19 @@ def test_local_model_is_unitary_and_shift_invariant(n, mu, seed):
     assert moved_sep.gamma.gamma == pytest.approx(report.gamma, rel=1e-9)
     assert moved_sep.bound == pytest.approx(sep.bound, rel=1e-9)
     assert moved_cert.radius == pytest.approx(cert.radius, rel=1e-9)
+
+
+def test_local_model_takes_one_svd_per_jacobian(monkeypatch, ex_double):
+    shapes, factor = [], np.linalg.svd
+
+    def counted(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return factor(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    LocalModel(make_normalized_system(4, 3, np.random.default_rng(35)), np.zeros(4))
+    assert shapes.count((4, 4)) == 1
+    # off the shape: one of the input's Jacobian and one of the frame's
+    shapes.clear()
+    LocalModel(ex_double, ORIGIN2)
+    assert shapes.count((2, 2)) == 2

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mzero.errors import AsymmetricTensorError, NoRootError, SingularMatrixError
+from mzero.errors import AsymmetricTensorError, MathDomainError, NoRootError
+from mzero.errors import SingularMatrixError
 from mzero.numkit import (
     matrix_spectral_norm,
     smallest_positive_root,
@@ -157,3 +158,10 @@ def test_smallest_positive_root_no_crossing():
 def test_smallest_positive_root_needs_positive_start():
     with pytest.raises(ValueError):
         smallest_positive_root(lambda t: -1.0, 2.0)
+
+
+def test_lapack_failure_is_domain_error():
+    bad = np.full((3, 3), np.nan)
+    for call in (svd, matrix_spectral_norm, lambda A: solve_least_squares(A, np.ones(3))):
+        with pytest.raises(MathDomainError, match="did not converge"):
+            call(bad)

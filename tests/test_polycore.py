@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mzero import exactparse, polycore
-from mzero.errors import ParseError
+from mzero.errors import MathDomainError, ParseError
 from mzero.polycore import (
     Poly,
     PolySystem,
@@ -777,3 +777,15 @@ def test_system_shift_composition():
     both = sys_.shift(a + b)
     y = np.array([0.3, -0.4])
     assert np.allclose(once.eval_at(y), both.eval_at(y), atol=1e-12)
+
+
+def test_a_large_point_keeps_exact_zeros_and_refuses_overflow():
+    # X1^2 overflows at X1 = 1e200, yet its partial in X2 is exactly zero,
+    # and no NaN reaches f2's row through its zero coefficient for X1^2
+    system = parse_system("vars: X1 X2; f1: X1^2; f2: X2")
+    x = np.array([1e200, 0])
+    assert np.array_equal(system.jacobian(x), [[2e200, 0], [0, 1]])
+    with pytest.raises(MathDomainError, match="overflows"):
+        system.eval_at(x)
+    with pytest.raises(MathDomainError, match="overflows"):
+        system.curve_taylor(x, [[0, 1]], 2)
