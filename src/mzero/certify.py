@@ -21,7 +21,7 @@ import numpy as np
 from .constants import ANCHORED_MAX, CoefficientTable, SeparationResult  # noqa: F401
 from .constants import coefficient_table, p_of_d, separation_constant  # noqa: F401
 from .dualspace import LOOSE_NORMALIZED_RTOL
-from .gamma import GammaReport, LocalModel
+from .gamma import LocalModel
 from .numkit import matrix_spectral_norm
 from .record import Record
 
