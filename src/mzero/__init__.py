@@ -20,15 +20,14 @@ _EXPORTS = {
         "p_of_d", "rational_functions", "separation_constant",
         "smallest_positive_root", "threshold_constants",
     ),
-    "dualspace": (
-        "DualBasis", "DualFunctional", "chainrule_Lk", "compute_dual_basis",
-        "is_normalized", "normalizing_frame",
-    ),
+    "dualspace": ("DualBasis", "compute_dual_basis", "is_normalized", "normalizing_frame"),
     "errors": (
         "BreadthError", "CorankError", "InputError", "MathDomainError",
         "MultiplicityNotFoundError", "MZeroError", "NoRootError",
         "NotNormalizedError", "ParseError", "SingularMatrixError",
     ),
+    "frames": ("NormalizedFrame", "unitary_pullback"),
+    "functionals": ("DualFunctional", "apply_functional", "chainrule_Lk"),
     "gamma": ("GammaReport", "LocalModel", "gamma_mu"),
     "newton": (
         "NewtonTrace", "iterate_until", "n1_step", "refine_double",
@@ -38,26 +37,35 @@ _EXPORTS = {
         "SvdResult", "TensorNorm", "matrix_spectral_norm", "solve_least_squares",
         "solve_linear", "svd", "tensor_norm",
     ),
-    "polycore": (
-        "NormalizedFrame", "Poly", "PolySystem", "apply_functional",
-        "parse_system", "unitary_pullback",
-    ),
+    "polycore": ("Poly", "PolySystem", "parse_system"),
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli")
 
 __version__ = "0.1.0"
 
-__all__ = sorted(_HOME)
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def _reexport(module, homes):
+    """A PEP 562 `__getattr__` for the layer `module` that imports each name
+    of `homes` (home module -> names moved there) from its home on use."""
+    home = {name: where for where, names in homes.items() for name in names}
+
+    def __getattr__(name):
+        if name not in home:
+            raise AttributeError("module %r has no attribute %r" % (module, name))
+        return getattr(importlib.import_module("." + home[name], __name__), name)
+
+    return __getattr__
+
+
+_export = _reexport(__name__, _EXPORTS)
 
 
 def __getattr__(name):
     if name in _SUBMODULES:
         return importlib.import_module("." + name, __name__)
-    if name not in _HOME:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
-    globals()[name] = value
+    value = globals()[name] = _export(name)
     return value
 
 

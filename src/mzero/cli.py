@@ -16,9 +16,10 @@ positive, `--max-order` at least 1 and `--max-iter` at least 0.
 
 Each command imports only the layers it runs: `separation --mu k`
 without a system and `thresholds` read the numpy-free `constants` module
-alone, `dual` and `gamma` never load it, and numpy is loaded where a
-point is parsed. The parser is built for the invoked command alone, and
-result records are plain classes, not dataclasses.
+alone, `dual`, `gamma` and `refine` never load it, and numpy is loaded
+where a point is parsed. Only `dual` loads `functionals`, and only a
+frame loads `frames`. The parser is built for the invoked command alone,
+and no call imports `json` or `dataclasses`.
 
 The JSON output is deterministic: keys are sorted, floats are printed
 with 17 significant digits, and complex values appear as {"im": ...,
@@ -29,8 +30,8 @@ as JSON has no literal for it.
 
 import argparse
 import cmath
-import json
 import math
+import re
 import sys
 from .errors import InputError, MathDomainError, ParseError
 from .record import Record
@@ -72,6 +73,23 @@ def _plain(obj):
     return obj
 
 
+# what json.dumps escapes: quote, backslash, and all but printable ASCII
+_UNSAFE = re.compile(r'["\\]|[^ -~]')
+_SHORT = {ch: "\\" + name for ch, name in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
+
+
+def _escape(match):
+    """A short escape, else one \\uXXXX per UTF-16 unit (two above U+FFFF)."""
+    ch = match.group()
+    units = ch.encode("utf-16-be", "surrogatepass").hex()
+    return _SHORT.get(ch) or "".join("\\u" + units[i : i + 4] for i in range(0, len(units), 4))
+
+
+def _quote(text):
+    """text as a JSON string, byte for byte what `json.dumps` gives."""
+    return '"' + _UNSAFE.sub(_escape, text) + '"'
+
+
 def canonical_json(obj):
     """Serialize with sorted keys and 17-significant-digit floats.
 
@@ -91,13 +109,13 @@ def canonical_json(obj):
                 raise MathDomainError("result holds the non-finite number %r" % v)
             out.append(format(v, ".17g"))
         elif isinstance(v, str):
-            out.append(json.dumps(v))
+            out.append(_quote(v))
         elif isinstance(v, dict):
             out.append("{")
             for i, k in enumerate(sorted(v)):
                 if i:
                     out.append(", ")
-                out.append(json.dumps(str(k)))
+                out.append(_quote(str(k)))
                 out.append(": ")
                 emit(v[k])
             out.append("}")
@@ -426,7 +444,7 @@ def build_parser(command=None):
         if name == "dual":
             sp.add_argument("--max-order", type=int, default=DEFAULT_TOLERANCES["max_order"])
         elif name == "refine":
-            from .constants import VARIANTS
+            from .newton import VARIANTS
 
             sp.add_argument("--variant", choices=("auto",) + VARIANTS, default="auto",
                             help="iteration variant (auto picks by mu and coordinate shape)")

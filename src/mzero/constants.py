@@ -15,8 +15,7 @@ from .record import Record
 # and a 50-digit root of p in tests/test_certify.py; above it, not yet
 ANCHORED_MAX = 20
 
-# refinement iterations (newton.iterate_until) and threshold equations
-VARIANTS = ("normalized_double", "normalized_triple", "general")
+# threshold equations (the refinement iterations are newton.VARIANTS)
 THRESHOLD_VARIANTS = ("normalized_double", "normalized_triple", "general_triple")
 
 # scan brackets sit safely below the first pole of each equation

@@ -13,24 +13,24 @@ Each variant contracts quadratically once the scale-free start quality
 u = gamma^mu * distance is below the variant's threshold constant. The
 constants are the first positive roots of explicit one-variable rational
 equations; `threshold_constants` solves them to ten digits. It lives in
-the numpy-free `constants` module, with `ThresholdSet`,
-`rational_functions` and `VARIANTS`, and is re-exported here.
+the numpy-free `constants` module, with `ThresholdSet` and
+`rational_functions`, and is re-exported here on first use (PEP 562), so
+refinement, which reads no constant, never loads `constants`.
 """
 
 import numpy as np
 
-from .constants import VARIANTS, ThresholdSet  # noqa: F401
-from .constants import rational_functions, threshold_constants  # noqa: F401
-from .dualspace import (
-    LOOSE_NORMALIZED_RTOL,
-    compute_dual_basis,
-    is_normalized,
-    kernel_chain,
-    normalizing_frame,
-)
+from . import _reexport
+from .dualspace import LOOSE_NORMALIZED_RTOL, compute_dual_basis, is_normalized
+from .dualspace import kernel_chain, normalizing_frame
 from .errors import InputError, SingularMatrixError
-from .numkit import solve_linear
+from .numkit import solve_linear, svd
 from .record import Record
+
+__getattr__ = _reexport(
+    __name__, {"constants": ("ThresholdSet", "rational_functions", "threshold_constants")})
+
+VARIANTS = ("normalized_double", "normalized_triple", "general")
 
 
 class NewtonTrace(Record):
@@ -131,9 +131,12 @@ def refine_general(source, z, mu):
 # driver
 
 
-def _choose_variant(source, z, mu):
-    if mu in (2, 3) and is_normalized(source.jacobian(z), LOOSE_NORMALIZED_RTOL):
-        return "normalized_double" if mu == 2 else "normalized_triple"
+def _choose_variant(source, z, mu, J=None, res=None):
+    """J, the Jacobian at z, and res, its `numkit.svd`, are reused if given."""
+    if mu in (2, 3):
+        J = source.jacobian(z) if J is None else J
+        if is_normalized(J, LOOSE_NORMALIZED_RTOL, None if res is None else res.s):
+            return "normalized_double" if mu == 2 else "normalized_triple"
     return "general"
 
 
@@ -160,13 +163,16 @@ def iterate_until(
     residual tolerance returns a zero-iteration trace.
     """
     z = np.asarray(z0, dtype=complex)
+    J = res = None
     if mu is None:
-        basis = compute_dual_basis(source, z, **tolerances)
-        mu = basis.mu
+        # one Jacobian and one SVD serve the detection and the variant choice
+        J = source.jacobian(z)
+        res = svd(J)
+        mu = compute_dual_basis(source, z, J=J, res=res, **tolerances).mu
     if mu < 2:
         raise InputError("a corank-one zero has mu >= 2, got %r" % mu)
     if variant == "auto":
-        variant = _choose_variant(source, z, mu)
+        variant = _choose_variant(source, z, mu, J, res)
     if variant not in VARIANTS:
         raise InputError("unknown variant %r" % variant)
     if variant == "normalized_double" and mu != 2:

@@ -23,15 +23,10 @@ non-finite entry, raises MathDomainError.
 
 import numpy as np
 
+from . import _reexport
 from .errors import AsymmetricTensorError, MathDomainError, SingularMatrixError
 
-
-def __getattr__(name):
-    if name != "smallest_positive_root":
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    from .constants import smallest_positive_root
-
-    return smallest_positive_root
+__getattr__ = _reexport(__name__, {"constants": ("smallest_positive_root",)})
 
 
 def _lapack(routine, *args, **kwargs):

@@ -1,5 +1,5 @@
-"""Sparse complex polynomials, one compiled evaluation kernel, and unitary
-pullbacks.
+"""Sparse complex polynomials, one compiled evaluation kernel, and the
+term scanner that parses them.
 
 A system is a square list of polynomials in declared variables. Points and
 coefficients are complex doubles once parsed. A statement of distinct
@@ -24,6 +24,11 @@ entry point, `curve_taylor(x, A, k)`, returns the Taylor coefficients up to
 t^k of the system along a polynomial curve through x, by truncated power
 series over the same E and C; the dual chain reads its values there.
 
+Rotated views (`NormalizedFrame`, `unitary_pullback`) and the expansion
+behind `shift` live in `mzero.frames`, `apply_functional` in
+`mzero.functionals`; both are imported where used and re-exported here
+on first use (PEP 562).
+
 A point in n variables must have shape (n,); any other shape raises
 ValueError. A value or partial that overflows a double raises
 MathDomainError; one that is exactly zero stays zero even where a power
@@ -37,7 +42,11 @@ import math
 import re
 import numpy as np
 
+from . import _reexport
 from .errors import MathDomainError, ParseError
+
+__getattr__ = _reexport(__name__, {"functionals": ("apply_functional",), "frames": (
+    "NormalizedFrame", "unitary_pullback", "_accumulate", "_expand", "_product")})
 
 # ---------------------------------------------------------------------------
 # runtime polynomial types
@@ -193,49 +202,6 @@ def _series_product(a, b):
     return out
 
 
-def _accumulate(out, terms):
-    """Add a term dict into `out` in place; a sum that is exactly zero
-    drops its monomial, which a later term appends anew."""
-    for mono, c in terms.items():
-        out[mono] = out.get(mono, 0j) + c
-        if out[mono] == 0:
-            del out[mono]
-
-
-def _product(a, b):
-    """Product of two term dicts, exact zeros dropped."""
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            out[mono] = out.get(mono, 0j) + c1 * c2
-    return {mono: c for mono, c in out.items() if c != 0}
-
-
-def _expand(terms, forms):
-    """Term dict of a polynomial with variable j replaced by the term dict
-    forms[j], expanded in doubles. Terms are taken by degree, then exponent
-    tuple; each power of a form is built once, by repeated squaring."""
-    zero = (0,) * len(forms)
-    out, powers = {}, {}
-    for mono, c in sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        term = {zero: c}
-        for j, e in enumerate(mono):
-            if not e:
-                continue
-            if (j, e) not in powers:
-                power, base, k = {zero: 1 + 0j}, forms[j], e
-                while k:
-                    if k & 1:
-                        power = _product(power, base)
-                    base = _product(base, base)
-                    k >>= 1
-                powers[j, e] = power
-            term = _product(term, powers[j, e])
-        _accumulate(out, term)
-    return out
-
-
 # largest n^k of a dense derivative tensor; its index map takes several
 # arrays of k * n^k ints to build (n = 2, k = 18 peaks near 130 MB)
 _MAX_TENSOR = 1 << 18
@@ -319,6 +285,8 @@ class PolySystem:
 
     def shift(self, x):
         """System g with g(Y) = f(Y + x), expanded in doubles."""
+        from .frames import _expand
+
         x = np.asarray(x, dtype=complex)
         n, zero = self.nvars, (0,) * self.nvars
         forms = [Poly(n, {_unit(n, j): 1.0, zero: x[j]}).terms for j in range(n)]
@@ -331,109 +299,6 @@ class PolySystem:
             self.nvars,
             self.labels,
         )
-
-
-class NormalizedFrame:
-    """View of a system in rotated coordinates, g(Y) = U^H f(W @ Y).
-
-    Values, Jacobians and Taylor coefficients along curves map those of
-    the underlying system; higher derivatives contract its derivative
-    tensors. Nothing is expanded unless `materialize` is called.
-    """
-
-    def __init__(self, system, U, W):
-        self.system = system
-        self.U = np.asarray(U, dtype=complex)
-        self.W = np.asarray(W, dtype=complex)
-        n = system.nvars
-        if self.U.shape != (system.n, system.n) or self.W.shape != (n, n):
-            raise ValueError("frame matrices have wrong shape")
-
-    @property
-    def n(self):
-        return self.system.n
-
-    @property
-    def nvars(self):
-        return self.system.nvars
-
-    def max_degree(self):
-        return self.system.max_degree()
-
-    def to_frame(self, x):
-        """Coordinates of an ambient point x in this frame."""
-        return self.W.conj().T @ np.asarray(x, dtype=complex)
-
-    def from_frame(self, y):
-        return self.W @ np.asarray(y, dtype=complex)
-
-    def compose(self, U2, W2):
-        """Frame of this frame: (U @ U2, W @ W2) over the same base system."""
-        return NormalizedFrame(self.system, self.U @ U2, self.W @ W2)
-
-    def eval_at(self, y):
-        y = np.asarray(y, dtype=complex)
-        return self.U.conj().T @ self.system.eval_at(self.W @ y)
-
-    def jacobian(self, y):
-        y = np.asarray(y, dtype=complex)
-        J = self.system.jacobian(self.W @ y)
-        return self.U.conj().T @ J @ self.W
-
-    def curve_taylor(self, y, A, k):
-        """Taylor coefficients of g along y + sum_i A[i] t^(i+1): those of
-        the system along W @ y + sum_i (W @ A[i]) t^(i+1), mapped by U^H."""
-        A = np.asarray(A, dtype=complex).reshape(-1, self.nvars)
-        taylor = self.system.curve_taylor(self.W @ np.asarray(y, dtype=complex), A @ self.W.T, k)
-        return self.U.conj().T @ taylor
-
-    def derivative_tensor(self, y, k):
-        y = np.asarray(y, dtype=complex)
-        T = self.system.derivative_tensor(self.W @ y, k)
-        T = np.tensordot(self.U.conj().T, T, axes=(1, 0))
-        for ax in range(1, k + 1):
-            T = np.moveaxis(np.tensordot(T, self.W, axes=(ax, 0)), -1, ax)
-        return T
-
-    def partials(self, alphas, y):
-        """Raw partials d^alpha g_i(y) as an m x K matrix, one column per
-        multi-index, gathered from one contracted tensor per order."""
-        n = self.nvars
-        A = np.asarray(alphas, dtype=np.intp).reshape(-1, n)
-        orders = A.sum(axis=1)
-        out = np.empty((self.n, len(A)), dtype=complex)
-        for k in set(orders.tolist()):
-            cols = np.flatnonzero(orders == k)
-            if k == 0:
-                out[:, cols] = self.eval_at(y)[:, None]
-                continue
-            # flat position of each multi-index's sorted index tuple
-            C = np.cumsum(A[cols], axis=1)
-            flat = sum((C <= t).sum(axis=1) * n ** (k - 1 - t) for t in range(k))
-            T = self.derivative_tensor(y, k).reshape(self.n, -1)
-            out[:, cols] = T[:, flat]
-        return out
-
-    def partials_vector(self, alpha, y):
-        return self.partials([alpha], y)[:, 0]
-
-    def materialize(self):
-        """Expand the rotated system into explicit polynomials."""
-        n = self.nvars
-        forms = [Poly(n, {_unit(n, j): w for j, w in enumerate(row)}).terms for row in self.W]
-        substituted = [_expand(p.terms, forms) for p in self.system.polys]
-        out = []
-        for row in self.U.conj().T:
-            g = {}
-            for u, terms in zip(row, substituted):
-                if u != 0:
-                    _accumulate(g, Poly(n, {m: c * complex(u) for m, c in terms.items()}).terms)
-            out.append(Poly(n, g))
-        labels = ["g%d" % (i + 1) for i in range(self.n)]
-        return PolySystem(out, self.system.var_names, labels)
-
-    def __repr__(self):
-        return "NormalizedFrame(%r)" % (self.system,)
 
 
 # ---------------------------------------------------------------------------
@@ -555,30 +420,3 @@ def parse_system(text):
             % (system.n, system.nvars)
         )
     return system
-
-
-# ---------------------------------------------------------------------------
-# module-level operations
-
-
-def apply_functional(coeffs, target, x):
-    """Apply a dual functional sum_alpha c_alpha (1/alpha!) d^alpha at x.
-
-    `coeffs` maps multi-index tuples to complex weights. `target` may be a
-    Poly (returns a scalar) or a system or frame (returns a vector); its
-    `partials` evaluates every multi-index in one batch.
-    """
-    if not coeffs:
-        return 0j if isinstance(target, Poly) else np.zeros(target.n, dtype=complex)
-    alphas = list(coeffs)
-    weights = np.array(
-        [coeffs[a] / math.prod(map(math.factorial, a)) for a in alphas], dtype=complex
-    )
-    return target.partials(alphas, x) @ weights
-
-
-def unitary_pullback(system, U, W):
-    """Rotated view g(Y) = U^H f(W @ Y); frames of frames compose."""
-    if isinstance(system, NormalizedFrame):
-        return system.compose(U, W)
-    return NormalizedFrame(system, U, W)

@@ -5,10 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mzero
 from mzero import constants, polycore
-from mzero.cli import COMMANDS, build_parser, canonical_json, main, parse_point
+from mzero.cli import COMMANDS, _quote, build_parser, canonical_json, main, parse_point
 from mzero.errors import MathDomainError
 
 from conftest import EX_DOUBLE, EX_TRIPLE, perfbench_gen
@@ -484,6 +485,23 @@ def test_canonical_json_numpy_values_match_python_values(value, plain):
     assert canonical_json({"v": value}) == canonical_json({"v": plain})
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text())
+def test_quote_matches_json_dumps(text):
+    assert _quote(text) == json.dumps(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['"', "\\", "\b\f\n\r\t", "\x00\x01\x1b\x1f", "\x7f", "caf\xe9 \u2211 \u4e2d \uffff",
+     "\U0001f600 \U00010000 \U0010ffff", "\ud800", "a\udfffb", 'mixed "\\\n\u00e9\U0001d11e'],
+    ids=["quote", "backslash", "short-escapes", "control", "delete", "bmp", "astral",
+         "lone-high-surrogate", "lone-low-surrogate", "mixed"],
+)
+def test_quote_matches_json_dumps_on_escapes(text):
+    assert _quote(text) == json.dumps(text)
+
+
 def test_non_finite_result_is_domain_error(capsys, monkeypatch):
     broken = constants.ThresholdSet("normalized_double", 2, float("inf"), 0.03)
     monkeypatch.setattr(constants, "threshold_constants", lambda variant: broken)
@@ -681,7 +699,8 @@ print(json.dumps([
     assert run_fresh(code % perfbench) == []
 
 
-LOADED = "\nimport json, sys; print(json.dumps(sorted(set(sys.modules) & %r)))"
+# sys.modules is read before this snippet's own `import json`
+LOADED = "\nimport sys; loaded = set(sys.modules)\nimport json; print(json.dumps(sorted(loaded & %r)))"
 
 
 def test_import_cli_loads_neither_dataclasses_nor_constants():
@@ -697,6 +716,38 @@ def test_no_layer_loads_dataclasses():
 def test_dual_and_gamma_do_not_load_constants(ex_triple_path, command):
     argv = [command, "--system", ex_triple_path, "--point", "0,0", "--json"]
     assert run_fresh(RUN_MAIN % argv + LOADED % {"mzero.constants"}) == []
+
+
+WATCHED = {"json", "mzero.constants", "mzero.functionals", "mzero.frames"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["dual", "ORIGIN"], ["mzero.functionals"]),
+        (["gamma", "ORIGIN"], []),
+        (["separation", "ORIGIN"], ["mzero.constants"]),
+        (["separation", "--mu", "3"], ["mzero.constants"]),
+        (["certify", "ORIGIN"], ["mzero.constants"]),
+        (["refine", "NEAR", "--variant", "normalized_double"], []),
+        (["refine", "NEAR"], []),
+        (["refine", "NEAR", "--variant", "general"], ["mzero.frames"]),
+        (["thresholds", "--variant", "general_triple"], ["mzero.constants"]),
+    ],
+    ids=["dual", "gamma", "separation", "separation-constant", "certify", "refine-normalized",
+         "refine-auto", "refine-general", "thresholds"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    # at a normalized point of a scanned system only `dual` builds
+    # functionals and only a general step needs a frame; no command
+    # imports json, and refinement reads no universal constant
+    gen = perfbench_gen()
+    path = tmp_path / "dense.txt"
+    path.write_text(gen.system_text(gen.planted_system(4, 2, np.random.default_rng(1))))
+    places = {"ORIGIN": ["--system", str(path), "--point", "0,0,0,0"],
+              "NEAR": ["--system", str(path), "--point", "1e-3,0,0,0", "--mu", "2"]}
+    argv = [a for arg in argv for a in places.get(arg, [arg])] + ["--json"]
+    assert run_fresh(RUN_MAIN % argv + LOADED % WATCHED) == loaded
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from mzero.newton import (
     refine_triple,
     threshold_constants,
 )
-from mzero.polycore import parse_system, unitary_pullback
+from mzero.polycore import PolySystem, parse_system, unitary_pullback
 
 from conftest import make_normalized_system, make_planted_system, random_unitary
 
@@ -145,6 +145,29 @@ def test_auto_variant_prefers_general_off_shape(ex_triple):
     # loose check fails and the frame-based iteration takes over
     trace = iterate_until(ex_triple, START, mu=3)
     assert trace.variant == "general"
+
+
+def test_detection_and_variant_choice_share_one_jacobian(monkeypatch):
+    # without mu, the Jacobian at z0 and its SVD serve both the chain
+    # detection and the auto variant's shape test
+    system = make_normalized_system(4, 3, np.random.default_rng(35))
+    shapes, jacobians = [], []
+    factor, evaluate = np.linalg.svd, PolySystem.jacobian
+
+    def counted_svd(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return factor(A, *args, **kwargs)
+
+    def counted_jacobian(self, x):
+        jacobians.append(1)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(PolySystem, "jacobian", counted_jacobian)
+    trace = iterate_until(system, np.zeros(4), max_iter=0)
+    assert (trace.mu, trace.variant) == (3, "normalized_triple")
+    assert shapes.count((4, 4)) == 1
+    assert len(jacobians) == 1
 
 
 def test_variant_mu_mismatch(ex_triple):
