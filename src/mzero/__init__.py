@@ -43,6 +43,10 @@ _SUBMODULES = (*_EXPORTS, "cli")
 
 __version__ = "0.1.0"
 
+# the iterations of `newton.iterate_until` (normalized of order 2, of order
+# 3, general), named here so that `mzero --help` loads no numpy
+VARIANTS = ("normalized_double", "normalized_triple", "general")
+
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 

@@ -4,7 +4,8 @@ For a multiplicity-mu zero in normalized coordinates, a universal
 constant d(mu) in (0, 1) controls a punctured ball around the zero that
 contains no other zero: the exclusion radius is d / (2 gamma^mu). The
 constant and its coefficient table live in the numpy-free `constants`
-module; they are imported here under their old names.
+module; `p_of_d` and `separation_constant` are imported here under their
+old names.
 
 For an approximate zero x, `certify_cluster` builds the order-mu
 truncation of the system at x (exactly normalized there by construction),
@@ -18,18 +19,16 @@ import math
 
 import numpy as np
 
-from .constants import ANCHORED_MAX, CoefficientTable, SeparationResult  # noqa: F401
-from .constants import coefficient_table, p_of_d, separation_constant  # noqa: F401
+from .constants import p_of_d, separation_constant  # noqa: F401
 from .dualspace import LOOSE_NORMALIZED_RTOL
 from .gamma import LocalModel
-from .numkit import matrix_spectral_norm
+from .numkit import matrix_spectral_norm, singular_values
 from .record import Record
 
 
 class ResidualBound(Record):
     _fields = ("mu", "bound", "fy_norm", "distance", "within_radius", "a_inv_norm", "d",
                "gamma")
-    _defaults = {"gamma": None}
 
 
 class ClusterCertificate(Record):
@@ -37,16 +36,16 @@ class ClusterCertificate(Record):
                "gamma_on_g", "d", "mode")
 
 
-def separation_bound(source, x, mu=None, mode="estimate", auto_frame=True, **tolerances):
+def separation_bound(source, x, mu=None, mode="estimate", **tolerances):
     """Exclusion radius d / (2 gamma^mu) around a normalized zero.
 
     Unnormalized input is moved to a normalizing frame first (distances
     are invariant under the rotation, so the radius applies unchanged in
-    the original coordinates); with auto_frame off it raises
-    NotNormalizedError. mu, when given, must match the detected chain
-    length; tolerances (gap_tol, delta_zero_tol) go to that detection.
+    the original coordinates). mu, when given, must match the detected
+    chain length; tolerances (gap_tol, delta_zero_tol) go to that
+    detection.
     """
-    report = LocalModel(source, x, mu, frame=auto_frame, **tolerances).gamma(mode)
+    report = LocalModel(source, x, mu, **tolerances).gamma(mode)
     sep = separation_constant(report.mu)
     sep.gamma = report
     sep.bound = sep.d / (2.0 * report.gamma**report.mu)
@@ -54,12 +53,12 @@ def separation_bound(source, x, mu=None, mode="estimate", auto_frame=True, **tol
 
 
 def _a_inv_norm(model):
-    s = np.linalg.svd(model.Jhat, compute_uv=False)
+    s = singular_values(model.Jhat)
     inv_hat = 1.0 / float(s[-1])
     return max(inv_hat / math.sqrt(2.0), math.sqrt(2.0) / abs(model.delta_mu))
 
 
-def residual_lower_bound(source, x, y, mu=None, mode="estimate", auto_frame=True):
+def residual_lower_bound(source, x, y, mu=None, mode="estimate"):
     """Lower bound on the residual norm at y, forced by the zero at x.
 
     Valid for y within distance d / (4 gamma^mu) of the normalized zero
@@ -72,7 +71,7 @@ def residual_lower_bound(source, x, y, mu=None, mode="estimate", auto_frame=True
     y = np.asarray(y, dtype=complex)
     dist = float(np.linalg.norm(y - x))
     fy = float(np.linalg.norm(source.eval_at(y)))
-    model = LocalModel(source, x, mu, frame=auto_frame)
+    model = LocalModel(source, x, mu)
     report = model.gamma(mode)
     mu = report.mu
     sep = separation_constant(mu)

@@ -18,8 +18,9 @@ Each command imports only the layers it runs: `separation --mu k`
 without a system and `thresholds` read the numpy-free `constants` module
 alone, `dual`, `gamma` and `refine` never load it, and numpy is loaded
 where a point is parsed. Only `dual` loads `functionals`, and only a
-frame loads `frames`. The parser is built for the invoked command alone,
-and no call imports `json` or `dataclasses`.
+frame loads `frames`. The parser is built for the invoked command alone
+(the full one, for `mzero --help`, loads no numpy), and no call imports
+`json` or `dataclasses`.
 
 The JSON output is deterministic: keys are sorted, floats are printed
 with 17 significant digits, and complex values appear as {"im": ...,
@@ -33,8 +34,8 @@ import cmath
 import math
 import re
 import sys
+from . import VARIANTS
 from .errors import InputError, MathDomainError, ParseError
-from .record import Record
 
 DEFAULT_TOLERANCES = {
     "gap_tol": 1e-8,
@@ -43,16 +44,6 @@ DEFAULT_TOLERANCES = {
     "max_iter": 50,
     "max_order": 10,
 }
-
-
-class RunConfig(Record):
-    """One call's settings; point is a complex numpy array."""
-
-    _fields = ("command", "system_path", "point", "mu", "mode", "variant", "tolerances",
-               "output")
-    _defaults = {"system_path": None, "point": None, "mu": None, "mode": "estimate",
-                 "variant": "auto", "tolerances": lambda: dict(DEFAULT_TOLERANCES),
-                 "output": "text"}
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +178,15 @@ def load_system(path):
     return polycore.parse_system(_read_text(path, "system file"))
 
 
-def _load_with_point(cfg):
+def _load_with_point(args):
     """The system file, with the point checked against its variables."""
-    system = load_system(cfg.system_path)
-    if cfg.point is None:
+    system = load_system(args.system)
+    if args.point is None:
         raise ParseError("a point is required (--point or --point-file)")
-    if len(cfg.point) != system.nvars:
+    if len(args.point) != system.nvars:
         raise ParseError(
             "point dimension %d does not match the %d variables of the system"
-            % (len(cfg.point), system.nvars)
+            % (len(args.point), system.nvars)
         )
     if system.nvars < 2:
         raise InputError(
@@ -204,9 +195,9 @@ def _load_with_point(cfg):
     return system
 
 
-def _detection(cfg):
+def _detection(args):
     """The tolerances of the chain-length detection, from the flags."""
-    return {key: cfg.tolerances[key] for key in ("gap_tol", "delta_zero_tol")}
+    return {"gap_tol": args.gap_tol, "delta_zero_tol": args.delta_zero_tol}
 
 
 def _pick(record, names):
@@ -222,32 +213,32 @@ def _functional_json(fn):
 # subcommands
 
 
-def _diagnostics(cfg, duality_residuals):
+def _diagnostics(args, duality_residuals):
     keys = ("gap_tol", "delta_zero_tol", "eps", "max_iter")
     return {
-        "tolerances": {key: cfg.tolerances[key] for key in keys},
-        "norm_mode": cfg.mode,
+        "tolerances": {key: getattr(args, key) for key in keys},
+        "norm_mode": args.mode,
         "duality_residuals": list(duality_residuals),
     }
 
 
-def _input_block(cfg):
-    block = {"system": cfg.system_path}
-    if cfg.point is not None:
-        block["point"] = list(cfg.point)
-    if cfg.mu is not None:
-        block["mu"] = cfg.mu
-    block["mode"] = cfg.mode
+def _input_block(args):
+    block = {"system": args.system}
+    if args.point is not None:
+        block["point"] = list(args.point)
+    if args.mu is not None:
+        block["mu"] = args.mu
+    block["mode"] = args.mode
     return block
 
 
-def _emit(cfg, result, text_lines, inputs=None, duality_residuals=()):
-    if cfg.output == "json":
+def _emit(args, result, text_lines, inputs=None, duality_residuals=()):
+    if args.json:
         document = {
-            "command": cfg.command,
-            "input": _input_block(cfg) if inputs is None else inputs,
+            "command": args.command,
+            "input": _input_block(args) if inputs is None else inputs,
             "result": result,
-            "diagnostics": _diagnostics(cfg, duality_residuals),
+            "diagnostics": _diagnostics(args, duality_residuals),
         }
         print(canonical_json(document))
     else:
@@ -256,12 +247,12 @@ def _emit(cfg, result, text_lines, inputs=None, duality_residuals=()):
     return 0
 
 
-def cmd_dual(cfg, args):
+def cmd_dual(args):
     from . import dualspace
 
-    system = _load_with_point(cfg)
+    system = _load_with_point(args)
     basis = dualspace.compute_dual_basis(
-        system, cfg.point, max_order=cfg.tolerances["max_order"], **_detection(cfg)
+        system, args.point, max_order=args.max_order, **_detection(args)
     )
     result = {
         "mu": basis.mu,
@@ -281,15 +272,15 @@ def cmd_dual(cfg, args):
         "max duality residual: %.3e"
         % (max(basis.duality_residuals) if len(basis.duality_residuals) else 0.0),
     ]
-    return _emit(cfg, result, lines, duality_residuals=basis.duality_residuals)
+    return _emit(args, result, lines, duality_residuals=basis.duality_residuals)
 
 
-def cmd_gamma(cfg, args):
+def cmd_gamma(args):
     from . import gamma
 
-    system = _load_with_point(cfg)
-    model = gamma.LocalModel(system, cfg.point, cfg.mu, **_detection(cfg))
-    report = model.gamma(cfg.mode)
+    system = _load_with_point(args)
+    model = gamma.LocalModel(system, args.point, args.mu, **_detection(args))
+    report = model.gamma(args.mode)
     result = _pick(report, "gamma gamma_hat gamma_n mu delta_mu per_order")
     lines = [
         "mu: %d" % report.mu,
@@ -297,23 +288,23 @@ def cmd_gamma(cfg, args):
         "gamma_n:   %.12g" % report.gamma_n,
         "gamma:     %.12g  (mode=%s)" % (report.gamma, report.mode),
     ]
-    return _emit(cfg, result, lines)
+    return _emit(args, result, lines)
 
 
-def cmd_separation(cfg, args):
-    if cfg.system_path:
+def cmd_separation(args):
+    if args.system:
         from . import certify
 
-        system = _load_with_point(cfg)
+        system = _load_with_point(args)
         sep = certify.separation_bound(
-            system, cfg.point, mu=cfg.mu, mode=cfg.mode, **_detection(cfg)
+            system, args.point, mu=args.mu, mode=args.mode, **_detection(args)
         )
     else:
-        if cfg.mu is None:
+        if args.mu is None:
             raise ParseError("separation needs --mu when no system is given")
         from .constants import separation_constant
 
-        sep = separation_constant(cfg.mu)
+        sep = separation_constant(args.mu)
     result = _pick(sep, "mu d d1 d2 d3")
     if sep.bound is not None:
         result.update(bound=sep.bound, gamma=sep.gamma.gamma)
@@ -324,15 +315,15 @@ def cmd_separation(cfg, args):
     if sep.bound is not None:
         lines.append("gamma: %.12g" % sep.gamma.gamma)
         lines.append("exclusion radius d / (2 gamma^mu): %.12g" % sep.bound)
-    return _emit(cfg, result, lines)
+    return _emit(args, result, lines)
 
 
-def cmd_certify(cfg, args):
+def cmd_certify(args):
     from . import certify
 
-    system = _load_with_point(cfg)
+    system = _load_with_point(args)
     cert = certify.certify_cluster(
-        system, cfg.point, mu=cfg.mu, mode=cfg.mode, **_detection(cfg)
+        system, args.point, mu=args.mu, mode=args.mode, **_detection(args)
     )
     result = _pick(cert, "holds radius mu lhs rhs d h_norms a_inv_norm")
     result.update(_pick(cert.gamma_on_g, "gamma gamma_hat gamma_n"))
@@ -348,21 +339,21 @@ def cmd_certify(cfg, args):
         "gamma on truncation: %.12g (mode=%s)" % (cert.gamma_on_g.gamma, cert.mode),
         verdict,
     ]
-    return _emit(cfg, result, lines)
+    return _emit(args, result, lines)
 
 
-def cmd_refine(cfg, args):
+def cmd_refine(args):
     from . import newton
 
-    system = _load_with_point(cfg)
+    system = _load_with_point(args)
     trace = newton.iterate_until(
         system,
-        cfg.point,
-        mu=cfg.mu,
-        variant=cfg.variant,
-        eps=cfg.tolerances["eps"],
-        max_iter=cfg.tolerances["max_iter"],
-        **_detection(cfg),
+        args.point,
+        mu=args.mu,
+        variant=args.variant,
+        eps=args.eps,
+        max_iter=args.max_iter,
+        **_detection(args),
     )
     result = _pick(trace, "converged stop_reason variant mu residual_norms step_norms warnings")
     result.update(iterations=len(trace.iterates) - 1, iterates=[list(z) for z in trace.iterates])
@@ -378,10 +369,10 @@ def cmd_refine(cfg, args):
         )
     for w in trace.warnings:
         lines.append("warning: %s" % w)
-    return _emit(cfg, result, lines)
+    return _emit(args, result, lines)
 
 
-def cmd_thresholds(cfg, args):
+def cmd_thresholds(args):
     from . import constants
 
     ts = constants.threshold_constants(args.threshold_variant)
@@ -391,7 +382,7 @@ def cmd_thresholds(cfg, args):
         "u_converge:  %.10g" % ts.u_converge,
         "u_quadratic: %.10g" % ts.u_quadratic,
     ]
-    return _emit(cfg, result, lines, inputs={"variant": ts.variant, "mode": cfg.mode})
+    return _emit(args, result, lines, inputs={"variant": ts.variant, "mode": args.mode})
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +396,10 @@ def _add_common(sub, mu=True, mode=True):
     if mu:
         sub.add_argument("--mu", type=int, help="multiplicity (detected if omitted)")
     if mode:
-        sub.add_argument("--mode", choices=("estimate", "certified"), default="estimate",
+        sub.add_argument("--mode", choices=("estimate", "certified"),
                          help="tensor norm handling for growth invariants")
-    sub.add_argument("--gap-tol", type=float, default=DEFAULT_TOLERANCES["gap_tol"])
-    sub.add_argument("--delta-zero-tol", type=float, default=DEFAULT_TOLERANCES["delta_zero_tol"])
+    sub.add_argument("--gap-tol", type=float)
+    sub.add_argument("--delta-zero-tol", type=float)
     sub.add_argument("--json", action="store_true", help="canonical JSON output")
 
 
@@ -439,17 +430,18 @@ def build_parser(command=None):
     for name in names:
         _, help_text, common = COMMANDS[name]
         sp = subs.add_parser(name, help=help_text)
+        # the value of each flag left out, or that the command lacks
+        sp.set_defaults(system=None, point=None, point_file=None, mu=None, mode="estimate",
+                        **DEFAULT_TOLERANCES)
         if common is not None:
             _add_common(sp, **common)
         if name == "dual":
-            sp.add_argument("--max-order", type=int, default=DEFAULT_TOLERANCES["max_order"])
+            sp.add_argument("--max-order", type=int)
         elif name == "refine":
-            from .newton import VARIANTS
-
             sp.add_argument("--variant", choices=("auto",) + VARIANTS, default="auto",
                             help="iteration variant (auto picks by mu and coordinate shape)")
-            sp.add_argument("--eps", type=float, default=DEFAULT_TOLERANCES["eps"])
-            sp.add_argument("--max-iter", type=int, default=DEFAULT_TOLERANCES["max_iter"])
+            sp.add_argument("--eps", type=float)
+            sp.add_argument("--max-iter", type=int)
         elif name == "thresholds":
             from .constants import THRESHOLD_VARIANTS
 
@@ -465,43 +457,32 @@ def build_parser(command=None):
     return parser
 
 
-def _config_from_args(args):
-    tol = dict(DEFAULT_TOLERANCES)
-    for key in tol:
-        if getattr(args, key, None) is not None:
-            tol[key] = getattr(args, key)
+def _check_args(args):
+    """Check the parsed flags and read the point, in place."""
     for key in ("gap_tol", "delta_zero_tol", "eps"):
-        if not 0 < tol[key] < math.inf:
+        if not 0 < getattr(args, key) < math.inf:
             raise ParseError("--%s must be finite and above 0" % key.replace("_", "-"))
     for key, low in (("max_order", 1), ("max_iter", 0)):
-        if tol[key] < low:
+        if getattr(args, key) < low:
             raise ParseError("--%s must be at least %d" % (key.replace("_", "-"), low))
-    cfg = RunConfig(
-        command=args.command,
-        system_path=getattr(args, "system", None),
-        mu=getattr(args, "mu", None),
-        mode=getattr(args, "mode", "estimate"),
-        variant=getattr(args, "variant", "auto"),
-        tolerances=tol,
-        output="json" if getattr(args, "json", False) else "text",
-    )
-    if getattr(args, "point", None):
-        cfg.point = parse_point(args.point)
-    elif getattr(args, "point_file", None):
-        cfg.point = read_point_file(args.point_file)
-    if cfg.mu is not None and cfg.mu < 2:
+    if args.point:
+        args.point = parse_point(args.point)
+    elif args.point_file:
+        args.point = read_point_file(args.point_file)
+    else:
+        args.point = None
+    if args.mu is not None and args.mu < 2:
         raise ParseError("--mu must be at least 2")
-    if cfg.command in ("separation", "certify") and cfg.mu is not None:
+    if args.command in ("separation", "certify") and args.mu is not None:
         from .constants import ANCHORED_MAX
 
-        if cfg.mu > ANCHORED_MAX:
+        if args.mu > ANCHORED_MAX:
             raise ParseError(
                 "--mu must be at most %d, the largest order whose constant d(mu) "
                 "is cross-checked" % ANCHORED_MAX
             )
-    if cfg.command in ("dual", "gamma", "certify", "refine") and not cfg.system_path:
+    if args.command in ("dual", "gamma", "certify", "refine") and not args.system:
         raise ParseError("a system file is required (--system)")
-    return cfg
 
 
 def _join_value_flags(argv, flags):
@@ -524,8 +505,8 @@ def main(argv=None):
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code) if exc.code else 0
-        cfg = _config_from_args(args)
-        return COMMANDS[cfg.command][0](cfg, args)
+        _check_args(args)
+        return COMMANDS[args.command][0](args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

@@ -2,8 +2,9 @@
 closed forms and the first positive root of a scalar function built from
 an integer coefficient table, and the refinement thresholds, the first
 positive roots of one-variable rational equations. Plain scalar
-arithmetic: this module imports no numpy and no other layer, and
-`certify`, `newton` and `numkit` re-export its names.
+arithmetic: this module imports no numpy and no other layer. `certify`
+imports `p_of_d` and `separation_constant` under their old names, and
+`newton` re-exports `threshold_constants` on first use.
 """
 
 import math
@@ -15,8 +16,14 @@ from .record import Record
 # and a 50-digit root of p in tests/test_certify.py; above it, not yet
 ANCHORED_MAX = 20
 
-# threshold equations (the refinement iterations are newton.VARIANTS)
+# threshold equations (the refinement iterations are mzero.VARIANTS)
 THRESHOLD_VARIANTS = ("normalized_double", "normalized_triple", "general_triple")
+
+# samples of the first-crossing scan in `smallest_positive_root`
+_GRID = 1024
+# relative root tolerances of d3 and of the threshold constants
+_SEPARATION_TOL = 1e-13
+_THRESHOLD_TOL = 1e-12
 
 # scan brackets sit safely below the first pole of each equation
 _BRACKET = {
@@ -26,7 +33,7 @@ _BRACKET = {
 }
 
 
-def smallest_positive_root(fn, upper, tol=1e-10, grid=1024):
+def smallest_positive_root(fn, upper, tol=1e-10):
     """First zero crossing of a scalar function on (0, upper].
 
     The function must be positive at zero. The interval is scanned on a
@@ -46,8 +53,8 @@ def smallest_positive_root(fn, upper, tol=1e-10, grid=1024):
     lo = 0.0
     hi = None
     prev = 0.0
-    for i in range(1, grid + 1):
-        t = upper * i / grid
+    for i in range(1, _GRID + 1):
+        t = upper * i / _GRID
         v = fn(t)
         if v != v:
             # NaN: the scan has reached a pole
@@ -58,7 +65,7 @@ def smallest_positive_root(fn, upper, tol=1e-10, grid=1024):
             break
         prev = t
     if hi is None:
-        raise NoRootError("no sign change on (0, %g] with %d samples" % (upper, grid))
+        raise NoRootError("no sign change on (0, %g] with %d samples" % (upper, _GRID))
     while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -151,10 +158,10 @@ def p_of_d(mu, table=None):
     return p
 
 
-def separation_constant(mu, tol=1e-13):
+def separation_constant(mu):
     """Universal constant d(mu) with its three ingredients.
 
-    d3 is the first root of `p_of_d` to relative tolerance tol, taken
+    d3 is the first root of `p_of_d` to relative tolerance 1e-13, taken
     from the side where p is still positive. Orders above ANCHORED_MAX
     are refused with InputError, as no test has cross-checked them.
     """
@@ -169,9 +176,9 @@ def separation_constant(mu, tol=1e-13):
     d2 = math.sqrt(1.0 / (mu - 1.0))
     p = p_of_d(mu, table)
     try:
-        d3 = smallest_positive_root(p, d2, tol=tol)
+        d3 = smallest_positive_root(p, d2, tol=_SEPARATION_TOL)
     except NoRootError:
-        d3 = smallest_positive_root(p, 1.0 - 1e-9, tol=tol)
+        d3 = smallest_positive_root(p, 1.0 - 1e-9, tol=_SEPARATION_TOL)
     d = min(d1, d2, d3)
     return SeparationResult(mu=mu, d=d, d1=d1, d2=d2, d3=d3)
 
@@ -329,8 +336,9 @@ def _threshold_equation(variant):
     raise ValueError("unknown variant %r" % variant)
 
 
-def threshold_constants(variant, tol=1e-12):
-    """Convergence and quadratic-decay thresholds for a variant.
+def threshold_constants(variant):
+    """Convergence and quadratic-decay thresholds for a variant, each to
+    relative tolerance 1e-12.
 
     u_converge solves sum-of-squares = 1 (the next error is strictly
     smaller); u_quadratic solves sum-of-squares = 1/4 (the error at step
@@ -342,8 +350,8 @@ def threshold_constants(variant, tol=1e-12):
         )
     eq = _threshold_equation(variant)
     upper = _BRACKET[variant]
-    u_conv = smallest_positive_root(lambda u: 1.0 - eq(u), upper, tol=tol)
-    u_quad = smallest_positive_root(lambda u: 0.25 - eq(u), upper, tol=tol)
+    u_conv = smallest_positive_root(lambda u: 1.0 - eq(u), upper, tol=_THRESHOLD_TOL)
+    u_quad = smallest_positive_root(lambda u: 0.25 - eq(u), upper, tol=_THRESHOLD_TOL)
     mu = 2 if variant == "normalized_double" else 3
     return ThresholdSet(
         variant=variant, mu=mu, u_converge=u_conv, u_quadratic=u_quad

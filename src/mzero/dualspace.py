@@ -13,9 +13,10 @@ Lambda_k(f) is the t^k Taylor coefficient of f along the curve x + a_1 t
 from the kernel's `curve_taylor` and forms no functional. The functionals,
 by `psi`, are the symbolic record that a `DualBasis` builds on first use.
 They and the independent product-rule route `chainrule_Lk` live in
-`mzero.functionals`, which this module imports only there and re-exports
-on first use (PEP 562), so a command that never prints a functional does
-not compile it. `normalizing_frame` loads `mzero.frames` the same way.
+`mzero.functionals`, which this module imports only there, so a command
+that never prints a functional does not compile it; `chainrule_Lk` is
+re-exported here on first use (PEP 562). `normalizing_frame` loads
+`mzero.frames` where it runs.
 """
 
 import functools
@@ -26,8 +27,7 @@ from . import _reexport
 from .errors import BreadthError, CorankError, InputError, MultiplicityNotFoundError
 from .numkit import matrix_spectral_norm, solve_least_squares, solve_linear, svd
 
-__getattr__ = _reexport(__name__, {"functionals": ("DualFunctional", "chainrule_Lk",
-    "_chain_functionals", "_delta_from_chain", "_first_order", "_product_rule_delta")})
+__getattr__ = _reexport(__name__, {"functionals": ("chainrule_Lk",)})
 
 DEFAULT_MAX_ORDER = 10
 DEFAULT_GAP_TOL = 1e-8

@@ -13,30 +13,27 @@ Each variant contracts quadratically once the scale-free start quality
 u = gamma^mu * distance is below the variant's threshold constant. The
 constants are the first positive roots of explicit one-variable rational
 equations; `threshold_constants` solves them to ten digits. It lives in
-the numpy-free `constants` module, with `ThresholdSet` and
-`rational_functions`, and is re-exported here on first use (PEP 562), so
-refinement, which reads no constant, never loads `constants`.
+the numpy-free `constants` module and is re-exported here on first use
+(PEP 562), so refinement, which reads no constant, never loads
+`constants`. The variant names, `VARIANTS`, live in the package itself,
+so the command line lists them without loading numpy.
 """
 
 import numpy as np
 
-from . import _reexport
+from . import VARIANTS, _reexport
 from .dualspace import LOOSE_NORMALIZED_RTOL, compute_dual_basis, is_normalized
 from .dualspace import kernel_chain, normalizing_frame
 from .errors import InputError, SingularMatrixError
 from .numkit import solve_linear, svd
 from .record import Record
 
-__getattr__ = _reexport(
-    __name__, {"constants": ("ThresholdSet", "rational_functions", "threshold_constants")})
-
-VARIANTS = ("normalized_double", "normalized_triple", "general")
+__getattr__ = _reexport(__name__, {"constants": ("threshold_constants",)})
 
 
 class NewtonTrace(Record):
-    _fields = ("iterates", "residual_norms", "step_norms", "frames", "converged",
-               "stop_reason", "variant", "mu", "warnings")
-    _defaults = {"warnings": list}
+    _fields = ("iterates", "residual_norms", "step_norms", "converged", "stop_reason",
+               "variant", "mu", "warnings")
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +127,12 @@ def refine_general(source, z, mu):
 # ---------------------------------------------------------------------------
 # driver
 
-
-def _choose_variant(source, z, mu, J=None, res=None):
-    """J, the Jacobian at z, and res, its `numkit.svd`, are reused if given."""
-    if mu in (2, 3):
-        J = source.jacobian(z) if J is None else J
-        if is_normalized(J, LOOSE_NORMALIZED_RTOL, None if res is None else res.s):
-            return "normalized_double" if mu == 2 else "normalized_triple"
-    return "general"
+# variant -> (the mu it needs, None for any, and one step from z)
+_STEPS = dict(zip(VARIANTS, (
+    (2, lambda source, z, mu: refine_double(source, z)),
+    (3, lambda source, z, mu: refine_triple(source, z)),
+    (None, lambda source, z, mu: refine_general(source, z, mu)[0]),
+)))
 
 
 def iterate_until(
@@ -172,77 +167,55 @@ def iterate_until(
     if mu < 2:
         raise InputError("a corank-one zero has mu >= 2, got %r" % mu)
     if variant == "auto":
-        variant = _choose_variant(source, z, mu, J, res)
-    if variant not in VARIANTS:
+        # the normalized variant of order mu at a point loosely in the
+        # distinguished shape, else the general one
+        variant = VARIANTS[-1]
+        if mu in (2, 3):
+            J = source.jacobian(z) if J is None else J
+            if is_normalized(J, LOOSE_NORMALIZED_RTOL, None if res is None else res.s):
+                variant = VARIANTS[mu - 2]
+    if variant not in _STEPS:
         raise InputError("unknown variant %r" % variant)
-    if variant == "normalized_double" and mu != 2:
-        raise InputError("order-two variant needs mu == 2")
-    if variant == "normalized_triple" and mu != 3:
-        raise InputError("order-three variant needs mu == 3")
+    order, step = _STEPS[variant]
+    if order not in (None, mu):
+        word = {2: "two", 3: "three"}[order]
+        raise InputError("order-%s variant needs mu == %d" % (word, order))
 
     iterates = [z.copy()]
     residuals = [float(np.linalg.norm(source.eval_at(z)))]
     steps = []
-    frames = []
     warnings = []
-    converged = False
-    reason = "max_iter"
-
-    if residuals[0] <= eps:
-        return NewtonTrace(
-            iterates=iterates,
-            residual_norms=residuals,
-            step_norms=[],
-            frames=[],
-            converged=True,
-            stop_reason="tolerance",
-            variant=variant,
-            mu=mu,
-            warnings=[],
-        )
-
     grow = 0
-    for _ in range(max_iter):
+    while True:
+        if residuals[-1] <= eps:
+            reason = "tolerance"
+            break
+        if steps and steps[-1] <= eps:
+            reason = "stagnation"
+            break
+        grow = grow + 1 if len(steps) >= 2 and steps[-1] > steps[-2] else 0
+        if grow >= 3:
+            reason = "divergence"
+            break
+        if len(steps) >= max_iter:
+            reason = "max_iter"
+            break
         try:
-            if variant == "normalized_double":
-                z_next = refine_double(source, z)
-                frames.append(None)
-            elif variant == "normalized_triple":
-                z_next = refine_triple(source, z)
-                frames.append(None)
-            else:
-                z_next, info = refine_general(source, z, mu)
-                frames.append(info["frame_W"])
+            z_next = step(source, z, mu)
         except SingularMatrixError as exc:
             reason = "singular_step"
             warnings.append(str(exc))
             break
-        step = float(np.linalg.norm(z_next - z))
+        steps.append(float(np.linalg.norm(z_next - z)))
         z = z_next
         iterates.append(z.copy())
         residuals.append(float(np.linalg.norm(source.eval_at(z))))
-        steps.append(step)
-        if residuals[-1] <= eps:
-            converged = True
-            reason = "tolerance"
-            break
-        if step <= eps:
-            reason = "stagnation"
-            break
-        if len(steps) >= 2 and steps[-1] > steps[-2]:
-            grow += 1
-            if grow >= 3:
-                reason = "divergence"
-                break
-        else:
-            grow = 0
 
     return NewtonTrace(
         iterates=iterates,
         residual_norms=residuals,
         step_norms=steps,
-        frames=frames,
-        converged=converged,
+        converged=reason == "tolerance",
         stop_reason=reason,
         variant=variant,
         mu=mu,

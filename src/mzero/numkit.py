@@ -14,19 +14,15 @@ reading before using this module:
   general). The Frobenius norm of the full array is reported as the
   certified upper bound.
 
-The scalar root finder `smallest_positive_root` lives in the numpy-free
-`constants` module and is re-exported here on first use (PEP 562), so the
-layers that never read it do not load `constants`. A factorization or
-solve that LAPACK cannot finish, such as an SVD of a matrix holding a
-non-finite entry, raises MathDomainError.
+Every LAPACK call of the package goes through this module. A
+factorization or solve that LAPACK cannot finish, such as an SVD of a
+matrix holding a non-finite entry, raises MathDomainError.
 """
 
 import numpy as np
 
-from . import _reexport
 from .errors import AsymmetricTensorError, MathDomainError, SingularMatrixError
-
-__getattr__ = _reexport(__name__, {"constants": ("smallest_positive_root",)})
+from .record import Record
 
 
 def _lapack(routine, *args, **kwargs):
@@ -38,15 +34,10 @@ def _lapack(routine, *args, **kwargs):
         raise MathDomainError("%s failed: %s" % (routine.__name__, exc)) from None
 
 
-class SvdResult:
+class SvdResult(Record):
     """Factorization A = U @ diag(s) @ V.conj().T with fixed phases."""
 
-    __slots__ = ("U", "s", "V")
-
-    def __init__(self, U, s, V):
-        self.U = U
-        self.s = s
-        self.V = V
+    _fields = ("U", "s", "V")
 
 
 def svd(A):
@@ -68,11 +59,16 @@ def svd(A):
     return SvdResult(U, s, V)
 
 
+def singular_values(A):
+    """The singular values of A, largest first."""
+    return _lapack(np.linalg.svd, A, compute_uv=False)
+
+
 def matrix_spectral_norm(A):
     A = np.asarray(A, dtype=complex)
     if A.size == 0:
         return 0.0
-    return float(_lapack(np.linalg.svd, A, compute_uv=False)[0])
+    return float(singular_values(A)[0])
 
 
 def solve_linear(A, b):
@@ -83,7 +79,7 @@ def solve_linear(A, b):
         raise ValueError("solve_linear expects a square matrix")
     if A.size == 0:
         return np.zeros(b.shape[1:] if b.ndim > 1 else 0, dtype=complex)
-    s = _lapack(np.linalg.svd, A, compute_uv=False)
+    s = singular_values(A)
     eps = np.finfo(float).eps
     if s[-1] <= A.shape[0] * eps * s[0] or s[-1] == 0.0:
         raise SingularMatrixError(
@@ -102,27 +98,15 @@ def solve_least_squares(A, b):
     return x, resid
 
 
-class TensorNorm:
+class TensorNorm(Record):
     """Norm report: a certified upper bound plus a (possibly equal) estimate."""
 
-    __slots__ = ("certified_upper", "estimate", "mode")
-
-    def __init__(self, certified_upper, estimate, mode):
-        self.certified_upper = certified_upper
-        self.estimate = estimate
-        self.mode = mode
+    _fields = ("certified_upper", "estimate", "mode")
 
     def value(self, mode="estimate"):
         if mode == "certified":
             return self.certified_upper
         return self.estimate
-
-    def __repr__(self):
-        return "TensorNorm(certified_upper=%r, estimate=%r, mode=%r)" % (
-            self.certified_upper,
-            self.estimate,
-            self.mode,
-        )
 
 
 def _check_symmetric(T):

@@ -25,9 +25,8 @@ t^k of the system along a polynomial curve through x, by truncated power
 series over the same E and C; the dual chain reads its values there.
 
 Rotated views (`NormalizedFrame`, `unitary_pullback`) and the expansion
-behind `shift` live in `mzero.frames`, `apply_functional` in
-`mzero.functionals`; both are imported where used and re-exported here
-on first use (PEP 562).
+behind `shift` live in `mzero.frames`, imported where used; the two view
+names are re-exported here on first use (PEP 562).
 
 A point in n variables must have shape (n,); any other shape raises
 ValueError. A value or partial that overflows a double raises
@@ -45,8 +44,7 @@ import numpy as np
 from . import _reexport
 from .errors import MathDomainError, ParseError
 
-__getattr__ = _reexport(__name__, {"functionals": ("apply_functional",), "frames": (
-    "NormalizedFrame", "unitary_pullback", "_accumulate", "_expand", "_product")})
+__getattr__ = _reexport(__name__, {"frames": ("NormalizedFrame", "unitary_pullback")})
 
 # ---------------------------------------------------------------------------
 # runtime polynomial types
@@ -246,9 +244,6 @@ class PolySystem:
     def nvars(self):
         return self.polys[0].nvars if self.polys else 0
 
-    def is_square(self):
-        return self.n == self.nvars
-
     def max_degree(self):
         return max((p.degree() for p in self.polys), default=0)
 
@@ -414,7 +409,7 @@ def parse_system(text):
         polys.append(Poly(nvars, coeffs))
 
     system = PolySystem(polys, var_names, labels)
-    if not system.is_square():
+    if system.n != system.nvars:
         raise ParseError(
             "system is not square (%d polynomials, %d variables)"
             % (system.n, system.nvars)

@@ -5,12 +5,12 @@ import pytest
 
 from mzero.certify import (
     certify_cluster,
-    coefficient_table,
     p_of_d,
     residual_lower_bound,
     separation_bound,
     separation_constant,
 )
+from mzero.constants import coefficient_table
 from mzero.dualspace import normalizing_frame
 from mzero.errors import InputError, MathDomainError
 from mzero.polycore import parse_system

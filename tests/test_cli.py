@@ -539,6 +539,46 @@ def test_delta_zero_tol_reaches_the_chain_detection(capsys, ex_triple_path, comm
     assert out == ""
 
 
+ORIGIN = [{"im": 0.0, "re": 0.0}] * 2
+DEFAULT_DIAGNOSTICS = {
+    "duality_residuals": [],
+    "norm_mode": "estimate",
+    "tolerances": {"delta_zero_tol": 1e-8, "eps": 1e-10, "gap_tol": 1e-8, "max_iter": 50},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, diagnostics",
+    [
+        # eps and max_iter come from the defaults although gamma has no flag for them
+        (["gamma", "--system", "SYSTEM", "--point", "0,0", "--gap-tol", "1e-9"],
+         {"mode": "estimate", "point": ORIGIN, "system": "SYSTEM"},
+         dict(DEFAULT_DIAGNOSTICS, tolerances=dict(DEFAULT_DIAGNOSTICS["tolerances"],
+                                                   gap_tol=1e-9))),
+        # refine has no --mode, yet both blocks report "estimate"
+        (["refine", "--system", "SYSTEM", "--point=-0.01,0.01", "--mu", "3", "--eps", "1e-12",
+          "--max-iter", "7"],
+         {"mode": "estimate", "mu": 3, "point": [{"im": 0.0, "re": -0.01},
+                                                 {"im": 0.0, "re": 0.01}], "system": "SYSTEM"},
+         dict(DEFAULT_DIAGNOSTICS, tolerances=dict(DEFAULT_DIAGNOSTICS["tolerances"],
+                                                   eps=1e-12, max_iter=7))),
+        (["separation", "--mu", "3"], {"mode": "estimate", "mu": 3, "system": None},
+         DEFAULT_DIAGNOSTICS),
+        (["thresholds", "--variant", "general_triple"],
+         {"mode": "estimate", "variant": "general_triple"}, DEFAULT_DIAGNOSTICS),
+    ],
+    ids=["gamma", "refine", "separation-constant", "thresholds"],
+)
+def test_json_input_and_diagnostics_blocks(capsys, ex_triple_path, argv, inputs, diagnostics):
+    code, out, _ = run_cli(capsys, *[a.replace("SYSTEM", ex_triple_path) for a in argv],
+                           "--json")
+    assert code == 0
+    doc = json.loads(out)
+    if inputs.get("system") == "SYSTEM":
+        inputs = dict(inputs, system=ex_triple_path)
+    assert (doc["input"], doc["diagnostics"]) == (inputs, diagnostics)
+
+
 def test_refine_has_no_mode_flag(capsys, ex_triple_path):
     code, out, err = run_cli(
         capsys, "refine", "--system", ex_triple_path, "--point", "0.01,0",
@@ -635,8 +675,11 @@ RUN_MAIN = "from mzero.cli import main; assert main(%r) == 0"
     + [
         RUN_MAIN % ["thresholds", "--variant", variant, "--json"]
         for variant in constants.THRESHOLD_VARIANTS
-    ],
-    ids=["import", "import-cli", "separation"] + list(constants.THRESHOLD_VARIANTS),
+    ]
+    # `mzero --help` lists the refine variants without loading `newton`
+    + ["from mzero.cli import build_parser; build_parser()"],
+    ids=["import", "import-cli", "separation"] + list(constants.THRESHOLD_VARIANTS)
+    + ["full-parser"],
 )
 def test_constants_commands_do_not_load_numpy(code):
     assert run_fresh(code + NUMPY_LOADED) is False
@@ -704,7 +747,8 @@ LOADED = "\nimport sys; loaded = set(sys.modules)\nimport json; print(json.dumps
 
 
 def test_import_cli_loads_neither_dataclasses_nor_constants():
-    assert run_fresh("import mzero.cli" + LOADED % {"dataclasses", "mzero.constants"}) == []
+    watched = {"dataclasses", "mzero.constants", "mzero.record"}
+    assert run_fresh("import mzero.cli" + LOADED % watched) == []
 
 
 def test_no_layer_loads_dataclasses():

@@ -15,11 +15,11 @@ from mzero.errors import (
     MultiplicityNotFoundError,
     NotNormalizedError,
 )
+from mzero.functionals import apply_functional
 from mzero.newton import refine_general
 from mzero.polycore import (
     NormalizedFrame,
     PolySystem,
-    apply_functional,
     parse_system,
     unitary_pullback,
 )

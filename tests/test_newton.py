@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from mzero.constants import rational_functions
 from mzero.errors import InputError
 from mzero.newton import (
     VARIANTS,
     iterate_until,
     n1_step,
-    rational_functions,
     refine_double,
     refine_general,
     refine_triple,

@@ -1,11 +1,16 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mzero import numkit
+from mzero.constants import smallest_positive_root
 from mzero.errors import AsymmetricTensorError, MathDomainError, NoRootError
 from mzero.errors import SingularMatrixError
 from mzero.numkit import (
     matrix_spectral_norm,
-    smallest_positive_root,
+    singular_values,
     solve_least_squares,
     solve_linear,
     svd,
@@ -162,6 +167,21 @@ def test_smallest_positive_root_needs_positive_start():
 
 def test_lapack_failure_is_domain_error():
     bad = np.full((3, 3), np.nan)
-    for call in (svd, matrix_spectral_norm, lambda A: solve_least_squares(A, np.ones(3))):
+    for call in (svd, singular_values, matrix_spectral_norm,
+                 lambda A: solve_least_squares(A, np.ones(3))):
         with pytest.raises(MathDomainError, match="did not converge"):
             call(bad)
+
+
+def test_only_numkit_calls_lapack():
+    # numkit raises a LAPACK failure as MathDomainError (exit 3); a raw
+    # call anywhere else would surface as an internal error (exit 4)
+    raw = re.compile(r"np\.linalg\.(svd|solve|lstsq)\b")
+    found = [
+        "%s:%d" % (path.name, number)
+        for path in sorted(Path(numkit.__file__).parent.glob("*.py"))
+        if path.name != "numkit.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if raw.search(line)
+    ]
+    assert found == []

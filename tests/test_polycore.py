@@ -12,10 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from mzero import exactparse, polycore
 from mzero.errors import MathDomainError, ParseError
+from mzero.functionals import apply_functional
 from mzero.polycore import (
     Poly,
     PolySystem,
-    apply_functional,
     parse_system,
     unitary_pullback,
 )
