@@ -483,6 +483,8 @@ def _check_args(args):
             )
     if args.command in ("dual", "gamma", "certify", "refine") and not args.system:
         raise ParseError("a system file is required (--system)")
+    if args.point is not None and not args.system:
+        raise ParseError("a point needs a system file (--system)")
 
 
 def _join_value_flags(argv, flags):

@@ -4,9 +4,9 @@ local model of the system at the point.
 `LocalModel` computes once what every bound of the package needs at a
 point: the view (the input, or a normalizing frame), the Jacobian and
 its invertible block Jhat there, the chain values along the kernel
-coordinate up to the terminating value delta_mu, and the derivative
-tensors. Gamma, the separation radius, the residual bound and the
-cluster certificate all read from it.
+coordinate up to the terminating value delta_mu, and the distinct
+entries of each derivative. Gamma, the separation radius, the residual
+bound and the cluster certificate all read from it.
 
 The invariants bound how fast higher derivatives grow relative to the
 invertible part of the Jacobian. They come in two halves. The first
@@ -29,7 +29,8 @@ from .dualspace import (
     normalized_view,
 )
 from .errors import InputError, MathDomainError, NotNormalizedError
-from .numkit import solve_linear, svd, tensor_norm
+from .numkit import solve_linear, svd, unfolding_norm
+from .polycore import symmetric_layout
 from .record import Record
 
 
@@ -53,8 +54,9 @@ class LocalModel:
     Attributes: `view` and `x`, the system worked in and the point in its
     coordinates; `J` there and `Jhat` = J[:n-1, 1:]; `mu`; `chain`, the
     raw chain values along e1 (entry k-2 holds order k, for k = 2..mu);
-    `delta_mu`, the order-mu value on the last equation; `tensors`, the
-    raw derivative tensor of each order 2..deg.
+    `delta_mu`, the order-mu value on the last equation; `coeffs`, per
+    order k = 2..deg, d^alpha f / k! at the alphas of `symmetric_layout`, in
+    the inputs of the system a frame rotates; `v`, the view's e1 there.
     """
 
     def __init__(
@@ -112,8 +114,13 @@ class LocalModel:
                 "the terminating value delta_mu is 0 at order %d: the chain does not end there"
                 % mu
             )
-        self.tensors = {
-            k: source.derivative_tensor(x, k)
+        # the invariants do not change under a unitary map of the inputs, so
+        # a frame U^H f(W y) needs only its output map, at the point W y
+        base = getattr(source, "system", source)
+        U, W = (np.eye(n), np.eye(n)) if base is source else (source.U, source.W)
+        self.v = W[:, 0].conj()
+        self.coeffs = {
+            k: U.conj().T @ base.partials(symmetric_layout(n, k)[0], W @ x) / math.factorial(k)
             for k in range(2, source.max_degree() + 1)
         }
 
@@ -129,17 +136,17 @@ class LocalModel:
         scale = abs(self.delta_mu)
         ghat = gn = 1.0
         rows = []
-        for k, raw in self.tensors.items():
-            fact = math.factorial(k)
-            lead = raw[: n - 1] / fact
-            pre = solve_linear(self.Jhat, lead.reshape(n - 1, -1)).reshape(lead.shape)
-            hat = tensor_norm(pre, mode, check=False).value(mode) ** (1.0 / (k - 1))
-            last = raw[n - 1 :]
+        for k, P in self.coeffs.items():
+            alphas, index, weights = symmetric_layout(n, k)
+            last = P[n - 1 :]
             if truncate and k < self.mu:
-                last = last.copy()
-                last[(0,) * (k + 1)] -= fact * self.chain[k - 2][-1]
-            nrm = tensor_norm(last / fact, mode, check=False).value(mode) / scale
-            val = nrm ** (1.0 / (k - 1))
+                # the view's c e1^k is c v^k in the inputs of P: c v^alpha at alpha
+                last = last - self.chain[k - 2][-1] * np.prod(self.v**alphas, axis=1)
+            hat, val = (
+                unfolding_norm((B[:, index] * weights[:, None]).reshape(-1, n), k, mode).value(mode)
+                ** (1.0 / (k - 1))
+                for B in (solve_linear(self.Jhat, P[: n - 1]), last / scale)
+            )
             rows.append({"order": k, "hat": hat, "n": val})
             ghat = max(ghat, hat)
             gn = max(gn, val)
@@ -160,6 +167,6 @@ def gamma_mu(source, x, mu=None, mode="estimate"):
     Refuses any other point (NotNormalizedError); `LocalModel` moves such
     a point to a normalizing frame. mu, when supplied, must match the
     detected chain length (a mismatch is an InputError). The Jacobian and
-    each tensor of order 2..deg are evaluated once.
+    each order 2..deg are evaluated once, one kernel batch each.
     """
     return LocalModel(source, x, mu, frame=False).gamma(mode)

@@ -75,12 +75,13 @@ def refine_triple(source, z):
     y = n1_step(source, z)
     J = source.jacobian(y)
     Jhat = J[: n - 1, 1:]
-    T2 = source.derivative_tensor(y, 2)
-    T3 = source.derivative_tensor(y, 3)
+    # d^2 f at 2e1 and d^3 f at 3e1, then d^2 f_n at e1 + e_j for j > 1
+    unit = np.eye(n, dtype=np.intp)
+    D = source.partials(np.vstack([2 * unit[:1], 3 * unit[:1], unit[0] + unit[1:]]), y)
     # correction shared by numerator and denominator
-    C = solve_linear(Jhat, 0.5 * T2[: n - 1, 0, 0])
-    num = T2[n - 1, 0, 0] / 6.0 - J[n - 1, 1:] @ C
-    den = T3[n - 1, 0, 0, 0] / 6.0 - T2[n - 1, 0, 1:] @ C
+    C = solve_linear(Jhat, 0.5 * D[: n - 1, 0])
+    num = D[n - 1, 0] / 6.0 - J[n - 1, 1:] @ C
+    den = D[n - 1, 1] / 6.0 - D[n - 1, 2:] @ C
     if den == 0:
         raise SingularMatrixError("vanishing third-order denominator")
     out = y.copy()

@@ -6,13 +6,13 @@ reading before using this module:
 * `svd` fixes the phase of each right singular vector (largest-magnitude
   entry made real and positive, ties broken by lowest index), so repeated
   runs and equivalent inputs produce identical factors.
-* `tensor_norm` measures a symmetric multilinear map A : C^n x ... x C^n
-  -> C^m by the spectral norm of its (m * n^(k-1)) x n unfolding. Orders
-  one and two are exact. For order three and up the estimate is the
-  spectral norm of the same unfolding, taken by one SVD; it bounds the
-  multilinear norm from above (the exact symmetric norm is NP-hard in
-  general). The Frobenius norm of the full array is reported as the
-  certified upper bound.
+* `unfolding_norm` measures a symmetric multilinear map A : C^n x ... x
+  C^n -> C^m by the spectral norm of its (m * n^(k-1)) x n unfolding, given
+  compactly (`polycore.symmetric_layout`). Orders one and two are exact.
+  For order three and up the estimate is the spectral norm of the same
+  unfolding, taken by one SVD; it bounds the multilinear norm from above
+  (the exact symmetric norm is NP-hard in general). The Frobenius norm is
+  reported as the certified upper bound.
 
 Every LAPACK call of the package goes through this module. A
 factorization or solve that LAPACK cannot finish, such as an SVD of a
@@ -124,38 +124,32 @@ def _check_symmetric(T):
             )
 
 
-def tensor_norm(T, mode="auto", check=True):
-    """Norm of a symmetric multilinear map stored as an (m, n, ..., n) array.
-
-    Parameters
-    ----------
-    T : ndarray
-        Shape (m,) + (n,) * k for a map of order k. Axes 1..k must be
-        symmetric; passing an asymmetric array is an error.
-    mode : str
-        "auto"/"estimate" takes the unfolding's spectral norm for order
-        three and up, "certified" asks for upper bounds only. Orders one
-        and two are exact in every mode.
-    check : bool
-        False skips the symmetry check (dearer than the SVDs) for arrays
-        symmetric by construction, such as kernel tensors.
-
-    Returns
-    -------
-    TensorNorm
-    """
-    arr = np.asarray(T, dtype=complex)
-    if arr.ndim < 2:
-        raise ValueError("expected at least an (m, n) array")
-    k = arr.ndim - 1
-    if check:
-        _check_symmetric(arr)
-    n = arr.shape[-1]
-    M = arr.reshape(-1, n)
+def unfolding_norm(M, k, mode="estimate"):
+    """Norm of an order-k symmetric map from an unfolding M, dense or compact
+    (see the module notes); "certified" takes the Frobenius norm from order
+    three on."""
     if k <= 2:
         val = matrix_spectral_norm(M)
         return TensorNorm(val, val, "exact-spectral")
-    fro = float(np.linalg.norm(arr.ravel()))
+    fro = float(np.linalg.norm(M))
     if mode == "certified":
         return TensorNorm(fro, fro, "frobenius")
     return TensorNorm(fro, min(matrix_spectral_norm(M), fro), "unfolding")
+
+
+def tensor_norm(T, mode="estimate"):
+    """`unfolding_norm` of a symmetric map stored as an (m, n, ..., n) array,
+    (m,) + (n,) * k for order k, from its entries at the sorted index tuples.
+    Axes 1..k must be symmetric; an asymmetric array is an error, and so is
+    one above `polycore._MAX_TENSOR` entries a row (MathDomainError)."""
+    from .polycore import _dense_index, symmetric_layout
+
+    arr = np.asarray(T, dtype=complex)
+    if arr.ndim < 2:
+        raise ValueError("expected at least an (m, n) array")
+    _check_symmetric(arr)
+    n, k = arr.shape[-1], arr.ndim - 1
+    _, rows, weights = symmetric_layout(n, k)
+    # the first index tuple of each multi-index, in C order, is its sorted one
+    P = arr.reshape(len(arr), -1)[:, np.unique(_dense_index(n, k), return_index=True)[1]]
+    return unfolding_norm((P[:, rows] * weights[:, None]).reshape(-1, n), k, mode)

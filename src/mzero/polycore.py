@@ -17,12 +17,14 @@ variable. Every evaluation goes through one kernel: on first use a
 monomials) and a coefficient matrix C (m x T), and `partials(alphas, x)`
 returns the m x K matrix of raw partials d^alpha f_i(x) (without the
 1/alpha! scaling) for a batch of K multi-indices. Values, Jacobians,
-derivative tensors and dual functionals are slices of that one call.
-`derivative_tensor` evaluates each sorted index tuple once and spreads the
-result over the symmetric (m, n, ..., n) ndarray. The kernel's second
-entry point, `curve_taylor(x, A, k)`, returns the Taylor coefficients up to
-t^k of the system along a polynomial curve through x, by truncated power
-series over the same E and C; the dual chain reads its values there.
+derivatives and dual functionals are slices of that one call. An order-k
+derivative has C(n+k-1, k) distinct entries, listed by `symmetric_layout`
+with the compact unfolding its norms read; `derivative_tensor` spreads
+them over a dense (m, n, ..., n) array, which no command forms. The
+kernel's second entry point, `curve_taylor(x, A, k)`, returns the Taylor
+coefficients up to t^k of the system along a polynomial curve through x,
+by truncated power series over the same E and C; the dual chain reads its
+values there.
 
 Rotated views (`NormalizedFrame`, `unitary_pullback`) and the expansion
 behind `shift` live in `mzero.frames`, imported where used; the two view
@@ -36,7 +38,6 @@ polynomials' terms after the first evaluation are not seen.
 """
 
 import functools
-import itertools
 import math
 import re
 import numpy as np
@@ -136,10 +137,11 @@ class _Kernel:
         if T == 0:
             return out
         emax, amax = int(self.E.max(initial=0)), int(A.max(initial=0))
-        falling = np.array(
-            [[math.perm(e, a) for e in range(emax + 1)] for a in range(amax + 1)],
-            dtype=float,
-        )
+        try:
+            falling = np.array([[math.perm(e, a) for e in range(emax + 1)]
+                                for a in range(amax + 1)], dtype=float)
+        except OverflowError:  # a falling factorial above the largest double
+            raise MathDomainError("a derivative of the system overflows a double") from None
         with np.errstate(over="ignore", invalid="ignore"):
             powers = np.ones((n, emax + 1), dtype=complex)
             for e in range(1, emax + 1):
@@ -200,28 +202,47 @@ def _series_product(a, b):
     return out
 
 
-# largest n^k of a dense derivative tensor; its index map takes several
-# arrays of k * n^k ints to build (n = 2, k = 18 peaks near 130 MB)
+# largest number of entries per polynomial of a derivative tensor: of its
+# C(n+k-1, k) distinct entries, and of its n^k where a dense array is formed
 _MAX_TENSOR = 1 << 18
 
 
+def _refuse_above_limit(size, k, n, what):
+    if size > _MAX_TENSOR:
+        raise MathDomainError("an order-%d derivative tensor in %d variables has %d %s per "
+                              "polynomial, above the limit of %d" % (k, n, size, what, _MAX_TENSOR))
+
+
 @functools.lru_cache(maxsize=None)
-def _symmetric_layout(n, k):
-    """Order-k multi-indices, one per sorted index tuple (i1 <= ... <= ik) in
-    the lexicographic order of `itertools.combinations_with_replacement`, and
-    the (n,)*k map from every index tuple to the row of its sorted form.
-    Raises MathDomainError, before allocating, when n^k is above _MAX_TENSOR."""
-    if n**k > _MAX_TENSOR:
-        raise MathDomainError(
-            "an order-%d derivative tensor in %d variables has %d entries per "
-            "polynomial, above the limit of %d" % (k, n, n**k, _MAX_TENSOR)
-        )
-    shape = (n,) * k
-    combos = np.array(list(itertools.combinations_with_replacement(range(n), k)))
-    row = np.empty(n**k, dtype=np.intp)
-    row[np.ravel_multi_index(combos.T, shape)] = np.arange(len(combos))
-    index = row[np.ravel_multi_index(np.sort(np.indices(shape).reshape(k, -1), axis=0), shape)]
-    return (combos[:, :, None] == np.arange(n)).sum(axis=1), index.reshape(shape)
+def symmetric_layout(n, k):
+    """(alphas, rows, weights): the multi-index of each sorted index tuple of
+    order k, in the order of `itertools.combinations_with_replacement`; for
+    each order-(k-1) multi-index beta, the rows of beta + e_j in alphas; and
+    sqrt((k-1)!/beta!). With P[:, a] the entry at alphas[a], the unfolding
+    (P[:, rows] * weights[:, None]).reshape(-1, n) has the singular values
+    and Frobenius norm of the dense (m n^(k-1)) x n one. Refused
+    (MathDomainError) before allocating when C(n+k-1, k) is above _MAX_TENSOR."""
+    _refuse_above_limit(math.comb(n + k - 1, k), k, n, "distinct entries")
+    betas = symmetric_layout(n, k - 1)[0] if k > 1 else np.zeros((1, n), dtype=np.intp)
+    grown = betas[:, None] + np.eye(n, dtype=np.intp)
+    # beta + e_j has as many order-k multi-indices before it as the sum over
+    # d < n of C(s_d + d - 1, d), with s_d the sum of its last d entries
+    binom = [[math.comb(s + d - 1, d) for s in range(k + 1)] for d in range(1, n)]
+    tails = np.cumsum(grown[..., :0:-1], axis=-1)
+    rows = np.array(binom, dtype=np.intp).reshape(n - 1, k + 1)[np.arange(n - 1), tails].sum(-1)
+    alphas = np.empty((math.comb(n + k - 1, k), n), dtype=np.intp)
+    alphas[rows] = grown
+    mult = [math.factorial(k - 1) // math.prod(map(math.factorial, b)) for b in betas.tolist()]
+    return alphas, rows, np.sqrt(np.array(mult, dtype=float))
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_index(n, k):
+    """The (n,)*k map from every index tuple to the row of its multi-index in
+    `symmetric_layout(n, k)`, by its rows; refused when n^k is above _MAX_TENSOR."""
+    _refuse_above_limit(n**k, k, n, "entries")
+    lower = _dense_index(n, k - 1) if k > 1 else np.zeros((), dtype=np.intp)
+    return symmetric_layout(n, k)[1][lower[..., None], np.arange(n)]
 
 
 class PolySystem:
@@ -275,8 +296,8 @@ class PolySystem:
         """Order-k derivative tensor, an (m, n, ..., n) array of raw partials."""
         if k < 1:
             raise ValueError("order must be at least 1")
-        alphas, index = _symmetric_layout(self.nvars, k)
-        return self.partials(alphas, x)[:, index]
+        index = _dense_index(self.nvars, k)
+        return self.partials(symmetric_layout(self.nvars, k)[0], x)[:, index]
 
     def shift(self, x):
         """System g with g(Y) = f(Y + x), expanded in doubles."""

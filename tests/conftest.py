@@ -10,7 +10,8 @@ multiplicity-mu zero at the origin whose Jacobian is already in the
 distinguished shape (kernel along the first variable). The exactness comes
 from banning the handful of monomials whose coefficients feed the chain
 values below order mu. `make_planted_system` covers any mu >= 2 by a
-nonlinear change of coordinates of (X_2, ..., X_n, X_1^mu).
+nonlinear change of coordinates of (X_2, ..., X_n, X_1^mu), and
+`make_planted_pair` adds a known simple zero at a chosen distance.
 """
 
 import importlib.util
@@ -133,6 +134,28 @@ def make_normalized_system(n, mu, rng, coeff_scale=0.2, fill=0.6):
     return PolySystem(polys, names, labels)
 
 
+def _planted_coordinates(n, rng, coeff_scale):
+    """phi(X) = X + random complex quadratics, as n term dicts."""
+    quad = monomials(n, 2)
+    phi = []
+    for j in range(n):
+        terms = {_unit(n, j): 1.0 + 0j}
+        for m in quad:
+            terms[m] = coeff_scale * complex(rng.normal(), rng.normal())
+        phi.append(terms)
+    return phi
+
+
+def _times(a, b):
+    """Product of two term dicts."""
+    product = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            product[m] = product.get(m, 0j) + c1 * c2
+    return product
+
+
 def make_planted_system(n, mu, rng, coeff_scale=0.3):
     """Random system with an exact multiplicity-mu zero at the origin, for
     any mu >= 2.
@@ -143,23 +166,39 @@ def make_planted_system(n, mu, rng, coeff_scale=0.3):
     origin has multiplicity exactly mu, and its Jacobian there is in the
     distinguished shape.
     """
-    quad = monomials(n, 2)
-    phi = []
-    for j in range(n):
-        terms = {_unit(n, j): 1.0 + 0j}
-        for m in quad:
-            terms[m] = coeff_scale * complex(rng.normal(), rng.normal())
-        phi.append(terms)
+    phi = _planted_coordinates(n, rng, coeff_scale)
     power = {(0,) * n: 1.0 + 0j}
     for _ in range(mu):
-        product = {}
-        for m1, c1 in power.items():
-            for m2, c2 in phi[0].items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                product[m] = product.get(m, 0j) + c1 * c2
-        power = product
+        power = _times(power, phi[0])
     polys = [Poly(n, terms) for terms in phi[1:] + [power]]
     return PolySystem(polys)
+
+
+def make_planted_pair(n, mu, rng, c=0.1, coeff_scale=0.3):
+    """A planted system with a second, simple zero: (system, that zero).
+
+    g = (phi_2, ..., phi_n, phi_1^mu (c - phi_1)) with phi as in
+    `make_planted_system` is (Y_2, ..., Y_n, Y_1^mu (c - Y_1)) in Y =
+    phi(X). Its zero at the origin has multiplicity mu, and its other zero
+    near the origin is phi^-1(c e1), found here by Newton on phi from c e1.
+    """
+    phi = _planted_coordinates(n, rng, coeff_scale)
+    power = {(0,) * n: 1.0 + 0j}
+    for _ in range(mu):
+        power = _times(power, phi[0])
+    rest = {m: -v for m, v in phi[0].items()}
+    rest[(0,) * n] = complex(c)
+    system = PolySystem([Poly(n, terms) for terms in phi[1:] + [_times(power, rest)]])
+    coordinates = PolySystem([Poly(n, terms) for terms in phi])
+    target = np.zeros(n, dtype=complex)
+    target[0] = c
+    z = target.copy()
+    for _ in range(50):
+        step = np.linalg.solve(coordinates.jacobian(z), coordinates.eval_at(z) - target)
+        z = z - step
+        if np.linalg.norm(step) <= 1e-16 * np.linalg.norm(z):
+            break
+    return system, z
 
 
 def macaulay_multiplicity(system, max_order=6, tol=1e-8):

@@ -15,6 +15,8 @@ from mzero.dualspace import normalizing_frame
 from mzero.errors import InputError, MathDomainError
 from mzero.polycore import parse_system
 
+from conftest import make_planted_pair
+
 ORIGIN2 = np.zeros(2, dtype=complex)
 
 
@@ -264,3 +266,14 @@ def test_vanishing_terminating_value_is_domain_error():
     system = parse_system("vars: X1 X2; f1: X1^2; f2: X2")
     with pytest.raises(MathDomainError, match="delta_mu is 0 at order 3"):
         certify_cluster(system, ORIGIN2, mu=3)
+
+
+@pytest.mark.parametrize("n, mu", [(n, mu) for n in (2, 3) for mu in range(2, 9)])
+def test_separation_radius_excludes_the_second_planted_zero(n, mu):
+    # the exclusion radius around the planted multiple zero at the origin
+    # must not reach the simple zero at phi^-1(0.1 e1)
+    system, second = make_planted_pair(n, mu, np.random.default_rng(0), c=0.1)
+    assert np.linalg.norm(system.eval_at(second)) < 1e-12
+    sep = separation_bound(system, np.zeros(n, dtype=complex))
+    assert sep.mu == mu
+    assert sep.bound < np.linalg.norm(second)

@@ -12,7 +12,7 @@ from mzero import constants, polycore
 from mzero.cli import COMMANDS, _quote, build_parser, canonical_json, main, parse_point
 from mzero.errors import MathDomainError
 
-from conftest import EX_DOUBLE, EX_TRIPLE, perfbench_gen
+from conftest import EX_DOUBLE, EX_TRIPLE, make_planted_system, perfbench_gen
 
 # X1^2 overflows a double at X1 = 1e200, and its chain at the origin ends
 # at order 2
@@ -275,6 +275,61 @@ def test_refine_point_file(capsys, ex_triple_path, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the numeric commands on the compact local model
+
+
+def _write_planted(tmp_path, n, mu, seed):
+    system = make_planted_system(n, mu, np.random.default_rng(seed))
+    path = tmp_path / ("planted_%d_%d.mz" % (n, mu))
+    path.write_text(perfbench_gen().system_text([p.terms for p in system.polys]))
+    return str(path)
+
+
+def test_numeric_commands_form_no_dense_tensor(capsys, tmp_path, monkeypatch):
+    def refuse(self, x, k):
+        raise AssertionError("an order-%d derivative tensor was built" % k)
+
+    monkeypatch.setattr(polycore.PolySystem, "derivative_tensor", refuse)
+    monkeypatch.setattr(polycore.NormalizedFrame, "derivative_tensor", refuse)
+    double, triple = tmp_path / "double.mz", tmp_path / "triple.mz"
+    double.write_text(EX_DOUBLE)
+    triple.write_text(EX_TRIPLE)
+    cases = [
+        (str(double), 2, "normalized_double", "-0.01,0.01"),
+        (str(triple), 3, "normalized_triple", "-0.01,0.01"),
+        (_write_planted(tmp_path, 3, 3, 5), 3, "normalized_triple", "0.001,0.0005,-0.0005"),
+    ]
+    for path, mu, variant, start in cases:
+        origin = ",".join("0" * len(start.split(",")))
+        at0 = ["--system", path, "--point", origin]
+        near = ["--system", path, "--point", start, "--mu", str(mu)]
+        for argv in (
+            ["dual"] + at0,
+            ["gamma"] + at0,
+            ["separation"] + at0,
+            ["certify"] + at0 + ["--mu", str(mu)],
+            ["refine"] + near,
+            ["refine"] + near + ["--variant", variant],
+            ["refine"] + near + ["--variant", "general"],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--json")
+            assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize("n, mu", [(3, 8), (4, 6)])
+def test_numeric_commands_run_above_order_four(capsys, tmp_path, n, mu):
+    # orders up to 2 mu: 3^16 and 4^12 dense entries, 153 and 455 distinct
+    at0 = ["--system", _write_planted(tmp_path, n, mu, 0), "--point", ",".join("0" * n)]
+    for command in ("gamma", "separation", "certify"):
+        code, out, err = run_cli(capsys, command, *at0, "--json")
+        assert code == 0, (command, err)
+        result = json.loads(out)["result"]
+        assert result["mu"] == mu
+    # at the exact zero the certificate holds with lhs 0
+    assert result["holds"] is True and result["lhs"] == 0
+
+
+# ---------------------------------------------------------------------------
 # thresholds
 
 
@@ -356,6 +411,17 @@ def test_separation_with_system_needs_point(capsys, ex_double_path):
     code, _, err = run_cli(capsys, "separation", "--system", ex_double_path)
     assert code == 2
     assert "point is required" in err
+
+
+@pytest.mark.parametrize("flag", ["--point", "--point-file"])
+def test_separation_point_without_system_is_input_error(capsys, tmp_path, flag):
+    path = tmp_path / "point.txt"
+    path.write_text("0\n0\n")
+    value = "0,0" if flag == "--point" else str(path)
+    code, out, err = run_cli(capsys, "separation", "--mu", "3", flag, value, "--json")
+    assert code == 2
+    assert "input error" in err and "--system" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -449,14 +515,28 @@ def test_variant_contradicting_mu_is_input_error(capsys, ex_triple_path, variant
 
 
 def test_oversized_derivative_tensor_is_domain_error(capsys, tmp_path, monkeypatch):
-    # gamma takes the derivative tensor of every order up to the degree, 12
-    # here; a small limit keeps the refused layout cheap to reach
-    monkeypatch.setattr(polycore, "_MAX_TENSOR", 2**11)
+    # gamma takes the compact coefficients of every order up to the degree,
+    # 12 here, with k + 1 distinct entries at order k in two variables; a
+    # small limit keeps the refused layout cheap to reach
+    monkeypatch.setattr(polycore, "_MAX_TENSOR", 8)
+    polycore.symmetric_layout.cache_clear()  # layouts cached under the real limit
     path = tmp_path / "square.txt"
     path.write_text("vars: X1 X2\nf1: X2 + X1^12\nf2: X1^2\n")
     code, out, err = run_cli(capsys, "gamma", "--system", str(path), "--point", "0,0")
     assert code == 3
-    assert "numerical-domain error" in err and "above the limit of 2048" in err
+    assert "numerical-domain error" in err and "9 distinct entries" in err
+    assert "above the limit of 8" in err
+    assert out == ""
+
+
+def test_derivative_above_a_double_is_domain_error(capsys, tmp_path):
+    # order 200 has 201 distinct entries in two variables, but 200! is
+    # above the largest double
+    path = tmp_path / "high.txt"
+    path.write_text("vars: X1 X2\nf1: X2 + X1^200\nf2: X1^2\n")
+    code, out, err = run_cli(capsys, "gamma", "--system", str(path), "--point", "0,0")
+    assert code == 3
+    assert "numerical-domain error" in err and "overflows a double" in err
     assert out == ""
 
 

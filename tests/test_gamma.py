@@ -13,7 +13,7 @@ from mzero.dualspace import (
 )
 from mzero.errors import InputError, NotNormalizedError
 from mzero.gamma import LocalModel, gamma_mu
-from mzero.polycore import PolySystem, unitary_pullback
+from mzero.polycore import NormalizedFrame, PolySystem, unitary_pullback
 
 from conftest import make_normalized_system, random_unitary
 
@@ -74,16 +74,22 @@ def test_gamma_mu_evaluates_each_order_once(monkeypatch):
     # each half is the supremum of its per-order rows, clamped at one
     assert report.gamma_hat == max([1.0] + [r["hat"] for r in report.per_order])
     assert report.gamma_n == max([1.0] + [r["n"] for r in report.per_order])
-    orders = []
-    evaluate = PolySystem.derivative_tensor
+    batches = []
+    evaluate = PolySystem.partials
 
-    def counted(self, y, k):
-        orders.append(k)
-        return evaluate(self, y, k)
+    def counted(self, alphas, y):
+        batches.append(sorted(set(np.asarray(alphas).sum(axis=1).tolist())))
+        return evaluate(self, alphas, y)
 
-    monkeypatch.setattr(PolySystem, "derivative_tensor", counted)
+    def refuse(self, y, k):
+        raise AssertionError("an order-%d derivative tensor was built" % k)
+
+    monkeypatch.setattr(PolySystem, "partials", counted)
+    monkeypatch.setattr(PolySystem, "derivative_tensor", refuse)
+    monkeypatch.setattr(NormalizedFrame, "derivative_tensor", refuse)
     assert gamma_mu(system, x) == report
-    assert orders == list(range(2, system.max_degree() + 1))
+    # one batch for the Jacobian, then one per order of the local model
+    assert batches == [[1]] + [[k] for k in range(2, system.max_degree() + 1)]
 
 
 def test_requires_normalized_shape(ex_double):
@@ -253,3 +259,23 @@ def test_local_model_takes_one_svd_per_jacobian(monkeypatch, ex_double):
     shapes.clear()
     LocalModel(ex_double, ORIGIN2)
     assert shapes.count((2, 2)) == 2
+
+
+@pytest.mark.parametrize("mode", ["estimate", "certified"])
+def test_truncated_gamma_in_a_frame_matches_the_expanded_frame(mode):
+    # off the zero the truncation removes nonzero terms along the frame's
+    # first axis; the frame reads the rotated system's derivatives in the
+    # original inputs, the expansion in its own, and both must agree
+    rng = np.random.default_rng(41)
+    system = unitary_pullback(
+        make_normalized_system(3, 4, rng), random_unitary(3, rng), random_unitary(3, rng)
+    ).materialize()
+    x = 0.02 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+    frame, w, _ = normalizing_frame(system, x)
+    views = [frame, frame.materialize()]
+    models = [LocalModel(v, w, 4, frame=False, rel_tol=0.1, trust_mu=True) for v in views]
+    reports = [model.gamma(mode, truncate=True) for model in models]
+    assert reports[0].per_order != models[0].gamma(mode).per_order
+    for got, want in zip(reports[0].per_order, reports[1].per_order):
+        assert got["hat"] == pytest.approx(want["hat"], rel=1e-9)
+        assert got["n"] == pytest.approx(want["n"], rel=1e-9)

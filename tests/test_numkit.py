@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzero import numkit
+from mzero import numkit, polycore
 from mzero.constants import smallest_positive_root
 from mzero.errors import AsymmetricTensorError, MathDomainError, NoRootError
 from mzero.errors import SingularMatrixError
@@ -118,6 +118,15 @@ def test_asymmetric_tensor_rejected():
     T[0, 0, 0, 1] = 1.0
     with pytest.raises(AsymmetricTensorError):
         tensor_norm(T)
+
+
+def test_dense_array_above_the_limit_is_refused(monkeypatch):
+    # the gather reads the dense index map, refused above the limit as in
+    # `derivative_tensor`; a small limit keeps the array small
+    monkeypatch.setattr(polycore, "_MAX_TENSOR", 8)
+    polycore._dense_index.cache_clear()
+    with pytest.raises(MathDomainError, match="16 entries per polynomial"):
+        tensor_norm(np.zeros((1, 2, 2, 2, 2)))
 
 
 def test_certified_mode_is_frobenius():

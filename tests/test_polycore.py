@@ -355,12 +355,29 @@ def _hand_partial(poly, j):
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 7) for k in range(1, 6)])
 def test_symmetric_layout_matches_itertools(n, k):
     combos = list(itertools.combinations_with_replacement(range(n), k))
-    alphas, index = polycore._symmetric_layout(n, k)
+    alphas, rows, weights = polycore.symmetric_layout(n, k)
     assert alphas.tolist() == [[c.count(j) for j in range(n)] for c in combos]
+    index = polycore._dense_index(n, k)
     assert index.shape == (n,) * k
     row = {c: r for r, c in enumerate(combos)}
     for idx in itertools.product(range(n), repeat=k):
         assert index[idx] == row[tuple(sorted(idx))]
+    # the compact unfolding: per sorted (k-1)-tuple, the row of each of its
+    # extensions by one index, weighted by the root of its permutation count
+    lower = list(itertools.combinations_with_replacement(range(n), k - 1))
+    assert rows.shape == (len(lower), n) and weights.shape == (len(lower),)
+    for b, beta in enumerate(lower):
+        assert weights[b] ** 2 == pytest.approx(len(set(itertools.permutations(beta))), rel=1e-15)
+        for j in range(n):
+            assert rows[b, j] == row[tuple(sorted(beta + (j,)))]
+
+
+def test_dense_derivative_tensor_refused_above_the_limit():
+    # 2^19 dense entries a polynomial, 20 distinct ones
+    sys_ = parse_system("vars: X1 X2\nf1: X2 + X1^19\nf2: X1^2\n")
+    with pytest.raises(MathDomainError, match="524288 entries per polynomial"):
+        sys_.derivative_tensor(np.zeros(2), 19)
+    assert len(polycore.symmetric_layout(2, 19)[0]) == 20
 
 
 def test_eval_matches_direct():
