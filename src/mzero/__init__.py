@@ -47,6 +47,11 @@ __version__ = "0.1.0"
 # 3, general), named here so that `mzero --help` loads no numpy
 VARIANTS = ("normalized_double", "normalized_triple", "general")
 
+# defaults of the chain-length detection and of refinement, for the layers
+# and the command line
+DEFAULT_TOLERANCES = {"gap_tol": 1e-8, "delta_zero_tol": 1e-8, "max_order": 10,
+                      "eps": 1e-10, "max_iter": 50}
+
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 

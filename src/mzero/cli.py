@@ -34,34 +34,12 @@ import cmath
 import math
 import re
 import sys
-from . import VARIANTS
+from . import DEFAULT_TOLERANCES, VARIANTS
 from .errors import InputError, MathDomainError, ParseError
-
-DEFAULT_TOLERANCES = {
-    "gap_tol": 1e-8,
-    "delta_zero_tol": 1e-8,
-    "eps": 1e-10,
-    "max_iter": 50,
-    "max_order": 10,
-}
 
 
 # ---------------------------------------------------------------------------
 # canonical JSON
-
-
-def _plain(obj):
-    """Convert result objects to plain lists/dicts/scalars; numpy arrays
-    and scalars become their Python equivalents through `tolist`."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        return _plain(obj.tolist())
-    if isinstance(obj, complex):
-        return {"im": obj.imag, "re": obj.real}
-    return obj
 
 
 # what json.dumps escapes: quote, backslash, and all but printable ASCII
@@ -84,11 +62,15 @@ def _quote(text):
 def canonical_json(obj):
     """Serialize with sorted keys and 17-significant-digit floats.
 
-    Raises MathDomainError for a non-finite float, which JSON cannot hold.
+    numpy arrays and scalars are written as their `tolist` values, and a
+    complex number as {"im": ..., "re": ...}. Raises MathDomainError for a
+    non-finite float, which JSON cannot hold.
     """
     out = []
 
     def emit(v):
+        if hasattr(v, "tolist"):
+            v = v.tolist()
         if v is None:
             out.append("null")
         elif isinstance(v, bool):
@@ -99,14 +81,17 @@ def canonical_json(obj):
             if not math.isfinite(v):
                 raise MathDomainError("result holds the non-finite number %r" % v)
             out.append(format(v, ".17g"))
+        elif isinstance(v, complex):
+            emit({"im": v.imag, "re": v.real})
         elif isinstance(v, str):
             out.append(_quote(v))
         elif isinstance(v, dict):
+            v = {str(k): item for k, item in v.items()}
             out.append("{")
             for i, k in enumerate(sorted(v)):
                 if i:
                     out.append(", ")
-                out.append(_quote(str(k)))
+                out.append(_quote(k))
                 out.append(": ")
                 emit(v[k])
             out.append("}")
@@ -120,7 +105,7 @@ def canonical_json(obj):
         else:
             raise TypeError("cannot serialize %r" % type(v))
 
-    emit(_plain(obj))
+    emit(obj)
     return "".join(out)
 
 

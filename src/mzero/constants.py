@@ -175,10 +175,8 @@ def separation_constant(mu):
     d1 = math.sqrt(1.0 / (cm * cm + 1.0))
     d2 = math.sqrt(1.0 / (mu - 1.0))
     p = p_of_d(mu, table)
-    try:
-        d3 = smallest_positive_root(p, d2, tol=_SEPARATION_TOL)
-    except NoRootError:
-        d3 = smallest_positive_root(p, 1.0 - 1e-9, tol=_SEPARATION_TOL)
+    # p crosses zero below d2 at every order up to ANCHORED_MAX (tests check each)
+    d3 = smallest_positive_root(p, d2, tol=_SEPARATION_TOL)
     d = min(d1, d2, d3)
     return SeparationResult(mu=mu, d=d, d1=d1, d2=d2, d3=d3)
 

@@ -23,15 +23,12 @@ import functools
 
 import numpy as np
 
-from . import _reexport
+from . import DEFAULT_TOLERANCES as DEFAULTS, _reexport
 from .errors import BreadthError, CorankError, InputError, MultiplicityNotFoundError
 from .numkit import matrix_spectral_norm, solve_least_squares, solve_linear, svd
 
 __getattr__ = _reexport(__name__, {"functionals": ("chainrule_Lk",)})
 
-DEFAULT_MAX_ORDER = 10
-DEFAULT_GAP_TOL = 1e-8
-DEFAULT_DELTA_ZERO_TOL = 1e-8
 NORMALIZED_RTOL = 1e-8
 # shape test for points that only need to be near the distinguished shape
 LOOSE_NORMALIZED_RTOL = 0.1
@@ -139,8 +136,8 @@ def kernel_chain(source, x, a1, Jhat, order):
     return chain[1]
 
 
-def compute_dual_basis(source, x, max_order=DEFAULT_MAX_ORDER, gap_tol=DEFAULT_GAP_TOL,
-                       delta_zero_tol=DEFAULT_DELTA_ZERO_TOL, J=None, res=None):
+def compute_dual_basis(source, x, max_order=DEFAULTS["max_order"], gap_tol=DEFAULTS["gap_tol"],
+                       delta_zero_tol=DEFAULTS["delta_zero_tol"], J=None, res=None):
     """Multiplicity structure of an isolated zero with corank-one Jacobian.
 
     source is a PolySystem or NormalizedFrame and x the base point in its
@@ -224,23 +221,3 @@ def normalizing_frame(source, x, J=None, res=None):
 
     frame = unitary_pullback(source, res.U, res.V[:, perm])
     return frame, frame.to_frame(x), res
-
-
-def normalized_view(source, x, rel_tol=NORMALIZED_RTOL):
-    """(view, w, J, res): (source, x) when the Jacobian at x passes
-    `is_normalized` with rel_tol, else a normalizing frame and the
-    coordinates of x in it; J is the Jacobian of the view at w, and res
-    its `numkit.svd` when the view is source, else None. One SVD of the
-    input's Jacobian serves the shape test and the frame.
-
-    The frame is a unitary change of coordinates, so distances, residual
-    norms, radii and the growth invariants computed in it hold in the
-    original coordinates.
-    """
-    x = np.asarray(x, dtype=complex)
-    J = source.jacobian(x)
-    res = svd(J)
-    if is_normalized(J, rel_tol, res.s):
-        return source, x, J, res
-    frame, w, _ = normalizing_frame(source, x, J, res)
-    return frame, w, frame.jacobian(w), None

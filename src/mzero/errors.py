@@ -26,11 +26,8 @@ class MathDomainError(MZeroError):
 
 
 class SingularMatrixError(MathDomainError):
-    """A linear solve hit a matrix that is singular to working precision."""
-
-    def __init__(self, message, sigma_min=None):
-        super().__init__(message)
-        self.sigma_min = sigma_min
+    """A linear solve hit a matrix that is singular to working precision;
+    the message gives its smallest singular value."""
 
 
 class NoRootError(MathDomainError):

@@ -2,23 +2,25 @@
 
 It works over rational complex numbers, so that `1/3` or `1e-20*X + X - X`
 loses nothing before each coefficient is rounded once; `sqrt` of a
-non-square is kept to 2^-200 relative. An expression becomes one term table,
-a dict from exponent tuples to nonzero `_QC` coefficients in the order in
-which the monomials first appear: sums accumulate in place and a product
-with a single-term factor adds exponent tuples, so parse cost is linear in
-the number of terms; only a product of two sums, such as `(8*X1 - 3*X2)^2`,
-expands pairwise. `parse_system` imports this module the first time a
-statement needs it, so a system the scanner reads whole never loads it,
-`decimal` or `fractions`.
+non-square is kept to 2^-200 relative. A literal whose exponent has more
+than `polycore.MAX_EXPONENT_DIGITS` digits is refused before its exact
+value is built. An expression becomes one term table, a dict from exponent
+tuples to nonzero `_QC` coefficients in the order in which the monomials
+first appear: sums accumulate in place and a product with a single-term
+factor adds exponent tuples, so parse cost is linear in the number of
+terms; only a product of two sums, such as `(8*X1 - 3*X2)^2`, expands
+pairwise. `parse_system` imports this module the first time a statement
+needs it, so a system the scanner reads whole never loads it, `decimal` or
+`fractions`.
 """
 
 import math
 import operator
 import re
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError
+from .polycore import MAX_EXPONENT_DIGITS
 
 
 class _QC:
@@ -59,11 +61,6 @@ class _QC:
 
 
 _ONE = _QC(Fraction(1))
-
-
-def _rational(text):
-    """Exact value of a decimal literal such as `12`, `0.25` or `1e-300`."""
-    return Fraction(*Decimal(text).as_integer_ratio())
 
 
 def _sqrt_fraction(q):
@@ -115,7 +112,7 @@ def _product(a, b):
 _TOKEN_RE = re.compile(
     r"""
     \s*(?:
-      (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)(?P<imag>i(?![A-Za-z0-9_]))?
+      (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?(?P<exp>\d+))?)(?P<imag>i(?![A-Za-z0-9_]))?
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>[-+*/^(),])
     | (?P<bad>\S)
@@ -127,7 +124,8 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(stmt):
     """(kind, text) tokens of one expression in a single regex scan; kind
-    is num, imag (text without the `i`), ident or op."""
+    is num, imag (text without the `i`), ident or op. A literal whose
+    exponent has more than MAX_EXPONENT_DIGITS digits is refused here."""
     tokens = []
     for m in _TOKEN_RE.finditer(stmt):
         kind = m.lastgroup
@@ -135,6 +133,9 @@ def _tokenize(stmt):
             raise ParseError(
                 "unexpected character %r in %r" % (m.group(kind), stmt.strip())
             )
+        if len(m.group("exp") or "") > MAX_EXPONENT_DIGITS:
+            raise ParseError("the exponent of %r has more than %d digits"
+                             % (m.group("num"), MAX_EXPONENT_DIGITS))
         tokens.append((kind, m.group("num" if kind == "imag" else kind)))
     return tokens
 
@@ -236,7 +237,7 @@ class _ExprParser:
     def parse_exponent(self):
         kind, val = self.take()
         if kind == "num":
-            q = _rational(val)
+            q = Fraction(val)
         elif kind == "op" and val == "(":
             c = self.constant_value(self.parse_expr())
             self.expect_op(")")
@@ -252,9 +253,9 @@ class _ExprParser:
     def parse_atom(self):
         kind, val = self.take()
         if kind == "num":
-            return self.constant(_QC(_rational(val)))
+            return self.constant(_QC(Fraction(val)))
         if kind == "imag":
-            return self.constant(_QC(Fraction(0), _rational(val)))
+            return self.constant(_QC(Fraction(0), Fraction(val)))
         if kind == "ident":
             if val == "sqrt":
                 self.expect_op("(")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .dualspace import DEFAULT_DELTA_ZERO_TOL, DEFAULT_GAP_TOL, DEFAULT_MAX_ORDER
+from . import DEFAULT_TOLERANCES as DEFAULTS
 from .dualspace import _check_corank_one, _dual_basis, is_normalized
 from .errors import MultiplicityNotFoundError, NotNormalizedError
 from .numkit import solve_linear, svd
@@ -141,8 +141,8 @@ def _product_rule_delta(a_rows, lambdas, k, n):
     return pk
 
 
-def chainrule_Lk(frame, w, kmax=None, max_order=DEFAULT_MAX_ORDER, gap_tol=DEFAULT_GAP_TOL,
-                 delta_zero_tol=DEFAULT_DELTA_ZERO_TOL):
+def chainrule_Lk(frame, w, kmax=None, max_order=DEFAULTS["max_order"],
+                 gap_tol=DEFAULTS["gap_tol"], delta_zero_tol=DEFAULTS["delta_zero_tol"]):
     """Dual chain on a rotated view, via the derivative product rule.
 
     The raw order-k functionals are accumulated as P_k = sum over j and

@@ -26,7 +26,7 @@ from .dualspace import (
     compute_dual_basis,
     is_normalized,
     kernel_chain,
-    normalized_view,
+    normalizing_frame,
 )
 from .errors import InputError, MathDomainError, NotNormalizedError
 from .numkit import solve_linear, svd, unfolding_norm
@@ -42,9 +42,9 @@ class LocalModel:
     """Local data of a system at one point, each piece computed once.
 
     A point whose Jacobian fails `is_normalized` with rel_tol moves to a
-    normalizing frame (`normalized_view`); with frame off it raises
-    NotNormalizedError instead. The frame is unitary, so distances, radii
-    and the invariants hold in the original coordinates. Without mu the
+    normalizing frame, built from the SVD of that test; with frame off it
+    raises NotNormalizedError instead. The frame is unitary, so distances,
+    radii and the invariants hold in the original coordinates. Without mu the
     chain length is detected by `compute_dual_basis`, with the keyword
     tolerances (gap_tol, delta_zero_tol, max_order); a given mu must
     match it (InputError), unless trust_mu takes it as it is; a trusted mu
@@ -75,16 +75,17 @@ class LocalModel:
             raise InputError(
                 "a corank-one zero needs at least two variables, got %d" % n
             )
-        if frame:
-            source, x, J, res = normalized_view(source, x, rel_tol)
-        else:
-            J = source.jacobian(x)
-            res = svd(J)
-            if not is_normalized(J, rel_tol, res.s):
+        # one SVD of the input's Jacobian serves the shape test and the frame
+        J = source.jacobian(x)
+        res = svd(J)
+        if not is_normalized(J, rel_tol, res.s):
+            if not frame:
                 raise NotNormalizedError(
                     "point is not in the distinguished coordinate shape; "
                     "compute in a normalizing frame instead"
                 )
+            source, x, _ = normalizing_frame(source, x, J, res)
+            J, res = source.jacobian(x), None
         chain = None
         if mu is None or not trust_mu:
             basis = compute_dual_basis(source, x, J=J, res=res, **tolerances)

@@ -21,7 +21,7 @@ so the command line lists them without loading numpy.
 
 import numpy as np
 
-from . import VARIANTS, _reexport
+from . import DEFAULT_TOLERANCES as DEFAULTS, VARIANTS, _reexport
 from .dualspace import LOOSE_NORMALIZED_RTOL, compute_dual_basis, is_normalized
 from .dualspace import kernel_chain, normalizing_frame
 from .errors import InputError, SingularMatrixError
@@ -141,8 +141,8 @@ def iterate_until(
     z0,
     mu=None,
     variant="auto",
-    eps=1e-10,
-    max_iter=50,
+    eps=DEFAULTS["eps"],
+    max_iter=DEFAULTS["max_iter"],
     **tolerances,
 ):
     """Run a refinement iteration to tolerance and report the trace.

@@ -83,8 +83,7 @@ def solve_linear(A, b):
     eps = np.finfo(float).eps
     if s[-1] <= A.shape[0] * eps * s[0] or s[-1] == 0.0:
         raise SingularMatrixError(
-            "matrix is singular to working precision (sigma_min=%.3e)" % s[-1],
-            sigma_min=float(s[-1]),
+            "matrix is singular to working precision (sigma_min=%.3e)" % s[-1]
         )
     return _lapack(np.linalg.solve, A, b)
 

@@ -322,8 +322,11 @@ class PolySystem:
 #
 # One term: a sign, a decimal, `<num>i` or `(<num>±<num>i)` coefficient and
 # `*`-joined `name^k` factors, then a sign or the end. Any other character
-# matches alone with empty groups, so findall tiles the statement.
-_NUM = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+# matches alone with empty groups, so findall tiles the statement. A literal
+# with a longer exponent than MAX_EXPONENT_DIGITS is left to `exactparse`,
+# which refuses it.
+MAX_EXPONENT_DIGITS = 5
+_NUM = r"\d+(?:\.\d+)?(?:[eE][+-]?\d{1,%d}(?!\d))?" % MAX_EXPONENT_DIGITS
 _MONO = r"[A-Za-z_]\w*(?:\s*\^\s*\d+)?(?:\s*\*\s*[A-Za-z_]\w*(?:\s*\^\s*\d+)?)*"
 _TERM_RE = re.compile(
     r"\s*([+-]?)\s*(?:(?:\(\s*([+-]?)\s*({0})\s*([+-])\s*({0})i\s*\)|({0})(i?))"

@@ -10,8 +10,10 @@ multiplicity-mu zero at the origin whose Jacobian is already in the
 distinguished shape (kernel along the first variable). The exactness comes
 from banning the handful of monomials whose coefficients feed the chain
 values below order mu. `make_planted_system` covers any mu >= 2 by a
-nonlinear change of coordinates of (X_2, ..., X_n, X_1^mu), and
-`make_planted_pair` adds a known simple zero at a chosen distance.
+nonlinear change of coordinates of (X_2, ..., X_n, X_1^mu),
+`make_planted_pair` adds a known simple zero at a chosen distance, and
+`make_split_cluster` also splits the multiple zero into mu known simple
+ones.
 """
 
 import importlib.util
@@ -182,23 +184,46 @@ def make_planted_pair(n, mu, rng, c=0.1, coeff_scale=0.3):
     phi(X). Its zero at the origin has multiplicity mu, and its other zero
     near the origin is phi^-1(c e1), found here by Newton on phi from c e1.
     """
+    system, _, second = make_split_cluster(n, mu, rng, 0.0, c, coeff_scale)
+    return system, second
+
+
+def make_split_cluster(n, mu, rng, eps, c=0.1, coeff_scale=0.3):
+    """The planted pair with its multiple zero split into a cluster:
+    (system, the mu cluster zeros, the second zero).
+
+    g = (phi_2, ..., phi_n, (phi_1^mu - eps)(c - phi_1)) is (Y_2, ...,
+    Y_n, (Y_1^mu - eps)(c - Y_1)) in Y = phi(X). Its zeros near the origin
+    are phi^-1(eps^(1/mu) omega^j e1), j < mu, with omega = exp(2 pi i /
+    mu), and phi^-1(c e1). With eps = 0 and the same rng the system and
+    the second zero are those of `make_planted_pair`.
+    """
     phi = _planted_coordinates(n, rng, coeff_scale)
     power = {(0,) * n: 1.0 + 0j}
     for _ in range(mu):
         power = _times(power, phi[0])
+    if eps:
+        power[(0,) * n] = complex(-eps)
     rest = {m: -v for m, v in phi[0].items()}
     rest[(0,) * n] = complex(c)
     system = PolySystem([Poly(n, terms) for terms in phi[1:] + [_times(power, rest)]])
     coordinates = PolySystem([Poly(n, terms) for terms in phi])
-    target = np.zeros(n, dtype=complex)
-    target[0] = c
-    z = target.copy()
-    for _ in range(50):
-        step = np.linalg.solve(coordinates.jacobian(z), coordinates.eval_at(z) - target)
-        z = z - step
-        if np.linalg.norm(step) <= 1e-16 * np.linalg.norm(z):
-            break
-    return system, z
+
+    def inverse(y1):
+        # Newton on phi(X) = y1 e1, from y1 e1
+        target = np.zeros(n, dtype=complex)
+        target[0] = y1
+        z = target.copy()
+        for _ in range(50):
+            step = np.linalg.solve(coordinates.jacobian(z), coordinates.eval_at(z) - target)
+            z = z - step
+            if np.linalg.norm(step) <= 1e-16 * np.linalg.norm(z):
+                break
+        return z
+
+    root = eps ** (1.0 / mu)
+    cluster = [inverse(root * np.exp(2j * np.pi * j / mu)) for j in range(mu)]
+    return system, cluster, inverse(c)
 
 
 def macaulay_multiplicity(system, max_order=6, tol=1e-8):

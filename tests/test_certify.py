@@ -10,12 +10,12 @@ from mzero.certify import (
     separation_bound,
     separation_constant,
 )
-from mzero.constants import coefficient_table
+from mzero.constants import ANCHORED_MAX, coefficient_table, smallest_positive_root
 from mzero.dualspace import normalizing_frame
 from mzero.errors import InputError, MathDomainError
 from mzero.polycore import parse_system
 
-from conftest import make_planted_pair
+from conftest import make_planted_pair, make_split_cluster
 
 ORIGIN2 = np.zeros(2, dtype=complex)
 
@@ -152,6 +152,14 @@ def test_separation_constant_refuses_orders_above_the_anchored_range():
         separation_constant(21)
 
 
+def test_first_scan_finds_d3_below_d2_at_every_anchored_order():
+    # separation_constant scans p only over (0, d2]; an order whose first
+    # root lies beyond d2 would raise NoRootError at run time
+    for mu in range(2, ANCHORED_MAX + 1):
+        d2 = math.sqrt(1.0 / (mu - 1.0))
+        assert 0.0 < smallest_positive_root(p_of_d(mu), d2) < d2
+
+
 def test_separation_bound_double_zero(ex_double):
     sep = separation_bound(ex_double, ORIGIN2)
     assert sep.mu == 2
@@ -277,3 +285,24 @@ def test_separation_radius_excludes_the_second_planted_zero(n, mu):
     sep = separation_bound(system, np.zeros(n, dtype=complex))
     assert sep.mu == mu
     assert sep.bound < np.linalg.norm(second)
+
+
+@pytest.mark.parametrize("n, mu", [(n, mu) for n in (2, 3) for mu in (2, 3, 4)])
+def test_certified_ball_holds_the_cluster_and_not_the_second_zero(n, mu):
+    # split the planted zero by eps = rhs / 10 of its own certificate at
+    # the origin: the certificate there must still hold, its ball must
+    # hold all mu zeros of the cluster, and the simple zero at
+    # phi^-1(0.1 e1) must lie outside it
+    x = np.zeros(n, dtype=complex)
+    system, _ = make_planted_pair(n, mu, np.random.default_rng(0), c=0.1)
+    eps = certify_cluster(system, x).rhs / 10
+    system, cluster, second = make_split_cluster(n, mu, np.random.default_rng(0), eps, c=0.1)
+    at_center = np.linalg.norm(system.eval_at(x))
+    for i, z in enumerate(cluster):
+        assert np.linalg.norm(system.eval_at(z)) <= 1e-6 * at_center
+        assert min(np.linalg.norm(z - w) for w in cluster[:i] + cluster[i + 1 :]) > 0
+    assert np.linalg.norm(system.eval_at(second)) < 1e-15
+    cert = certify_cluster(system, x, mu=mu)
+    assert cert.holds
+    assert max(np.linalg.norm(z) for z in cluster) < cert.radius
+    assert np.linalg.norm(second) > cert.radius

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -352,6 +353,20 @@ def test_missing_system_file(capsys):
     )
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "expr", ["1e9999999*X1*X2 + X1^2", "1e99999999*X1", "1e-999999*X1", "X1/2 + 2.5E+1000000*X2"]
+)
+def test_literal_with_a_long_exponent_is_refused_at_once(capsys, tmp_path, expr):
+    # its exact value would take seconds to minutes to build
+    path = tmp_path / "long.mz"
+    path.write_text("vars: X1 X2\nf1: %s\nf2: X2\n" % expr)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "dual", "--system", str(path), "--point", "0,0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and "more than 5 digits" in err
 
 
 def test_missing_point(capsys, ex_triple_path):

@@ -25,10 +25,13 @@ from mzero.polycore import (
 )
 
 from conftest import (
+    EX_DOUBLE,
+    EX_TRIPLE,
     lowering_residual,
     macaulay_multiplicity,
     make_normalized_system,
     make_planted_system,
+    monomials,
     random_unitary,
 )
 
@@ -262,3 +265,57 @@ def test_chain_values_take_no_derivative_tensor(monkeypatch):
         assert len(values) == 4
         z, _info = refine_general(source, np.full(3, 1e-3, dtype=complex), 5)
         assert np.linalg.norm(z) < 1e-3
+
+
+def curve_weights(a_rows, k):
+    """{alpha: [t^k] prod_j A_j(t)^alpha_j} over |alpha| <= k, where A_j(t)
+    = sum_i a_rows[i-1][j] t^i: the weight of d^alpha in the t^k Taylor
+    coefficient along x + a_1 t + a_2 t^2 + ..."""
+    n = len(a_rows[0])
+    series = np.zeros((n, k + 1), dtype=complex)
+    for i, row in enumerate(a_rows[:k], start=1):
+        series[:, i] = row
+    weights = {}
+    for order in range(k + 1):
+        for alpha in monomials(n, order):
+            prod = np.zeros(k + 1, dtype=complex)
+            prod[0] = 1.0
+            for j, e in enumerate(alpha):
+                for _ in range(e):
+                    prod = np.convolve(prod, series[j])[: k + 1]
+            weights[alpha] = prod[k]
+    return weights
+
+
+def rotated_planted(n, mu, rng):
+    system = make_planted_system(n, mu, rng)
+    return unitary_pullback(system, random_unitary(n, rng), random_unitary(n, rng)).materialize()
+
+
+CURVE_CASES = {
+    "double": lambda: parse_system(EX_DOUBLE),
+    "triple": lambda: parse_system(EX_TRIPLE),
+    "planted-2-5": lambda: make_planted_system(2, 5, np.random.default_rng(5)),
+    "planted-3-4": lambda: make_planted_system(3, 4, np.random.default_rng(4)),
+    "planted-2-8": lambda: make_planted_system(2, 8, np.random.default_rng(8)),
+    # off the distinguished shape: the least-squares corrections
+    "rotated-3-4": lambda: rotated_planted(3, 4, np.random.default_rng(77)),
+}
+
+
+@pytest.mark.parametrize("name", CURVE_CASES)
+def test_chain_functionals_are_the_curve_taylor_coefficients(name):
+    # Lambda_k is the t^k coefficient along x + a_1 t + ... + a_k t^k, and
+    # the raw functional of order k the same along a_1 .. a_{k-1}
+    source = CURVE_CASES[name]()
+    basis = compute_dual_basis(source, np.zeros(source.nvars, dtype=complex))
+    assert basis.normalized == (name not in ("double", "rotated-3-4"))
+    rows = list(basis.a_coeffs)
+    pairs = [(lam, curve_weights(rows, k)) for k, lam in enumerate(basis.lambdas)]
+    pairs += [(delta, curve_weights(rows[: k - 1], k))
+              for k, delta in enumerate(basis.deltas, start=2)]
+    for functional, want in pairs:
+        assert set(functional.coeffs) <= set(want)
+        scale = max(abs(c) for c in want.values())
+        gap = max(abs(functional.coeffs.get(alpha, 0j) - c) for alpha, c in want.items())
+        assert gap <= 1e-13 * scale

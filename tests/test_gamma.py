@@ -6,11 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mzero.certify import certify_cluster, separation_bound
 from mzero.cli import main
-from mzero.dualspace import (
-    compute_dual_basis,
-    normalized_view,
-    normalizing_frame,
-)
+from mzero.dualspace import compute_dual_basis, normalizing_frame
 from mzero.errors import InputError, NotNormalizedError
 from mzero.gamma import LocalModel, gamma_mu
 from mzero.polycore import NormalizedFrame, PolySystem, unitary_pullback
@@ -97,22 +93,20 @@ def test_requires_normalized_shape(ex_double):
         gamma_mu(ex_double, ORIGIN2)
 
 
-def test_normalized_view_moves_off_shape_point(ex_double):
+def test_local_model_moves_off_shape_point(ex_double):
     frame, w, _ = normalizing_frame(ex_double, ORIGIN2)
-    view, v, J, res = normalized_view(ex_double, ORIGIN2)
-    assert np.array_equal(v, w)
-    assert np.array_equal(J, view.jacobian(v))
-    assert res is None
-    assert gamma_mu(view, v) == gamma_mu(frame, w)
+    model = LocalModel(ex_double, ORIGIN2)
+    assert np.array_equal(model.x, w)
+    assert np.array_equal(model.J, model.view.jacobian(model.x))
+    assert model.gamma() == gamma_mu(frame, w)
     with pytest.raises(InputError):
-        gamma_mu(view, v, mu=3)
+        LocalModel(ex_double, ORIGIN2, mu=3)
     # a normalized point is used as it is
     x = np.zeros(3, dtype=complex)
     system = make_normalized_system(3, 3, np.random.default_rng(34))
-    view, v, J, res = normalized_view(system, x)
-    assert view is system and np.array_equal(v, x)
-    assert np.array_equal(J, system.jacobian(x))
-    assert np.allclose(res.U @ np.diag(res.s) @ res.V.conj().T, J, atol=1e-14)
+    model = LocalModel(system, x)
+    assert model.view is system and np.array_equal(model.x, x)
+    assert np.array_equal(model.J, system.jacobian(x))
 
 
 def test_mu_mismatch_is_rejected(ex_triple):

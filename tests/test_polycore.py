@@ -92,6 +92,12 @@ def test_parse_comments_and_semicolons():
         "vars: X\nf: sqrt(X)",          # sqrt of a non-constant
         "vars: X\nf: 1e400*X",          # coefficient beyond the double range
         "vars: X\nf: sqrt(2*10^400)*X", # sqrt argument beyond the double range
+        "vars: X\nf: 1e9999999*X + X^2",  # exponents of more than 5 digits,
+        "vars: X\nf: 1e-999999*X",        # on the scanner's statements
+        "vars: X\nf: 1e000001*X",
+        "vars: X\nf: (1+2E+100000i)*X",
+        "vars: X\nf: X/2 + 1e-999999*X^2",  # and on the exact parser's
+        "vars: X\nf: X^1e1000000",
     ],
 )
 def test_parse_rejects(bad):
