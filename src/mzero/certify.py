@@ -21,6 +21,7 @@ import numpy as np
 
 from .constants import p_of_d, separation_constant  # noqa: F401
 from .dualspace import LOOSE_NORMALIZED_RTOL
+from .errors import MathDomainError
 from .gamma import LocalModel
 from .numkit import matrix_spectral_norm, singular_values
 from .record import Record
@@ -36,6 +37,15 @@ class ClusterCertificate(Record):
                "gamma_on_g", "d", "mode")
 
 
+def _power(base, mu):
+    """base^mu of the radii and the certificate (gamma^mu, (4 gamma^mu)^mu),
+    refused (MathDomainError) beyond the double range."""
+    try:
+        return base**mu
+    except OverflowError:
+        raise MathDomainError("a power of gamma, %.6g^%d, overflows a double" % (base, mu)) from None
+
+
 def separation_bound(source, x, mu=None, mode="estimate", **tolerances):
     """Exclusion radius d / (2 gamma^mu) around a normalized zero.
 
@@ -48,7 +58,7 @@ def separation_bound(source, x, mu=None, mode="estimate", **tolerances):
     report = LocalModel(source, x, mu, **tolerances).gamma(mode)
     sep = separation_constant(report.mu)
     sep.gamma = report
-    sep.bound = sep.d / (2.0 * report.gamma**report.mu)
+    sep.bound = sep.d / (2.0 * _power(report.gamma, report.mu))
     return sep
 
 
@@ -76,7 +86,7 @@ def residual_lower_bound(source, x, y, mu=None, mode="estimate"):
     mu = report.mu
     sep = separation_constant(mu)
     ainv = _a_inv_norm(model)
-    r_max = sep.d / (4.0 * report.gamma**mu)
+    r_max = sep.d / (4.0 * _power(report.gamma, mu))
     bound = sep.d * dist**mu / (2.0 * ainv)
     return ResidualBound(
         mu=mu,
@@ -129,12 +139,13 @@ def certify_cluster(system, x, mu=None, mode="estimate", **tolerances):
     gamma = report.gamma
 
     sep = separation_constant(mu)
-    radius = sep.d / (4.0 * gamma**mu)
+    g_mu = _power(gamma, mu)
+    radius = sep.d / (4.0 * g_mu)
     lhs = float(np.linalg.norm(model.view.eval_at(model.x)))
     for k in range(1, mu):
         lhs += h_norms[k - 1] * radius**k
     ainv = _a_inv_norm(model)
-    rhs = sep.d ** (mu + 1) / (2.0 * (4.0 * gamma**mu) ** mu * ainv)
+    rhs = sep.d ** (mu + 1) / (2.0 * _power(4.0 * g_mu, mu) * ainv)
 
     return ClusterCertificate(
         center=center,

@@ -16,21 +16,11 @@ from .record import Record
 # and a 50-digit root of p in tests/test_certify.py; above it, not yet
 ANCHORED_MAX = 20
 
-# threshold equations (the refinement iterations are mzero.VARIANTS)
-THRESHOLD_VARIANTS = ("normalized_double", "normalized_triple", "general_triple")
-
 # samples of the first-crossing scan in `smallest_positive_root`
 _GRID = 1024
 # relative root tolerances of d3 and of the threshold constants
 _SEPARATION_TOL = 1e-13
 _THRESHOLD_TOL = 1e-12
-
-# scan brackets sit safely below the first pole of each equation
-_BRACKET = {
-    "normalized_double": 0.05,
-    "normalized_triple": 0.05,
-    "general_triple": 0.03,
-}
 
 
 def smallest_positive_root(fn, upper, tol=1e-10):
@@ -324,14 +314,14 @@ def rational_functions(variant, u):
     raise ValueError("unknown variant %r" % variant)
 
 
-def _threshold_equation(variant):
-    if variant == "normalized_double":
-        return lambda u: 2 * _b21(u) ** 2 + 2 * _b23(u) ** 2
-    if variant == "normalized_triple":
-        return lambda u: 2 * _b21(u) ** 2 + 2 * _b33(u) ** 2
-    if variant == "general_triple":
-        return lambda u: _general_b1(u) ** 2 + _general_b2(u) ** 2
-    raise ValueError("unknown variant %r" % variant)
+# variant -> (mu, scan bracket safely below the first pole, threshold
+# equation); the refinement iterations themselves are mzero.VARIANTS
+_THRESHOLDS = {
+    "normalized_double": (2, 0.05, lambda u: 2 * _b21(u) ** 2 + 2 * _b23(u) ** 2),
+    "normalized_triple": (3, 0.05, lambda u: 2 * _b21(u) ** 2 + 2 * _b33(u) ** 2),
+    "general_triple": (3, 0.03, lambda u: _general_b1(u) ** 2 + _general_b2(u) ** 2),
+}
+THRESHOLD_VARIANTS = tuple(_THRESHOLDS)
 
 
 def threshold_constants(variant):
@@ -342,15 +332,13 @@ def threshold_constants(variant):
     smaller); u_quadratic solves sum-of-squares = 1/4 (the error at step
     k shrinks by (1/2)^(2^k - 1)).
     """
-    if variant not in THRESHOLD_VARIANTS:
+    if variant not in _THRESHOLDS:
         raise ValueError(
             "variant must be one of %s" % (", ".join(THRESHOLD_VARIANTS))
         )
-    eq = _threshold_equation(variant)
-    upper = _BRACKET[variant]
+    mu, upper, eq = _THRESHOLDS[variant]
     u_conv = smallest_positive_root(lambda u: 1.0 - eq(u), upper, tol=_THRESHOLD_TOL)
     u_quad = smallest_positive_root(lambda u: 0.25 - eq(u), upper, tol=_THRESHOLD_TOL)
-    mu = 2 if variant == "normalized_double" else 3
     return ThresholdSet(
         variant=variant, mu=mu, u_converge=u_conv, u_quadratic=u_quad
     )

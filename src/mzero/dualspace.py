@@ -12,11 +12,11 @@ Lambda_k(f) is the t^k Taylor coefficient of f along the curve x + a_1 t
 + ... + a_k t^k, so the one recursion loop, `_chain`, reads each raw value
 from the kernel's `curve_taylor` and forms no functional. The functionals,
 by `psi`, are the symbolic record that a `DualBasis` builds on first use.
-They and the independent product-rule route `chainrule_Lk` live in
-`mzero.functionals`, which this module imports only there, so a command
-that never prints a functional does not compile it; `chainrule_Lk` is
-re-exported here on first use (PEP 562). `normalizing_frame` loads
-`mzero.frames` where it runs.
+They and the product-rule route `chainrule_Lk`, which runs the same loop
+on raw values of its own, live in `mzero.functionals`, which this module
+imports only there, so a command that never prints a functional does not
+compile it; `chainrule_Lk` is re-exported here on first use (PEP 562).
+`normalizing_frame` loads `mzero.frames` where it runs.
 """
 
 import functools
@@ -100,22 +100,25 @@ def _check_corank_one(s, gap_tol):
         )
 
 
-def _chain(source, x, a1, correct, stop, max_order):
+def _chain(source, x, a1, correct, stop, max_order, raw=None):
     """The breadth-one recursion (Li & Zhi, J. Symb. Comput. 2012) from
     Lambda_1 = sum a1 d.
 
-    The raw value of order k is the t^k Taylor coefficient of source along
-    x + a_1 t + ... + a_{k-1} t^(k-1). `stop(k, vals)` ends the chain
-    there; otherwise `correct(k, vals)` gives the trailing coordinates of
-    a_k. Returns (a_rows, values), or None when no stop came by max_order.
+    `raw(a_rows, k)` gives the raw value of order k from the rows a_1 ..
+    a_{k-1}; by default the t^k Taylor coefficient of source along x +
+    a_1 t + ... + a_{k-1} t^(k-1). `stop(k, vals)` ends the chain there;
+    otherwise `correct(k, vals)` gives the trailing coordinates of a_k.
+    Returns (a_rows, values); raises MultiplicityNotFoundError when no
+    stop came by max_order.
     """
     a_rows, values = [a1], []
     for k in range(2, max_order + 1):
-        values.append(source.curve_taylor(x, a_rows, k)[:, k])
-        if stop(k, values[-1]):
+        vals = source.curve_taylor(x, a_rows, k)[:, k] if raw is None else raw(a_rows, k)
+        values.append(vals)
+        if stop(k, vals):
             return a_rows, values
-        a_rows.append(np.concatenate([[0], correct(k, values[-1])]))
-    return None
+        a_rows.append(np.concatenate([[0], correct(k, vals)]))
+    raise MultiplicityNotFoundError("no terminating order found up to max_order=%d" % max_order)
 
 
 def kernel_chain(source, x, a1, Jhat, order):
@@ -131,9 +134,8 @@ def kernel_chain(source, x, a1, Jhat, order):
     if order < 2:
         raise InputError("a corank-one chain has order mu >= 2, got %r" % order)
     n = source.nvars
-    chain = _chain(source, x, a1, lambda k, vals: solve_linear(Jhat, -vals[: n - 1]),
-                   lambda k, vals: k == order, order)
-    return chain[1]
+    return _chain(source, x, a1, lambda k, vals: solve_linear(Jhat, -vals[: n - 1]),
+                  lambda k, vals: k == order, order)[1]
 
 
 def compute_dual_basis(source, x, max_order=DEFAULTS["max_order"], gap_tol=DEFAULTS["gap_tol"],
@@ -182,12 +184,8 @@ def compute_dual_basis(source, x, max_order=DEFAULTS["max_order"], gap_tol=DEFAU
             )
         return ahat
 
-    chain = _chain(source, x, a1, correction, outside_column_space, max_order)
-    if chain is None:
-        raise MultiplicityNotFoundError(
-            "no terminating order found up to max_order=%d" % max_order
-        )
-    return _dual_basis(J, *chain, s, normalized)
+    return _dual_basis(J, *_chain(source, x, a1, correction, outside_column_space, max_order),
+                       s, normalized)
 
 
 def _dual_basis(J, a_rows, delta_values, s, normalized):

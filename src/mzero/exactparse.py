@@ -4,12 +4,14 @@ It works over rational complex numbers, so that `1/3` or `1e-20*X + X - X`
 loses nothing before each coefficient is rounded once; `sqrt` of a
 non-square is kept to 2^-200 relative. A literal whose exponent has more
 than `polycore.MAX_EXPONENT_DIGITS` digits is refused before its exact
-value is built. An expression becomes one term table, a dict from exponent
-tuples to nonzero `_QC` coefficients in the order in which the monomials
-first appear: sums accumulate in place and a product with a single-term
-factor adds exponent tuples, so parse cost is linear in the number of
-terms; only a product of two sums, such as `(8*X1 - 3*X2)^2`, expands
-pairwise. `parse_system` imports this module the first time a statement
+value is built, and a power of a sum whose expansion can have more than
+`polycore.MAX_POWER_TERMS` terms is refused before it is expanded. An
+expression becomes one term table, a dict from exponent tuples to
+nonzero `_QC` coefficients in the order in which the monomials first
+appear: sums accumulate in place and a product with a single-term factor
+adds exponent tuples, so parse cost is linear in the number of terms;
+only a product of two sums, such as `(8*X1 - 3*X2)^2`, expands pairwise.
+`parse_system` imports this module the first time a statement
 needs it, so a system the scanner reads whole never loads it, `decimal` or
 `fractions`.
 """
@@ -20,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .polycore import MAX_EXPONENT_DIGITS
+from .polycore import MAX_EXPONENT_DIGITS, MAX_POWER_TERMS
 
 
 class _QC:
@@ -173,7 +175,13 @@ class _ExprParser:
         return terms.get(self.zero, _QC(Fraction(0)))
 
     def power(self, base, e):
-        """base^e by repeated squaring."""
+        """base^e by repeated squaring. A base of t >= 2 terms is refused
+        when its expansion can have more than MAX_POWER_TERMS terms, one per
+        multiset of e base terms: C(t + e - 1, e)."""
+        t = len(base)
+        if t > 1 and math.comb(t + e - 1, t - 1) > MAX_POWER_TERMS:
+            raise ParseError("a power of a %d-term sum can expand to more than %d terms"
+                             % (t, MAX_POWER_TERMS))
         result = {self.zero: _ONE}
         while True:
             if e & 1:

@@ -2,10 +2,11 @@
 
 `DualBasis.lambdas` and `deltas` are built here from the correction rows
 by the order-raising map `psi`; `apply_functional` evaluates one through
-the kernel's batched partials. `chainrule_Lk` builds the chain of a
-rotated view by a derivative-level product rule, through contracted
-derivative tensors; the tests check that it agrees with the curve route
-of `dualspace`, which forms no functional. So only the `dual` command's
+the kernel's batched partials. `chainrule_Lk` runs the chain loop of
+`dualspace` on a rotated view, but reads each raw value from a
+functional built by a derivative-level product rule and applied through
+contracted derivative tensors; the tests check that it agrees with the
+curve route, which forms no functional. So only the `dual` command's
 printed chain and the tests load this module.
 """
 
@@ -14,8 +15,8 @@ import math
 import numpy as np
 
 from . import DEFAULT_TOLERANCES as DEFAULTS
-from .dualspace import _check_corank_one, _dual_basis, is_normalized
-from .errors import MultiplicityNotFoundError, NotNormalizedError
+from .dualspace import _chain, _check_corank_one, _dual_basis, is_normalized
+from .errors import NotNormalizedError
 from .numkit import solve_linear, svd
 from .polycore import Poly
 
@@ -149,7 +150,9 @@ def chainrule_Lk(frame, w, kmax=None, max_order=DEFAULTS["max_order"],
     sigma of (j/k) a_{j,sigma} D_sigma(L_{k-j}), with L_k = P_k plus its
     first-order correction and L_1 the derivative along the first frame
     variable. Derivatives of the rotated system come from contracted
-    tensors of the original system; nothing is expanded symbolically.
+    tensors of the original system; nothing is expanded symbolically. The
+    recursion is the loop of `compute_dual_basis`, `dualspace._chain`, fed
+    with these values.
 
     With kmax=None the recursion terminates like `compute_dual_basis` and
     returns the multiplicity. With an explicit kmax it runs to exactly
@@ -174,17 +177,10 @@ def chainrule_Lk(frame, w, kmax=None, max_order=DEFAULTS["max_order"],
             return k == kmax
         return abs(vals[-1]) > delta_zero_tol * float(np.linalg.norm(vals)) + 1e-14
 
-    a_rows, values = [a1], []
-    for k in range(2, (kmax if kmax is not None else max_order) + 1):
-        functionals = _chain_functionals(a_rows, _product_rule_delta)
-        values.append(functionals[1][-1].apply(frame, w))
-        if stop(k, values[-1]):
-            break
-        a_rows.append(np.concatenate([[0], solve_linear(Jhat, -values[-1][: n - 1])]))
-    else:
-        raise MultiplicityNotFoundError(
-            "no terminating order found up to max_order=%d" % max_order
-        )
+    a_rows, values = _chain(
+        frame, w, a1, lambda k, vals: solve_linear(Jhat, -vals[: n - 1]), stop,
+        max_order if kmax is None else kmax,
+        lambda rows, k: _chain_functionals(rows, _product_rule_delta)[1][-1].apply(frame, w))
     basis = _dual_basis(J, a_rows, values, s, True)
-    basis.functionals = functionals
+    basis.functionals = _chain_functionals(a_rows, _product_rule_delta)
     return basis

@@ -81,7 +81,7 @@ class Poly:
 
     def partials(self, alphas, x):
         """Raw partials d^alpha f(x) as a vector, one entry per multi-index."""
-        return _Kernel([self], self.nvars).partials(alphas, x)[0]
+        return PolySystem([self]).partials(alphas, x)[0]
 
     def eval_at(self, x):
         return complex(self.partials([(0,) * self.nvars], x)[0])
@@ -100,90 +100,6 @@ class Poly:
 
 # largest number of entries in one K x T block of the kernel
 _BLOCK = 1 << 16
-
-
-class _Kernel:
-    """Polynomials compiled to an exponent matrix E (T x n), the union of
-    their monomials, and a coefficient matrix C (m x T)."""
-
-    def __init__(self, polys, nvars):
-        monos = sorted(set().union(*(p.terms for p in polys)))
-        column = {mono: t for t, mono in enumerate(monos)}
-        self.nvars = nvars
-        self.E = np.array(monos, dtype=np.intp).reshape(len(monos), nvars)
-        self.C = np.zeros((len(polys), len(monos)), dtype=complex)
-        for i, p in enumerate(polys):
-            for mono, c in p.terms.items():
-                self.C[i, column[mono]] = c
-
-    def partials(self, alphas, x):
-        """Raw partials d^alpha f_i(x) as an m x K matrix, one column per
-        multi-index.
-
-        Term t contributes C[i, t] * prod_j G[j, alpha_j, E[t, j]], where
-        G[j, a, e] = e!/(e-a)! * x_j^(e-a) (zero for a > e) is tabulated
-        once per call. The product runs one variable at a time over K x T
-        blocks, so no K x T x n array is formed.
-        """
-        x = np.asarray(x, dtype=complex)
-        n = self.nvars
-        if x.shape != (n,):
-            raise ValueError("point has shape %s, expected (%d,)" % (x.shape, n))
-        A = np.asarray(alphas, dtype=np.intp)
-        if A.ndim != 2 or A.shape[1] != n:
-            raise ValueError("multi-indices must have %d entries" % n)
-        m, T = self.C.shape
-        out = np.zeros((m, len(A)), dtype=complex)
-        if T == 0:
-            return out
-        emax, amax = int(self.E.max(initial=0)), int(A.max(initial=0))
-        try:
-            falling = np.array([[math.perm(e, a) for e in range(emax + 1)]
-                                for a in range(amax + 1)], dtype=float)
-        except OverflowError:  # a falling factorial above the largest double
-            raise MathDomainError("a derivative of the system overflows a double") from None
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = np.ones((n, emax + 1), dtype=complex)
-            for e in range(1, emax + 1):
-                powers[:, e] = powers[:, e - 1] * x
-            lowered = np.maximum(np.arange(emax + 1) - np.arange(amax + 1)[:, None], 0)
-            G = falling * powers[:, lowered]
-            step = max(1, _BLOCK // T)
-            for s in range(0, len(A), step):
-                block = A[s : s + step]
-                M = np.ones((len(block), T), dtype=complex)
-                for j in range(n):
-                    M *= G[j][block[:, j : j + 1], self.E[:, j]]
-                out[:, s : s + step] = self.C @ M.T
-                if not np.isfinite(out[:, s : s + step]).all():
-                    # an overflowed power times a zero falling factorial is
-                    # NaN where the partial of that term is exactly zero
-                    M[(block[:, None, :] > self.E).any(axis=2)] = 0
-                    out[:, s : s + step] = _finite(self.C @ M.T)
-        return out
-
-    def curve_taylor(self, x, A, k):
-        """Taylor coefficients at t^0..t^k of f_i along x + sum_i A[i] t^(i+1)
-        as an m x (k+1) matrix (rows of A past the k-th cannot reach t^k).
-
-        Variable j follows the series x_j + sum_i A[i, j] t^(i+1); its
-        powers up to the largest exponent, then per monomial the product of
-        the powers its exponents pick, are power series truncated after t^k.
-        """
-        x = np.asarray(x, dtype=complex)
-        n = self.nvars
-        if x.shape != (n,):
-            raise ValueError("point has shape %s, expected (%d,)" % (x.shape, n))
-        S = np.vstack([x, np.asarray(A, dtype=complex).reshape(-1, n)[:k]]).T
-        P = np.zeros((int(self.E.max(initial=0)) + 1, n, k + 1), dtype=complex)
-        P[0, :, 0] = 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for e in range(1, len(P)):
-                P[e] = _series_product(P[e - 1], S)
-            M = np.ones((len(self.E), 1), dtype=complex)
-            for j in range(n):
-                M = _series_product(P[self.E[:, j], j], M)
-            return _finite(self.C @ M)
 
 
 def _finite(values):
@@ -269,19 +185,91 @@ class PolySystem:
         return max((p.degree() for p in self.polys), default=0)
 
     @functools.cached_property
-    def _kernel(self):
-        """The compiled system, built on the first evaluation."""
-        return _Kernel(self.polys, self.nvars)
+    def _compiled(self):
+        """(E, C): the exponent matrix (T x n) of the union of the
+        monomials and the coefficient matrix (m x T), built on the first
+        evaluation."""
+        monos = sorted(set().union(*(p.terms for p in self.polys)))
+        column = {mono: t for t, mono in enumerate(monos)}
+        E = np.array(monos, dtype=np.intp).reshape(len(monos), self.nvars)
+        C = np.zeros((self.n, len(monos)), dtype=complex)
+        for i, p in enumerate(self.polys):
+            for mono, c in p.terms.items():
+                C[i, column[mono]] = c
+        return E, C
+
+    def _point(self, x):
+        x = np.asarray(x, dtype=complex)
+        if x.shape != (self.nvars,):
+            raise ValueError("point has shape %s, expected (%d,)" % (x.shape, self.nvars))
+        return x
 
     def partials(self, alphas, x):
         """Raw partials d^alpha f_i(x) as an m x K matrix, one column per
-        multi-index."""
-        return self._kernel.partials(alphas, x)
+        multi-index.
+
+        Term t contributes C[i, t] * prod_j G[j, alpha_j, E[t, j]], where
+        G[j, a, e] = e!/(e-a)! * x_j^(e-a) (zero for a > e) is tabulated
+        once per call. The product runs one variable at a time over K x T
+        blocks, so no K x T x n array is formed.
+        """
+        x = self._point(x)
+        E, C = self._compiled
+        n = self.nvars
+        A = np.asarray(alphas, dtype=np.intp)
+        if A.ndim != 2 or A.shape[1] != n:
+            raise ValueError("multi-indices must have %d entries" % n)
+        m, T = C.shape
+        out = np.zeros((m, len(A)), dtype=complex)
+        if T == 0:
+            return out
+        emax, amax = int(E.max(initial=0)), int(A.max(initial=0))
+        try:
+            falling = np.array([[math.perm(e, a) for e in range(emax + 1)]
+                                for a in range(amax + 1)], dtype=float)
+        except OverflowError:  # a falling factorial above the largest double
+            raise MathDomainError("a derivative of the system overflows a double") from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = np.ones((n, emax + 1), dtype=complex)
+            for e in range(1, emax + 1):
+                powers[:, e] = powers[:, e - 1] * x
+            lowered = np.maximum(np.arange(emax + 1) - np.arange(amax + 1)[:, None], 0)
+            G = falling * powers[:, lowered]
+            step = max(1, _BLOCK // T)
+            for s in range(0, len(A), step):
+                block = A[s : s + step]
+                M = np.ones((len(block), T), dtype=complex)
+                for j in range(n):
+                    M *= G[j][block[:, j : j + 1], E[:, j]]
+                out[:, s : s + step] = C @ M.T
+                if not np.isfinite(out[:, s : s + step]).all():
+                    # an overflowed power times a zero falling factorial is
+                    # NaN where the partial of that term is exactly zero
+                    M[(block[:, None, :] > E).any(axis=2)] = 0
+                    out[:, s : s + step] = _finite(C @ M.T)
+        return out
 
     def curve_taylor(self, x, A, k):
-        """Taylor coefficients of f along x + sum_i A[i] t^(i+1) at
-        t^0..t^k, an m x (k+1) matrix (`_Kernel.curve_taylor`)."""
-        return self._kernel.curve_taylor(x, A, k)
+        """Taylor coefficients at t^0..t^k of f_i along x + sum_i A[i] t^(i+1)
+        as an m x (k+1) matrix (rows of A past the k-th cannot reach t^k).
+
+        Variable j follows the series x_j + sum_i A[i, j] t^(i+1); its
+        powers up to the largest exponent, then per monomial the product of
+        the powers its exponents pick, are power series truncated after t^k.
+        """
+        x = self._point(x)
+        E, C = self._compiled
+        n = self.nvars
+        S = np.vstack([x, np.asarray(A, dtype=complex).reshape(-1, n)[:k]]).T
+        P = np.zeros((int(E.max(initial=0)) + 1, n, k + 1), dtype=complex)
+        P[0, :, 0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for e in range(1, len(P)):
+                P[e] = _series_product(P[e - 1], S)
+            M = np.ones((len(E), 1), dtype=complex)
+            for j in range(n):
+                M = _series_product(P[E[:, j], j], M)
+            return _finite(C @ M)
 
     def eval_at(self, x):
         return self.partials([(0,) * self.nvars], x)[:, 0]
@@ -324,8 +312,10 @@ class PolySystem:
 # `*`-joined `name^k` factors, then a sign or the end. Any other character
 # matches alone with empty groups, so findall tiles the statement. A literal
 # with a longer exponent than MAX_EXPONENT_DIGITS is left to `exactparse`,
-# which refuses it.
+# which refuses it, as it refuses a power of a sum whose expansion can have
+# more than MAX_POWER_TERMS terms.
 MAX_EXPONENT_DIGITS = 5
+MAX_POWER_TERMS = 500
 _NUM = r"\d+(?:\.\d+)?(?:[eE][+-]?\d{1,%d}(?!\d))?" % MAX_EXPONENT_DIGITS
 _MONO = r"[A-Za-z_]\w*(?:\s*\^\s*\d+)?(?:\s*\*\s*[A-Za-z_]\w*(?:\s*\^\s*\d+)?)*"
 _TERM_RE = re.compile(

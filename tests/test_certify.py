@@ -15,7 +15,7 @@ from mzero.dualspace import normalizing_frame
 from mzero.errors import InputError, MathDomainError
 from mzero.polycore import parse_system
 
-from conftest import make_planted_pair, make_split_cluster
+from conftest import make_planted_pair, make_planted_system, make_split_cluster
 
 ORIGIN2 = np.zeros(2, dtype=complex)
 
@@ -306,3 +306,19 @@ def test_certified_ball_holds_the_cluster_and_not_the_second_zero(n, mu):
     assert cert.holds
     assert max(np.linalg.norm(z) for z in cluster) < cert.radius
     assert np.linalg.norm(second) > cert.radius
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (2, 3) for seed in (0, 7)])
+def test_order_five_certificate_off_the_zero(n, seed):
+    # at x = (s, s/2, 0, ...) near the planted zero, lhs is about s/2 and
+    # rhs about 5.7e-18 (6.1e-19 for n = 3, seed 7): the certificate holds
+    # at s = 1e-20 and not at s = 1e-16
+    system = make_planted_system(n, 5, np.random.default_rng(seed))
+    for s, holds in ((1e-20, True), (1e-16, False)):
+        x = np.zeros(n, dtype=complex)
+        x[:2] = s, s / 2
+        cert = certify_cluster(system, x)
+        assert cert.mu == 5
+        assert cert.lhs == pytest.approx(s / 2, rel=0.01)
+        assert 5e-19 < cert.rhs < 6e-18
+        assert cert.holds is holds

@@ -369,6 +369,19 @@ def test_literal_with_a_long_exponent_is_refused_at_once(capsys, tmp_path, expr)
     assert err.startswith("input error: ") and "more than 5 digits" in err
 
 
+@pytest.mark.parametrize("expr", ["(X1+X2+1)^120", "(X1+X2)^3000"])
+def test_power_of_a_sum_above_the_term_budget_is_refused_at_once(capsys, tmp_path, expr):
+    # expanding either exactly takes minutes; both can have more than
+    # polycore.MAX_POWER_TERMS = 500 terms
+    path = tmp_path / "power.mz"
+    path.write_text("vars: X1 X2\nf1: %s\nf2: X2\n" % expr)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "dual", "--system", str(path), "--point", "0,0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and "more than 500 terms" in err
+
+
 def test_missing_point(capsys, ex_triple_path):
     code, out, err = run_cli(capsys, "dual", "--system", ex_triple_path)
     assert code == 2
@@ -553,6 +566,32 @@ def test_derivative_above_a_double_is_domain_error(capsys, tmp_path):
     assert code == 3
     assert "numerical-domain error" in err and "overflows a double" in err
     assert out == ""
+
+
+# gamma at the origin is 1e300 in the first system, whose gamma^3 is above
+# the largest double, and 1e12 in the second, whose separation radius
+# d / (2 gamma^6) is fine but whose certificate rhs needs (4 gamma^6)^6
+STEEP = {
+    "1e300": "vars: X Y\nf: X^2*1e300 + Y\ng: X^3\n",
+    "1e12": "vars: X Y\nf: X^2*1e12 + Y\ng: X^6\n",
+}
+
+
+@pytest.mark.parametrize(
+    "gamma, command, code",
+    [("1e300", "separation", 3), ("1e300", "certify", 3), ("1e12", "separation", 0),
+     ("1e12", "certify", 3)],
+)
+def test_power_of_gamma_above_a_double_is_domain_error(capsys, tmp_path, gamma, command, code):
+    path = tmp_path / "steep.mz"
+    path.write_text(STEEP[gamma])
+    got, out, err = run_cli(capsys, command, "--system", str(path), "--point", "0,0")
+    assert got == code, err
+    if code:
+        assert out == ""
+        assert err.startswith("numerical-domain error: ") and "overflows a double" in err
+    else:
+        assert "gamma: 1e+12" in out
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mzero import dualspace
 from mzero.dualspace import (
     chainrule_Lk,
     compute_dual_basis,
@@ -119,9 +122,10 @@ def test_corank_check_rejects_wider_kernel():
 
 def test_multiplicity_cap():
     sys_ = parse_system("vars: X Y\nf: Y\ng: X^5")
-    with pytest.raises(MultiplicityNotFoundError):
-        compute_dual_basis(sys_, ORIGIN2, max_order=4)
-    assert compute_dual_basis(sys_, ORIGIN2, max_order=6).mu == 5
+    for route in (compute_dual_basis, chainrule_Lk):
+        with pytest.raises(MultiplicityNotFoundError, match="max_order=4"):
+            route(sys_, ORIGIN2, max_order=4)
+        assert route(sys_, ORIGIN2, max_order=6).mu == 5
 
 
 def test_is_normalized_shapes(ex_double, ex_triple):
@@ -319,3 +323,35 @@ def test_chain_functionals_are_the_curve_taylor_coefficients(name):
         scale = max(abs(c) for c in want.values())
         gap = max(abs(functional.coeffs.get(alpha, 0j) - c) for alpha, c in want.items())
         assert gap <= 1e-13 * scale
+
+
+def function_lines(path, name):
+    """(file name, line) of every line of the functions or methods `name`
+    defined in path."""
+    return {
+        (path.name, line)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+
+
+def test_one_chain_loop():
+    # every chain, the product-rule route included, runs dualspace._chain:
+    # apart from the kernel in polycore and a frame handing the call on to
+    # its system, only that loop reads values along the chain's curve, and
+    # it alone refuses a chain with no terminating order
+    src = Path(dualspace.__file__).parent
+    loop = function_lines(src / "dualspace.py", "_chain")
+    handed_on = function_lines(src / "frames.py", "curve_taylor")
+    reads, raises = [], []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "polycore.py":
+            continue
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if ".curve_taylor(" in line and (path.name, number) not in loop | handed_on:
+                reads.append("%s:%d" % (path.name, number))
+            if "raise MultiplicityNotFoundError" in line:
+                raises.append((path.name, number))
+    assert reads == []
+    assert len(raises) == 1 and raises[0] in loop

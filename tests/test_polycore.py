@@ -105,6 +105,20 @@ def test_parse_rejects(bad):
         parse_system(bad)
 
 
+def test_power_of_a_sum_is_refused_above_the_term_budget():
+    # a t-term sum squared can have C(t + 1, 2) terms: 496 for the 31
+    # powers X^0 .. X^30 (61 distinct monomials), 528 for 32; (X+Y)^100
+    # can have 101
+    assert polycore.MAX_POWER_TERMS == 500
+    powers = " + ".join("X^%d" % i for i in range(31))
+    f = parse_system("vars: X Y\nf: (%s)^2\ng: Y" % powers).polys[0]
+    assert f.terms == {(i, 0): float(min(i, 60 - i) + 1) for i in range(61)}
+    with pytest.raises(ParseError, match="a power of a 32-term sum"):
+        parse_system("vars: X Y\nf: (%s + X^31)^2\ng: Y" % powers)
+    f = parse_system("vars: X Y\nf: (X+Y)^100\ng: Y").polys[0]
+    assert f.terms == {(k, 100 - k): float(math.comb(100, k)) for k in range(101)}
+
+
 def test_unary_minus_and_power():
     sys_ = parse_system("vars: X\nf: -X^3 + (-2)*X")
     assert sys_.polys[0].terms[(3,)] == -1.0
