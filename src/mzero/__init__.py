@@ -44,8 +44,10 @@ _SUBMODULES = (*_EXPORTS, "cli")
 __version__ = "0.1.0"
 
 # the iterations of `newton.iterate_until` (normalized of order 2, of order
-# 3, general), named here so that `mzero --help` loads no numpy
+# 3, general) and the variants of `constants.threshold_constants`, named
+# here so that the command line reads its choices without loading a layer
 VARIANTS = ("normalized_double", "normalized_triple", "general")
+THRESHOLD_VARIANTS = ("normalized_double", "normalized_triple", "general_triple")
 
 # defaults of the chain-length detection and of refinement, for the layers
 # and the command line

@@ -18,9 +18,14 @@ Each command imports only the layers it runs: `separation --mu k`
 without a system and `thresholds` read the numpy-free `constants` module
 alone, `dual`, `gamma` and `refine` never load it, and numpy is loaded
 where a point is parsed. Only `dual` loads `functionals`, and only a
-frame loads `frames`. The parser is built for the invoked command alone
-(the full one, for `mzero --help`, loads no numpy), and no call imports
-`json` or `dataclasses`.
+frame loads `frames`. No call imports `json` or `dataclasses`.
+
+Each command has one flag table. A well-formed call (exact flags, values
+that convert and lie in their choices, every required flag) is read from
+it directly, so `argparse`, `gettext` and `locale` load only for help,
+usage and errors. Those go to the argparse parser built from the same
+table for the invoked command alone (the full one, for `mzero --help`,
+loads no numpy).
 
 The JSON output is deterministic: keys are sorted, floats are printed
 with 17 significant digits, and complex values appear as {"im": ...,
@@ -29,12 +34,12 @@ exactly. A result holding a non-finite number is a numerical-domain error,
 as JSON has no literal for it.
 """
 
-import argparse
-import cmath
 import math
 import re
 import sys
-from . import DEFAULT_TOLERANCES, VARIANTS
+from types import SimpleNamespace
+
+from . import DEFAULT_TOLERANCES, THRESHOLD_VARIANTS, VARIANTS
 from .errors import InputError, MathDomainError, ParseError
 
 
@@ -118,7 +123,7 @@ def _coordinate(text, where=""):
         value = complex(text.replace(" ", "").replace("i", "j"))
     except ValueError:
         raise ParseError("bad coordinate %r%s" % (text, where))
-    if not cmath.isfinite(value):
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ParseError("non-finite coordinate %r%s" % (text, where))
     return value
 
@@ -374,34 +379,55 @@ def cmd_thresholds(args):
 # argument wiring
 
 
-def _add_common(sub, mu=True, mode=True):
-    sub.add_argument("--system", help="path to a system description file")
-    sub.add_argument("--point", help="comma-separated complex coordinates")
-    sub.add_argument("--point-file", help="file with one coordinate per line")
-    if mu:
-        sub.add_argument("--mu", type=int, help="multiplicity (detected if omitted)")
-    if mode:
-        sub.add_argument("--mode", choices=("estimate", "certified"),
-                         help="tensor norm handling for growth invariants")
-    sub.add_argument("--gap-tol", type=float)
-    sub.add_argument("--delta-zero-tol", type=float)
-    sub.add_argument("--json", action="store_true", help="canonical JSON output")
+def _flag(flag, type=str, help=None, choices=None, required=False, dest=None):
+    """One row of a flag table: (flag, dest, type, choices, required, help).
+    A type of None marks a store-true switch."""
+    return (flag, dest or flag[2:].replace("-", "_"), type, choices, required, help)
 
 
-# name: (handler, help, keywords of _add_common or None)
+_LOCATION = [
+    _flag("--system", help="path to a system description file"),
+    _flag("--point", help="comma-separated complex coordinates"),
+    _flag("--point-file", help="file with one coordinate per line"),
+]
+_MU = _flag("--mu", int, "multiplicity (detected if omitted)")
+_MODE = _flag("--mode", help="tensor norm handling for growth invariants",
+              choices=("estimate", "certified"))
+_TOLERANCES = [_flag("--gap-tol", float), _flag("--delta-zero-tol", float)]
+_JSON = _flag("--json", None, "canonical JSON output")
+_GROWTH = _LOCATION + [_MU, _MODE] + _TOLERANCES + [_JSON]
+_REFINE = _LOCATION + [_MU] + _TOLERANCES + [
+    _JSON,
+    _flag("--variant", help="iteration variant (auto picks by mu and coordinate shape)",
+          choices=("auto",) + VARIANTS),
+    _flag("--eps", float),
+    _flag("--max-iter", int),
+]
+
+# the value of each flag left out, or that the command lacks
+_DEFAULTS = dict(system=None, point=None, point_file=None, mu=None, mode="estimate", json=False,
+                 **DEFAULT_TOLERANCES)
+
+# name: (handler, help, flag table, defaults beyond _DEFAULTS)
 COMMANDS = {
-    "dual": (cmd_dual, "dual basis and multiplicity at a point", dict(mu=False, mode=False)),
-    "gamma": (cmd_gamma, "growth invariants at a normalized zero", {}),
-    "separation": (cmd_separation, "separation constant and radius", {}),
-    "certify": (cmd_certify, "cluster certificate at an approximate zero", {}),
-    "refine": (cmd_refine, "refine an approximate multiple zero", dict(mode=False)),
-    "thresholds": (cmd_thresholds, "convergence threshold constants", None),
+    "dual": (cmd_dual, "dual basis and multiplicity at a point",
+             _LOCATION + _TOLERANCES + [_JSON, _flag("--max-order", int)], {}),
+    "gamma": (cmd_gamma, "growth invariants at a normalized zero", _GROWTH, {}),
+    "separation": (cmd_separation, "separation constant and radius", _GROWTH, {}),
+    "certify": (cmd_certify, "cluster certificate at an approximate zero", _GROWTH, {}),
+    "refine": (cmd_refine, "refine an approximate multiple zero", _REFINE, {"variant": "auto"}),
+    "thresholds": (cmd_thresholds, "convergence threshold constants", [
+        _flag("--variant", choices=THRESHOLD_VARIANTS, required=True, dest="threshold_variant"),
+        _flag("--json", None),
+    ], {}),
 }
 
 
 def build_parser(command=None):
     """The parser with the subparser of `command` alone, or of every
     command when `command` names none."""
+    import argparse  # loaded only for help, usage and errors; see _fast_args
+
     parser = argparse.ArgumentParser(
         prog="mzero",
         description="Multiplicity structure, separation bounds, and refinement "
@@ -413,33 +439,61 @@ def build_parser(command=None):
     metavar = "{%s}" % ",".join(COMMANDS) if len(names) == 1 else None
     subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        _, help_text, common = COMMANDS[name]
+        _, help_text, flags, defaults = COMMANDS[name]
         sp = subs.add_parser(name, help=help_text)
-        # the value of each flag left out, or that the command lacks
-        sp.set_defaults(system=None, point=None, point_file=None, mu=None, mode="estimate",
-                        **DEFAULT_TOLERANCES)
-        if common is not None:
-            _add_common(sp, **common)
-        if name == "dual":
-            sp.add_argument("--max-order", type=int)
-        elif name == "refine":
-            sp.add_argument("--variant", choices=("auto",) + VARIANTS, default="auto",
-                            help="iteration variant (auto picks by mu and coordinate shape)")
-            sp.add_argument("--eps", type=float)
-            sp.add_argument("--max-iter", type=int)
-        elif name == "thresholds":
-            from .constants import THRESHOLD_VARIANTS
-
-            sp.add_argument("--variant", dest="threshold_variant", choices=THRESHOLD_VARIANTS,
-                            required=True)
-            sp.add_argument("--json", action="store_true")
-
+        sp.set_defaults(**_DEFAULTS, **defaults)
+        for flag, dest, kind, choices, required, help_text in flags:
+            if kind is None:
+                sp.add_argument(flag, dest=dest, action="store_true", help=help_text)
+            else:
+                sp.add_argument(flag, dest=dest, type=kind, choices=choices, required=required,
+                                help=help_text)
     # every option that takes a value, for _join_value_flags
-    parser.value_flags = {
-        flag for sub in subs.choices.values() for action in sub._actions
-        if action.nargs is None for flag in action.option_strings
-    }
+    parser.value_flags = {row[0] for name in names for row in COMMANDS[name][2] if row[2]}
     return parser
+
+
+def _fast_args(argv):
+    """The flags of a well-formed call, as build_parser's parser reads them
+    from _join_value_flags(argv), without loading argparse.
+
+    Takes a command name and then only that command's exact flags: a
+    switch bare, a value as `--flag=value` or as the next token, whatever
+    it begins with, converted by the table's type and inside its choices;
+    every required flag present. Returns None for anything else (help, an
+    error, an abbreviation, `--` as a token or a value, a stray token),
+    which argparse reads.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, _, flags, defaults = COMMANDS[argv[0]]
+    table = {row[0]: row for row in flags}
+    values = dict(_DEFAULTS, command=argv[0], **defaults)
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        flag, eq, value = tok.partition("=")
+        if flag not in table:
+            return None
+        _, dest, kind, choices, _, _ = table[flag]
+        if kind is None:
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+        if value is None or value == "--":  # argparse reads a value "--" as none
+            return None
+        try:
+            value = kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if any(required and dest not in values for _, dest, _, _, required, _ in flags):
+        return None
+    return SimpleNamespace(**values)
 
 
 def _check_args(args):
@@ -486,12 +540,13 @@ def _join_value_flags(argv, flags):
 def main(argv=None):
     try:
         argv = sys.argv[1:] if argv is None else argv
-        parser = build_parser(argv[0] if argv else None)
-        argv = _join_value_flags(argv, parser.value_flags)
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code) if exc.code else 0
+        args = _fast_args(argv)
+        if args is None:
+            parser = build_parser(argv[0] if argv else None)
+            try:
+                args = parser.parse_args(_join_value_flags(argv, parser.value_flags))
+            except SystemExit as exc:
+                return int(exc.code) if exc.code else 0
         _check_args(args)
         return COMMANDS[args.command][0](args)
     except InputError as exc:

@@ -9,6 +9,7 @@ imports `p_of_d` and `separation_constant` under their old names, and
 
 import math
 
+from . import THRESHOLD_VARIANTS
 from .errors import InputError, NoRootError
 from .record import Record
 
@@ -23,7 +24,7 @@ _SEPARATION_TOL = 1e-13
 _THRESHOLD_TOL = 1e-12
 
 
-def smallest_positive_root(fn, upper, tol=1e-10):
+def smallest_positive_root(fn, upper, tol=1e-10, first=1):
     """First zero crossing of a scalar function on (0, upper].
 
     The function must be positive at zero. The interval is scanned on a
@@ -33,7 +34,8 @@ def smallest_positive_root(fn, upper, tol=1e-10):
     last point where fn was seen positive: it sits on the positive side
     of the crossing, within relative `tol` of it, so a radius built from
     it does not overshoot. Raises NoRootError when every grid value
-    stays positive.
+    stays positive. The scan starts at grid point `first`; a caller that
+    knows fn positive at every grid point below it passes it to skip them.
     """
     if not upper > 0.0:
         raise ValueError("upper bracket must be positive")
@@ -42,18 +44,16 @@ def smallest_positive_root(fn, upper, tol=1e-10):
         raise ValueError("function must be positive at zero")
     lo = 0.0
     hi = None
-    prev = 0.0
-    for i in range(1, _GRID + 1):
+    for i in range(first, _GRID + 1):
         t = upper * i / _GRID
         v = fn(t)
         if v != v:
             # NaN: the scan has reached a pole
             break
         if v <= 0.0:
-            lo = prev
+            lo = upper * (i - 1) / _GRID
             hi = t
             break
-        prev = t
     if hi is None:
         raise NoRootError("no sign change on (0, %g] with %d samples" % (upper, _GRID))
     while hi - lo > tol * hi:
@@ -315,13 +315,13 @@ def rational_functions(variant, u):
 
 
 # variant -> (mu, scan bracket safely below the first pole, threshold
-# equation); the refinement iterations themselves are mzero.VARIANTS
-_THRESHOLDS = {
-    "normalized_double": (2, 0.05, lambda u: 2 * _b21(u) ** 2 + 2 * _b23(u) ** 2),
-    "normalized_triple": (3, 0.05, lambda u: 2 * _b21(u) ** 2 + 2 * _b33(u) ** 2),
-    "general_triple": (3, 0.03, lambda u: _general_b1(u) ** 2 + _general_b2(u) ** 2),
-}
-THRESHOLD_VARIANTS = tuple(_THRESHOLDS)
+# equation), for the variants in the order of mzero.THRESHOLD_VARIANTS; the
+# refinement iterations themselves are mzero.VARIANTS
+_THRESHOLDS = dict(zip(THRESHOLD_VARIANTS, (
+    (2, 0.05, lambda u: 2 * _b21(u) ** 2 + 2 * _b23(u) ** 2),
+    (3, 0.05, lambda u: 2 * _b21(u) ** 2 + 2 * _b33(u) ** 2),
+    (3, 0.03, lambda u: _general_b1(u) ** 2 + _general_b2(u) ** 2),
+)))
 
 
 def threshold_constants(variant):
@@ -337,8 +337,10 @@ def threshold_constants(variant):
             "variant must be one of %s" % (", ".join(THRESHOLD_VARIANTS))
         )
     mu, upper, eq = _THRESHOLDS[variant]
-    u_conv = smallest_positive_root(lambda u: 1.0 - eq(u), upper, tol=_THRESHOLD_TOL)
     u_quad = smallest_positive_root(lambda u: 0.25 - eq(u), upper, tol=_THRESHOLD_TOL)
+    # eq < 1/4 at every grid point below u_quad's cell, so 1 - eq > 0 there
+    u_conv = smallest_positive_root(lambda u: 1.0 - eq(u), upper, tol=_THRESHOLD_TOL,
+                                    first=max(1, int(u_quad / upper * _GRID)))
     return ThresholdSet(
         variant=variant, mu=mu, u_converge=u_conv, u_quadratic=u_quad
     )

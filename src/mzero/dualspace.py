@@ -25,7 +25,7 @@ import numpy as np
 
 from . import DEFAULT_TOLERANCES as DEFAULTS, _reexport
 from .errors import BreadthError, CorankError, InputError, MultiplicityNotFoundError
-from .numkit import matrix_spectral_norm, solve_least_squares, solve_linear, svd
+from .numkit import matrix_spectral_norm, scaled_norm, solve_least_squares, solve_linear, svd
 
 __getattr__ = _reexport(__name__, {"functionals": ("chainrule_Lk",)})
 
@@ -171,13 +171,13 @@ def compute_dual_basis(source, x, max_order=DEFAULTS["max_order"], gap_tol=DEFAU
 
     def outside_column_space(k, vals):
         resid = abs(vals[-1]) if normalized else abs(np.vdot(u_last, vals))
-        return resid > delta_zero_tol * float(np.linalg.norm(vals)) + 1e-14
+        return resid > delta_zero_tol * scaled_norm(vals) + 1e-14
 
     def correction(k, vals):
         if normalized:
             return solve_linear(Jhat, -vals[: n - 1])
         ahat, solve_resid = solve_least_squares(J[:, 1:], -vals)
-        if solve_resid > _BREADTH_RTOL * float(np.linalg.norm(vals)) + 1e-12:
+        if solve_resid > _BREADTH_RTOL * scaled_norm(vals) + 1e-12:
             raise BreadthError(
                 "correction solve residual %.3e is too large for a "
                 "single-chain structure at order %d" % (solve_resid, k)

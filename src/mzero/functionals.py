@@ -17,7 +17,7 @@ import numpy as np
 from . import DEFAULT_TOLERANCES as DEFAULTS
 from .dualspace import _chain, _check_corank_one, _dual_basis, is_normalized
 from .errors import NotNormalizedError
-from .numkit import solve_linear, svd
+from .numkit import scaled_norm, solve_linear, svd
 from .polycore import Poly
 
 
@@ -175,7 +175,7 @@ def chainrule_Lk(frame, w, kmax=None, max_order=DEFAULTS["max_order"],
     def stop(k, vals):
         if kmax is not None:
             return k == kmax
-        return abs(vals[-1]) > delta_zero_tol * float(np.linalg.norm(vals)) + 1e-14
+        return abs(vals[-1]) > delta_zero_tol * scaled_norm(vals) + 1e-14
 
     a_rows, values = _chain(
         frame, w, a1, lambda k, vals: solve_linear(Jhat, -vals[: n - 1]), stop,

@@ -71,6 +71,14 @@ def matrix_spectral_norm(A):
     return float(singular_values(A)[0])
 
 
+def scaled_norm(v):
+    """The two-norm of a vector, taken relative to its largest entry, so
+    that it stays finite wherever that entry does (squaring the entries
+    overflows from about 1.3e154)."""
+    big = float(np.max(np.abs(v)))
+    return big * float(np.linalg.norm(v / big)) if 0.0 < big < np.inf else big
+
+
 def solve_linear(A, b):
     """Solve A x = b, refusing matrices singular to working precision."""
     A = np.asarray(A, dtype=complex)

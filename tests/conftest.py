@@ -62,10 +62,11 @@ def ex_triple_path(tmp_path):
     return str(p)
 
 
-def perfbench_gen():
-    """The benchmark's seeded system generator, `perfbench/gen.py`."""
+def perfbench_module(name):
+    """A module of the benchmark, `perfbench/<name>.py`, such as its seeded
+    system generator `gen`."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", Path(__file__).parents[1] / "perfbench" / "gen.py"
+        "perfbench_" + name, Path(__file__).parents[1] / "perfbench" / (name + ".py")
     )
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
@@ -184,13 +185,13 @@ def make_planted_pair(n, mu, rng, c=0.1, coeff_scale=0.3):
     phi(X). Its zero at the origin has multiplicity mu, and its other zero
     near the origin is phi^-1(c e1), found here by Newton on phi from c e1.
     """
-    system, _, second = make_split_cluster(n, mu, rng, 0.0, c, coeff_scale)
+    system, _, second, _ = make_split_cluster(n, mu, rng, 0.0, c, coeff_scale)
     return system, second
 
 
 def make_split_cluster(n, mu, rng, eps, c=0.1, coeff_scale=0.3):
     """The planted pair with its multiple zero split into a cluster:
-    (system, the mu cluster zeros, the second zero).
+    (system, the mu cluster zeros, the second zero, phi as a PolySystem).
 
     g = (phi_2, ..., phi_n, (phi_1^mu - eps)(c - phi_1)) is (Y_2, ...,
     Y_n, (Y_1^mu - eps)(c - Y_1)) in Y = phi(X). Its zeros near the origin
@@ -223,7 +224,7 @@ def make_split_cluster(n, mu, rng, eps, c=0.1, coeff_scale=0.3):
 
     root = eps ** (1.0 / mu)
     cluster = [inverse(root * np.exp(2j * np.pi * j / mu)) for j in range(mu)]
-    return system, cluster, inverse(c)
+    return system, cluster, inverse(c), coordinates
 
 
 def macaulay_multiplicity(system, max_order=6, tol=1e-8):

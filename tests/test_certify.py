@@ -287,7 +287,7 @@ def test_separation_radius_excludes_the_second_planted_zero(n, mu):
     assert sep.bound < np.linalg.norm(second)
 
 
-@pytest.mark.parametrize("n, mu", [(n, mu) for n in (2, 3) for mu in (2, 3, 4)])
+@pytest.mark.parametrize("n, mu", [(n, mu) for n in (2, 3) for mu in (2, 3, 4, 5, 6, 8)])
 def test_certified_ball_holds_the_cluster_and_not_the_second_zero(n, mu):
     # split the planted zero by eps = rhs / 10 of its own certificate at
     # the origin: the certificate there must still hold, its ball must
@@ -296,10 +296,18 @@ def test_certified_ball_holds_the_cluster_and_not_the_second_zero(n, mu):
     x = np.zeros(n, dtype=complex)
     system, _ = make_planted_pair(n, mu, np.random.default_rng(0), c=0.1)
     eps = certify_cluster(system, x).rhs / 10
-    system, cluster, second = make_split_cluster(n, mu, np.random.default_rng(0), eps, c=0.1)
+    system, cluster, second, phi = make_split_cluster(
+        n, mu, np.random.default_rng(0), eps, c=0.1)
     at_center = np.linalg.norm(system.eval_at(x))
     for i, z in enumerate(cluster):
-        assert np.linalg.norm(system.eval_at(z)) <= 1e-6 * at_center
+        # from mu = 5 on, the rounding of g at z (about 1e-16 |z|) is above
+        # |g(0)| = 0.1 eps, so the zero is checked in Y = phi(z), where g
+        # is (Y_2, ..., Y_n, (Y_1^mu - eps)(0.1 - Y_1))
+        if mu <= 4:
+            assert np.linalg.norm(system.eval_at(z)) <= 1e-6 * at_center
+        y = phi.eval_at(z)
+        assert np.linalg.norm(y[1:]) <= 1e-12 * abs(y[0])
+        assert abs(y[0] ** mu / eps - 1) <= 1e-12
         assert min(np.linalg.norm(z - w) for w in cluster[:i] + cluster[i + 1 :]) > 0
     assert np.linalg.norm(system.eval_at(second)) < 1e-15
     cert = certify_cluster(system, x, mu=mu)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,10 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 import mzero
 from mzero import constants, polycore
-from mzero.cli import COMMANDS, _quote, build_parser, canonical_json, main, parse_point
+from mzero.cli import (
+    COMMANDS, _fast_args, _join_value_flags, _quote, build_parser, canonical_json, main,
+    parse_point,
+)
 from mzero.errors import MathDomainError
 
-from conftest import EX_DOUBLE, EX_TRIPLE, make_planted_system, perfbench_gen
+from conftest import EX_DOUBLE, EX_TRIPLE, make_planted_system, perfbench_module
 
 # X1^2 overflows a double at X1 = 1e200, and its chain at the origin ends
 # at order 2
@@ -282,7 +287,7 @@ def test_refine_point_file(capsys, ex_triple_path, tmp_path):
 def _write_planted(tmp_path, n, mu, seed):
     system = make_planted_system(n, mu, np.random.default_rng(seed))
     path = tmp_path / ("planted_%d_%d.mz" % (n, mu))
-    path.write_text(perfbench_gen().system_text([p.terms for p in system.polys]))
+    path.write_text(perfbench_module("gen").system_text([p.terms for p in system.polys]))
     return str(path)
 
 
@@ -830,7 +835,7 @@ EXACT_MODULES = "\nimport json, sys; print(json.dumps(sorted(set(sys.modules) & 
 
 
 def test_a_scanned_system_does_not_load_the_exact_parser(tmp_path):
-    gen = perfbench_gen()
+    gen = perfbench_module("gen")
     path = tmp_path / "dense.txt"
     path.write_text(gen.system_text(gen.planted_system(4, 2, np.random.default_rng(1))))
     path = str(path)
@@ -881,7 +886,8 @@ LOADED = "\nimport sys; loaded = set(sys.modules)\nimport json; print(json.dumps
 
 
 def test_import_cli_loads_neither_dataclasses_nor_constants():
-    watched = {"dataclasses", "mzero.constants", "mzero.record"}
+    watched = {"dataclasses", "mzero.constants", "mzero.record", "argparse", "gettext",
+               "locale"}
     assert run_fresh("import mzero.cli" + LOADED % watched) == []
 
 
@@ -896,7 +902,8 @@ def test_dual_and_gamma_do_not_load_constants(ex_triple_path, command):
     assert run_fresh(RUN_MAIN % argv + LOADED % {"mzero.constants"}) == []
 
 
-WATCHED = {"json", "mzero.constants", "mzero.functionals", "mzero.frames"}
+WATCHED = {"json", "mzero.constants", "mzero.functionals", "mzero.frames", "argparse",
+           "gettext", "locale"}
 
 
 @pytest.mark.parametrize(
@@ -918,14 +925,90 @@ WATCHED = {"json", "mzero.constants", "mzero.functionals", "mzero.frames"}
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     # at a normalized point of a scanned system only `dual` builds
     # functionals and only a general step needs a frame; no command
-    # imports json, and refinement reads no universal constant
-    gen = perfbench_gen()
+    # imports json, refinement reads no universal constant, and a
+    # well-formed call is parsed without argparse
+    gen = perfbench_module("gen")
     path = tmp_path / "dense.txt"
     path.write_text(gen.system_text(gen.planted_system(4, 2, np.random.default_rng(1))))
     places = {"ORIGIN": ["--system", str(path), "--point", "0,0,0,0"],
               "NEAR": ["--system", str(path), "--point", "1e-3,0,0,0", "--mu", "2"]}
     argv = [a for arg in argv for a in places.get(arg, [arg])] + ["--json"]
     assert run_fresh(RUN_MAIN % argv + LOADED % WATCHED) == loaded
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["dual", "--help"], 0), (["gamma", "--point", "0,0", "--mu", "x"], 2),
+     (["thresholds", "--variant", "bogus"], 2)],
+    ids=["help", "bad-int", "bad-choice"],
+)
+def test_help_and_errors_load_argparse(argv, code):
+    # what _fast_args declines goes to argparse, which prints help and errors
+    run = "from mzero.cli import main; assert main(%r) == %d" % (argv, code)
+    assert run_fresh(run + LOADED % {"argparse"}) == ["argparse"]
+
+
+def _argparse_args(argv):
+    """The flags argparse reads from argv as main passes it, or None where
+    it prints help or an error."""
+    parser = build_parser(argv[0] if argv else None)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(_join_value_flags(argv, parser.value_flags))
+        except SystemExit:
+            return None
+
+
+def _same_args(fast, ref):
+    # by repr, so that nan reads equal to nan and 1 differs from 1.0
+    def key(args):
+        return sorted(map(repr, vars(args).items()))
+
+    return ref is not None and key(fast) == key(ref)
+
+
+FLAGS = sorted({row[0] for _, _, flags, _ in COMMANDS.values() for row in flags})
+VALUES = {
+    int: ["3", "-1", " 7 ", "2.5", "x", "", "1e3"],
+    float: ["1e-8", "-1e-3", "nan", "-inf", "2", "1e-8x", "0x1p-3"],
+    str: ["0,0", "-0.01,0.01", "--json", "-h", "--", "x.mz", "a=b", ""],
+}
+
+
+@st.composite
+def command_lines(draw):
+    """Command names, the command's own flags and others', unknown flags,
+    switches given a value, both value forms, values that begin with '-',
+    bad numbers and choices, repeats, a missing required flag."""
+    command = draw(st.sampled_from(list(COMMANDS) + ["bogus", "--help"]))
+    own = COMMANDS.get(command, (None, None, [], None))[2]
+    argv = [command]
+    for _ in range(draw(st.integers(0, 5))):
+        row = draw(st.sampled_from(own)) if own and draw(st.integers(0, 5)) else None
+        flag = row[0] if row else draw(st.sampled_from(FLAGS + ["--sys", "--bogus", "-h", "--"]))
+        kind = row[2] if row else str
+        pool = list(row[3] or VALUES[kind]) if row and kind else VALUES[str]
+        value = draw(st.sampled_from(pool + ["bogus", "-1"]))
+        form = draw(st.sampled_from(["bare", "space", "eq"] if kind else ["bare"] * 3 + ["eq"]))
+        argv += [flag] if form == "bare" else [flag, value] if form == "space" else [
+            flag + "=" + value]
+    return argv
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(command_lines())
+def test_fast_path_reads_what_argparse_reads(argv):
+    fast = _fast_args(argv)
+    assert fast is None or _same_args(fast, _argparse_args(argv)), argv
+
+
+def test_fast_path_takes_every_benchmark_call(tmp_path):
+    run = perfbench_module("run")
+    calls = [[c.command] + c.args for listed in run.CALL_LISTS.values()
+             for c in listed(str(tmp_path), 1)]
+    for argv in calls + [argv + ["--json"] for argv in calls]:
+        fast = _fast_args(argv)
+        assert fast is not None and _same_args(fast, _argparse_args(argv)), argv
 
 
 @pytest.mark.parametrize(
@@ -947,18 +1030,28 @@ AT_ZERO = ["--system", "SYSTEM", "--point", "0,0"]
 WORKED = (("double", EX_DOUBLE, "2"), ("triple", EX_TRIPLE, "3"))
 
 
+# chain values above 1e154, whose squares overflow a double
+HUGE = "vars: X Y\nf: Y + 1e155*X^2\ng: 1e150*X^2\n"
+
+
 @pytest.mark.parametrize(
-    "text, argv, code",
-    [pytest.param(text, [command] + AT_ZERO, 0, id=command + "-" + name)
-     for name, text, _ in WORKED for command in ("dual", "gamma", "separation", "certify")]
+    "text, argv, code, mu",
+    [pytest.param(text, [command] + AT_ZERO, 0, mu if command == "dual" else None,
+                  id=command + "-" + name)
+     for name, text, mu in WORKED for command in ("dual", "gamma", "separation", "certify")]
     + [pytest.param(text, ["refine", "--system", "SYSTEM", "--point=-0.01,0.01", "--mu", mu],
-                    0, id="refine-" + name) for name, text, mu in WORKED]
-    + [pytest.param(None, ["thresholds", "--variant", "general_triple"], 0, id="thresholds")]
-    + [pytest.param(SQUARE, [command, "--system", "SYSTEM", "--point", "1e200,0"], 3,
+                    0, None, id="refine-" + name) for name, text, mu in WORKED]
+    + [pytest.param(None, ["thresholds", "--variant", "general_triple"], 0, None,
+                    id="thresholds")]
+    + [pytest.param(SQUARE, [command, "--system", "SYSTEM", "--point", "1e200,0"], 3, None,
                     id=command + "-overflow") for command in ("gamma", "refine", "certify")]
-    + [pytest.param(SQUARE, ["certify"] + AT_ZERO + ["--mu", "3"], 3, id="certify-delta-zero")],
+    + [pytest.param(SQUARE, ["certify"] + AT_ZERO + ["--mu", "3"], 3, None,
+                    id="certify-delta-zero")]
+    + [pytest.param(HUGE, ["dual"] + AT_ZERO, 0, "2", id="dual-huge-chain-values")]
+    + [pytest.param(STEEP["1e300"], [command] + AT_ZERO, 3, None, id=command + "-gamma-1e300")
+       for command in ("separation", "certify")],
 )
-def test_no_warning_reaches_stderr(tmp_path, text, argv, code):
+def test_no_warning_reaches_stderr(tmp_path, text, argv, code, mu):
     # a new interpreter per call, in which every warning is an error
     path = tmp_path / "system.mz"
     if text is not None:
@@ -972,6 +1065,8 @@ def test_no_warning_reaches_stderr(tmp_path, text, argv, code):
     got, err = proc.returncode, proc.stderr
     assert "Warning" not in err
     assert got == code, err
+    if mu is not None:
+        assert proc.stdout.startswith("multiplicity: %s\n" % mu)
     if code:
         # the overflow and the vanishing delta_mu each get one line
         assert err.startswith("numerical-domain error: ") and err.count("\n") == 1

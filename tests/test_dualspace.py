@@ -128,6 +128,14 @@ def test_multiplicity_cap():
         assert route(sys_, ORIGIN2, max_order=6).mu == 5
 
 
+@pytest.mark.filterwarnings("error")
+def test_chain_values_above_1e154_keep_the_multiplicity():
+    # the squares of the chain values overflow a double, their norm does not
+    sys_ = parse_system("vars: X Y\nf: Y + 1e155*X^2\ng: 1e150*X^2")
+    for route in (compute_dual_basis, chainrule_Lk):
+        assert route(sys_, ORIGIN2).mu == 2
+
+
 def test_is_normalized_shapes(ex_double, ex_triple):
     assert is_normalized(ex_triple.jacobian(ORIGIN2))
     assert not is_normalized(ex_double.jacobian(ORIGIN2))

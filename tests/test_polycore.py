@@ -20,7 +20,7 @@ from mzero.polycore import (
     unitary_pullback,
 )
 
-from conftest import EX_DOUBLE, EX_TRIPLE, monomials, perfbench_gen, random_unitary
+from conftest import EX_DOUBLE, EX_TRIPLE, monomials, perfbench_module, random_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def test_term_scanner_selection(stmt, scanned):
 
 
 def test_term_scanner_reads_the_benchmark_format(monkeypatch):
-    gen = perfbench_gen()
+    gen = perfbench_module("gen")
     polys = gen.planted_system(6, 3, np.random.default_rng(5))
 
     def refuse(*args):
