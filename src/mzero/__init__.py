@@ -17,7 +17,7 @@ _EXPORTS = {
     ),
     "constants": (
         "CoefficientTable", "SeparationResult", "ThresholdSet", "coefficient_table",
-        "p_of_d", "rational_functions", "separation_constant",
+        "p_of_d", "separation_constant",
         "smallest_positive_root", "threshold_constants",
     ),
     "dualspace": ("DualBasis", "compute_dual_basis", "is_normalized", "normalizing_frame"),

@@ -4,8 +4,7 @@ For a multiplicity-mu zero in normalized coordinates, a universal
 constant d(mu) in (0, 1) controls a punctured ball around the zero that
 contains no other zero: the exclusion radius is d / (2 gamma^mu). The
 constant and its coefficient table live in the numpy-free `constants`
-module; `p_of_d` and `separation_constant` are imported here under their
-old names.
+module.
 
 For an approximate zero x, `certify_cluster` builds the order-mu
 truncation of the system at x (exactly normalized there by construction),
@@ -19,7 +18,7 @@ import math
 
 import numpy as np
 
-from .constants import p_of_d, separation_constant  # noqa: F401
+from .constants import separation_constant
 from .dualspace import LOOSE_NORMALIZED_RTOL
 from .errors import MathDomainError
 from .gamma import LocalModel

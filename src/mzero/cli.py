@@ -25,7 +25,8 @@ that convert and lie in their choices, every required flag) is read from
 it directly, so `argparse`, `gettext` and `locale` load only for help,
 usage and errors. Those go to the argparse parser built from the same
 table for the invoked command alone (the full one, for `mzero --help`,
-loads no numpy).
+loads no numpy). A flag value of exactly `--`, which argparse would drop,
+is an input error.
 
 The JSON output is deterministic: keys are sorted, floats are printed
 with 17 significant digits, and complex values appear as {"im": ...,
@@ -406,20 +407,20 @@ _REFINE = _LOCATION + [_MU] + _TOLERANCES + [
 
 # the value of each flag left out, or that the command lacks
 _DEFAULTS = dict(system=None, point=None, point_file=None, mu=None, mode="estimate", json=False,
-                 **DEFAULT_TOLERANCES)
+                 variant="auto", **DEFAULT_TOLERANCES)
 
-# name: (handler, help, flag table, defaults beyond _DEFAULTS)
+# name: (handler, help, flag table)
 COMMANDS = {
     "dual": (cmd_dual, "dual basis and multiplicity at a point",
-             _LOCATION + _TOLERANCES + [_JSON, _flag("--max-order", int)], {}),
-    "gamma": (cmd_gamma, "growth invariants at a normalized zero", _GROWTH, {}),
-    "separation": (cmd_separation, "separation constant and radius", _GROWTH, {}),
-    "certify": (cmd_certify, "cluster certificate at an approximate zero", _GROWTH, {}),
-    "refine": (cmd_refine, "refine an approximate multiple zero", _REFINE, {"variant": "auto"}),
+             _LOCATION + _TOLERANCES + [_JSON, _flag("--max-order", int)]),
+    "gamma": (cmd_gamma, "growth invariants at a normalized zero", _GROWTH),
+    "separation": (cmd_separation, "separation constant and radius", _GROWTH),
+    "certify": (cmd_certify, "cluster certificate at an approximate zero", _GROWTH),
+    "refine": (cmd_refine, "refine an approximate multiple zero", _REFINE),
     "thresholds": (cmd_thresholds, "convergence threshold constants", [
         _flag("--variant", choices=THRESHOLD_VARIANTS, required=True, dest="threshold_variant"),
         _flag("--json", None),
-    ], {}),
+    ]),
 }
 
 
@@ -439,9 +440,9 @@ def build_parser(command=None):
     metavar = "{%s}" % ",".join(COMMANDS) if len(names) == 1 else None
     subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        _, help_text, flags, defaults = COMMANDS[name]
+        _, help_text, flags = COMMANDS[name]
         sp = subs.add_parser(name, help=help_text)
-        sp.set_defaults(**_DEFAULTS, **defaults)
+        sp.set_defaults(**_DEFAULTS)
         for flag, dest, kind, choices, required, help_text in flags:
             if kind is None:
                 sp.add_argument(flag, dest=dest, action="store_true", help=help_text)
@@ -466,9 +467,9 @@ def _fast_args(argv):
     """
     if not argv or argv[0] not in COMMANDS:
         return None
-    _, _, flags, defaults = COMMANDS[argv[0]]
+    flags = COMMANDS[argv[0]][2]
     table = {row[0]: row for row in flags}
-    values = dict(_DEFAULTS, command=argv[0], **defaults)
+    values = dict(_DEFAULTS, command=argv[0])
     tokens = iter(argv[1:])
     for tok in tokens:
         flag, eq, value = tok.partition("=")
@@ -482,7 +483,7 @@ def _fast_args(argv):
             continue
         if not eq:
             value = next(tokens, None)
-        if value is None or value == "--":  # argparse reads a value "--" as none
+        if value is None or value == "--":  # _join_value_flags refuses a value "--"
             return None
         try:
             value = kind(value)
@@ -529,10 +530,14 @@ def _check_args(args):
 def _join_value_flags(argv, flags):
     """Glue the value of each flag in `flags` onto it with '=', so a value
     that begins with a minus sign (a coordinate, `-1e-8`) is not mistaken
-    for an option."""
+    for an option. A value of exactly `--`, which argparse would drop, is
+    refused (ParseError)."""
     joined, tokens = [], iter(argv)
     for tok in tokens:
         value = next(tokens, None) if tok in flags else None
+        flag, eq, glued = tok.partition("=")
+        if value == "--" or eq and flag in flags and glued == "--":
+            raise ParseError("%s takes a value other than '--'" % flag)
         joined.append(tok if value is None else tok + "=" + value)
     return joined
 

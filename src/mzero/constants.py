@@ -2,9 +2,8 @@
 closed forms and the first positive root of a scalar function built from
 an integer coefficient table, and the refinement thresholds, the first
 positive roots of one-variable rational equations. Plain scalar
-arithmetic: this module imports no numpy and no other layer. `certify`
-imports `p_of_d` and `separation_constant` under their old names, and
-`newton` re-exports `threshold_constants` on first use.
+arithmetic: this module imports no numpy and no other layer.
+`_THRESHOLDS` is the one table from a threshold variant to its equation.
 """
 
 import math
@@ -183,10 +182,6 @@ def _b21(u):
     return (1 - 2 * u) ** 2 * u / ((2 * (1 - 2 * u) ** 2 - 1) * (1 - u))
 
 
-def _b22(u):
-    return u / ((2 * (1 - 2 * u) ** 2 - 1) * (1 - u))
-
-
 def _b23(u):
     num = u * (
         32 * u**6 - 144 * u**5 + 272 * u**4 - 288 * u**3 + 174 * u**2 - 52 * u + 5
@@ -197,20 +192,6 @@ def _b23(u):
         * (8 * u**2 - 8 * u + 1)
     )
     return num / den
-
-
-def _b24(u):
-    num = (2 * u - 1) ** 3 * (u - 2) * u
-    den = (
-        (24 * u**3 - 36 * u**2 + 18 * u - 1)
-        * (u - 1) ** 3
-        * (8 * u**2 - 8 * u + 1)
-    )
-    return num / den
-
-
-def _a2(u):
-    return 1.0 / ((2 * (1 - 2 * u) ** 2 - 1) * (1 - 2 * u))
 
 
 def _a3(u):
@@ -238,14 +219,6 @@ def _b33(u):
         3 * (2 * u - 1) ** 4 * (8 * u**2 - 8 * u + 1) ** 2 * (u - 1) ** 4
     )
     return pref * poly
-
-
-def _b34(u):
-    num = _a3(u) * (
-        16 * u**6 - 72 * u**5 + 130 * u**4 - 106 * u**3 + 42 * u**2 - 9 * u
-    )
-    den = 3 * (8 * u**2 - 8 * u + 1) ** 2 * (u - 1) ** 4 * (2 * u - 1)
-    return num / den
 
 
 def _general_parts(u):
@@ -283,35 +256,6 @@ def _general_b2(u):
         P * l2 * u * 4 * l1**2 * l3**3 * u * (3 - 4 * s) / (1 - 2 * s) ** 2,
     ]
     return sum(terms)
-
-
-def rational_functions(variant, u):
-    """Named values of the bound-tracking rational functions at u."""
-    if variant == "normalized_double":
-        return {
-            "b_2_1": _b21(u),
-            "b_2_2": _b22(u),
-            "b_2_3": _b23(u),
-            "b_2_4": _b24(u),
-        }
-    if variant == "normalized_triple":
-        return {
-            "a_2": _a2(u),
-            "a_3": _a3(u),
-            "b_2_1": _b21(u),
-            "b_3_3": _b33(u),
-            "b_3_4": _b34(u),
-        }
-    if variant == "general_triple":
-        l1, l2, l3, _ = _general_parts(u)
-        return {
-            "l_1": l1,
-            "l_2": l2,
-            "l_3": l3,
-            "b_1": _general_b1(u),
-            "b_2": _general_b2(u),
-        }
-    raise ValueError("unknown variant %r" % variant)
 
 
 # variant -> (mu, scan bracket safely below the first pole, threshold

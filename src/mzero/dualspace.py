@@ -15,19 +15,16 @@ by `psi`, are the symbolic record that a `DualBasis` builds on first use.
 They and the product-rule route `chainrule_Lk`, which runs the same loop
 on raw values of its own, live in `mzero.functionals`, which this module
 imports only there, so a command that never prints a functional does not
-compile it; `chainrule_Lk` is re-exported here on first use (PEP 562).
-`normalizing_frame` loads `mzero.frames` where it runs.
+compile it. `normalizing_frame` loads `mzero.frames` where it runs.
 """
 
 import functools
 
 import numpy as np
 
-from . import DEFAULT_TOLERANCES as DEFAULTS, _reexport
+from . import DEFAULT_TOLERANCES as DEFAULTS
 from .errors import BreadthError, CorankError, InputError, MultiplicityNotFoundError
 from .numkit import matrix_spectral_norm, scaled_norm, solve_least_squares, solve_linear, svd
-
-__getattr__ = _reexport(__name__, {"functionals": ("chainrule_Lk",)})
 
 NORMALIZED_RTOL = 1e-8
 # shape test for points that only need to be near the distinguished shape
@@ -202,11 +199,11 @@ def _dual_basis(J, a_rows, delta_values, s, normalized):
 def normalizing_frame(source, x, J=None, res=None):
     """Rotated view whose Jacobian at x is the distinguished shape.
 
-    Returns (frame, w, svd_result) where w are the coordinates of x in the
-    frame. The kernel-most right singular vector becomes the first frame
-    variable; the left factor is kept in its original order, which places
-    the near-degenerate row last. J, the Jacobian of source at x, and res,
-    its `numkit.svd`, are computed unless the caller has them already.
+    Returns (frame, w) where w are the coordinates of x in the frame. The
+    kernel-most right singular vector becomes the first frame variable;
+    the left factor is kept in its original order, which places the
+    near-degenerate row last. J, the Jacobian of source at x, and res, its
+    `numkit.svd`, are computed unless the caller has them already.
     """
     x = np.asarray(x, dtype=complex)
     n = source.nvars
@@ -218,4 +215,4 @@ def normalizing_frame(source, x, J=None, res=None):
     from .frames import unitary_pullback
 
     frame = unitary_pullback(source, res.U, res.V[:, perm])
-    return frame, frame.to_frame(x), res
+    return frame, frame.to_frame(x)

@@ -34,6 +34,11 @@ from .polycore import symmetric_layout
 from .record import Record
 
 
+# the largest order whose Taylor scaling 1/k! the local model takes: 171!
+# is above the largest double
+_MAX_ORDER = 170
+
+
 class GammaReport(Record):
     _fields = ("gamma", "gamma_hat", "gamma_n", "mu", "delta_mu", "mode", "per_order")
 
@@ -49,7 +54,8 @@ class LocalModel:
     tolerances (gap_tol, delta_zero_tol, max_order); a given mu must
     match it (InputError), unless trust_mu takes it as it is; a trusted mu
     whose chain value vanishes, so that nothing can be scaled by it, is a
-    MathDomainError.
+    MathDomainError, and so is a system of degree above 170, whose
+    coefficients would need a k! above the largest double.
 
     Attributes: `view` and `x`, the system worked in and the point in its
     coordinates; `J` there and `Jhat` = J[:n-1, 1:]; `mu`; `chain`, the
@@ -84,7 +90,7 @@ class LocalModel:
                     "point is not in the distinguished coordinate shape; "
                     "compute in a normalizing frame instead"
                 )
-            source, x, _ = normalizing_frame(source, x, J, res)
+            source, x = normalizing_frame(source, x, J, res)
             J, res = source.jacobian(x), None
         chain = None
         if mu is None or not trust_mu:
@@ -115,6 +121,10 @@ class LocalModel:
                 "the terminating value delta_mu is 0 at order %d: the chain does not end there"
                 % mu
             )
+        degree = source.max_degree()
+        if degree > _MAX_ORDER:
+            raise MathDomainError("the system has degree %d, and k! for an order k above %d "
+                                  "overflows a double" % (degree, _MAX_ORDER))
         # the invariants do not change under a unitary map of the inputs, so
         # a frame U^H f(W y) needs only its output map, at the point W y
         base = getattr(source, "system", source)
@@ -122,7 +132,7 @@ class LocalModel:
         self.v = W[:, 0].conj()
         self.coeffs = {
             k: U.conj().T @ base.partials(symmetric_layout(n, k)[0], W @ x) / math.factorial(k)
-            for k in range(2, source.max_degree() + 1)
+            for k in range(2, degree + 1)
         }
 
     def gamma(self, mode="estimate", truncate=False):

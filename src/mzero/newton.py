@@ -12,23 +12,20 @@ chain values. It works in any coordinates and for any order.
 Each variant contracts quadratically once the scale-free start quality
 u = gamma^mu * distance is below the variant's threshold constant. The
 constants are the first positive roots of explicit one-variable rational
-equations; `threshold_constants` solves them to ten digits. It lives in
-the numpy-free `constants` module and is re-exported here on first use
-(PEP 562), so refinement, which reads no constant, never loads
-`constants`. The variant names, `VARIANTS`, live in the package itself,
-so the command line lists them without loading numpy.
+equations; `constants.threshold_constants` solves them to ten digits.
+It lives in the numpy-free `constants` module, which refinement, reading
+no constant, never loads. The variant names, `VARIANTS`, live in the
+package itself, so the command line lists them without loading numpy.
 """
 
 import numpy as np
 
-from . import DEFAULT_TOLERANCES as DEFAULTS, VARIANTS, _reexport
+from . import DEFAULT_TOLERANCES as DEFAULTS, VARIANTS
 from .dualspace import LOOSE_NORMALIZED_RTOL, compute_dual_basis, is_normalized
 from .dualspace import kernel_chain, normalizing_frame
 from .errors import InputError, SingularMatrixError
 from .numkit import solve_linear, svd
 from .record import Record
-
-__getattr__ = _reexport(__name__, {"constants": ("threshold_constants",)})
 
 
 class NewtonTrace(Record):
@@ -106,7 +103,7 @@ def refine_general(source, z, mu):
     """
     z = np.asarray(z, dtype=complex)
     n = source.nvars
-    frame, w, _ = normalizing_frame(source, z)
+    frame, w = normalizing_frame(source, z)
     y = n1_step(frame, w)
     J = frame.jacobian(y)
     Jhat = J[: n - 1, 1:]
@@ -122,7 +119,7 @@ def refine_general(source, z, mu):
 
     out = y.copy()
     out[0] = y[0] - prev / (mu * dmu)
-    return frame.from_frame(out), {"frame_W": frame.W, "warning": None}
+    return frame.from_frame(out)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +129,7 @@ def refine_general(source, z, mu):
 _STEPS = dict(zip(VARIANTS, (
     (2, lambda source, z, mu: refine_double(source, z)),
     (3, lambda source, z, mu: refine_triple(source, z)),
-    (None, lambda source, z, mu: refine_general(source, z, mu)[0]),
+    (None, refine_general),
 )))
 
 

@@ -27,8 +27,9 @@ by truncated power series over the same E and C; the dual chain reads its
 values there.
 
 Rotated views (`NormalizedFrame`, `unitary_pullback`) and the expansion
-behind `shift` live in `mzero.frames`, imported where used; the two view
-names are re-exported here on first use (PEP 562).
+behind `shift` live in `mzero.frames`, imported where used;
+`NormalizedFrame` is re-exported here on first use (PEP 562), where the
+traced benchmark reads it.
 
 A point in n variables must have shape (n,); any other shape raises
 ValueError. A value or partial that overflows a double raises
@@ -45,7 +46,7 @@ import numpy as np
 from . import _reexport
 from .errors import MathDomainError, ParseError
 
-__getattr__ = _reexport(__name__, {"frames": ("NormalizedFrame", "unitary_pullback")})
+__getattr__ = _reexport(__name__, {"frames": ("NormalizedFrame",)})
 
 # ---------------------------------------------------------------------------
 # runtime polynomial types
@@ -313,9 +314,11 @@ class PolySystem:
 # matches alone with empty groups, so findall tiles the statement. A literal
 # with a longer exponent than MAX_EXPONENT_DIGITS is left to `exactparse`,
 # which refuses it, as it refuses a power of a sum whose expansion can have
-# more than MAX_POWER_TERMS terms.
+# more than MAX_POWER_TERMS terms. A statement of degree above MAX_DEGREE is
+# refused once read, before the kernel tabulates powers up to it.
 MAX_EXPONENT_DIGITS = 5
 MAX_POWER_TERMS = 500
+MAX_DEGREE = 1000
 _NUM = r"\d+(?:\.\d+)?(?:[eE][+-]?\d{1,%d}(?!\d))?" % MAX_EXPONENT_DIGITS
 _MONO = r"[A-Za-z_]\w*(?:\s*\^\s*\d+)?(?:\s*\*\s*[A-Za-z_]\w*(?:\s*\^\s*\d+)?)*"
 _TERM_RE = re.compile(
@@ -368,7 +371,8 @@ def parse_system(text):
     listing variable names, then `label: expression` lines. `#` starts a
     comment. Expressions use + - * / ^, rational and decimal literals,
     `<number>i` imaginary literals, and `sqrt(<rational>)`. Division is
-    only by nonzero constants. The system must be square.
+    only by nonzero constants. The system must be square, and no
+    polynomial may have degree above MAX_DEGREE.
     """
     statements = []
     for raw_line in text.splitlines():
@@ -419,8 +423,12 @@ def parse_system(text):
                 coeffs = exactparse.parse_terms(expr_text, variables)
         except OverflowError:
             raise ParseError("%r has a number too large for a double" % label) from None
+        poly = Poly(nvars, coeffs)
+        if poly.degree() > MAX_DEGREE:
+            raise ParseError("%r has degree %d, above the limit of %d"
+                             % (label, poly.degree(), MAX_DEGREE))
         labels.append(label)
-        polys.append(Poly(nvars, coeffs))
+        polys.append(poly)
 
     system = PolySystem(polys, var_names, labels)
     if system.n != system.nvars:

@@ -5,12 +5,11 @@ import pytest
 
 from mzero.certify import (
     certify_cluster,
-    p_of_d,
     residual_lower_bound,
     separation_bound,
     separation_constant,
 )
-from mzero.constants import ANCHORED_MAX, coefficient_table, smallest_positive_root
+from mzero.constants import ANCHORED_MAX, coefficient_table, p_of_d, smallest_positive_root
 from mzero.dualspace import normalizing_frame
 from mzero.errors import InputError, MathDomainError
 from mzero.polycore import parse_system
@@ -168,7 +167,7 @@ def test_separation_bound_double_zero(ex_double):
     )
     assert sep.bound == pytest.approx(0.0447799019138983, abs=1e-9)
     # the known second zero sits at distance 1/4, outside the exclusion ball
-    frame, w, _ = normalizing_frame(ex_double, ORIGIN2)
+    frame, w = normalizing_frame(ex_double, ORIGIN2)
     other = frame.to_frame(np.array([0.25, 0.0]))
     assert np.linalg.norm(other - w) == pytest.approx(0.25, abs=1e-12)
     assert np.linalg.norm(other - w) > sep.bound
@@ -260,7 +259,7 @@ def test_certificate_certified_mode_is_no_stronger(ex_triple):
 
 
 def test_mu_two_has_no_intermediate_orders(ex_double):
-    frame, w, _ = normalizing_frame(ex_double, ORIGIN2)
+    frame, w = normalizing_frame(ex_double, ORIGIN2)
     flat = frame.materialize()
     cert = certify_cluster(flat, w)
     assert cert.mu == 2
@@ -287,7 +286,7 @@ def test_separation_radius_excludes_the_second_planted_zero(n, mu):
     assert sep.bound < np.linalg.norm(second)
 
 
-@pytest.mark.parametrize("n, mu", [(n, mu) for n in (2, 3) for mu in (2, 3, 4, 5, 6, 8)])
+@pytest.mark.parametrize("n, mu", [(n, mu) for n in (2, 3) for mu in (2, 3, 4, 5, 6, 7, 8)])
 def test_certified_ball_holds_the_cluster_and_not_the_second_zero(n, mu):
     # split the planted zero by eps = rhs / 10 of its own certificate at
     # the origin: the certificate there must still hold, its ball must

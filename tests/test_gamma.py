@@ -9,7 +9,8 @@ from mzero.cli import main
 from mzero.dualspace import compute_dual_basis, normalizing_frame
 from mzero.errors import InputError, NotNormalizedError
 from mzero.gamma import LocalModel, gamma_mu
-from mzero.polycore import NormalizedFrame, PolySystem, unitary_pullback
+from mzero.frames import NormalizedFrame, unitary_pullback
+from mzero.polycore import PolySystem
 
 from conftest import make_normalized_system, make_planted_system, random_unitary
 
@@ -57,7 +58,7 @@ def test_per_order_rows_expose_vanishing_blocks(ex_triple):
 
 
 def test_double_zero_after_normalization(ex_double):
-    frame, w, _ = normalizing_frame(ex_double, ORIGIN2)
+    frame, w = normalizing_frame(ex_double, ORIGIN2)
     report = gamma_mu(frame, w)
     assert report.mu == 2
     assert report.gamma == pytest.approx(4 / math.sqrt(5), abs=1e-10)
@@ -94,7 +95,7 @@ def test_requires_normalized_shape(ex_double):
 
 
 def test_local_model_moves_off_shape_point(ex_double):
-    frame, w, _ = normalizing_frame(ex_double, ORIGIN2)
+    frame, w = normalizing_frame(ex_double, ORIGIN2)
     model = LocalModel(ex_double, ORIGIN2)
     assert np.array_equal(model.x, w)
     assert np.array_equal(model.J, model.view.jacobian(model.x))
@@ -278,7 +279,7 @@ def test_truncated_gamma_in_a_frame_matches_the_expanded_frame(mode):
         make_normalized_system(3, 4, rng), random_unitary(3, rng), random_unitary(3, rng)
     ).materialize()
     x = 0.02 * (rng.normal(size=3) + 1j * rng.normal(size=3))
-    frame, w, _ = normalizing_frame(system, x)
+    frame, w = normalizing_frame(system, x)
     views = [frame, frame.materialize()]
     models = [LocalModel(v, w, 4, frame=False, rel_tol=0.1, trust_mu=True) for v in views]
     reports = [model.gamma(mode, truncate=True) for model in models]

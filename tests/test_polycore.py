@@ -12,12 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from mzero import exactparse, polycore
 from mzero.errors import MathDomainError, ParseError
+from mzero.frames import unitary_pullback
 from mzero.functionals import apply_functional
 from mzero.polycore import (
     Poly,
     PolySystem,
     parse_system,
-    unitary_pullback,
 )
 
 from conftest import EX_DOUBLE, EX_TRIPLE, monomials, perfbench_module, random_unitary
