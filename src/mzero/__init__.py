@@ -34,8 +34,8 @@ _EXPORTS = {
         "refine_general", "refine_triple",
     ),
     "numkit": (
-        "SvdResult", "TensorNorm", "matrix_spectral_norm", "solve_least_squares",
-        "solve_linear", "svd", "tensor_norm",
+        "LinearSolver", "SvdResult", "matrix_spectral_norm", "solve_least_squares",
+        "solve_linear", "svd",
     ),
     "polycore": ("Poly", "PolySystem", "parse_system"),
 }

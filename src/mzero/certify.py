@@ -22,7 +22,7 @@ from .constants import separation_constant
 from .dualspace import LOOSE_NORMALIZED_RTOL
 from .errors import MathDomainError
 from .gamma import LocalModel
-from .numkit import matrix_spectral_norm, singular_values
+from .numkit import matrix_spectral_norm
 from .record import Record
 
 
@@ -62,8 +62,7 @@ def separation_bound(source, x, mu=None, mode="estimate", **tolerances):
 
 
 def _a_inv_norm(model):
-    s = singular_values(model.Jhat)
-    inv_hat = 1.0 / float(s[-1])
+    inv_hat = 1.0 / float(model.Jhat.s[-1])
     return max(inv_hat / math.sqrt(2.0), math.sqrt(2.0) / abs(model.delta_mu))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import DEFAULT_TOLERANCES as DEFAULTS
 from .errors import BreadthError, CorankError, InputError, MultiplicityNotFoundError
-from .numkit import matrix_spectral_norm, scaled_norm, solve_least_squares, solve_linear, svd
+from .numkit import LinearSolver, matrix_spectral_norm, scaled_norm, solve_least_squares, svd
 
 NORMALIZED_RTOL = 1e-8
 # shape test for points that only need to be near the distinguished shape
@@ -39,7 +39,9 @@ class DualBasis:
     kernel direction). delta_values holds the raw values of orders 2 .. mu
     at the base point and duality_residuals the largest entry of
     Lambda_k(f), k = 1 .. mu-1. corank_gap is sigma_n / sigma_{n-1}, and
-    singular_values are those of the Jacobian. `lambdas` (Lambda_0 ..
+    singular_values are those of the Jacobian. Jhat is the
+    `numkit.LinearSolver` of its invertible block, J[:n-1, 1:], which
+    `gamma.LocalModel` takes over. `lambdas` (Lambda_0 ..
     Lambda_{mu-1}) and `deltas` (the raw functionals of orders 2 .. mu)
     are built from a_coeffs on first use. A plain class: a dataclass costs
     every process that loads this module the exec of its methods.
@@ -123,15 +125,17 @@ def kernel_chain(source, x, a1, Jhat, order):
 
     Runs the recursion of `compute_dual_basis` from Lambda_1 = sum a1 d
     with no membership test: every order below `order` is corrected by
-    the trailing-coordinate solve against Jhat, the leading (n-1) x (n-1)
-    block of the Jacobian. Returns the list whose entry k-2 is the raw
-    order-k functional applied to source at x, for k = 2..order. An order
-    below 2 is an InputError: a corank-one chain has mu >= 2.
+    the trailing-coordinate solve against Jhat, the caller's
+    `numkit.LinearSolver` of the block J[:n-1, 1:] of the Jacobian, which
+    tests that block for singularity once. Returns the list whose entry
+    k-2 is the raw order-k functional applied to source at x, for k =
+    2..order. An order below 2 is an InputError: a corank-one chain has
+    mu >= 2.
     """
     if order < 2:
         raise InputError("a corank-one chain has order mu >= 2, got %r" % order)
     n = source.nvars
-    return _chain(source, x, a1, lambda k, vals: solve_linear(Jhat, -vals[: n - 1]),
+    return _chain(source, x, a1, lambda k, vals: Jhat.solve(-vals[: n - 1]),
                   lambda k, vals: k == order, order)[1]
 
 
@@ -164,7 +168,7 @@ def compute_dual_basis(source, x, max_order=DEFAULTS["max_order"], gap_tol=DEFAU
     else:
         a1 = res.V[:, -1].copy()
     u_last = res.U[:, -1]
-    Jhat = J[: n - 1, 1:]
+    Jhat = LinearSolver(J[: n - 1, 1:])
 
     def outside_column_space(k, vals):
         resid = abs(vals[-1]) if normalized else abs(np.vdot(u_last, vals))
@@ -172,7 +176,7 @@ def compute_dual_basis(source, x, max_order=DEFAULTS["max_order"], gap_tol=DEFAU
 
     def correction(k, vals):
         if normalized:
-            return solve_linear(Jhat, -vals[: n - 1])
+            return Jhat.solve(-vals[: n - 1])
         ahat, solve_resid = solve_least_squares(J[:, 1:], -vals)
         if solve_resid > _BREADTH_RTOL * scaled_norm(vals) + 1e-12:
             raise BreadthError(
@@ -181,19 +185,22 @@ def compute_dual_basis(source, x, max_order=DEFAULTS["max_order"], gap_tol=DEFAU
             )
         return ahat
 
-    return _dual_basis(J, *_chain(source, x, a1, correction, outside_column_space, max_order),
-                       s, normalized)
+    return _dual_basis(J, Jhat, *_chain(source, x, a1, correction, outside_column_space,
+                                        max_order), s, normalized)
 
 
-def _dual_basis(J, a_rows, delta_values, s, normalized):
+def _dual_basis(J, Jhat, a_rows, delta_values, s, normalized):
     """DualBasis of a finished chain, whose length is the multiplicity; J
-    and s are the Jacobian at the base point and its singular values.
-    Lambda_k(f) is the raw value of order k plus J a_k (J a_1 for k = 1)."""
+    and s are the Jacobian at the base point and its singular values, and
+    Jhat the solver of its invertible block. Lambda_k(f) is the raw value
+    of order k plus J a_k (J a_1 for k = 1)."""
     a_coeffs = np.array(a_rows)
     lam_vals = J @ a_coeffs.T
     lam_vals[:, 1:] += np.array(delta_values[:-1]).T.reshape(len(J), -1)
-    return DualBasis(a_coeffs, delta_values, np.max(np.abs(lam_vals), axis=0),
-                     np.array(s, dtype=float), normalized)
+    basis = DualBasis(a_coeffs, delta_values, np.max(np.abs(lam_vals), axis=0),
+                      np.array(s, dtype=float), normalized)
+    basis.Jhat = Jhat
+    return basis
 
 
 def normalizing_frame(source, x, J=None, res=None):

@@ -48,7 +48,3 @@ class BreadthError(MathDomainError):
 
 class MultiplicityNotFoundError(MathDomainError):
     """No terminating order was found below the recursion's order cap."""
-
-
-class AsymmetricTensorError(MathDomainError, ValueError):
-    """A tensor norm was requested for an array that is not symmetric."""

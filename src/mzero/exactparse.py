@@ -5,7 +5,8 @@ loses nothing before each coefficient is rounded once; `sqrt` of a
 non-square is kept to 2^-200 relative. A literal whose exponent has more
 than `polycore.MAX_EXPONENT_DIGITS` digits is refused before its exact
 value is built, and a power of a sum whose expansion can have more than
-`polycore.MAX_POWER_TERMS` terms is refused before it is expanded. An
+`polycore.MAX_POWER_TERMS` terms, or whose exact coefficients can need more
+than `polycore.MAX_POWER_BITS` bits, is refused before it is built. An
 expression becomes one term table, a dict from exponent tuples to
 nonzero `_QC` coefficients in the order in which the monomials first
 appear: sums accumulate in place and a product with a single-term factor
@@ -22,7 +23,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .polycore import MAX_EXPONENT_DIGITS, MAX_POWER_TERMS
+from .polycore import MAX_EXPONENT_DIGITS, MAX_POWER_BITS, MAX_POWER_TERMS
 
 
 class _QC:
@@ -177,11 +178,20 @@ class _ExprParser:
     def power(self, base, e):
         """base^e by repeated squaring. A base of t >= 2 terms is refused
         when its expansion can have more than MAX_POWER_TERMS terms, one per
-        multiset of e base terms: C(t + e - 1, e)."""
+        multiset of e base terms: C(t + e - 1, e). So is a base with a
+        coefficient other than 1, -1, i or -i when e times the largest bit
+        length of its coefficients' parts is above MAX_POWER_BITS: each
+        unit of e can add that many bits to a coefficient of the power."""
         t = len(base)
         if t > 1 and math.comb(t + e - 1, t - 1) > MAX_POWER_TERMS:
             raise ParseError("a power of a %d-term sum can expand to more than %d terms"
                              % (t, MAX_POWER_TERMS))
+        bits = max((p.bit_length() for c in base.values() for q in (c.re, c.im)
+                    for p in (q.numerator, q.denominator)), default=0)
+        if e * bits > MAX_POWER_BITS and any(c.re * c.im or abs(c.re + c.im) != 1
+                                             for c in base.values()):
+            raise ParseError("a power ^%d of a coefficient can need more than %d bits"
+                             % (e, MAX_POWER_BITS))
         result = {self.zero: _ONE}
         while True:
             if e & 1:

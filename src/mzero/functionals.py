@@ -17,7 +17,7 @@ import numpy as np
 from . import DEFAULT_TOLERANCES as DEFAULTS
 from .dualspace import _chain, _check_corank_one, _dual_basis, is_normalized
 from .errors import NotNormalizedError
-from .numkit import scaled_norm, solve_linear, svd
+from .numkit import LinearSolver, scaled_norm, svd
 from .polycore import Poly
 
 
@@ -168,7 +168,7 @@ def chainrule_Lk(frame, w, kmax=None, max_order=DEFAULTS["max_order"],
             "frame Jacobian at the point is not in the distinguished shape"
         )
     _check_corank_one(s, gap_tol)
-    Jhat = J[: n - 1, 1:]
+    Jhat = LinearSolver(J[: n - 1, 1:])
     a1 = np.zeros(n, dtype=complex)
     a1[0] = 1.0
 
@@ -178,9 +178,9 @@ def chainrule_Lk(frame, w, kmax=None, max_order=DEFAULTS["max_order"],
         return abs(vals[-1]) > delta_zero_tol * scaled_norm(vals) + 1e-14
 
     a_rows, values = _chain(
-        frame, w, a1, lambda k, vals: solve_linear(Jhat, -vals[: n - 1]), stop,
+        frame, w, a1, lambda k, vals: Jhat.solve(-vals[: n - 1]), stop,
         max_order if kmax is None else kmax,
         lambda rows, k: _chain_functionals(rows, _product_rule_delta)[1][-1].apply(frame, w))
-    basis = _dual_basis(J, a_rows, values, s, True)
+    basis = _dual_basis(J, Jhat, a_rows, values, s, True)
     basis.functionals = _chain_functionals(a_rows, _product_rule_delta)
     return basis

@@ -3,7 +3,8 @@ local model of the system at the point.
 
 `LocalModel` computes once what every bound of the package needs at a
 point: the view (the input, or a normalizing frame), the Jacobian and
-its invertible block Jhat there, the chain values along the kernel
+the solver of its invertible block Jhat there, which tests Jhat for
+singularity once, the chain values along the kernel
 coordinate up to the terminating value delta_mu, and the distinct
 entries of each derivative. Gamma, the separation radius, the residual
 bound and the cluster certificate all read from it.
@@ -29,7 +30,7 @@ from .dualspace import (
     normalizing_frame,
 )
 from .errors import InputError, MathDomainError, NotNormalizedError
-from .numkit import solve_linear, svd, unfolding_norm
+from .numkit import LinearSolver, svd, unfolding_norm
 from .polycore import symmetric_layout
 from .record import Record
 
@@ -58,7 +59,9 @@ class LocalModel:
     coefficients would need a k! above the largest double.
 
     Attributes: `view` and `x`, the system worked in and the point in its
-    coordinates; `J` there and `Jhat` = J[:n-1, 1:]; `mu`; `chain`, the
+    coordinates; `J` there; `Jhat`, the `numkit.LinearSolver` of J[:n-1, 1:]
+    (the detection's, when detection ran), so that every solve against
+    the block and the certificate's sigma_min read one SVD; `mu`; `chain`, the
     raw chain values along e1 (entry k-2 holds order k, for k = 2..mu);
     `delta_mu`, the order-mu value on the last equation; `coeffs`, per
     order k = 2..deg, d^alpha f / k! at the alphas of `symmetric_layout`, in
@@ -92,7 +95,7 @@ class LocalModel:
                 )
             source, x = normalizing_frame(source, x, J, res)
             J, res = source.jacobian(x), None
-        chain = None
+        chain = Jhat = None
         if mu is None or not trust_mu:
             basis = compute_dual_basis(source, x, J=J, res=res, **tolerances)
             if mu is not None and basis.mu != mu:
@@ -100,14 +103,14 @@ class LocalModel:
                     "requested order %d but the chain terminates at %d"
                     % (mu, basis.mu)
                 )
-            mu = basis.mu
+            mu, Jhat = basis.mu, basis.Jhat
             if basis.normalized:
                 # the recursion ran along e1 against Jhat already
                 chain = basis.delta_values
         self.view = source
         self.x = x
         self.J = J
-        self.Jhat = J[: n - 1, 1:]
+        self.Jhat = LinearSolver(J[: n - 1, 1:]) if Jhat is None else Jhat
         self.mu = mu
         if chain is None:
             e1 = np.zeros(n, dtype=complex)
@@ -154,9 +157,9 @@ class LocalModel:
                 # the view's c e1^k is c v^k in the inputs of P: c v^alpha at alpha
                 last = last - self.chain[k - 2][-1] * np.prod(self.v**alphas, axis=1)
             hat, val = (
-                unfolding_norm((B[:, index] * weights[:, None]).reshape(-1, n), k, mode).value(mode)
+                unfolding_norm((B[:, index] * weights[:, None]).reshape(-1, n), k, mode)
                 ** (1.0 / (k - 1))
-                for B in (solve_linear(self.Jhat, P[: n - 1]), last / scale)
+                for B in (self.Jhat.solve(P[: n - 1]), last / scale)
             )
             rows.append({"order": k, "hat": hat, "n": val})
             ghat = max(ghat, hat)

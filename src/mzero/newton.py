@@ -24,7 +24,7 @@ from . import DEFAULT_TOLERANCES as DEFAULTS, VARIANTS
 from .dualspace import LOOSE_NORMALIZED_RTOL, compute_dual_basis, is_normalized
 from .dualspace import kernel_chain, normalizing_frame
 from .errors import InputError, SingularMatrixError
-from .numkit import solve_linear, svd
+from .numkit import LinearSolver, solve_linear, svd
 from .record import Record
 
 
@@ -89,28 +89,28 @@ def refine_triple(source, z):
 def refine_general(source, z, mu):
     """One step of the one-frame iteration for any order mu >= 2.
 
-    The normalizing frame is taken once, at z; its SVD is the only one
-    of the step. In that frame the trailing coordinates take the
-    regular step to y. At y the chain runs along the first-order kernel
-    direction a1 = (1, -Jhat^-1 J[:n-1, 0]), a shear of the first frame
-    variable rather than a second rotation, with corrections solved
-    against Jhat = J(y)[:n-1, 1:]. The chain values of orders mu-1 and
-    mu are read along u = (-Jhat^-T J[n-1, 1:], 1), the left vector with
+    The normalizing frame is taken once, at z; its SVD is the only full
+    factorization of the step. In that frame the trailing coordinates
+    take the regular step to y. At y the chain runs along the
+    first-order kernel direction a1 = (1, -Jhat^-1 J[:n-1, 0]), a shear
+    of the first frame variable rather than a second rotation, with
+    corrections solved against Jhat = J(y)[:n-1, 1:], one solver whose
+    singularity is tested once. The chain values of orders mu-1 and mu
+    are read along u = (-Jhat^-T J[n-1, 1:], 1), the left vector with
     u . J(y)[:, 1:] = 0, and the kernel coordinate moves by their ratio.
 
-    Returns (next_point, info). info["frame_W"] is the frame rotation;
-    info["warning"] is None, as a single frame has no drift to report.
+    Returns the next point, in the coordinates of z.
     """
     z = np.asarray(z, dtype=complex)
     n = source.nvars
     frame, w = normalizing_frame(source, z)
     y = n1_step(frame, w)
     J = frame.jacobian(y)
-    Jhat = J[: n - 1, 1:]
+    Jhat = LinearSolver(J[: n - 1, 1:])
     a1 = np.ones(n, dtype=complex)
-    a1[1:] = -solve_linear(Jhat, J[: n - 1, 0])
+    a1[1:] = -Jhat.solve(J[: n - 1, 0])
     u = np.ones(n, dtype=complex)
-    u[:-1] = -solve_linear(Jhat.T, J[n - 1, 1:])
+    u[:-1] = -solve_linear(Jhat.A.T, J[n - 1, 1:])
     values = kernel_chain(frame, y, a1, Jhat, mu)
     prev = u @ (J @ a1 if mu == 2 else values[-2])
     dmu = u @ values[-1]

@@ -1,27 +1,34 @@
 """Dense linear algebra helpers with deterministic conventions.
 
-Everything here operates on plain numpy arrays. The two things worth
+Everything here operates on plain numpy arrays. The things worth
 reading before using this module:
 
 * `svd` fixes the phase of each right singular vector (largest-magnitude
   entry made real and positive, ties broken by lowest index), so repeated
   runs and equivalent inputs produce identical factors.
+* `LinearSolver` holds one square matrix and solves against it. It takes
+  the matrix's singular values once, on its first solve, and refuses every
+  solve when the matrix is singular to working precision; `solve_linear`
+  is its one-shot form. So a matrix solved against many times, such as
+  the invertible block Jhat of a normalized Jacobian, is tested once.
 * `unfolding_norm` measures a symmetric multilinear map A : C^n x ... x
-  C^n -> C^m by the spectral norm of its (m * n^(k-1)) x n unfolding, given
-  compactly (`polycore.symmetric_layout`). Orders one and two are exact.
-  For order three and up the estimate is the spectral norm of the same
-  unfolding, taken by one SVD; it bounds the multilinear norm from above
-  (the exact symmetric norm is NP-hard in general). The Frobenius norm is
-  reported as the certified upper bound.
+  C^n -> C^m by the spectral norm of its (m * n^(k-1)) x n unfolding,
+  dense or given compactly (`polycore.symmetric_layout`). Orders one and
+  two are exact. For order three and up the estimate is the spectral norm
+  of the same unfolding, taken by one SVD; it bounds the multilinear norm
+  from above (the exact symmetric norm is NP-hard in general). The
+  certified mode takes the Frobenius norm, an upper bound.
 
 Every LAPACK call of the package goes through this module. A
 factorization or solve that LAPACK cannot finish, such as an SVD of a
 matrix holding a non-finite entry, raises MathDomainError.
 """
 
+import functools
+
 import numpy as np
 
-from .errors import AsymmetricTensorError, MathDomainError, SingularMatrixError
+from .errors import MathDomainError, SingularMatrixError
 from .record import Record
 
 
@@ -79,21 +86,36 @@ def scaled_norm(v):
     return big * float(np.linalg.norm(v / big)) if 0.0 < big < np.inf else big
 
 
+class LinearSolver:
+    """Solves A x = b for one square matrix A (ValueError otherwise),
+    refusing every solve when A is singular to working precision,
+    s_min <= n eps s_max (SingularMatrixError). `s`, the singular values of
+    A, largest first, are taken once, on the first solve or read."""
+
+    def __init__(self, A):
+        self.A = np.asarray(A, dtype=complex)
+        if self.A.shape[0] != self.A.shape[1]:
+            raise ValueError("solve_linear expects a square matrix")
+
+    @functools.cached_property
+    def s(self):
+        return singular_values(self.A)
+
+    def solve(self, b):
+        b = np.asarray(b, dtype=complex)
+        if self.A.size == 0:
+            return np.zeros(b.shape[1:] if b.ndim > 1 else 0, dtype=complex)
+        s = self.s
+        if s[-1] <= len(s) * np.finfo(float).eps * s[0] or s[-1] == 0.0:
+            raise SingularMatrixError(
+                "matrix is singular to working precision (sigma_min=%.3e)" % s[-1]
+            )
+        return _lapack(np.linalg.solve, self.A, b)
+
+
 def solve_linear(A, b):
-    """Solve A x = b, refusing matrices singular to working precision."""
-    A = np.asarray(A, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("solve_linear expects a square matrix")
-    if A.size == 0:
-        return np.zeros(b.shape[1:] if b.ndim > 1 else 0, dtype=complex)
-    s = singular_values(A)
-    eps = np.finfo(float).eps
-    if s[-1] <= A.shape[0] * eps * s[0] or s[-1] == 0.0:
-        raise SingularMatrixError(
-            "matrix is singular to working precision (sigma_min=%.3e)" % s[-1]
-        )
-    return _lapack(np.linalg.solve, A, b)
+    """Solve A x = b once, as `LinearSolver(A).solve(b)`."""
+    return LinearSolver(A).solve(b)
 
 
 def solve_least_squares(A, b):
@@ -105,58 +127,11 @@ def solve_least_squares(A, b):
     return x, resid
 
 
-class TensorNorm(Record):
-    """Norm report: a certified upper bound plus a (possibly equal) estimate."""
-
-    _fields = ("certified_upper", "estimate", "mode")
-
-    def value(self, mode="estimate"):
-        if mode == "certified":
-            return self.certified_upper
-        return self.estimate
-
-
-def _check_symmetric(T):
-    # Invariance under the adjacent transpositions of the input axes is
-    # enough, they generate the full symmetric group.
-    k = T.ndim - 1
-    if k < 2:
-        return
-    scale = float(np.max(np.abs(T))) if T.size else 0.0
-    tol = 1e-8 * scale + 1e-12
-    for ax in range(1, k):
-        if not np.allclose(T, np.swapaxes(T, ax, ax + 1), rtol=1e-8, atol=tol):
-            raise AsymmetricTensorError(
-                "tensor is not symmetric in its input axes (axes %d,%d)" % (ax, ax + 1)
-            )
-
-
 def unfolding_norm(M, k, mode="estimate"):
     """Norm of an order-k symmetric map from an unfolding M, dense or compact
     (see the module notes); "certified" takes the Frobenius norm from order
     three on."""
     if k <= 2:
-        val = matrix_spectral_norm(M)
-        return TensorNorm(val, val, "exact-spectral")
+        return matrix_spectral_norm(M)
     fro = float(np.linalg.norm(M))
-    if mode == "certified":
-        return TensorNorm(fro, fro, "frobenius")
-    return TensorNorm(fro, min(matrix_spectral_norm(M), fro), "unfolding")
-
-
-def tensor_norm(T, mode="estimate"):
-    """`unfolding_norm` of a symmetric map stored as an (m, n, ..., n) array,
-    (m,) + (n,) * k for order k, from its entries at the sorted index tuples.
-    Axes 1..k must be symmetric; an asymmetric array is an error, and so is
-    one above `polycore._MAX_TENSOR` entries a row (MathDomainError)."""
-    from .polycore import _dense_index, symmetric_layout
-
-    arr = np.asarray(T, dtype=complex)
-    if arr.ndim < 2:
-        raise ValueError("expected at least an (m, n) array")
-    _check_symmetric(arr)
-    n, k = arr.shape[-1], arr.ndim - 1
-    _, rows, weights = symmetric_layout(n, k)
-    # the first index tuple of each multi-index, in C order, is its sorted one
-    P = arr.reshape(len(arr), -1)[:, np.unique(_dense_index(n, k), return_index=True)[1]]
-    return unfolding_norm((P[:, rows] * weights[:, None]).reshape(-1, n), k, mode)
+    return fro if mode == "certified" else min(matrix_spectral_norm(M), fro)

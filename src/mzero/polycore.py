@@ -314,10 +314,13 @@ class PolySystem:
 # matches alone with empty groups, so findall tiles the statement. A literal
 # with a longer exponent than MAX_EXPONENT_DIGITS is left to `exactparse`,
 # which refuses it, as it refuses a power of a sum whose expansion can have
-# more than MAX_POWER_TERMS terms. A statement of degree above MAX_DEGREE is
-# refused once read, before the kernel tabulates powers up to it.
+# more than MAX_POWER_TERMS terms and a power whose exact coefficients can
+# need more than MAX_POWER_BITS bits, far beyond a double's range. A
+# statement of degree above MAX_DEGREE is refused once read, before the
+# kernel tabulates powers up to it.
 MAX_EXPONENT_DIGITS = 5
 MAX_POWER_TERMS = 500
+MAX_POWER_BITS = 1 << 16
 MAX_DEGREE = 1000
 _NUM = r"\d+(?:\.\d+)?(?:[eE][+-]?\d{1,%d}(?!\d))?" % MAX_EXPONENT_DIGITS
 _MONO = r"[A-Za-z_]\w*(?:\s*\^\s*\d+)?(?:\s*\*\s*[A-Za-z_]\w*(?:\s*\^\s*\d+)?)*"

@@ -604,6 +604,37 @@ def test_degree_above_the_limit_is_refused_at_parse(capsys, tmp_path, term, code
         assert out.startswith("multiplicity: 3")
 
 
+def test_singular_jhat_is_refused_at_the_first_solve(capsys, tmp_path):
+    # J = 0 at the origin: a trusted mu = 2 needs no chain correction, so
+    # gamma_hat's solve is the first against Jhat, and it refuses the block
+    path = tmp_path / "flat.mz"
+    path.write_text("vars: X Y; f: X^2 + Y^2; g: X^2 + Y^3\n")
+    code, out, err = run_cli(capsys, "certify", "--mu", "2", "--system", str(path),
+                             "--point", "0,0")
+    assert code == 3 and out == ""
+    assert err == ("numerical-domain error: matrix is singular to working precision "
+                   "(sigma_min=0.000e+00)\n")
+
+
+@pytest.mark.parametrize("term", ["2^(2^26)*X^3", "(2*X)^(2^22) + X^3"])
+def test_constant_power_above_the_bit_limit_is_refused(capsys, tmp_path, term):
+    # the exact power would need millions of bits before rounding refused it
+    path = tmp_path / "huge.mz"
+    path.write_text("vars: X Y; f: Y + X^2; g: %s\n" % term)
+    t0 = time.monotonic()
+    got, out, err = run_cli(capsys, "dual", "--system", str(path), "--point", "0,0")
+    assert time.monotonic() - t0 < 0.1
+    assert got == 2, err
+    assert "input error" in err and "more than %d bits" % polycore.MAX_POWER_BITS in err
+    assert out == ""
+    # powers that cancel back into the double range still parse, and so do
+    # powers of a unit coefficient, whose degree is checked instead
+    g = polycore.parse_system("vars: X Y; f: Y; g: 2^(2^10)*(1/2)^(2^10)*X^3").polys[1]
+    assert g.terms == {(3, 0): 1.0}
+    with pytest.raises(mzero.ParseError, match="above the limit of 1000"):
+        polycore.parse_system("vars: X Y; f: Y; g: (-1i*X)^(2^40)")
+
+
 # gamma at the origin is 1e300 in the first system, whose gamma^3 is above
 # the largest double, and 1e12 in the second, whose separation radius
 # d / (2 gamma^6) is fine but whose certificate rhs needs (4 gamma^6)^6

@@ -19,6 +19,7 @@ from mzero.errors import (
 )
 from mzero.frames import NormalizedFrame, unitary_pullback
 from mzero.functionals import apply_functional, chainrule_Lk
+from mzero.numkit import LinearSolver
 from mzero.newton import refine_general
 from mzero.polycore import (
     PolySystem,
@@ -272,7 +273,7 @@ def test_chain_values_take_no_derivative_tensor(monkeypatch):
     e1 = np.array([1, 0, 0], dtype=complex)
     for source in (system, frame):
         assert compute_dual_basis(source, x).mu == 5
-        values = kernel_chain(source, x, e1, source.jacobian(x)[:2, 1:], 5)
+        values = kernel_chain(source, x, e1, LinearSolver(source.jacobian(x)[:2, 1:]), 5)
         assert len(values) == 4
         z = refine_general(source, np.full(3, 1e-3, dtype=complex), 5)
         assert np.linalg.norm(z) < 1e-3

@@ -269,6 +269,25 @@ def test_local_model_takes_one_svd_per_jacobian(monkeypatch, ex_double):
     assert shapes.count((2, 2)) == 2
 
 
+def test_one_svd_of_jhat_per_bound(monkeypatch):
+    # at a normalized point Jhat is the only 3 x 3 matrix factored: the
+    # chain corrections, gamma_hat's solves and the certificate's sigma_min
+    # all read the singular values of its one solver
+    system, x = make_normalized_system(4, 4, np.random.default_rng(36)), np.zeros(4)
+    shapes, factor = [], np.linalg.svd
+
+    def counted(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return factor(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for bound in (lambda: LocalModel(system, x).gamma(), lambda: separation_bound(system, x),
+                  lambda: certify_cluster(system, x)):
+        shapes.clear()
+        bound()
+        assert shapes.count((3, 3)) == 1
+
+
 @pytest.mark.parametrize("mode", ["estimate", "certified"])
 def test_truncated_gamma_in_a_frame_matches_the_expanded_frame(mode):
     # off the zero the truncation removes nonzero terms along the frame's

@@ -5,6 +5,7 @@ import pytest
 
 from mzero import constants
 from mzero.constants import threshold_constants
+from mzero.dualspace import normalizing_frame
 from mzero.errors import InputError
 from mzero.frames import unitary_pullback
 from mzero.newton import (
@@ -255,6 +256,27 @@ def test_triple_contraction(n):
     for _ in range(3):
         z = refine_triple(sys_, z)
     assert np.linalg.norm(z) <= 1e-11
+
+
+def test_general_step_tests_jhat_at_y_once(monkeypatch):
+    # the shear direction and the chain corrections at y share one solver;
+    # the transposed solve for the left vector u is a matrix of its own
+    rng = np.random.default_rng(37)
+    system = unitary_pullback(make_normalized_system(4, 4, rng), random_unitary(4, rng),
+                              random_unitary(4, rng))
+    z = 1e-2 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    frame, w = normalizing_frame(system, z)
+    Jhat = frame.jacobian(n1_step(frame, w))[:3, 1:]
+    factored, factor = [], np.linalg.svd
+
+    def counted(A, *args, **kwargs):
+        factored.append(np.array(A))
+        return factor(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    refine_general(system, z, 4)
+    assert sum(np.array_equal(A, Jhat) for A in factored) == 1
+    assert sum(np.array_equal(A, Jhat.T) for A in factored) == 1
 
 
 @pytest.mark.parametrize("mu", [3, 4])

@@ -4,17 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzero import numkit, polycore
+from mzero import numkit
 from mzero.constants import smallest_positive_root
-from mzero.errors import AsymmetricTensorError, MathDomainError, NoRootError
+from mzero.errors import MathDomainError, NoRootError
 from mzero.errors import SingularMatrixError
 from mzero.numkit import (
+    LinearSolver,
     matrix_spectral_norm,
     singular_values,
     solve_least_squares,
     solve_linear,
     svd,
-    tensor_norm,
+    unfolding_norm,
 )
 
 
@@ -58,6 +59,30 @@ def test_solve_linear_rejects_singular():
         solve_linear(A, np.ones(2, dtype=complex))
 
 
+def test_solver_takes_one_svd_for_every_solve(monkeypatch):
+    rng = np.random.default_rng(15)
+    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    calls, factor = [], np.linalg.svd
+
+    def counted(M, *args, **kwargs):
+        calls.append(1)
+        return factor(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    solver = LinearSolver(A)
+    assert calls == []
+    for _ in range(3):
+        b = rng.normal(size=3)
+        assert np.allclose(solver.solve(b), np.linalg.solve(A, b), atol=1e-12)
+    assert np.allclose(solver.s, factor(A, compute_uv=False), rtol=1e-14)
+    assert len(calls) == 1
+    singular = LinearSolver(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError, match="singular to working precision"):
+            singular.solve(np.ones(2))
+    assert len(calls) == 2
+
+
 def test_solve_least_squares_residual():
     A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
     b = np.array([1.0, 2.0, 3.0], dtype=complex)
@@ -70,20 +95,17 @@ def test_matrix_norm_order_two_is_exact():
     rng = np.random.default_rng(11)
     T = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
     T = 0.5 * (T + np.swapaxes(T, 1, 2))
-    res = tensor_norm(T)
     ref = np.linalg.svd(T.reshape(-1, 4), compute_uv=False)[0]
-    assert res.mode == "exact-spectral"
-    assert res.estimate == pytest.approx(ref, rel=1e-12)
-    assert res.certified_upper == res.estimate
+    for mode in ("estimate", "certified"):
+        assert unfolding_norm(T.reshape(-1, 4), 2, mode) == pytest.approx(ref, rel=1e-12)
 
 
 def test_rank_one_cubic_norm_is_cube_of_length():
     v = np.array([1.2, -0.8, 1.0 + 0.6j])
     T = np.einsum("i,j,k->ijk", v, v, v)[None]
-    res = tensor_norm(T)
     ref = np.linalg.norm(v) ** 3
-    assert res.estimate == pytest.approx(ref, rel=1e-10)
-    assert res.certified_upper == pytest.approx(ref, rel=1e-12)
+    assert unfolding_norm(T.reshape(-1, 3), 3) == pytest.approx(ref, rel=1e-10)
+    assert unfolding_norm(T.reshape(-1, 3), 3, "certified") == pytest.approx(ref, rel=1e-12)
 
 
 def test_order_three_estimate_matches_unfolding():
@@ -93,12 +115,12 @@ def test_order_three_estimate_matches_unfolding():
         np.moveaxis(T, [1, 2, 3], perm)
         for perm in [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     ) / 6.0
-    res = tensor_norm(T)
+    estimate = unfolding_norm(T.reshape(-1, 3), 3)
+    certified = unfolding_norm(T.reshape(-1, 3), 3, "certified")
     ref = np.linalg.svd(T.reshape(-1, 3), compute_uv=False)[0]
-    assert res.mode == "unfolding"
-    assert res.estimate == pytest.approx(ref, rel=1e-12)
-    assert res.certified_upper == pytest.approx(np.linalg.norm(T.ravel()), rel=1e-12)
-    assert res.estimate <= res.certified_upper * (1 + 1e-12)
+    assert estimate == pytest.approx(ref, rel=1e-12)
+    assert certified == pytest.approx(np.linalg.norm(T.ravel()), rel=1e-12)
+    assert estimate <= certified * (1 + 1e-12)
 
 
 def test_order_three_estimate_is_deterministic():
@@ -108,25 +130,9 @@ def test_order_three_estimate_is_deterministic():
         np.moveaxis(T, [1, 2, 3], perm)
         for perm in [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     ) / 6.0
-    a = tensor_norm(T).estimate
-    b = tensor_norm(T.copy()).estimate
+    a = unfolding_norm(T.reshape(-1, 4), 3)
+    b = unfolding_norm(T.copy().reshape(-1, 4), 3)
     assert a == b
-
-
-def test_asymmetric_tensor_rejected():
-    T = np.zeros((1, 2, 2, 2))
-    T[0, 0, 0, 1] = 1.0
-    with pytest.raises(AsymmetricTensorError):
-        tensor_norm(T)
-
-
-def test_dense_array_above_the_limit_is_refused(monkeypatch):
-    # the gather reads the dense index map, refused above the limit as in
-    # `derivative_tensor`; a small limit keeps the array small
-    monkeypatch.setattr(polycore, "_MAX_TENSOR", 8)
-    polycore._dense_index.cache_clear()
-    with pytest.raises(MathDomainError, match="16 entries per polynomial"):
-        tensor_norm(np.zeros((1, 2, 2, 2, 2)))
 
 
 def test_certified_mode_is_frobenius():
@@ -136,9 +142,8 @@ def test_certified_mode_is_frobenius():
         np.moveaxis(T, [1, 2, 3], perm)
         for perm in [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     ) / 6.0
-    res = tensor_norm(T, mode="certified")
-    assert res.mode == "frobenius"
-    assert res.value("certified") == pytest.approx(np.linalg.norm(T.ravel()), rel=1e-12)
+    got = unfolding_norm(T.reshape(-1, 3), 3, "certified")
+    assert got == pytest.approx(np.linalg.norm(T.ravel()), rel=1e-12)
 
 
 def test_spectral_norm_helper():
@@ -182,15 +187,26 @@ def test_lapack_failure_is_domain_error():
             call(bad)
 
 
-def test_only_numkit_calls_lapack():
-    # numkit raises a LAPACK failure as MathDomainError (exit 3); a raw
-    # call anywhere else would surface as an internal error (exit 4)
-    raw = re.compile(r"np\.linalg\.(svd|solve|lstsq)\b")
-    found = [
+def lines_outside_numkit(pattern):
+    """file:line of each line of a package module other than numkit that
+    matches the regex pattern."""
+    found = re.compile(pattern).search
+    return [
         "%s:%d" % (path.name, number)
         for path in sorted(Path(numkit.__file__).parent.glob("*.py"))
         if path.name != "numkit.py"
         for number, line in enumerate(path.read_text().splitlines(), 1)
-        if raw.search(line)
+        if found(line)
     ]
-    assert found == []
+
+
+def test_only_numkit_calls_lapack():
+    # numkit raises a LAPACK failure as MathDomainError (exit 3); a raw
+    # call anywhere else would surface as an internal error (exit 4)
+    assert lines_outside_numkit(r"np\.linalg\.(svd|solve|lstsq)\b") == []
+
+
+def test_only_numkit_takes_singular_values():
+    # a matrix's singular values come from its LinearSolver, which takes
+    # them once for its singularity test and for sigma_min
+    assert lines_outside_numkit(r"\bsingular_values\(") == []
