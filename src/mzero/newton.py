@@ -94,10 +94,11 @@ def refine_general(source, z, mu):
     take the regular step to y. At y the chain runs along the
     first-order kernel direction a1 = (1, -Jhat^-1 J[:n-1, 0]), a shear
     of the first frame variable rather than a second rotation, with
-    corrections solved against Jhat = J(y)[:n-1, 1:], one solver whose
-    singularity is tested once. The chain values of orders mu-1 and mu
-    are read along u = (-Jhat^-T J[n-1, 1:], 1), the left vector with
-    u . J(y)[:, 1:] = 0, and the kernel coordinate moves by their ratio.
+    corrections solved against Jhat = J(y)[:n-1, 1:]. The chain values of
+    orders mu-1 and mu are read along u = (-Jhat^-T J[n-1, 1:], 1), the
+    left vector with u . J(y)[:, 1:] = 0, and the kernel coordinate moves
+    by their ratio. Jhat and its transpose share one solver's singular
+    values, so the step tests Jhat's singularity at y once.
 
     Returns the next point, in the coordinates of z.
     """
@@ -110,7 +111,7 @@ def refine_general(source, z, mu):
     a1 = np.ones(n, dtype=complex)
     a1[1:] = -Jhat.solve(J[: n - 1, 0])
     u = np.ones(n, dtype=complex)
-    u[:-1] = -solve_linear(Jhat.A.T, J[n - 1, 1:])
+    u[:-1] = -Jhat.T.solve(J[n - 1, 1:])
     values = kernel_chain(frame, y, a1, Jhat, mu)
     prev = u @ (J @ a1 if mu == 2 else values[-2])
     dmu = u @ values[-1]

@@ -10,7 +10,8 @@ reading before using this module:
   the matrix's singular values once, on its first solve, and refuses every
   solve when the matrix is singular to working precision; `solve_linear`
   is its one-shot form. So a matrix solved against many times, such as
-  the invertible block Jhat of a normalized Jacobian, is tested once.
+  the invertible block Jhat of a normalized Jacobian, is tested once, and
+  its transpose (`.T`) shares that test.
 * `unfolding_norm` measures a symmetric multilinear map A : C^n x ... x
   C^n -> C^m by the spectral norm of its (m * n^(k-1)) x n unfolding,
   dense or given compactly (`polycore.symmetric_layout`). Orders one and
@@ -90,16 +91,25 @@ class LinearSolver:
     """Solves A x = b for one square matrix A (ValueError otherwise),
     refusing every solve when A is singular to working precision,
     s_min <= n eps s_max (SingularMatrixError). `s`, the singular values of
-    A, largest first, are taken once, on the first solve or read."""
+    A, largest first, are taken once, on the first solve or read. `T` is
+    the solver of A's transpose, which has the same singular values and
+    shares `s`."""
 
     def __init__(self, A):
         self.A = np.asarray(A, dtype=complex)
-        if self.A.shape[0] != self.A.shape[1]:
-            raise ValueError("solve_linear expects a square matrix")
+        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
+            raise ValueError("LinearSolver expects a square matrix, got shape %s"
+                             % (self.A.shape,))
 
     @functools.cached_property
     def s(self):
         return singular_values(self.A)
+
+    @functools.cached_property
+    def T(self):
+        transposed = LinearSolver(self.A.T)
+        transposed.s = self.s
+        return transposed
 
     def solve(self, b):
         b = np.asarray(b, dtype=complex)

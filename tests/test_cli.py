@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -840,6 +841,44 @@ def test_console_script(ex_triple_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["mu"] == 3
+
+
+def test_process_entry_exits_with_the_collector_off_and_the_heap_frozen():
+    code = (
+        "import atexit, gc, json, runpy, sys\n"
+        "atexit.register(lambda: print(json.dumps([gc.isenabled(), gc.get_freeze_count()])))\n"
+        "sys.argv = ['mzero', 'separation', '--mu', '3', '--json']\n"
+        "runpy.run_module('mzero.cli', run_name='__main__')\n"
+    )
+    enabled, frozen = run_fresh(code)
+    assert enabled is False and frozen > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_finds_it(capsys, ex_triple_path, enabled):
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _, _ = run_cli(capsys, "certify", "--system", ex_triple_path, "--point", "0,0")
+        assert code == 0
+        assert gc.isenabled() is enabled and gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_console_script_is_the_main_block_entry():
+    # Python 3.10 has no tomllib, so the script line is read as text
+    root = Path(__file__).resolve().parents[1]
+    scripts = [line.split("=", 1)[1].strip().strip('"')
+               for line in (root / "pyproject.toml").read_text().splitlines()
+               if line.split("=", 1)[0].strip() == "mzero"]
+    tree = ast.parse((root / "src" / "mzero" / "cli.py").read_text())
+    main_block = [node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(main_block) == 1
+    called = [node.func.id for node in ast.walk(main_block[0])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert len(called) == 1 and scripts == ["mzero.cli:" + called[0]]
 
 
 # ---------------------------------------------------------------------------

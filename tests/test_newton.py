@@ -259,8 +259,8 @@ def test_triple_contraction(n):
 
 
 def test_general_step_tests_jhat_at_y_once(monkeypatch):
-    # the shear direction and the chain corrections at y share one solver;
-    # the transposed solve for the left vector u is a matrix of its own
+    # the shear direction, the chain corrections and the transposed solve
+    # for the left vector u at y share one solver's singular values
     rng = np.random.default_rng(37)
     system = unitary_pullback(make_normalized_system(4, 4, rng), random_unitary(4, rng),
                               random_unitary(4, rng))
@@ -276,7 +276,7 @@ def test_general_step_tests_jhat_at_y_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     refine_general(system, z, 4)
     assert sum(np.array_equal(A, Jhat) for A in factored) == 1
-    assert sum(np.array_equal(A, Jhat.T) for A in factored) == 1
+    assert sum(np.array_equal(A, Jhat.T) for A in factored) == 0
 
 
 @pytest.mark.parametrize("mu", [3, 4])

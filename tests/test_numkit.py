@@ -75,12 +75,21 @@ def test_solver_takes_one_svd_for_every_solve(monkeypatch):
         b = rng.normal(size=3)
         assert np.allclose(solver.solve(b), np.linalg.solve(A, b), atol=1e-12)
     assert np.allclose(solver.s, factor(A, compute_uv=False), rtol=1e-14)
+    # the transpose has A's singular values and shares them
+    assert np.allclose(solver.T.solve(b), np.linalg.solve(A.T, b), atol=1e-12)
     assert len(calls) == 1
     singular = LinearSolver(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    for _ in range(2):
+    for solve in (singular.solve, singular.solve, singular.T.solve):
         with pytest.raises(SingularMatrixError, match="singular to working precision"):
-            singular.solve(np.ones(2))
+            solve(np.ones(2))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("A", [[1.0, 2.0], 3.0, np.ones((2, 3)), np.ones((2, 2, 2))],
+                         ids=["vector", "scalar", "wide", "stack"])
+def test_solver_refuses_what_is_not_a_square_matrix(A):
+    with pytest.raises(ValueError, match="LinearSolver expects a square matrix"):
+        LinearSolver(A)
 
 
 def test_solve_least_squares_residual():
