@@ -4,8 +4,9 @@ systems.
 
 The package loads lazily (PEP 562): `import mzero` imports no layer, and
 a name below, or a layer module such as `mzero.certify`, is imported from
-its home module on first use. So the numpy-free `constants` layer can be
-used without paying for numpy and the numeric layers.
+its home module on first use. So the numpy-free `constants` and
+`thresholds` layers can be used without paying for numpy and the numeric
+layers.
 """
 
 import importlib
@@ -16,9 +17,8 @@ _EXPORTS = {
         "residual_lower_bound", "separation_bound",
     ),
     "constants": (
-        "CoefficientTable", "SeparationResult", "ThresholdSet", "coefficient_table",
-        "p_of_d", "separation_constant",
-        "smallest_positive_root", "threshold_constants",
+        "CoefficientTable", "SeparationResult", "coefficient_table", "p_of_d",
+        "separation_constant", "smallest_positive_root",
     ),
     "dualspace": ("DualBasis", "compute_dual_basis", "is_normalized", "normalizing_frame"),
     "errors": (
@@ -38,13 +38,14 @@ _EXPORTS = {
         "solve_linear", "svd",
     ),
     "polycore": ("Poly", "PolySystem", "parse_system"),
+    "thresholds": ("ThresholdSet", "threshold_constants"),
 }
 _SUBMODULES = (*_EXPORTS, "cli")
 
 __version__ = "0.1.0"
 
 # the iterations of `newton.iterate_until` (normalized of order 2, of order
-# 3, general) and the variants of `constants.threshold_constants`, named
+# 3, general) and the variants of `thresholds.threshold_constants`, named
 # here so that the command line reads its choices without loading a layer
 VARIANTS = ("normalized_double", "normalized_triple", "general")
 THRESHOLD_VARIANTS = ("normalized_double", "normalized_triple", "general_triple")

@@ -3,36 +3,41 @@
 Subcommands: dual, gamma, separation, certify, refine, thresholds. Every
 command prints a human-readable summary by default and a canonical JSON
 document with --json. Exit codes: 0 on success (a negative certificate is
-still a success), 2 for input problems (including a --mu that disagrees
-with the chain length found at the point), 3 for numerical-domain
-problems, 4 for internal errors. Points are checked on entry: one finite
-coordinate per system variable, and at least two variables. `separation`
-and `certify` take a --mu of at most `constants.ANCHORED_MAX`, the orders
-whose universal constant is cross-checked. `gamma` and `certify` move a
-point outside the distinguished shape to a normalizing frame, as
-`separation` does. `--gap-tol` and `--delta-zero-tol` reach every
-detection of the chain length; they and `--eps` must be finite and
-positive, `--max-order` at least 1 and `--max-iter` at least 0.
+still a success), 1 when the reader closes stdout before the output is
+written (nothing goes to stderr), 2 for input problems (including a --mu
+that disagrees with the chain length found at the point), 3 for
+numerical-domain problems, 4 for internal errors. Points are checked on
+entry: one finite coordinate per system variable, no empty field, and at
+least two variables. `separation` and `certify` take a --mu of at most
+`constants.ANCHORED_MAX`, the orders whose universal constant is
+cross-checked. `gamma` and `certify` move a point outside the
+distinguished shape to a normalizing frame, as `separation` does.
+`--gap-tol` and `--delta-zero-tol` reach every detection of the chain
+length; they and `--eps` must be finite and positive, `--max-order` at
+least 1 and `--max-iter` at least 0.
 
 Each command imports only the layers it runs: `separation --mu k`
-without a system and `thresholds` read the numpy-free `constants` module
-alone, `dual`, `gamma` and `refine` never load it, and numpy is loaded
-where a point is parsed. Only `dual` loads `functionals`, and only a
-frame loads `frames`. No call imports `json` or `dataclasses`.
+without a system reads the numpy-free `constants` module alone, and
+`thresholds` the numpy-free `thresholds` module (with `constants` for its
+root finder); `separation` and `certify` never load `thresholds`, and
+`dual`, `gamma` and `refine` load neither. numpy is loaded where a point
+is parsed. Only `dual` loads `functionals`, and only a frame loads
+`frames`. No call imports `json` or `dataclasses`.
 
 Each command has one flag table. A well-formed call (exact flags, values
 that convert and lie in their choices, every required flag) is read from
-it directly, so `argparse`, `gettext` and `locale` load only for help,
-usage and errors. Those go to the argparse parser built from the same
-table for the invoked command alone (the full one, for `mzero --help`,
-loads no numpy). A flag value of exactly `--`, which argparse would drop,
-is an input error.
+it directly, so `cliparser` and with it `argparse`, `gettext` and
+`locale` load only for help, usage and errors. Those go to the argparse
+parser built from the same table for the invoked command alone (the full
+one, for `mzero --help`, loads no numpy). A flag value of exactly `--`,
+which argparse would drop, is an input error.
 
 A process started as `mzero` or `python -m mzero.cli` enters through
-`run()`, which turns the cyclic garbage collector off for the call and
-freezes the heap before exit, so neither the numpy import nor interpreter
-shutdown spends time collecting. `main(argv)` leaves the collector as it
-finds it, for callers that run it in-process.
+`run()`, which turns the cyclic garbage collector off for the call, then
+flushes stdout and stderr and ends the process with `os._exit`, so
+neither the numpy import nor interpreter teardown spends time collecting
+or freeing. `atexit` hooks do not run in such a process. `main(argv)`
+leaves the collector as it finds it, for callers that run it in-process.
 
 The JSON output is deterministic: keys are sorted, floats are printed
 with 17 significant digits, and complex values appear as {"im": ...,
@@ -43,6 +48,7 @@ as JSON has no literal for it.
 
 import gc
 import math
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -138,10 +144,11 @@ def _coordinate(text, where=""):
 
 def parse_point(text):
     """Comma-separated finite complex coordinates; `i` or `j` marks the
-    imaginary unit, e.g. "-0.01,0.01" or "1+2i,0"."""
-    entries = [e.strip() for e in text.split(",") if e.strip()]
-    if not entries:
-        raise ParseError("empty point")
+    imaginary unit, e.g. "-0.01,0.01" or "1+2i,0". An empty field, as in
+    "0,,0" or "0,0,", is refused."""
+    entries = [e.strip() for e in text.split(",")]
+    if "" in entries:
+        raise ParseError("empty coordinate in point %r" % text)
     import numpy as np  # commands without a point never load numpy
 
     return np.array([_coordinate(e) for e in entries], dtype=complex)
@@ -371,9 +378,9 @@ def cmd_refine(args):
 
 
 def cmd_thresholds(args):
-    from . import constants
+    from . import thresholds
 
-    ts = constants.threshold_constants(args.threshold_variant)
+    ts = thresholds.threshold_constants(args.threshold_variant)
     result = _pick(ts, "variant mu u_converge u_quadratic")
     lines = [
         "variant: %s" % ts.variant,
@@ -431,39 +438,9 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The parser with the subparser of `command` alone, or of every
-    command when `command` names none."""
-    import argparse  # loaded only for help, usage and errors; see _fast_args
-
-    parser = argparse.ArgumentParser(
-        prog="mzero",
-        description="Multiplicity structure, separation bounds, and refinement "
-        "for corank-one multiple zeros of polynomial systems.",
-    )
-    names = [command] if command in COMMANDS else list(COMMANDS)
-    # a lone subparser needs the metavar for the usage line to list every
-    # command; with all of them, errors name the argument `command`
-    metavar = "{%s}" % ",".join(COMMANDS) if len(names) == 1 else None
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        _, help_text, flags = COMMANDS[name]
-        sp = subs.add_parser(name, help=help_text)
-        sp.set_defaults(**_DEFAULTS)
-        for flag, dest, kind, choices, required, help_text in flags:
-            if kind is None:
-                sp.add_argument(flag, dest=dest, action="store_true", help=help_text)
-            else:
-                sp.add_argument(flag, dest=dest, type=kind, choices=choices, required=required,
-                                help=help_text)
-    # every option that takes a value, for _join_value_flags
-    parser.value_flags = {row[0] for name in names for row in COMMANDS[name][2] if row[2]}
-    return parser
-
-
 def _fast_args(argv):
-    """The flags of a well-formed call, as build_parser's parser reads them
-    from _join_value_flags(argv), without loading argparse.
+    """The flags of a well-formed call, as `cliparser.parse_args` reads
+    them, without loading argparse.
 
     Takes a command name and then only that command's exact flags: a
     switch bare, a value as `--flag=value` or as the next token, whatever
@@ -490,7 +467,7 @@ def _fast_args(argv):
             continue
         if not eq:
             value = next(tokens, None)
-        if value is None or value == "--":  # _join_value_flags refuses a value "--"
+        if value is None or value == "--":  # cliparser refuses a value "--"
             return None
         try:
             value = kind(value)
@@ -534,33 +511,21 @@ def _check_args(args):
         raise ParseError("a point needs a system file (--system)")
 
 
-def _join_value_flags(argv, flags):
-    """Glue the value of each flag in `flags` onto it with '=', so a value
-    that begins with a minus sign (a coordinate, `-1e-8`) is not mistaken
-    for an option. A value of exactly `--`, which argparse would drop, is
-    refused (ParseError)."""
-    joined, tokens = [], iter(argv)
-    for tok in tokens:
-        value = next(tokens, None) if tok in flags else None
-        flag, eq, glued = tok.partition("=")
-        if value == "--" or eq and flag in flags and glued == "--":
-            raise ParseError("%s takes a value other than '--'" % flag)
-        joined.append(tok if value is None else tok + "=" + value)
-    return joined
-
-
 def main(argv=None):
     try:
         argv = sys.argv[1:] if argv is None else argv
         args = _fast_args(argv)
         if args is None:
-            parser = build_parser(argv[0] if argv else None)
+            from .cliparser import parse_args  # help, usage and errors only
+
             try:
-                args = parser.parse_args(_join_value_flags(argv, parser.value_flags))
+                args = parse_args(argv, COMMANDS, _DEFAULTS)
             except SystemExit as exc:
                 return int(exc.code) if exc.code else 0
         _check_args(args)
         return COMMANDS[args.command][0](args)
+    except BrokenPipeError:
+        return 1  # the reader closed stdout: nothing more to say
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
@@ -577,13 +542,23 @@ def main(argv=None):
 
 def run():
     """The process entry: one `main()` call with the cyclic collector off,
-    then the heap frozen and the process exited with the call's status. A
-    call leaves almost no cycles to free, yet the collector would run about
-    30 times while numpy loads and again over every object at exit."""
+    then stdout and stderr flushed and the process ended at once with the
+    call's status. A call leaves almost no cycles to free, yet the collector
+    would run about 30 times while numpy loads; and once the output is
+    flushed, tearing the interpreter down frees only memory the kernel
+    reclaims anyway. A reader that closed stdout ends the call with status
+    1; another failed flush is left to the interpreter to report."""
     gc.disable()
     status = main()
-    gc.freeze()
-    sys.exit(status)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None in a process started with it closed
+                stream.flush()
+    except BrokenPipeError:
+        status = 1
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
 
 
 if __name__ == "__main__":

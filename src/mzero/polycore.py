@@ -327,8 +327,17 @@ _MONO = r"[A-Za-z_]\w*(?:\s*\^\s*\d+)?(?:\s*\*\s*[A-Za-z_]\w*(?:\s*\^\s*\d+)?)*"
 _TERM_RE = re.compile(
     r"\s*([+-]?)\s*(?:(?:\(\s*([+-]?)\s*({0})\s*([+-])\s*({0})i\s*\)|({0})(i?))"
     r"(?:\s*\*\s*({1}))?|({1}))\s*(?=[+-]|\Z)|[\s\S]".format(_NUM, _MONO), re.ASCII)
-# a literal with a nonzero digit before its exponent
-_NONZERO = re.compile(r"[0.]*[1-9]").match
+
+
+def _nonzero(literal):
+    """Whether a decimal literal has a nonzero digit before its exponent."""
+    return literal.lstrip("0.")[:1].isdigit()
+
+
+def _is_name(text):
+    """Whether text is a variable name or label: an ASCII letter or `_`,
+    then ASCII letters, digits and `_`."""
+    return text.isascii() and text.isidentifier()
 
 
 def _scan_terms(text, index, monos):
@@ -340,7 +349,7 @@ def _scan_terms(text, index, monos):
     for sign, rsign, re_text, isign, im_text, num, imag, mono, bare in found:
         if re_text:
             a, b = float(re_text), float(im_text)
-            if not a and _NONZERO(re_text) or not b and _NONZERO(im_text):
+            if not a and _nonzero(re_text) or not b and _nonzero(im_text):
                 return None
             # 0.0 - x negates without a signed zero, which exact zeros lack
             c = complex(0.0 - a if rsign == "-" else a, 0.0 - b if isign == "-" else b)
@@ -392,13 +401,13 @@ def parse_system(text):
     key, rest = head.split(":", 1)
     if key.strip() != "vars":
         raise ParseError("first statement must declare variables with 'vars:'")
-    var_names = [v for v in re.split(r"[\s,]+", rest.strip()) if v]
+    var_names = rest.replace(",", " ").split()
     if not var_names:
         raise ParseError("no variables declared")
     if len(set(var_names)) != len(var_names):
         raise ParseError("duplicate variable names")
     for name in var_names:
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name == "sqrt":
+        if not _is_name(name) or name == "sqrt":
             raise ParseError("bad variable name %r" % name)
     nvars = len(var_names)
     variables = {name: _unit(nvars, j) for j, name in enumerate(var_names)}
@@ -412,7 +421,7 @@ def parse_system(text):
             raise ParseError("expected 'label: expression' in %r" % stmt.strip())
         label, expr_text = stmt.split(":", 1)
         label = label.strip()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", label):
+        if not _is_name(label):
             raise ParseError("bad polynomial label %r" % label)
         if label in labels:
             raise ParseError("duplicate polynomial label %r" % label)

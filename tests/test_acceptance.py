@@ -19,7 +19,7 @@ from mzero.certify import (
     separation_bound,
     separation_constant,
 )
-from mzero.constants import p_of_d, threshold_constants
+from mzero.constants import p_of_d
 from mzero.dualspace import compute_dual_basis, normalizing_frame
 from mzero.frames import unitary_pullback
 from mzero.functionals import chainrule_Lk
@@ -30,6 +30,7 @@ from mzero.newton import (
     refine_general,
     refine_triple,
 )
+from mzero.thresholds import threshold_constants
 
 from conftest import (
     lowering_residual,

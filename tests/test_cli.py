@@ -14,11 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mzero
-from mzero import constants, frames, polycore
-from mzero.cli import (
-    COMMANDS, _fast_args, _join_value_flags, _quote, build_parser, canonical_json, main,
-    parse_point,
-)
+from mzero import frames, polycore, thresholds
+from mzero.cli import COMMANDS, _DEFAULTS, _fast_args, _quote, canonical_json, main, parse_point
+from mzero.cliparser import build_parser, parse_args
 from mzero.errors import MathDomainError
 
 from conftest import EX_DOUBLE, EX_TRIPLE, make_planted_system, perfbench_module
@@ -52,6 +50,17 @@ def test_parse_point_rejects_garbage():
         parse_point("1,banana")
     with pytest.raises(ParseError):
         parse_point(",,")
+    # an empty field is refused, not skipped
+    for text in ("0,,0", "0,0,", ",0,0", "0, ,0", ""):
+        with pytest.raises(ParseError, match="empty coordinate"):
+            parse_point(text)
+
+
+def test_point_with_an_empty_field_is_input_error(capsys, ex_double_path):
+    code, out, err = run_cli(capsys, "gamma", "--system", ex_double_path, "--point", "0,,0")
+    assert code == 2
+    assert err == "input error: empty coordinate in point '0,,0'\n"
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +714,8 @@ def test_quote_matches_json_dumps_on_escapes(text):
 
 
 def test_non_finite_result_is_domain_error(capsys, monkeypatch):
-    broken = constants.ThresholdSet("normalized_double", 2, float("inf"), 0.03)
-    monkeypatch.setattr(constants, "threshold_constants", lambda variant: broken)
+    broken = thresholds.ThresholdSet("normalized_double", 2, float("inf"), 0.03)
+    monkeypatch.setattr(thresholds, "threshold_constants", lambda variant: broken)
     code, out, err = run_cli(
         capsys, "thresholds", "--variant", "normalized_double", "--json"
     )
@@ -719,7 +728,7 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     def broken(variant):
         raise RuntimeError("unexpected state")
 
-    monkeypatch.setattr(constants, "threshold_constants", broken)
+    monkeypatch.setattr(thresholds, "threshold_constants", broken)
     code, out, err = run_cli(capsys, "thresholds", "--variant", "normalized_double")
     assert code == 4
     assert "internal error: unexpected state" in err
@@ -843,15 +852,85 @@ def test_console_script(ex_triple_path):
     assert json.loads(proc.stdout)["result"]["mu"] == 3
 
 
-def test_process_entry_exits_with_the_collector_off_and_the_heap_frozen():
-    code = (
-        "import atexit, gc, json, runpy, sys\n"
-        "atexit.register(lambda: print(json.dumps([gc.isenabled(), gc.get_freeze_count()])))\n"
-        "sys.argv = ['mzero', 'separation', '--mu', '3', '--json']\n"
-        "runpy.run_module('mzero.cli', run_name='__main__')\n"
+def _run_entry(argv, stdout=subprocess.PIPE, prelude=""):
+    """`python -m mzero.cli argv` in a new interpreter, or, with a prelude,
+    `runpy` of the same module after the prelude runs."""
+    if prelude:
+        command = ["-c", prelude + "\nimport runpy, sys\nsys.argv = ['mzero'] + %r\n"
+                   "runpy.run_module('mzero.cli', run_name='__main__')" % argv]
+    else:
+        command = ["-m", "mzero.cli"] + argv
+    return subprocess.run([sys.executable] + command, stdout=stdout, stderr=subprocess.PIPE,
+                          env=fresh_env())
+
+
+def test_process_entry_writes_everything_and_ends_without_teardown(capsys, tmp_path):
+    # run() ends the process with os._exit after flushing stdout and stderr:
+    # the whole output arrives through a pipe and through a file, with the
+    # exit codes and messages main() gives, and no atexit hook runs
+    planted = _write_planted(tmp_path, 3, 8, 0)
+    square = tmp_path / "square.mz"
+    square.write_text(SQUARE)
+    calls = [
+        (["separation", "--mu", "3", "--json"], 0, ""),
+        # about 10 kB, beyond the 8 kB stdout buffer
+        (["dual", "--system", planted, "--point", "0,0,0", "--json"], 0, ""),
+        (["separation", "--mu", "1"], 2, "input error: --mu must be at least 2\n"),
+        (["gamma", "--system", str(square), "--point", "1e200,0"], 3, "numerical-domain error"),
+    ]
+    for argv, code, message in calls:
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == code and message in expected[2]
+        piped = _run_entry(argv)
+        assert (piped.returncode, piped.stdout.decode(), piped.stderr.decode()) == expected
+        out_path = tmp_path / "out.txt"
+        with open(out_path, "wb") as handle:
+            filed = _run_entry(argv, stdout=handle)
+        assert (filed.returncode, out_path.read_text(), filed.stderr.decode()) == expected
+    hooked = _run_entry(["separation", "--mu", "3"],
+                        prelude="import atexit; atexit.register(print, 'atexit hook ran')")
+    assert hooked.returncode == 0 and b"atexit hook ran" not in hooked.stdout
+    assert hooked.stdout.decode() == run_cli(capsys, "separation", "--mu", "3")[1]
+
+
+def test_process_entry_runs_without_the_collector(ex_triple_path):
+    # a collection after numpy loads (inside main) is written to stderr
+    prelude = ("import gc, os, sys\n"
+               "gc.callbacks.append(lambda phase, info: phase == 'start'"
+               " and 'numpy' in sys.modules and os.write(2, b'collected'))")
+    proc = _run_entry(["certify", "--system", ex_triple_path, "--point", "0,0", "--json"],
+                      prelude=prelude)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert json.loads(proc.stdout)["result"]["holds"] is True
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_the_call_quietly(unbuffered):
+    # the reader is gone before the first write: status 1 and nothing on
+    # stderr, whether print or the final flush meets the broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in fresh_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mzero.cli", "separation", "--mu", "3", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_a_process_started_without_stdout_succeeds():
+    # sys.stdout is None there: print writes nothing and there is nothing
+    # to flush
+    proc = subprocess.run(
+        [sys.executable, "-m", "mzero.cli", "separation", "--mu", "3", "--json"],
+        stderr=subprocess.PIPE, env=fresh_env(), preexec_fn=lambda: os.close(1),
     )
-    enabled, frozen = run_fresh(code)
-    assert enabled is False and frozen > 0
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -914,11 +993,12 @@ RUN_MAIN = "from mzero.cli import main; assert main(%r) == 0"
     ["import mzero", "import mzero.cli", RUN_MAIN % ["separation", "--mu", "3", "--json"]]
     + [
         RUN_MAIN % ["thresholds", "--variant", variant, "--json"]
-        for variant in constants.THRESHOLD_VARIANTS
+        for variant in mzero.THRESHOLD_VARIANTS
     ]
     # `mzero --help` lists the refine variants without loading `newton`
-    + ["from mzero.cli import build_parser; build_parser()"],
-    ids=["import", "import-cli", "separation"] + list(constants.THRESHOLD_VARIANTS)
+    + ["from mzero.cli import COMMANDS, _DEFAULTS\n"
+       "from mzero.cliparser import build_parser; build_parser(COMMANDS, _DEFAULTS)"],
+    ids=["import", "import-cli", "separation"] + list(mzero.THRESHOLD_VARIANTS)
     + ["full-parser"],
 )
 def test_constants_commands_do_not_load_numpy(code):
@@ -1003,8 +1083,8 @@ LOADED = "\nimport sys; loaded = set(sys.modules)\nimport json; print(json.dumps
 
 
 def test_import_cli_loads_neither_dataclasses_nor_constants():
-    watched = {"dataclasses", "mzero.constants", "mzero.record", "argparse", "gettext",
-               "locale"}
+    watched = {"dataclasses", "mzero.constants", "mzero.thresholds", "mzero.record",
+               "mzero.cliparser", "argparse", "gettext", "locale"}
     assert run_fresh("import mzero.cli" + LOADED % watched) == []
 
 
@@ -1019,8 +1099,8 @@ def test_dual_and_gamma_do_not_load_constants(ex_triple_path, command):
     assert run_fresh(RUN_MAIN % argv + LOADED % {"mzero.constants"}) == []
 
 
-WATCHED = {"json", "mzero.constants", "mzero.functionals", "mzero.frames", "argparse",
-           "gettext", "locale"}
+WATCHED = {"json", "mzero.constants", "mzero.thresholds", "mzero.functionals", "mzero.frames",
+           "mzero.cliparser", "argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize(
@@ -1034,7 +1114,7 @@ WATCHED = {"json", "mzero.constants", "mzero.functionals", "mzero.frames", "argp
         (["refine", "NEAR", "--variant", "normalized_double"], []),
         (["refine", "NEAR"], []),
         (["refine", "NEAR", "--variant", "general"], ["mzero.frames"]),
-        (["thresholds", "--variant", "general_triple"], ["mzero.constants"]),
+        (["thresholds", "--variant", "general_triple"], ["mzero.constants", "mzero.thresholds"]),
     ],
     ids=["dual", "gamma", "separation", "separation-constant", "certify", "refine-normalized",
          "refine-auto", "refine-general", "thresholds"],
@@ -1042,8 +1122,9 @@ WATCHED = {"json", "mzero.constants", "mzero.functionals", "mzero.frames", "argp
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     # at a normalized point of a scanned system only `dual` builds
     # functionals and only a general step needs a frame; no command
-    # imports json, refinement reads no universal constant, and a
-    # well-formed call is parsed without argparse
+    # imports json, refinement reads no universal constant, only
+    # `thresholds` compiles the threshold equations, and a well-formed
+    # call is parsed without cliparser and argparse
     gen = perfbench_module("gen")
     path = tmp_path / "dense.txt"
     path.write_text(gen.system_text(gen.planted_system(4, 2, np.random.default_rng(1))))
@@ -1060,18 +1141,19 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     ids=["help", "bad-int", "bad-choice"],
 )
 def test_help_and_errors_load_argparse(argv, code):
-    # what _fast_args declines goes to argparse, which prints help and errors
+    # what _fast_args declines goes to cliparser's argparse parser, which
+    # prints help and errors
     run = "from mzero.cli import main; assert main(%r) == %d" % (argv, code)
-    assert run_fresh(run + LOADED % {"argparse"}) == ["argparse"]
+    assert run_fresh(run + LOADED % {"argparse", "mzero.cliparser"}) == [
+        "argparse", "mzero.cliparser"]
 
 
 def _argparse_args(argv):
     """The flags argparse reads from argv as main passes it, or None where
     it prints help or an error."""
-    parser = build_parser(argv[0] if argv else None)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return parser.parse_args(_join_value_flags(argv, parser.value_flags))
+            return parse_args(argv, COMMANDS, _DEFAULTS)
         except SystemExit:
             return None
 
@@ -1154,7 +1236,7 @@ def test_one_command_parser_prints_what_the_full_parser_does(capsys, argv):
     # must read as with every subparser built
     code, out, err = run_cli(capsys, *argv)
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(argv)
+        build_parser(COMMANDS, _DEFAULTS).parse_args(argv)
     full = capsys.readouterr()
     assert (code, out, err) == (exc.value.code, full.out, full.err)
 

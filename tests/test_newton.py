@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mzero import constants
-from mzero.constants import threshold_constants
+from mzero import thresholds
+from mzero.thresholds import threshold_constants
 from mzero.dualspace import normalizing_frame
 from mzero.errors import InputError
 from mzero.frames import unitary_pullback
@@ -42,19 +42,33 @@ def test_threshold_values(variant, conv, quad):
     assert ts.u_quadratic < ts.u_converge
 
 
+@pytest.mark.parametrize(
+    "variant, conv, quad",
+    [
+        ("normalized_double", "0x1.568b32978199ap-5", "0x1.041f98757b334p-5"),
+        ("normalized_triple", "0x1.6b1d331fde666p-6", "0x1.f8448b1121998p-7"),
+        ("general_triple", "0x1.c1649f5c36666p-7", "0x1.41e63a5b370a4p-7"),
+    ],
+)
+def test_threshold_values_keep_every_bit(variant, conv, quad):
+    # reorganizing the equations must not move a threshold by one ulp
+    ts = threshold_constants(variant)
+    assert (ts.u_converge.hex(), ts.u_quadratic.hex()) == (conv, quad)
+
+
 def test_threshold_solves_its_equation():
     for variant in ("normalized_double", "normalized_triple"):
         ts = threshold_constants(variant)
-        second = constants._b23 if variant == "normalized_double" else constants._b33
+        second = thresholds._b23 if variant == "normalized_double" else thresholds._b33
         for u, target in ((ts.u_converge, 1.0), (ts.u_quadratic, 0.25)):
-            value = 2 * constants._b21(u) ** 2 + 2 * second(u) ** 2
+            value = 2 * thresholds._b21(u) ** 2 + 2 * second(u) ** 2
             assert value == pytest.approx(target, abs=1e-9)
 
 
 def test_general_threshold_solves_its_equation():
     ts = threshold_constants("general_triple")
     for u, target in ((ts.u_converge, 1.0), (ts.u_quadratic, 0.25)):
-        value = constants._general_b1(u) ** 2 + constants._general_b2(u) ** 2
+        value = thresholds._general_eq(u)
         assert value == pytest.approx(target, abs=1e-9)
 
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 from decimal import Context, Decimal
@@ -103,6 +104,48 @@ def test_parse_comments_and_semicolons():
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_system(bad)
+
+
+# the checks parse_system made with regular expressions, as the oracle of
+# the string methods it uses now
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# names, separators, Unicode spaces and identifier characters, non-ASCII digits
+name_text = st.text(
+    st.sampled_from(list("aZ_9x ,\t\x0b\x0c\x1f\xa0 　é٣-+.")) | st.characters(),
+    max_size=12,
+).map(lambda s: "".join(c for c in s if c not in "#;:" and len(("a%sb" % c).splitlines()) == 1))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(name_text)
+def test_vars_line_reads_as_the_regex_split_did(rest):
+    names = [v for v in re.split(r"[\s,]+", rest.strip()) if v]
+    valid = bool(names) and len(set(names)) == len(names) and all(
+        re.fullmatch(NAME, v) and v != "sqrt" for v in names)
+    text = "vars:" + rest + "".join("\nf%d: 1" % i for i in range(len(names)))
+    if valid:
+        assert parse_system(text).var_names == names
+    else:
+        with pytest.raises(ParseError):
+            parse_system(text)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(name_text)
+def test_labels_read_as_the_regex_match_did(label):
+    text = "vars: X Y\n%s: X\ng: Y" % label
+    if re.fullmatch(NAME, label.strip()) and label.strip() != "g":
+        assert parse_system(text).labels == [label.strip(), "g"]
+    else:
+        with pytest.raises(ParseError):
+            parse_system(text)
+
+
+def test_parse_system_compiles_no_pattern(monkeypatch):
+    # only the precompiled term scanner is left; the `re` module is not used
+    monkeypatch.setattr(polycore, "re", None)
+    sys_ = parse_system("vars: X, Y\nf: X^2 + (1+2i)*Y\ng: (0.0e5+1e-400i)*X + Y")
+    assert sys_.var_names == ["X", "Y"] and sys_.labels == ["f", "g"]
 
 
 def test_power_of_a_sum_is_refused_above_the_term_budget():
