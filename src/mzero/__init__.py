@@ -55,6 +55,11 @@ THRESHOLD_VARIANTS = ("normalized_double", "normalized_triple", "general_triple"
 DEFAULT_TOLERANCES = {"gap_tol": 1e-8, "delta_zero_tol": 1e-8, "max_order": 10,
                       "eps": 1e-10, "max_iter": 50}
 
+# the one order limit of the package: the largest order k whose Taylor
+# scaling 1/k! the local model takes (171! is above the largest double),
+# and the largest --mu and --max-order the command line accepts
+MAX_ORDER = 170
+
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 

@@ -8,9 +8,12 @@ written (nothing goes to stderr), 2 for input problems (including a --mu
 that disagrees with the chain length found at the point), 3 for
 numerical-domain problems, 4 for internal errors. Points are checked on
 entry: one finite coordinate per system variable, no empty field, and at
-least two variables. `separation` and `certify` take a --mu of at most
+least two variables, and --point and --point-file exclude each other.
+Every --mu and --max-order is at most `MAX_ORDER` (170), and
+`separation` and `certify` take a --mu of at most
 `constants.ANCHORED_MAX`, the orders whose universal constant is
-cross-checked. `gamma` and `certify` move a point outside the
+cross-checked. A system or point file is read as UTF-8, with or without
+a byte-order mark. `gamma` and `certify` move a point outside the
 distinguished shape to a normalizing frame, as `separation` does.
 `--gap-tol` and `--delta-zero-tol` reach every detection of the chain
 length; they and `--eps` must be finite and positive, `--max-order` at
@@ -24,13 +27,13 @@ root finder); `separation` and `certify` never load `thresholds`, and
 is parsed. Only `dual` loads `functionals`, and only a frame loads
 `frames`. No call imports `json` or `dataclasses`.
 
-Each command has one flag table. A well-formed call (exact flags, values
-that convert and lie in their choices, every required flag) is read from
-it directly, so `cliparser` and with it `argparse`, `gettext` and
-`locale` load only for help, usage and errors. Those go to the argparse
-parser built from the same table for the invoked command alone (the full
-one, for `mzero --help`, loads no numpy). A flag value of exactly `--`,
-which argparse would drop, is an input error.
+Each command has one flag table, and `parse_args` reads, explains and
+refuses every call from the tables: a command name, then only that
+command's flags, spelled out in full, each value as `--flag value` or
+`--flag=value` (a value may begin with `-`; a value of exactly `--` is
+refused). `-h` or `--help` prints the help built from the tables and
+exits 0; anything else is an input error that names the command and the
+token at fault. No call loads argparse.
 
 A process started as `mzero` or `python -m mzero.cli` enters through
 `run()`, which turns the cyclic garbage collector off for the call, then
@@ -53,7 +56,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import DEFAULT_TOLERANCES, THRESHOLD_VARIANTS, VARIANTS
+from . import DEFAULT_TOLERANCES, MAX_ORDER, THRESHOLD_VARIANTS, VARIANTS
 from .errors import InputError, MathDomainError, ParseError
 
 
@@ -85,47 +88,32 @@ def canonical_json(obj):
     complex number as {"im": ..., "re": ...}. Raises MathDomainError for a
     non-finite float, which JSON cannot hold.
     """
-    out = []
 
-    def emit(v):
+    def text(v):
         if hasattr(v, "tolist"):
             v = v.tolist()
         if v is None:
-            out.append("null")
-        elif isinstance(v, bool):
-            out.append("true" if v else "false")
-        elif isinstance(v, int):
-            out.append(str(v))
-        elif isinstance(v, float):
+            return "null"
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, int):
+            return str(v)
+        if isinstance(v, float):
             if not math.isfinite(v):
                 raise MathDomainError("result holds the non-finite number %r" % v)
-            out.append(format(v, ".17g"))
-        elif isinstance(v, complex):
-            emit({"im": v.imag, "re": v.real})
-        elif isinstance(v, str):
-            out.append(_quote(v))
-        elif isinstance(v, dict):
+            return format(v, ".17g")
+        if isinstance(v, complex):
+            return text({"im": v.imag, "re": v.real})
+        if isinstance(v, str):
+            return _quote(v)
+        if isinstance(v, dict):
             v = {str(k): item for k, item in v.items()}
-            out.append("{")
-            for i, k in enumerate(sorted(v)):
-                if i:
-                    out.append(", ")
-                out.append(_quote(k))
-                out.append(": ")
-                emit(v[k])
-            out.append("}")
-        elif isinstance(v, (list, tuple)):
-            out.append("[")
-            for i, item in enumerate(v):
-                if i:
-                    out.append(", ")
-                emit(item)
-            out.append("]")
-        else:
-            raise TypeError("cannot serialize %r" % type(v))
+            return "{%s}" % ", ".join([_quote(k) + ": " + text(v[k]) for k in sorted(v)])
+        if isinstance(v, (list, tuple)):
+            return "[%s]" % ", ".join(map(text, v))
+        raise TypeError("cannot serialize %r" % type(v))
 
-    emit(obj)
-    return "".join(out)
+    return text(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +143,10 @@ def parse_point(text):
 
 
 def _read_text(path, what):
-    """A file's text; a file that cannot be opened or is not UTF-8 is an
-    input error."""
+    """A file's text, without a leading byte-order mark; a file that cannot
+    be opened or is not UTF-8 is an input error."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read %s %s: %s" % (what, path, exc))
@@ -380,7 +368,7 @@ def cmd_refine(args):
 def cmd_thresholds(args):
     from . import thresholds
 
-    ts = thresholds.threshold_constants(args.threshold_variant)
+    ts = thresholds.threshold_constants(args.variant)
     result = _pick(ts, "variant mu u_converge u_quadratic")
     lines = [
         "variant: %s" % ts.variant,
@@ -394,10 +382,11 @@ def cmd_thresholds(args):
 # argument wiring
 
 
-def _flag(flag, type=str, help=None, choices=None, required=False, dest=None):
-    """One row of a flag table: (flag, dest, type, choices, required, help).
-    A type of None marks a store-true switch."""
-    return (flag, dest or flag[2:].replace("-", "_"), type, choices, required, help)
+def _flag(flag, type=str, help=None, choices=None, required=False):
+    """One row of a flag table: (flag, type, choices, required, help). A
+    type of None marks a store-true switch. The value is stored under the
+    flag's name without its dashes, `-` read as `_`."""
+    return (flag, type, choices, required, help)
 
 
 _LOCATION = [
@@ -408,15 +397,18 @@ _LOCATION = [
 _MU = _flag("--mu", int, "multiplicity (detected if omitted)")
 _MODE = _flag("--mode", help="tensor norm handling for growth invariants",
               choices=("estimate", "certified"))
-_TOLERANCES = [_flag("--gap-tol", float), _flag("--delta-zero-tol", float)]
+_TOLERANCES = [
+    _flag("--gap-tol", float, "corank test of the multiplicity detection"),
+    _flag("--delta-zero-tol", float, "chain termination test of the multiplicity detection"),
+]
 _JSON = _flag("--json", None, "canonical JSON output")
 _GROWTH = _LOCATION + [_MU, _MODE] + _TOLERANCES + [_JSON]
 _REFINE = _LOCATION + [_MU] + _TOLERANCES + [
     _JSON,
     _flag("--variant", help="iteration variant (auto picks by mu and coordinate shape)",
           choices=("auto",) + VARIANTS),
-    _flag("--eps", float),
-    _flag("--max-iter", int),
+    _flag("--eps", float, "residual norm at which to stop"),
+    _flag("--max-iter", int, "most steps to take"),
 ]
 
 # the value of each flag left out, or that the command lacks
@@ -425,59 +417,88 @@ _DEFAULTS = dict(system=None, point=None, point_file=None, mu=None, mode="estima
 
 # name: (handler, help, flag table)
 COMMANDS = {
-    "dual": (cmd_dual, "dual basis and multiplicity at a point",
-             _LOCATION + _TOLERANCES + [_JSON, _flag("--max-order", int)]),
+    "dual": (cmd_dual, "dual basis and multiplicity at a point", _LOCATION + _TOLERANCES + [
+        _JSON, _flag("--max-order", int, "highest order to search")]),
     "gamma": (cmd_gamma, "growth invariants at a normalized zero", _GROWTH),
     "separation": (cmd_separation, "separation constant and radius", _GROWTH),
     "certify": (cmd_certify, "cluster certificate at an approximate zero", _GROWTH),
     "refine": (cmd_refine, "refine an approximate multiple zero", _REFINE),
     "thresholds": (cmd_thresholds, "convergence threshold constants", [
-        _flag("--variant", choices=THRESHOLD_VARIANTS, required=True, dest="threshold_variant"),
-        _flag("--json", None),
-    ]),
+        _flag("--variant", help="threshold equation", choices=THRESHOLD_VARIANTS, required=True),
+        _JSON]),
 }
 
+_HELP = ("-h", "--help")
 
-def _fast_args(argv):
-    """The flags of a well-formed call, as `cliparser.parse_args` reads
-    them, without loading argparse.
+
+def _print_help(command=None):
+    """The usage of `command`, or of the program, from the flag tables."""
+    if command is None:
+        print("usage: mzero <command> [flags]\n\ncommands (`mzero <command> --help` lists a "
+              "command's flags):")
+        for name, (_, text, _) in COMMANDS.items():
+            print("  %-12s%s" % (name, text))
+        return
+    _, text, flags = COMMANDS[command]
+    print("usage: mzero %s [flags]\n\n%s\n\nflags:" % (command, text))
+    for flag, kind, choices, required, text in flags:
+        value = " {%s}" % ",".join(choices) if choices else " " + flag[2:].upper() if kind else ""
+        print("  %s%s%s\n        %s" % (flag, value, " (required)" * required, text))
+
+
+def parse_args(argv):
+    """The flags of a call, read from its command's flag table.
 
     Takes a command name and then only that command's exact flags: a
     switch bare, a value as `--flag=value` or as the next token, whatever
     it begins with, converted by the table's type and inside its choices;
-    every required flag present. Returns None for anything else (help, an
-    error, an abbreviation, `--` as a token or a value, a stray token),
-    which argparse reads.
+    every required flag present. `-h` or `--help` where a command or a
+    flag is expected prints help to stdout and returns None. Anything else
+    raises ParseError naming the command and the token at fault.
     """
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    flags = COMMANDS[argv[0]][2]
+    if not argv:
+        raise ParseError("a command is required, one of %s" % ", ".join(COMMANDS))
+    command = argv[0]
+    if command in _HELP:
+        return _print_help()
+    if command not in COMMANDS:
+        raise ParseError("unknown command %r, not one of %s" % (command, ", ".join(COMMANDS)))
+    flags = COMMANDS[command][2]
     table = {row[0]: row for row in flags}
-    values = dict(_DEFAULTS, command=argv[0])
+    values = dict(_DEFAULTS, command=command)
+    missing = [row[0] for row in flags if row[3]]
     tokens = iter(argv[1:])
     for tok in tokens:
+        if tok in _HELP:
+            return _print_help(command)
         flag, eq, value = tok.partition("=")
         if flag not in table:
-            return None
-        _, dest, kind, choices, _, _ = table[flag]
+            raise ParseError("%s: unknown flag %r" % (command, flag))
+        _, kind, choices, _, _ = table[flag]
         if kind is None:
             if eq:
-                return None
-            values[dest] = True
-            continue
-        if not eq:
-            value = next(tokens, None)
-        if value is None or value == "--":  # cliparser refuses a value "--"
-            return None
-        try:
-            value = kind(value)
-        except ValueError:
-            return None
-        if choices is not None and value not in choices:
-            return None
-        values[dest] = value
-    if any(required and dest not in values for _, dest, _, _, required, _ in flags):
-        return None
+                raise ParseError("%s: %s takes no value" % (command, flag))
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+            if value is None:
+                raise ParseError("%s: %s needs a value" % (command, flag))
+            if value == "--":
+                raise ParseError("%s: %s takes a value other than '--'" % (command, flag))
+            try:
+                value = kind(value)
+            except ValueError:
+                raise ParseError("%s: %s takes %s, not %r"
+                                 % (command, flag, "an integer" if kind is int else "a number",
+                                    value))
+            if choices is not None and value not in choices:
+                raise ParseError("%s: %s must be one of %s" % (command, flag, ", ".join(choices)))
+        values[flag[2:].replace("-", "_")] = value
+        if flag in missing:
+            missing.remove(flag)
+    if missing:
+        raise ParseError("%s: %s is required" % (command, missing[0]))
     return SimpleNamespace(**values)
 
 
@@ -486,17 +507,6 @@ def _check_args(args):
     for key in ("gap_tol", "delta_zero_tol", "eps"):
         if not 0 < getattr(args, key) < math.inf:
             raise ParseError("--%s must be finite and above 0" % key.replace("_", "-"))
-    for key, low in (("max_order", 1), ("max_iter", 0)):
-        if getattr(args, key) < low:
-            raise ParseError("--%s must be at least %d" % (key.replace("_", "-"), low))
-    if args.point:
-        args.point = parse_point(args.point)
-    elif args.point_file:
-        args.point = read_point_file(args.point_file)
-    else:
-        args.point = None
-    if args.mu is not None and args.mu < 2:
-        raise ParseError("--mu must be at least 2")
     if args.command in ("separation", "certify") and args.mu is not None:
         from .constants import ANCHORED_MAX
 
@@ -505,6 +515,21 @@ def _check_args(args):
                 "--mu must be at most %d, the largest order whose constant d(mu) "
                 "is cross-checked" % ANCHORED_MAX
             )
+    for key, low, high in (("mu", 2, MAX_ORDER), ("max_order", 1, MAX_ORDER),
+                           ("max_iter", 0, math.inf)):
+        value = getattr(args, key)
+        if value is not None and value < low:
+            raise ParseError("--%s must be at least %d" % (key.replace("_", "-"), low))
+        if value is not None and value > high:
+            raise ParseError("--%s must be at most %d" % (key.replace("_", "-"), high))
+    if args.point is not None and args.point_file is not None:
+        raise ParseError("--point and --point-file both give the point: give one")
+    if args.point:
+        args.point = parse_point(args.point)
+    elif args.point_file:
+        args.point = read_point_file(args.point_file)
+    else:
+        args.point = None
     if args.command in ("dual", "gamma", "certify", "refine") and not args.system:
         raise ParseError("a system file is required (--system)")
     if args.point is not None and not args.system:
@@ -513,15 +538,9 @@ def _check_args(args):
 
 def main(argv=None):
     try:
-        argv = sys.argv[1:] if argv is None else argv
-        args = _fast_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:
-            from .cliparser import parse_args  # help, usage and errors only
-
-            try:
-                args = parse_args(argv, COMMANDS, _DEFAULTS)
-            except SystemExit as exc:
-                return int(exc.code) if exc.code else 0
+            return 0  # help was printed
         _check_args(args)
         return COMMANDS[args.command][0](args)
     except BrokenPipeError:

@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from . import MAX_ORDER
 from .dualspace import (
     NORMALIZED_RTOL,
     compute_dual_basis,
@@ -33,11 +34,6 @@ from .errors import InputError, MathDomainError, NotNormalizedError
 from .numkit import LinearSolver, svd, unfolding_norm
 from .polycore import symmetric_layout
 from .record import Record
-
-
-# the largest order whose Taylor scaling 1/k! the local model takes: 171!
-# is above the largest double
-_MAX_ORDER = 170
 
 
 class GammaReport(Record):
@@ -125,9 +121,9 @@ class LocalModel:
                 % mu
             )
         degree = source.max_degree()
-        if degree > _MAX_ORDER:
+        if degree > MAX_ORDER:
             raise MathDomainError("the system has degree %d, and k! for an order k above %d "
-                                  "overflows a double" % (degree, _MAX_ORDER))
+                                  "overflows a double" % (degree, MAX_ORDER))
         # the invariants do not change under a unitary map of the inputs, so
         # a frame U^H f(W y) needs only its output map, at the point W y
         base = getattr(source, "system", source)

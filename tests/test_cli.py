@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import gc
@@ -15,9 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import mzero
 from mzero import frames, polycore, thresholds
-from mzero.cli import COMMANDS, _DEFAULTS, _fast_args, _quote, canonical_json, main, parse_point
-from mzero.cliparser import build_parser, parse_args
-from mzero.errors import MathDomainError
+from mzero.cli import COMMANDS, _DEFAULTS, _quote, canonical_json, main, parse_args, parse_point
+from mzero.errors import MathDomainError, ParseError
 
 from conftest import EX_DOUBLE, EX_TRIPLE, make_planted_system, perfbench_module
 
@@ -292,6 +292,20 @@ def test_refine_point_file(capsys, ex_triple_path, tmp_path):
     assert json.loads(out)["result"]["converged"] is True
 
 
+def test_files_with_a_byte_order_mark_are_read(capsys, ex_triple_path, tmp_path):
+    # some editors begin a UTF-8 file with U+FEFF
+    system = tmp_path / "triple.mz"
+    system.write_text("\ufeff" + Path(ex_triple_path).read_text(), encoding="utf-8")
+    point = tmp_path / "pt.txt"
+    point.write_text("\ufeff-0.01\n0.01\n", encoding="utf-8")
+    expected = run_cli(capsys, "refine", "--system", ex_triple_path, "--point", "-0.01,0.01",
+                       "--mu", "3")
+    assert expected[0] == 0
+    got = run_cli(capsys, "refine", "--system", str(system), "--point-file", str(point),
+                  "--mu", "3")
+    assert got == expected
+
+
 # ---------------------------------------------------------------------------
 # the numeric commands on the compact local model
 
@@ -469,6 +483,15 @@ def test_separation_point_without_system_is_input_error(capsys, tmp_path, flag):
     assert out == ""
 
 
+def test_point_and_point_file_together_is_input_error(capsys, ex_double_path, tmp_path):
+    path = tmp_path / "point.txt"
+    path.write_text("0\n0\n")
+    code, out, err = run_cli(capsys, "dual", "--system", ex_double_path, "--point", "0,0",
+                             "--point-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: --point and --point-file ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -506,6 +529,27 @@ def test_mu_above_the_anchored_orders_is_input_error(capsys, ex_double_path, arg
 
 
 @pytest.mark.parametrize(
+    "text, argv",
+    [("vars: X Y\nf: Y\ng: X^2\n", ["refine", "--point", "0.1,0", "--variant", "general",
+                                     "--max-iter", "1", "--mu", "1000000"]),
+     ("vars: X Y\nf: X\ng: 0\n", ["dual", "--point", "0,0", "--max-order", "3000"])],
+    ids=["refine-mu", "dual-max-order"],
+)
+def test_order_above_the_limit_is_refused_at_once(tmp_path, text, argv):
+    # a chain of such an order would take minutes and hundreds of MB
+    path = tmp_path / "system.mz"
+    path.write_text(text)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mzero.cli", argv[0], "--system", str(path)] + argv[1:],
+        capture_output=True, text=True, env=fresh_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("input error: %s must be at most 170" % argv[-2])
+    assert time.perf_counter() - start < 20
+
+
+@pytest.mark.parametrize(
     "command, flag, value",
     [
         ("gamma", "--gap-tol", "nan"),
@@ -517,7 +561,7 @@ def test_mu_above_the_anchored_orders_is_input_error(capsys, ex_double_path, arg
         ("refine", "--eps", "-1"),
         ("refine", "--eps", "nan"),
         ("refine", "--max-iter", "-1"),
-        # exponent forms argparse would take for options if left unglued
+        # values that begin with '-', in exponent form
         ("gamma", "--gap-tol", "-1e-8"),
         ("separation", "--delta-zero-tol", "-1E-3"),
         ("dual", "--delta-zero-tol", "-1e-8"),
@@ -795,8 +839,8 @@ def test_refine_has_no_mode_flag(capsys, ex_triple_path):
         capsys, "refine", "--system", ex_triple_path, "--point", "0.01,0",
         "--mode", "certified",
     )
-    assert code == 2
-    assert "unrecognized arguments: --mode" in err
+    assert (code, out) == (2, "")
+    assert err == "input error: refine: unknown flag '--mode'\n"
 
 
 @pytest.mark.parametrize(
@@ -995,9 +1039,8 @@ RUN_MAIN = "from mzero.cli import main; assert main(%r) == 0"
         RUN_MAIN % ["thresholds", "--variant", variant, "--json"]
         for variant in mzero.THRESHOLD_VARIANTS
     ]
-    # `mzero --help` lists the refine variants without loading `newton`
-    + ["from mzero.cli import COMMANDS, _DEFAULTS\n"
-       "from mzero.cliparser import build_parser; build_parser(COMMANDS, _DEFAULTS)"],
+    # `mzero --help` lists the commands without loading a layer
+    + [RUN_MAIN % ["--help"]],
     ids=["import", "import-cli", "separation"] + list(mzero.THRESHOLD_VARIANTS)
     + ["full-parser"],
 )
@@ -1084,7 +1127,7 @@ LOADED = "\nimport sys; loaded = set(sys.modules)\nimport json; print(json.dumps
 
 def test_import_cli_loads_neither_dataclasses_nor_constants():
     watched = {"dataclasses", "mzero.constants", "mzero.thresholds", "mzero.record",
-               "mzero.cliparser", "argparse", "gettext", "locale"}
+               "argparse", "gettext", "locale"}
     assert run_fresh("import mzero.cli" + LOADED % watched) == []
 
 
@@ -1100,7 +1143,7 @@ def test_dual_and_gamma_do_not_load_constants(ex_triple_path, command):
 
 
 WATCHED = {"json", "mzero.constants", "mzero.thresholds", "mzero.functionals", "mzero.frames",
-           "mzero.cliparser", "argparse", "gettext", "locale"}
+           "argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize(
@@ -1123,8 +1166,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     # at a normalized point of a scanned system only `dual` builds
     # functionals and only a general step needs a frame; no command
     # imports json, refinement reads no universal constant, only
-    # `thresholds` compiles the threshold equations, and a well-formed
-    # call is parsed without cliparser and argparse
+    # `thresholds` compiles the threshold equations, and no call loads
+    # argparse
     gen = perfbench_module("gen")
     path = tmp_path / "dense.txt"
     path.write_text(gen.system_text(gen.planted_system(4, 2, np.random.default_rng(1))))
@@ -1140,20 +1183,61 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
      (["thresholds", "--variant", "bogus"], 2)],
     ids=["help", "bad-int", "bad-choice"],
 )
-def test_help_and_errors_load_argparse(argv, code):
-    # what _fast_args declines goes to cliparser's argparse parser, which
-    # prints help and errors
+def test_help_and_errors_load_no_argparse(argv, code):
+    # help and errors are written from the flag tables
     run = "from mzero.cli import main; assert main(%r) == %d" % (argv, code)
-    assert run_fresh(run + LOADED % {"argparse", "mzero.cliparser"}) == [
-        "argparse", "mzero.cliparser"]
+    assert run_fresh(run + LOADED % {"argparse", "gettext", "locale"}) == []
+
+
+ARGUMENT_PARSERS = {"argparse", "optparse", "getopt"}
+
+
+def test_no_module_imports_an_argument_parser():
+    # the flag tables of `cli` are the one command-line parser
+    src = Path(mzero.__file__).parent
+    found = sorted(
+        "%s:%d" % (path.name, node.lineno)
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] in ARGUMENT_PARSERS for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] in ARGUMENT_PARSERS
+    )
+    assert found == []
+
+
+def _reference_parser():
+    """An argparse parser built from the flag tables: the reference that
+    parse_args must read every call it accepts as."""
+    parser = argparse.ArgumentParser(prog="mzero")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_, _, flags) in COMMANDS.items():
+        sp = subs.add_parser(name)
+        sp.set_defaults(**_DEFAULTS)
+        for flag, kind, choices, required, _ in flags:
+            if kind is None:
+                sp.add_argument(flag, action="store_true")
+            else:
+                sp.add_argument(flag, type=kind, choices=choices, required=required)
+    return parser
+
+
+REFERENCE = _reference_parser()
+VALUE_FLAGS = {row[0] for _, _, flags in COMMANDS.values() for row in flags if row[1]}
 
 
 def _argparse_args(argv):
-    """The flags argparse reads from argv as main passes it, or None where
-    it prints help or an error."""
+    """The flags the reference parser reads from argv, or None where it
+    prints help or an error. Each value is glued onto its flag with '=',
+    so that argparse does not take a value that begins with '-' (a
+    coordinate, `-1e-8`) for an option."""
+    joined, tokens = [], iter(argv)
+    for tok in tokens:
+        joined.append(tok + "=" + next(tokens, "") if tok in VALUE_FLAGS else tok)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return parse_args(argv, COMMANDS, _DEFAULTS)
+            return REFERENCE.parse_args(joined)
         except SystemExit:
             return None
 
@@ -1185,8 +1269,8 @@ def command_lines(draw):
     for _ in range(draw(st.integers(0, 5))):
         row = draw(st.sampled_from(own)) if own and draw(st.integers(0, 5)) else None
         flag = row[0] if row else draw(st.sampled_from(FLAGS + ["--sys", "--bogus", "-h", "--"]))
-        kind = row[2] if row else str
-        pool = list(row[3] or VALUES[kind]) if row and kind else VALUES[str]
+        kind = row[1] if row else str
+        pool = list(row[2] or VALUES[kind]) if row and kind else VALUES[str]
         value = draw(st.sampled_from(pool + ["bogus", "-1"]))
         form = draw(st.sampled_from(["bare", "space", "eq"] if kind else ["bare"] * 3 + ["eq"]))
         argv += [flag] if form == "bare" else [flag, value] if form == "space" else [
@@ -1197,8 +1281,22 @@ def command_lines(draw):
 @settings(max_examples=1500, deadline=None, derandomize=True)
 @given(command_lines())
 def test_fast_path_reads_what_argparse_reads(argv):
-    fast = _fast_args(argv)
-    assert fast is None or _same_args(fast, _argparse_args(argv)), argv
+    # parse_args reads a call as argparse does, prints help, or refuses it
+    # as one input error
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            args = parse_args(argv)
+    except ParseError:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue()) == (2, ""), argv
+        assert err.getvalue().startswith("input error: ") and err.getvalue().count("\n") == 1
+        return
+    if args is None:
+        assert out.getvalue().startswith("usage: mzero "), argv
+    else:
+        assert _same_args(args, _argparse_args(argv)), argv
 
 
 @pytest.mark.parametrize(
@@ -1209,11 +1307,10 @@ def test_fast_path_reads_what_argparse_reads(argv):
     ids=["space", "equals", "before-a-flag"],
 )
 def test_flag_value_of_two_dashes_is_refused(capsys, argv, flag):
-    # argparse would drop the value and go on without the flag
-    assert _fast_args(argv) is None
+    # `--` ends the options in many parsers; as a value it is a mistake
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert err == "input error: %s takes a value other than '--'\n" % flag
+    assert err == "input error: %s: %s takes a value other than '--'\n" % (argv[0], flag)
     assert out == ""
 
 
@@ -1222,8 +1319,8 @@ def test_fast_path_takes_every_benchmark_call(tmp_path):
     calls = [[c.command] + c.args for listed in run.CALL_LISTS.values()
              for c in listed(str(tmp_path), 1)]
     for argv in calls + [argv + ["--json"] for argv in calls]:
-        fast = _fast_args(argv)
-        assert fast is not None and _same_args(fast, _argparse_args(argv)), argv
+        args = parse_args(argv)
+        assert args is not None and _same_args(args, _argparse_args(argv)), argv
 
 
 @pytest.mark.parametrize(
@@ -1232,13 +1329,35 @@ def test_fast_path_takes_every_benchmark_call(tmp_path):
     ids=lambda argv: " ".join(argv) or "bare",
 )
 def test_one_command_parser_prints_what_the_full_parser_does(capsys, argv):
-    # main builds the subparser of argv[0] alone; help, usage and errors
-    # must read as with every subparser built
+    # parse_args exits as the argparse parser of every command does, on the
+    # same stream: help on stdout with 0, an error on stderr with 2
     code, out, err = run_cli(capsys, *argv)
     with pytest.raises(SystemExit) as exc:
-        build_parser(COMMANDS, _DEFAULTS).parse_args(argv)
+        REFERENCE.parse_args(argv)
     full = capsys.readouterr()
-    assert (code, out, err) == (exc.value.code, full.out, full.err)
+    assert (code, bool(out), bool(err)) == (exc.value.code, bool(full.out), bool(full.err))
+    if argv[-1:] != ["--help"]:
+        # no command, an unknown one or a stray token: one input error
+        # naming what is wrong
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert all(tok in err for tok in argv)
+        return
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    if argv == ["--help"]:
+        for name, (_, text, _) in COMMANDS.items():
+            assert any(line.split()[:1] == [name] and text in line for line in lines), name
+        return
+    _, text, flags = COMMANDS[argv[0]]
+    assert text in lines
+    for flag, kind, choices, required, flag_help in flags:
+        line = next(line for line in lines if line.split()[:1] == [flag])
+        # a value name after each flag that takes one: its choices, if any
+        assert len(line.split()) > 1 if kind else line.split()[1:] == []
+        assert choices is None or "{%s}" % ",".join(choices) in line.split()
+        assert ("(required)" in line) is required
+        assert flag_help and flag_help in out
 
 
 AT_ZERO = ["--system", "SYSTEM", "--point", "0,0"]
