@@ -22,9 +22,9 @@ _EXPORTS = {
     ),
     "dualspace": ("DualBasis", "compute_dual_basis", "is_normalized", "normalizing_frame"),
     "errors": (
-        "BreadthError", "CorankError", "InputError", "MathDomainError",
-        "MultiplicityNotFoundError", "MZeroError", "NoRootError",
-        "NotNormalizedError", "ParseError", "SingularMatrixError",
+        "CorankError", "InputError", "MathDomainError", "MultiplicityNotFoundError",
+        "MZeroError", "NoRootError", "NotNormalizedError", "ParseError",
+        "SingularMatrixError",
     ),
     "frames": ("NormalizedFrame", "unitary_pullback"),
     "functionals": ("DualFunctional", "apply_functional", "chainrule_Lk"),
@@ -34,8 +34,7 @@ _EXPORTS = {
         "refine_general", "refine_triple",
     ),
     "numkit": (
-        "LinearSolver", "SvdResult", "matrix_spectral_norm", "solve_least_squares",
-        "solve_linear", "svd",
+        "LinearSolver", "SvdResult", "matrix_spectral_norm", "solve_linear", "svd",
     ),
     "polycore": ("Poly", "PolySystem", "parse_system"),
     "thresholds": ("ThresholdSet", "threshold_constants"),

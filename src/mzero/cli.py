@@ -13,8 +13,11 @@ Every --mu and --max-order is at most `MAX_ORDER` (170), and
 `separation` and `certify` take a --mu of at most
 `constants.ANCHORED_MAX`, the orders whose universal constant is
 cross-checked. A system or point file is read as UTF-8, with or without
-a byte-order mark. `gamma` and `certify` move a point outside the
-distinguished shape to a normalizing frame, as `separation` does.
+a byte-order mark. A point outside the distinguished shape moves to a
+normalizing frame wherever the chain is detected (`dual`, and `gamma`,
+`separation`, `certify` and `refine` without --mu) or a local model is
+built (`gamma`, `separation`, `certify`); `dual` prints the chain in the
+input's coordinates.
 `--gap-tol` and `--delta-zero-tol` reach every detection of the chain
 length; they and `--eps` must be finite and positive, `--max-order` at
 least 1 and `--max-iter` at least 0.
@@ -524,12 +527,10 @@ def _check_args(args):
             raise ParseError("--%s must be at most %d" % (key.replace("_", "-"), high))
     if args.point is not None and args.point_file is not None:
         raise ParseError("--point and --point-file both give the point: give one")
-    if args.point:
+    if args.point is not None:
         args.point = parse_point(args.point)
-    elif args.point_file:
+    elif args.point_file is not None:
         args.point = read_point_file(args.point_file)
-    else:
-        args.point = None
     if args.command in ("dual", "gamma", "certify", "refine") and not args.system:
         raise ParseError("a system file is required (--system)")
     if args.point is not None and not args.system:

@@ -8,10 +8,17 @@ terms that solve a small linear system against the Jacobian. The chain
 ends at the first order whose raw value falls outside the column space of
 the Jacobian; that order is the multiplicity.
 
-Lambda_k(f) is the t^k Taylor coefficient of f along the curve x + a_1 t
-+ ... + a_k t^k, so the one recursion loop, `_chain`, reads each raw value
-from the kernel's `curve_taylor` and forms no functional. The functionals,
-by `psi`, are the symbolic record that a `DualBasis` builds on first use.
+The chain is found one way, in the distinguished shape: the kernel is
+the first coordinate, each correction solves against the invertible
+block Jhat = J[:n-1, 1:], and the chain ends at the first raw value with
+a non-negligible last entry. A point off that shape first moves to its
+normalizing frame U^H f(W y), and the chain found there (rows b_k, raw
+values v) is reported in the input's coordinates as a_k = W b_k and U v.
+That is exact: Lambda_k(f) is the t^k Taylor coefficient of f along x +
+a_1 t + ... + a_k t^k in any coordinates, so the one recursion loop,
+`_chain`, reads each raw value from the kernel's `curve_taylor` and
+forms no functional. The functionals, by `psi`, are the symbolic record
+that a `DualBasis` builds on first use.
 They and the product-rule route `chainrule_Lk`, which runs the same loop
 on raw values of its own, live in `mzero.functionals`, which this module
 imports only there, so a command that never prints a functional does not
@@ -23,40 +30,48 @@ import functools
 import numpy as np
 
 from . import DEFAULT_TOLERANCES as DEFAULTS
-from .errors import BreadthError, CorankError, InputError, MultiplicityNotFoundError
-from .numkit import LinearSolver, matrix_spectral_norm, scaled_norm, solve_least_squares, svd
+from .errors import CorankError, InputError, MultiplicityNotFoundError
+from .numkit import LinearSolver, matrix_spectral_norm, scaled_norm, svd
 
 NORMALIZED_RTOL = 1e-8
 # shape test for points that only need to be near the distinguished shape
 LOOSE_NORMALIZED_RTOL = 0.1
-_BREADTH_RTOL = 1e-6
 
 
 class DualBasis:
     """Chain of dual functionals at a corank-one zero.
 
-    a_coeffs row k-1 is the correction vector of step k (row 0 is the
-    kernel direction). delta_values holds the raw values of orders 2 .. mu
-    at the base point and duality_residuals the largest entry of
-    Lambda_k(f), k = 1 .. mu-1. corank_gap is sigma_n / sigma_{n-1}, and
-    singular_values are those of the Jacobian. Jhat is the
-    `numkit.LinearSolver` of its invertible block, J[:n-1, 1:], which
-    `gamma.LocalModel` takes over. `lambdas` (Lambda_0 ..
+    In the input's coordinates: a_coeffs row k-1 is the correction vector
+    of step k (row 0 is the kernel direction), delta_values the raw values
+    of orders 2 .. mu, and duality_residuals the largest entry of
+    Lambda_k(f), k = 1 .. mu-1, by input_J, the Jacobian there, whose
+    singular_values, corank_gap (sigma_n / sigma_{n-1}) and shape
+    (normalized) are kept. The recursion's own data, which
+    `gamma.LocalModel` takes over: `view` (the input, or its normalizing
+    frame), `x`, `J` and `Jhat` (the `numkit.LinearSolver` of J[:n-1, 1:])
+    there, and `chain`, the raw values along e1. `lambdas` (Lambda_0 ..
     Lambda_{mu-1}) and `deltas` (the raw functionals of orders 2 .. mu)
     are built from a_coeffs on first use. A plain class: a dataclass costs
     every process that loads this module the exec of its methods.
     """
 
-    def __init__(self, a_coeffs, delta_values, duality_residuals, singular_values, normalized):
-        s = singular_values
+    # a corank-one chain, the only structure found here, has breadth one
+    breadth_one = True
+
+    def __init__(self, input_J, s, normalized, a_rows, delta_values, view, x, J, Jhat, chain):
+        a_coeffs = np.array(a_rows)
+        # Lambda_k(f) is the raw value of order k plus J a_k (J a_1 for k = 1)
+        lam_vals = input_J @ a_coeffs.T
+        lam_vals[:, 1:] += np.array(delta_values[:-1]).T.reshape(len(input_J), -1)
         self.a_coeffs = a_coeffs
         self.mu = len(a_coeffs) + 1
-        self.breadth_one = True
         self.corank_gap = float(s[-1] / s[-2]) if len(s) >= 2 and s[-2] > 0 else float("inf")
         self.delta_values = delta_values
-        self.duality_residuals = duality_residuals
+        self.duality_residuals = np.max(np.abs(lam_vals), axis=0)
+        self.input_J = input_J
         self.normalized = normalized
-        self.singular_values = singular_values
+        self.singular_values = np.array(s, dtype=float)
+        self.view, self.x, self.J, self.Jhat, self.chain = view, x, J, Jhat, chain
 
     @functools.cached_property
     def functionals(self):
@@ -99,14 +114,27 @@ def _check_corank_one(s, gap_tol):
         )
 
 
-def _chain(source, x, a1, correct, stop, max_order, raw=None):
+def _e1(n):
+    e1 = np.zeros(n, dtype=complex)
+    e1[0] = 1.0
+    return e1
+
+
+def _terminates(vals, delta_zero_tol):
+    """Whether a raw value in the distinguished shape leaves the column
+    space of the Jacobian: its last entry is above delta_zero_tol, relative."""
+    return abs(vals[-1]) > delta_zero_tol * scaled_norm(vals) + 1e-14
+
+
+def _chain(source, x, a1, Jhat, stop, max_order, raw=None):
     """The breadth-one recursion (Li & Zhi, J. Symb. Comput. 2012) from
     Lambda_1 = sum a1 d.
 
     `raw(a_rows, k)` gives the raw value of order k from the rows a_1 ..
     a_{k-1}; by default the t^k Taylor coefficient of source along x +
     a_1 t + ... + a_{k-1} t^(k-1). `stop(k, vals)` ends the chain there;
-    otherwise `correct(k, vals)` gives the trailing coordinates of a_k.
+    otherwise a_k is (0, -Jhat^-1 vals[:n-1]), with Jhat the
+    `numkit.LinearSolver` of the block J[:n-1, 1:] of the Jacobian.
     Returns (a_rows, values); raises MultiplicityNotFoundError when no
     stop came by max_order.
     """
@@ -116,7 +144,7 @@ def _chain(source, x, a1, correct, stop, max_order, raw=None):
         values.append(vals)
         if stop(k, vals):
             return a_rows, values
-        a_rows.append(np.concatenate([[0], correct(k, vals)]))
+        a_rows.append(np.concatenate([[0], Jhat.solve(-vals[: len(a1) - 1])]))
     raise MultiplicityNotFoundError("no terminating order found up to max_order=%d" % max_order)
 
 
@@ -134,92 +162,67 @@ def kernel_chain(source, x, a1, Jhat, order):
     """
     if order < 2:
         raise InputError("a corank-one chain has order mu >= 2, got %r" % order)
-    n = source.nvars
-    return _chain(source, x, a1, lambda k, vals: Jhat.solve(-vals[: n - 1]),
-                  lambda k, vals: k == order, order)[1]
+    return _chain(source, x, a1, Jhat, lambda k, vals: k == order, order)[1]
 
 
 def compute_dual_basis(source, x, max_order=DEFAULTS["max_order"], gap_tol=DEFAULTS["gap_tol"],
-                       delta_zero_tol=DEFAULTS["delta_zero_tol"], J=None, res=None):
+                       delta_zero_tol=DEFAULTS["delta_zero_tol"], rel_tol=NORMALIZED_RTOL):
     """Multiplicity structure of an isolated zero with corank-one Jacobian.
 
     source is a PolySystem or NormalizedFrame and x the base point in its
-    coordinates; J, the Jacobian there, is evaluated unless given, and
-    res, its factorization by `numkit.svd`, is taken unless given. gap_tol
-    and delta_zero_tol are the relative tolerances of the corank test and
-    of deciding when a raw value still lies in the Jacobian column space.
-    Raises CorankError without a clean one-dimensional kernel,
-    BreadthError when a correction solve leaves a residual incompatible
-    with a single chain, and MultiplicityNotFoundError past max_order.
+    coordinates. The Jacobian there is evaluated and factored once, for
+    the corank test, with gap_tol, and the shape test, `is_normalized`
+    with rel_tol; a point off the shape moves to its normalizing frame.
+    The recursion runs along e1 in the distinguished shape and ends at
+    the first raw value whose last entry exceeds delta_zero_tol,
+    relative. Raises CorankError without a clean one-dimensional kernel
+    and MultiplicityNotFoundError past max_order.
     """
     x = np.asarray(x, dtype=complex)
     n = source.nvars
-    if J is None:
-        J = source.jacobian(x)
-    if res is None:
-        res = svd(J)
-    s = res.s
-    _check_corank_one(s, gap_tol)
-    normalized = is_normalized(J, s=s)
-
-    if normalized:
-        a1 = np.zeros(n, dtype=complex)
-        a1[0] = 1.0
-    else:
-        a1 = res.V[:, -1].copy()
-    u_last = res.U[:, -1]
-    Jhat = LinearSolver(J[: n - 1, 1:])
-
-    def outside_column_space(k, vals):
-        resid = abs(vals[-1]) if normalized else abs(np.vdot(u_last, vals))
-        return resid > delta_zero_tol * scaled_norm(vals) + 1e-14
-
-    def correction(k, vals):
-        if normalized:
-            return Jhat.solve(-vals[: n - 1])
-        ahat, solve_resid = solve_least_squares(J[:, 1:], -vals)
-        if solve_resid > _BREADTH_RTOL * scaled_norm(vals) + 1e-12:
-            raise BreadthError(
-                "correction solve residual %.3e is too large for a "
-                "single-chain structure at order %d" % (solve_resid, k)
-            )
-        return ahat
-
-    return _dual_basis(J, Jhat, *_chain(source, x, a1, correction, outside_column_space,
-                                        max_order), s, normalized)
+    J = source.jacobian(x)
+    res = svd(J)
+    _check_corank_one(res.s, gap_tol)
+    normalized = is_normalized(J, rel_tol, res.s)
+    view, y, J_view = (source, x, J) if normalized else _frame_view(source, x, res)
+    Jhat = LinearSolver(J_view[: n - 1, 1:])
+    rows, chain = _chain(view, y, _e1(n), Jhat, lambda k, vals: _terminates(vals, delta_zero_tol),
+                         max_order)
+    a_rows, values = rows, chain
+    if not normalized:
+        # back to the input's coordinates, by this frame's own factors
+        W = _kernel_first(res.V)
+        a_rows = [W[:, 0]] + [W[:, 1:] @ b[1:] for b in rows[1:]]
+        values = [res.U @ v for v in chain]
+    return DualBasis(J, res.s, normalized, a_rows, values, view, y, J_view, Jhat, chain)
 
 
-def _dual_basis(J, Jhat, a_rows, delta_values, s, normalized):
-    """DualBasis of a finished chain, whose length is the multiplicity; J
-    and s are the Jacobian at the base point and its singular values, and
-    Jhat the solver of its invertible block. Lambda_k(f) is the raw value
-    of order k plus J a_k (J a_1 for k = 1)."""
-    a_coeffs = np.array(a_rows)
-    lam_vals = J @ a_coeffs.T
-    lam_vals[:, 1:] += np.array(delta_values[:-1]).T.reshape(len(J), -1)
-    basis = DualBasis(a_coeffs, delta_values, np.max(np.abs(lam_vals), axis=0),
-                      np.array(s, dtype=float), normalized)
-    basis.Jhat = Jhat
-    return basis
+def _kernel_first(V):
+    """V with its last column, the kernel-most right singular vector, first."""
+    return V[:, [-1] + list(range(V.shape[1] - 1))]
 
 
-def normalizing_frame(source, x, J=None, res=None):
+def _frame_view(source, x, res):
+    """(frame, w, J): the normalizing frame of source at x, built from
+    res, the `numkit.svd` of the Jacobian there, with x's coordinates w
+    in the frame and the frame's Jacobian at w."""
+    frame, w = normalizing_frame(source, x, res=res)
+    return frame, w, frame.jacobian(w)
+
+
+def normalizing_frame(source, x, res=None):
     """Rotated view whose Jacobian at x is the distinguished shape.
 
     Returns (frame, w) where w are the coordinates of x in the frame. The
     kernel-most right singular vector becomes the first frame variable;
     the left factor is kept in its original order, which places the
-    near-degenerate row last. J, the Jacobian of source at x, and res, its
-    `numkit.svd`, are computed unless the caller has them already.
+    near-degenerate row last. res, the `numkit.svd` of the Jacobian of
+    source at x, is taken unless the caller has it already.
     """
     x = np.asarray(x, dtype=complex)
-    n = source.nvars
-    if J is None:
-        J = source.jacobian(x)
     if res is None:
-        res = svd(J)
-    perm = [n - 1] + list(range(n - 1))
+        res = svd(source.jacobian(x))
     from .frames import unitary_pullback
 
-    frame = unitary_pullback(source, res.U, res.V[:, perm])
+    frame = unitary_pullback(source, res.U, _kernel_first(res.V))
     return frame, frame.to_frame(x)

@@ -42,9 +42,5 @@ class NotNormalizedError(MathDomainError):
     """An operation requiring normalized coordinates got an unnormalized input."""
 
 
-class BreadthError(MathDomainError):
-    """The dual-basis recursion detected a structure wider than a single chain."""
-
-
 class MultiplicityNotFoundError(MathDomainError):
     """No terminating order was found below the recursion's order cap."""

@@ -15,9 +15,9 @@ import math
 import numpy as np
 
 from . import DEFAULT_TOLERANCES as DEFAULTS
-from .dualspace import _chain, _check_corank_one, _dual_basis, is_normalized
+from .dualspace import DualBasis, _chain, _check_corank_one, _e1, _terminates, is_normalized
 from .errors import NotNormalizedError
-from .numkit import LinearSolver, scaled_norm, svd
+from .numkit import LinearSolver, svd
 from .polycore import Poly
 
 
@@ -169,18 +169,13 @@ def chainrule_Lk(frame, w, kmax=None, max_order=DEFAULTS["max_order"],
         )
     _check_corank_one(s, gap_tol)
     Jhat = LinearSolver(J[: n - 1, 1:])
-    a1 = np.zeros(n, dtype=complex)
-    a1[0] = 1.0
 
     def stop(k, vals):
-        if kmax is not None:
-            return k == kmax
-        return abs(vals[-1]) > delta_zero_tol * scaled_norm(vals) + 1e-14
+        return k == kmax if kmax is not None else _terminates(vals, delta_zero_tol)
 
     a_rows, values = _chain(
-        frame, w, a1, lambda k, vals: Jhat.solve(-vals[: n - 1]), stop,
-        max_order if kmax is None else kmax,
+        frame, w, _e1(n), Jhat, stop, max_order if kmax is None else kmax,
         lambda rows, k: _chain_functionals(rows, _product_rule_delta)[1][-1].apply(frame, w))
-    basis = _dual_basis(J, Jhat, a_rows, values, s, True)
+    basis = DualBasis(J, s, True, a_rows, values, frame, w, J, Jhat, values)
     basis.functionals = _chain_functionals(a_rows, _product_rule_delta)
     return basis

@@ -25,10 +25,11 @@ import numpy as np
 from . import MAX_ORDER
 from .dualspace import (
     NORMALIZED_RTOL,
+    _e1,
+    _frame_view,
     compute_dual_basis,
     is_normalized,
     kernel_chain,
-    normalizing_frame,
 )
 from .errors import InputError, MathDomainError, NotNormalizedError
 from .numkit import LinearSolver, svd, unfolding_norm
@@ -44,24 +45,24 @@ class LocalModel:
     """Local data of a system at one point, each piece computed once.
 
     A point whose Jacobian fails `is_normalized` with rel_tol moves to a
-    normalizing frame, built from the SVD of that test; with frame off it
-    raises NotNormalizedError instead. The frame is unitary, so distances,
-    radii and the invariants hold in the original coordinates. Without mu the
-    chain length is detected by `compute_dual_basis`, with the keyword
-    tolerances (gap_tol, delta_zero_tol, max_order); a given mu must
-    match it (InputError), unless trust_mu takes it as it is; a trusted mu
-    whose chain value vanishes, so that nothing can be scaled by it, is a
-    MathDomainError, and so is a system of degree above 170, whose
-    coefficients would need a k! above the largest double.
+    normalizing frame; with frame off it raises NotNormalizedError
+    instead. The frame is unitary, so distances, radii and the invariants
+    hold in the original coordinates. Without mu, `compute_dual_basis`
+    detects the chain, with rel_tol and the keyword tolerances (gap_tol,
+    delta_zero_tol, max_order), and gives the view, point, J, Jhat and
+    chain; a given mu must match it (InputError), unless trust_mu takes it
+    as it is. A trusted mu whose chain value vanishes, so that nothing can
+    be scaled by it, is a MathDomainError, and so is a system of degree
+    above 170, whose coefficients would need a k! above the largest double.
 
     Attributes: `view` and `x`, the system worked in and the point in its
-    coordinates; `J` there; `Jhat`, the `numkit.LinearSolver` of J[:n-1, 1:]
-    (the detection's, when detection ran), so that every solve against
-    the block and the certificate's sigma_min read one SVD; `mu`; `chain`, the
-    raw chain values along e1 (entry k-2 holds order k, for k = 2..mu);
-    `delta_mu`, the order-mu value on the last equation; `coeffs`, per
-    order k = 2..deg, d^alpha f / k! at the alphas of `symmetric_layout`, in
-    the inputs of the system a frame rotates; `v`, the view's e1 there.
+    coordinates; `J` there; `Jhat`, the `numkit.LinearSolver` of J[:n-1, 1:],
+    so that every solve against the block and the certificate's sigma_min
+    read one SVD; `mu`; `chain`, the raw chain values along e1 (entry k-2
+    holds order k, for k = 2..mu); `delta_mu`, the order-mu value on the
+    last equation; `coeffs`, per order k = 2..deg, d^alpha f / k! at the
+    alphas of `symmetric_layout`, in the inputs of the system a frame
+    rotates; `v`, the view's e1 there.
     """
 
     def __init__(
@@ -80,57 +81,51 @@ class LocalModel:
             raise InputError(
                 "a corank-one zero needs at least two variables, got %d" % n
             )
-        # one SVD of the input's Jacobian serves the shape test and the frame
-        J = source.jacobian(x)
-        res = svd(J)
-        if not is_normalized(J, rel_tol, res.s):
-            if not frame:
-                raise NotNormalizedError(
-                    "point is not in the distinguished coordinate shape; "
-                    "compute in a normalizing frame instead"
-                )
-            source, x = normalizing_frame(source, x, J, res)
-            J, res = source.jacobian(x), None
-        chain = Jhat = None
         if mu is None or not trust_mu:
-            basis = compute_dual_basis(source, x, J=J, res=res, **tolerances)
+            basis = compute_dual_basis(source, x, rel_tol=rel_tol, **tolerances)
             if mu is not None and basis.mu != mu:
                 raise InputError(
                     "requested order %d but the chain terminates at %d"
                     % (mu, basis.mu)
                 )
-            mu, Jhat = basis.mu, basis.Jhat
-            if basis.normalized:
-                # the recursion ran along e1 against Jhat already
-                chain = basis.delta_values
-        self.view = source
-        self.x = x
-        self.J = J
-        self.Jhat = LinearSolver(J[: n - 1, 1:]) if Jhat is None else Jhat
+            mu, normalized = basis.mu, basis.normalized
+            local = basis.view, basis.x, basis.J, basis.Jhat, basis.chain
+        else:
+            # a trusted mu takes no detection; one SVD of the input's
+            # Jacobian serves the shape test and the frame
+            J = source.jacobian(x)
+            res = svd(J)
+            normalized, local = is_normalized(J, rel_tol, res.s), None
+        if not (normalized or frame):
+            raise NotNormalizedError(
+                "point is not in the distinguished coordinate shape; "
+                "compute in a normalizing frame instead"
+            )
+        if local is None:
+            view, x, J = (source, x, J) if normalized else _frame_view(source, x, res)
+            Jhat = LinearSolver(J[: n - 1, 1:])
+            local = view, x, J, Jhat, kernel_chain(view, x, _e1(n), Jhat, mu)
+        self.view, self.x, self.J, self.Jhat, self.chain = local
         self.mu = mu
-        if chain is None:
-            e1 = np.zeros(n, dtype=complex)
-            e1[0] = 1.0
-            chain = kernel_chain(source, x, e1, self.Jhat, mu)
-        self.chain = chain
-        self.delta_mu = chain[-1][-1]
+        self.delta_mu = self.chain[-1][-1]
         if self.delta_mu == 0:
             # only a trusted mu gets here: a detected chain ends on a nonzero value
             raise MathDomainError(
                 "the terminating value delta_mu is 0 at order %d: the chain does not end there"
                 % mu
             )
-        degree = source.max_degree()
+        view = self.view
+        degree = view.max_degree()
         if degree > MAX_ORDER:
             raise MathDomainError("the system has degree %d, and k! for an order k above %d "
                                   "overflows a double" % (degree, MAX_ORDER))
         # the invariants do not change under a unitary map of the inputs, so
         # a frame U^H f(W y) needs only its output map, at the point W y
-        base = getattr(source, "system", source)
-        U, W = (np.eye(n), np.eye(n)) if base is source else (source.U, source.W)
+        base = getattr(view, "system", view)
+        U, W = (np.eye(n), np.eye(n)) if base is view else (view.U, view.W)
         self.v = W[:, 0].conj()
         self.coeffs = {
-            k: U.conj().T @ base.partials(symmetric_layout(n, k)[0], W @ x) / math.factorial(k)
+            k: U.conj().T @ base.partials(symmetric_layout(n, k)[0], W @ self.x) / math.factorial(k)
             for k in range(2, degree + 1)
         }
 

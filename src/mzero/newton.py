@@ -24,7 +24,7 @@ from . import DEFAULT_TOLERANCES as DEFAULTS, VARIANTS
 from .dualspace import LOOSE_NORMALIZED_RTOL, compute_dual_basis, is_normalized
 from .dualspace import kernel_chain, normalizing_frame
 from .errors import InputError, SingularMatrixError
-from .numkit import LinearSolver, solve_linear, svd
+from .numkit import LinearSolver, solve_linear
 from .record import Record
 
 
@@ -157,21 +157,21 @@ def iterate_until(
     residual tolerance returns a zero-iteration trace.
     """
     z = np.asarray(z0, dtype=complex)
-    J = res = None
+    basis = None
     if mu is None:
-        # one Jacobian and one SVD serve the detection and the variant choice
-        J = source.jacobian(z)
-        res = svd(J)
-        mu = compute_dual_basis(source, z, J=J, res=res, **tolerances).mu
+        basis = compute_dual_basis(source, z, **tolerances)
+        mu = basis.mu
     if mu < 2:
         raise InputError("a corank-one zero has mu >= 2, got %r" % mu)
     if variant == "auto":
         # the normalized variant of order mu at a point loosely in the
-        # distinguished shape, else the general one
+        # distinguished shape, else the general one; a detection's Jacobian
+        # and singular values serve the shape test
         variant = VARIANTS[-1]
         if mu in (2, 3):
-            J = source.jacobian(z) if J is None else J
-            if is_normalized(J, LOOSE_NORMALIZED_RTOL, None if res is None else res.s):
+            J, s = ((source.jacobian(z), None) if basis is None
+                    else (basis.input_J, basis.singular_values))
+            if is_normalized(J, LOOSE_NORMALIZED_RTOL, s):
                 variant = VARIANTS[mu - 2]
     if variant not in _STEPS:
         raise InputError("unknown variant %r" % variant)

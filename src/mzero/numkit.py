@@ -128,15 +128,6 @@ def solve_linear(A, b):
     return LinearSolver(A).solve(b)
 
 
-def solve_least_squares(A, b):
-    """Minimum-norm least squares solution and the residual two-norm."""
-    A = np.asarray(A, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    x, _, _, _ = _lapack(np.linalg.lstsq, A, b, rcond=None)
-    resid = float(np.linalg.norm(A @ x - b))
-    return x, resid
-
-
 def unfolding_norm(M, k, mode="estimate"):
     """Norm of an order-k symmetric map from an unfolding M, dense or compact
     (see the module notes); "certified" takes the Frobenius norm from order

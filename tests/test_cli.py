@@ -89,6 +89,18 @@ def test_dual_json_roundtrip(capsys, ex_triple_path):
     assert canonical_json(doc) == out.strip()
 
 
+def test_dual_off_the_shape_moves_to_the_frame(capsys, tmp_path):
+    # a triple zero whose kernel is X2: the chain is found in the
+    # normalizing frame and printed in the input's coordinates
+    path = tmp_path / "kernel_x2.mz"
+    path.write_text("vars: X1 X2\nf1: X1 + X2^2\nf2: X2^3\n")
+    code, out, err = run_cli(capsys, "dual", "--system", str(path), "--point", "0,0", "--json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["mu"] == 3 and result["normalized"] is False
+    assert [abs(complex(a["re"], a["im"])) for a in result["a_coeffs"][0]] == [0.0, 1.0]
+
+
 def test_json_output_is_deterministic(capsys, ex_triple_path):
     _, first, _ = run_cli(
         capsys, "dual", "--system", ex_triple_path, "--point", "0,0", "--json"
@@ -427,14 +439,19 @@ def test_bad_point_text(capsys, ex_triple_path):
 
 
 @pytest.mark.parametrize(
-    "point", ["0,0,0", "0", "nan,0", "0,nan", "inf,0", "1e400,0", "0,1+1e400i"]
+    "argv",
+    [pytest.param(["dual", "--system", None, "--point", point, "--json"], id=point)
+     for point in ["0,0,0", "0", "nan,0", "0,nan", "inf,0", "1e400,0", "0,1+1e400i"]]
+    + [pytest.param(["separation", "--mu", "3", *system, flag, ""],
+                    id="empty %s%s" % (flag, " with system" if system else ""))
+       for flag in ("--point", "--point-file") for system in ([], ["--system", None])],
 )
-def test_point_wrong_length_or_non_finite_is_input_error(capsys, ex_double_path, point):
-    code, out, err = run_cli(
-        capsys, "dual", "--system", ex_double_path, "--point", point, "--json"
-    )
+def test_point_wrong_length_or_non_finite_is_input_error(capsys, ex_double_path, argv):
+    # an empty --point or --point-file is read, and refused, like any other
+    argv = [ex_double_path if a is None else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "input error" in err
+    assert "input error" in err and "is required" not in err
     assert out == ""
 
 

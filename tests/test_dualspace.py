@@ -38,6 +38,8 @@ from conftest import (
 )
 
 ORIGIN2 = np.zeros(2, dtype=complex)
+# a breadth-one triple zero at the origin whose Jacobian kernel is X2
+KERNEL_X2 = "vars: X1 X2\nf1: X1 + X2^2\nf2: X2^3\n"
 
 
 def functional_gap(a, b):
@@ -249,14 +251,20 @@ def test_curve_values_match_the_symbolic_functionals(n, mu):
     for source in planted_views(n, mu):
         basis = compute_dual_basis(source, x)
         assert len(basis.deltas) == len(basis.delta_values) == mu - 1
-        for delta, vals in zip(basis.deltas, basis.delta_values):
-            want = apply_functional(delta.coeffs, source, x)
-            assert np.linalg.norm(vals - want) <= 1e-14 * np.linalg.norm(want)
-        J = source.jacobian(x)
-        for k, lam in enumerate(basis.lambdas[1:], start=1):
-            want = lam.apply(source, x)
-            got = J @ basis.a_coeffs[k - 1] + (basis.delta_values[k - 2] if k > 1 else 0)
-            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+        assert_values_are_the_functionals(basis, source, x)
+
+
+def assert_values_are_the_functionals(basis, source, x):
+    """The chain values of basis, read along the kernel curve, are its
+    symbolic functionals applied to source at x through partials."""
+    for delta, vals in zip(basis.deltas, basis.delta_values):
+        want = apply_functional(delta.coeffs, source, x)
+        assert np.linalg.norm(vals - want) <= 1e-14 * np.linalg.norm(want)
+    J = source.jacobian(x)
+    for k, lam in enumerate(basis.lambdas[1:], start=1):
+        want = lam.apply(source, x)
+        got = J @ basis.a_coeffs[k - 1] + (basis.delta_values[k - 2] if k > 1 else 0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
 def test_chain_values_take_no_derivative_tensor(monkeypatch):
@@ -304,24 +312,44 @@ def rotated_planted(n, mu, rng):
     return unitary_pullback(system, random_unitary(n, rng), random_unitary(n, rng)).materialize()
 
 
+def kernel_x2(angle):
+    """f = (X1 + X2^2, X2^3), a triple zero at the origin whose kernel is
+    X2, in inputs and outputs turned by angle."""
+    system = parse_system(KERNEL_X2)
+    if not angle:
+        return system
+    R = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return unitary_pullback(system, R, R).materialize()
+
+
+# name -> (multiplicity, system with the zero at the origin)
 CURVE_CASES = {
-    "double": lambda: parse_system(EX_DOUBLE),
-    "triple": lambda: parse_system(EX_TRIPLE),
-    "planted-2-5": lambda: make_planted_system(2, 5, np.random.default_rng(5)),
-    "planted-3-4": lambda: make_planted_system(3, 4, np.random.default_rng(4)),
-    "planted-2-8": lambda: make_planted_system(2, 8, np.random.default_rng(8)),
-    # off the distinguished shape: the least-squares corrections
-    "rotated-3-4": lambda: rotated_planted(3, 4, np.random.default_rng(77)),
+    "double": (2, lambda: parse_system(EX_DOUBLE)),
+    "triple": (3, lambda: parse_system(EX_TRIPLE)),
+    "planted-2-5": (5, lambda: make_planted_system(2, 5, np.random.default_rng(5))),
+    "planted-3-4": (4, lambda: make_planted_system(3, 4, np.random.default_rng(4))),
+    "planted-2-8": (8, lambda: make_planted_system(2, 8, np.random.default_rng(8))),
+    # off the distinguished shape: the chain is found in the normalizing frame
+    "rotated-3-4": (4, lambda: rotated_planted(3, 4, np.random.default_rng(77))),
+    "kernel-x2": (3, lambda: kernel_x2(0.0)),
+    "kernel-x2-rotated": (3, lambda: kernel_x2(1e-9)),
 }
+OFF_SHAPE = ("double", "rotated-3-4", "kernel-x2", "kernel-x2-rotated")
 
 
 @pytest.mark.parametrize("name", CURVE_CASES)
 def test_chain_functionals_are_the_curve_taylor_coefficients(name):
     # Lambda_k is the t^k coefficient along x + a_1 t + ... + a_k t^k, and
     # the raw functional of order k the same along a_1 .. a_{k-1}
-    source = CURVE_CASES[name]()
-    basis = compute_dual_basis(source, np.zeros(source.nvars, dtype=complex))
-    assert basis.normalized == (name not in ("double", "rotated-3-4"))
+    mu, build = CURVE_CASES[name]
+    source = build()
+    x = np.zeros(source.nvars, dtype=complex)
+    basis = compute_dual_basis(source, x)
+    assert basis.mu == mu
+    assert basis.normalized == (name not in OFF_SHAPE)
+    assert np.max(basis.duality_residuals) <= 1e-9
+    assert lowering_residual(basis) <= 1e-9
+    assert_values_are_the_functionals(basis, source, x)
     rows = list(basis.a_coeffs)
     pairs = [(lam, curve_weights(rows, k)) for k, lam in enumerate(basis.lambdas)]
     pairs += [(delta, curve_weights(rows[: k - 1], k))

@@ -179,6 +179,13 @@ def test_detection_and_variant_choice_share_one_jacobian(monkeypatch):
     assert len(jacobians) == 1
 
 
+def test_detection_off_the_shape_finds_the_multiplicity():
+    # a triple zero whose kernel is X2 is detected in the normalizing frame
+    system = parse_system("vars: X1 X2\nf1: X1 + X2^2\nf2: X2^3\n")
+    trace = iterate_until(system, np.zeros(2))
+    assert (trace.mu, trace.variant, trace.stop_reason) == (3, "general", "tolerance")
+
+
 def test_variant_mu_mismatch(ex_triple):
     with pytest.raises(ValueError):
         iterate_until(ex_triple, START, mu=3, variant="normalized_double")

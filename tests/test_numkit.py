@@ -12,7 +12,6 @@ from mzero.numkit import (
     LinearSolver,
     matrix_spectral_norm,
     singular_values,
-    solve_least_squares,
     solve_linear,
     svd,
     unfolding_norm,
@@ -90,14 +89,6 @@ def test_solver_takes_one_svd_for_every_solve(monkeypatch):
 def test_solver_refuses_what_is_not_a_square_matrix(A):
     with pytest.raises(ValueError, match="LinearSolver expects a square matrix"):
         LinearSolver(A)
-
-
-def test_solve_least_squares_residual():
-    A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    b = np.array([1.0, 2.0, 3.0], dtype=complex)
-    x, resid = solve_least_squares(A, b)
-    assert np.allclose(x, [1.0, 2.0])
-    assert resid == pytest.approx(3.0)
 
 
 def test_matrix_norm_order_two_is_exact():
@@ -190,8 +181,7 @@ def test_smallest_positive_root_needs_positive_start():
 
 def test_lapack_failure_is_domain_error():
     bad = np.full((3, 3), np.nan)
-    for call in (svd, singular_values, matrix_spectral_norm,
-                 lambda A: solve_least_squares(A, np.ones(3))):
+    for call in (svd, singular_values, matrix_spectral_norm):
         with pytest.raises(MathDomainError, match="did not converge"):
             call(bad)
 
