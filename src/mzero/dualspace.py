@@ -166,34 +166,34 @@ def kernel_chain(source, x, a1, Jhat, order):
 
 
 def compute_dual_basis(source, x, max_order=DEFAULTS["max_order"], gap_tol=DEFAULTS["gap_tol"],
-                       delta_zero_tol=DEFAULTS["delta_zero_tol"], rel_tol=NORMALIZED_RTOL):
+                       delta_zero_tol=DEFAULTS["delta_zero_tol"]):
     """Multiplicity structure of an isolated zero with corank-one Jacobian.
 
     source is a PolySystem or NormalizedFrame and x the base point in its
     coordinates. The Jacobian there is evaluated and factored once, for
     the corank test, with gap_tol, and the shape test, `is_normalized`
-    with rel_tol; a point off the shape moves to its normalizing frame.
-    The recursion runs along e1 in the distinguished shape and ends at
-    the first raw value whose last entry exceeds delta_zero_tol,
-    relative. Raises CorankError without a clean one-dimensional kernel
-    and MultiplicityNotFoundError past max_order.
+    with its strict default, never a looser one: the recursion along e1
+    finds the kernel's chain only where e1 is the kernel, so a point off
+    the shape moves to its normalizing frame. The recursion runs there
+    and ends at the first raw value whose last entry exceeds
+    delta_zero_tol, relative. Raises CorankError without a clean
+    one-dimensional kernel and MultiplicityNotFoundError past max_order.
     """
     x = np.asarray(x, dtype=complex)
     n = source.nvars
     J = source.jacobian(x)
     res = svd(J)
     _check_corank_one(res.s, gap_tol)
-    normalized = is_normalized(J, rel_tol, res.s)
+    normalized = is_normalized(J, NORMALIZED_RTOL, res.s)
     view, y, J_view = (source, x, J) if normalized else _frame_view(source, x, res)
     Jhat = LinearSolver(J_view[: n - 1, 1:])
-    rows, chain = _chain(view, y, _e1(n), Jhat, lambda k, vals: _terminates(vals, delta_zero_tol),
-                         max_order)
-    a_rows, values = rows, chain
+    a_rows, chain = _chain(view, y, _e1(n), Jhat,
+                           lambda k, vals: _terminates(vals, delta_zero_tol), max_order)
+    values = chain
     if not normalized:
         # back to the input's coordinates, by this frame's own factors
         W = _kernel_first(res.V)
-        a_rows = [W[:, 0]] + [W[:, 1:] @ b[1:] for b in rows[1:]]
-        values = [res.U @ v for v in chain]
+        a_rows, values = [W @ b for b in a_rows], [res.U @ v for v in chain]
     return DualBasis(J, res.s, normalized, a_rows, values, view, y, J_view, Jhat, chain)
 
 

@@ -48,12 +48,17 @@ class LocalModel:
     normalizing frame; with frame off it raises NotNormalizedError
     instead. The frame is unitary, so distances, radii and the invariants
     hold in the original coordinates. Without mu, `compute_dual_basis`
-    detects the chain, with rel_tol and the keyword tolerances (gap_tol,
-    delta_zero_tol, max_order), and gives the view, point, J, Jhat and
-    chain; a given mu must match it (InputError), unless trust_mu takes it
-    as it is. A trusted mu whose chain value vanishes, so that nothing can
-    be scaled by it, is a MathDomainError, and so is a system of degree
-    above 170, whose coefficients would need a k! above the largest double.
+    detects the chain, with the keyword tolerances (gap_tol,
+    delta_zero_tol, max_order) and always the strict shape test, and gives
+    the view, point, J, Jhat and chain; a point that passes only a looser
+    rel_tol stays in its coordinates, where the chain of the detected mu is
+    read along e1. Detection comes before the shape refusal, so with frame
+    off a point that also fails detection raises that error (CorankError,
+    MultiplicityNotFoundError). A given mu must match the detected one
+    (InputError), unless trust_mu takes it as it is. A trusted mu whose
+    chain value vanishes, so that nothing can be scaled by it, is a
+    MathDomainError, and so is a system of degree above 170, whose
+    coefficients would need a k! above the largest double.
 
     Attributes: `view` and `x`, the system worked in and the point in its
     coordinates; `J` there; `Jhat`, the `numkit.LinearSolver` of J[:n-1, 1:],
@@ -82,14 +87,18 @@ class LocalModel:
                 "a corank-one zero needs at least two variables, got %d" % n
             )
         if mu is None or not trust_mu:
-            basis = compute_dual_basis(source, x, rel_tol=rel_tol, **tolerances)
+            basis = compute_dual_basis(source, x, **tolerances)
             if mu is not None and basis.mu != mu:
                 raise InputError(
                     "requested order %d but the chain terminates at %d"
                     % (mu, basis.mu)
                 )
-            mu, normalized = basis.mu, basis.normalized
-            local = basis.view, basis.x, basis.J, basis.Jhat, basis.chain
+            mu, J = basis.mu, basis.input_J
+            normalized = basis.normalized or is_normalized(J, rel_tol, basis.singular_values)
+            # the detection's own data, unless only a looser rel_tol keeps the input
+            local = None
+            if normalized == basis.normalized:
+                local = basis.view, basis.x, basis.J, basis.Jhat, basis.chain
         else:
             # a trusted mu takes no detection; one SVD of the input's
             # Jacobian serves the shape test and the frame
@@ -169,9 +178,10 @@ class LocalModel:
 def gamma_mu(source, x, mu=None, mode="estimate"):
     """Combined invariant at a point in the distinguished shape.
 
-    Refuses any other point (NotNormalizedError); `LocalModel` moves such
-    a point to a normalizing frame. mu, when supplied, must match the
-    detected chain length (a mismatch is an InputError). The Jacobian and
-    each order 2..deg are evaluated once, one kernel batch each.
+    Refuses any other corank-one zero (NotNormalizedError) after
+    detecting its chain; `LocalModel` moves such a point to a normalizing
+    frame. mu, when supplied, must match the detected chain length (a
+    mismatch is an InputError). The Jacobian and each order 2..deg are
+    evaluated once, one kernel batch each.
     """
     return LocalModel(source, x, mu, frame=False).gamma(mode)

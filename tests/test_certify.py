@@ -12,6 +12,7 @@ from mzero.certify import (
 from mzero.constants import ANCHORED_MAX, coefficient_table, p_of_d, smallest_positive_root
 from mzero.dualspace import normalizing_frame
 from mzero.errors import InputError, MathDomainError
+from mzero.frames import unitary_pullback
 from mzero.polycore import parse_system
 
 from conftest import make_planted_pair, make_planted_system, make_split_cluster
@@ -232,6 +233,21 @@ def test_certificate_moves_off_shape_point_to_a_frame(ex_double):
     assert cert.radius == pytest.approx(0.0223899, abs=1e-6)
     assert cert.gamma_on_g.gamma == pytest.approx(4 / math.sqrt(5), abs=1e-10)
     assert np.array_equal(cert.center, ORIGIN2)
+
+
+def test_certificate_detects_mu_strictly_near_the_shape():
+    # (X2 + X1^2, X1^3) turned by 0.05 in inputs and outputs: its Jacobian
+    # at 0 is 0.05 off the distinguished shape, inside the certificate's
+    # loose shape test but not the strict one that detection takes, and
+    # along e1, which is not the kernel there, the chain would stop at 2
+    angle = 0.05
+    R = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    system = parse_system("vars: X1 X2\nf1: X2 + X1^2\nf2: X1^3")
+    turned = unitary_pullback(system, R, R).materialize()
+    cert = certify_cluster(turned, ORIGIN2)
+    assert cert.mu == 3
+    # the loose test keeps the point in its coordinates, as for a trusted mu
+    assert cert == certify_cluster(turned, ORIGIN2, mu=3)
 
 
 def test_certificate_mu_below_two_is_input_error(ex_triple):

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from mzero.certify import certify_cluster, separation_bound
 from mzero.cli import main
 from mzero.dualspace import compute_dual_basis, normalizing_frame
-from mzero.errors import InputError, NotNormalizedError
+from mzero.errors import CorankError, InputError, NotNormalizedError
 from mzero.gamma import LocalModel, gamma_mu
 from mzero.frames import NormalizedFrame, unitary_pullback
-from mzero.polycore import PolySystem
+from mzero.polycore import PolySystem, parse_system
 
 from conftest import make_normalized_system, make_planted_system, random_unitary
 
@@ -92,6 +92,11 @@ def test_gamma_mu_evaluates_each_order_once(monkeypatch):
 def test_requires_normalized_shape(ex_double):
     with pytest.raises(NotNormalizedError):
         gamma_mu(ex_double, ORIGIN2)
+    # detection comes first: an off-shape point that is not corank one
+    # is refused for its corank
+    system = parse_system("vars: X1 X2 X3\nf1: X1\nf2: X2^2\nf3: X3^2")
+    with pytest.raises(CorankError):
+        gamma_mu(system, np.zeros(3, dtype=complex))
 
 
 def test_local_model_moves_off_shape_point(ex_double):
