@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from .constants import separation_constant
-from .dualspace import LOOSE_NORMALIZED_RTOL
 from .errors import MathDomainError
 from .gamma import LocalModel
 from .numkit import matrix_spectral_norm
@@ -103,23 +102,18 @@ def certify_cluster(system, x, mu=None, mode="estimate", **tolerances):
 
     The input point should be an approximate zero; mu defaults to the
     chain length detected at x (tolerances, gap_tol and delta_zero_tol,
-    go to that detection) and a given mu is taken as it is. A point whose
-    Jacobian is not even loosely in the distinguished shape
-    (`LOOSE_NORMALIZED_RTOL`) is first moved to a normalizing frame; the
-    radius is the same in the original coordinates. The certificate
-    compares the deviation of the system from its order-mu truncation at
-    x against a threshold; `holds` reports the comparison, and the radius
-    d / (4 gamma^mu) is meaningful only when it holds.
+    go to that detection) and a given mu is taken as it is. With or
+    without mu, a point whose Jacobian fails the strict shape test is
+    first moved to its normalizing frame (`LocalModel`'s one coordinate
+    rule), so a certificate off the zero is taken in that frame, where
+    h_norms[0] is sigma_min of the Jacobian at x; the radius is the same in
+    the original coordinates. The certificate compares the deviation of
+    the system from its order-mu truncation at x against a threshold;
+    `holds` reports the comparison, and the radius d / (4 gamma^mu) is
+    meaningful only when it holds.
     """
     center = np.asarray(x, dtype=complex)
-    model = LocalModel(
-        system,
-        center,
-        mu,
-        rel_tol=LOOSE_NORMALIZED_RTOL,
-        trust_mu=True,
-        **tolerances,
-    )
+    model = LocalModel(system, center, mu, trust_mu=True, **tolerances)
     J, mu = model.J, model.mu
     n = model.view.nvars
 

@@ -12,12 +12,14 @@ The chain is found one way, in the distinguished shape: the kernel is
 the first coordinate, each correction solves against the invertible
 block Jhat = J[:n-1, 1:], and the chain ends at the first raw value with
 a non-negligible last entry. A point off that shape first moves to its
-normalizing frame U^H f(W y), and the chain found there (rows b_k, raw
-values v) is reported in the input's coordinates as a_k = W b_k and U v.
-That is exact: Lambda_k(f) is the t^k Taylor coefficient of f along x +
-a_1 t + ... + a_k t^k in any coordinates, so the one recursion loop,
-`_chain`, reads each raw value from the kernel's `curve_taylor` and
-forms no functional. The functionals, by `psi`, are the symbolic record
+normalizing frame U^H f(W y); `local_view` makes that choice, by the
+strict shape test alone, for the detection and for every local model of
+the package. The chain found there (rows b_k, raw values v) is reported
+in the input's coordinates as a_k = W b_k and U v. That is exact:
+Lambda_k(f) is the t^k Taylor coefficient of f along x + a_1 t + ... +
+a_k t^k in any coordinates, so the one recursion loop, `_chain`, reads
+each raw value from the kernel's `curve_taylor` and forms no
+functional. The functionals, by `psi`, are the symbolic record
 that a `DualBasis` builds on first use.
 They and the product-rule route `chainrule_Lk`, which runs the same loop
 on raw values of its own, live in `mzero.functionals`, which this module
@@ -34,8 +36,6 @@ from .errors import CorankError, InputError, MultiplicityNotFoundError
 from .numkit import LinearSolver, matrix_spectral_norm, scaled_norm, svd
 
 NORMALIZED_RTOL = 1e-8
-# shape test for points that only need to be near the distinguished shape
-LOOSE_NORMALIZED_RTOL = 0.1
 
 
 class DualBasis:
@@ -157,10 +157,10 @@ def kernel_chain(source, x, a1, Jhat, order):
     `numkit.LinearSolver` of the block J[:n-1, 1:] of the Jacobian, which
     tests that block for singularity once. Returns the list whose entry
     k-2 is the raw order-k functional applied to source at x, for k =
-    2..order. An order below 2 is an InputError: a corank-one chain has
-    mu >= 2.
+    2..order. An order below 2, or none, is an InputError: a corank-one
+    chain has mu >= 2.
     """
-    if order < 2:
+    if order is None or order < 2:
         raise InputError("a corank-one chain has order mu >= 2, got %r" % order)
     return _chain(source, x, a1, Jhat, lambda k, vals: k == order, order)[1]
 
@@ -170,44 +170,56 @@ def compute_dual_basis(source, x, max_order=DEFAULTS["max_order"], gap_tol=DEFAU
     """Multiplicity structure of an isolated zero with corank-one Jacobian.
 
     source is a PolySystem or NormalizedFrame and x the base point in its
-    coordinates. The Jacobian there is evaluated and factored once, for
-    the corank test, with gap_tol, and the shape test, `is_normalized`
-    with its strict default, never a looser one: the recursion along e1
-    finds the kernel's chain only where e1 is the kernel, so a point off
-    the shape moves to its normalizing frame. The recursion runs there
-    and ends at the first raw value whose last entry exceeds
-    delta_zero_tol, relative. Raises CorankError without a clean
-    one-dimensional kernel and MultiplicityNotFoundError past max_order.
+    coordinates. `local_view` picks the coordinates, with the corank test
+    at gap_tol: the recursion along e1 finds the kernel's chain only where
+    e1 is the kernel, so a point off the strict shape moves to its
+    normalizing frame. The recursion runs there and ends at the first raw
+    value whose last entry exceeds delta_zero_tol, relative. Raises
+    CorankError without a clean one-dimensional kernel and
+    MultiplicityNotFoundError past max_order.
     """
-    x = np.asarray(x, dtype=complex)
-    n = source.nvars
-    J = source.jacobian(x)
-    res = svd(J)
-    _check_corank_one(res.s, gap_tol)
-    normalized = is_normalized(J, NORMALIZED_RTOL, res.s)
-    view, y, J_view = (source, x, J) if normalized else _frame_view(source, x, res)
-    Jhat = LinearSolver(J_view[: n - 1, 1:])
-    a_rows, chain = _chain(view, y, _e1(n), Jhat,
+    view, y, J, Jhat, input_J, res = local_view(source, x, gap_tol=gap_tol)
+    a_rows, chain = _chain(view, y, _e1(source.nvars), Jhat,
                            lambda k, vals: _terminates(vals, delta_zero_tol), max_order)
-    values = chain
+    values, normalized = chain, view is source
     if not normalized:
         # back to the input's coordinates, by this frame's own factors
         W = _kernel_first(res.V)
         a_rows, values = [W @ b for b in a_rows], [res.U @ v for v in chain]
-    return DualBasis(J, res.s, normalized, a_rows, values, view, y, J_view, Jhat, chain)
+    return DualBasis(input_J, res.s, normalized, a_rows, values, view, y, J, Jhat, chain)
+
+
+def local_view(source, x, test_shape=True, gap_tol=None):
+    """The coordinates every local computation at x runs in, by one rule:
+    (view, y, J, Jhat, input_J, res).
+
+    The Jacobian input_J of source at x is evaluated and factored once
+    (res, its `numkit.svd`); with gap_tol it first passes the corank test
+    (CorankError). A point that passes the strict shape test,
+    `is_normalized` at NORMALIZED_RTOL, stays in source's coordinates
+    (view is source, y is x); any other point moves to its normalizing
+    frame, built from res (view the frame, y the point's coordinates
+    there). J is the view's Jacobian at y and Jhat the
+    `numkit.LinearSolver` of its block J[:n-1, 1:]. With test_shape off
+    the point stays in source's coordinates untested, and nothing is
+    factored (res is None).
+    """
+    x = np.asarray(x, dtype=complex)
+    view, y, J = source, x, source.jacobian(x)
+    input_J, res = J, None
+    if test_shape:
+        res = svd(J)
+        if gap_tol is not None:
+            _check_corank_one(res.s, gap_tol)
+        if not is_normalized(J, NORMALIZED_RTOL, res.s):
+            view, y = normalizing_frame(source, x, res=res)
+            J = view.jacobian(y)
+    return view, y, J, LinearSolver(J[: source.nvars - 1, 1:]), input_J, res
 
 
 def _kernel_first(V):
     """V with its last column, the kernel-most right singular vector, first."""
     return V[:, [-1] + list(range(V.shape[1] - 1))]
-
-
-def _frame_view(source, x, res):
-    """(frame, w, J): the normalizing frame of source at x, built from
-    res, the `numkit.svd` of the Jacobian there, with x's coordinates w
-    in the frame and the frame's Jacobian at w."""
-    frame, w = normalizing_frame(source, x, res=res)
-    return frame, w, frame.jacobian(w)
 
 
 def normalizing_frame(source, x, res=None):

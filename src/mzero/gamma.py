@@ -23,16 +23,9 @@ import math
 import numpy as np
 
 from . import MAX_ORDER
-from .dualspace import (
-    NORMALIZED_RTOL,
-    _e1,
-    _frame_view,
-    compute_dual_basis,
-    is_normalized,
-    kernel_chain,
-)
+from .dualspace import _e1, compute_dual_basis, kernel_chain, local_view
 from .errors import InputError, MathDomainError, NotNormalizedError
-from .numkit import LinearSolver, svd, unfolding_norm
+from .numkit import unfolding_norm
 from .polycore import symmetric_layout
 from .record import Record
 
@@ -44,19 +37,21 @@ class GammaReport(Record):
 class LocalModel:
     """Local data of a system at one point, each piece computed once.
 
-    A point whose Jacobian fails `is_normalized` with rel_tol moves to a
-    normalizing frame; with frame off it raises NotNormalizedError
-    instead. The frame is unitary, so distances, radii and the invariants
-    hold in the original coordinates. Without mu, `compute_dual_basis`
-    detects the chain, with the keyword tolerances (gap_tol,
-    delta_zero_tol, max_order) and always the strict shape test, and gives
-    the view, point, J, Jhat and chain; a point that passes only a looser
-    rel_tol stays in its coordinates, where the chain of the detected mu is
-    read along e1. Detection comes before the shape refusal, so with frame
-    off a point that also fails detection raises that error (CorankError,
-    MultiplicityNotFoundError). A given mu must match the detected one
-    (InputError), unless trust_mu takes it as it is. A trusted mu whose
-    chain value vanishes, so that nothing can be scaled by it, is a
+    One coordinate rule, `dualspace.local_view`'s: a point whose Jacobian
+    passes the strict shape test stays in its coordinates, and any other
+    point moves to its normalizing frame. `coords` says what happens off
+    the shape: "auto" computes in the frame; "refuse" raises
+    NotNormalizedError instead, after the detection, so a point that also
+    fails detection raises that error (CorankError,
+    MultiplicityNotFoundError); "given" takes the source's coordinates
+    with no shape test and mu as it is (mu is required, InputError
+    otherwise). The frame is unitary, so distances, radii and the
+    invariants hold in the original coordinates. Without mu,
+    `compute_dual_basis` detects the chain, with the keyword tolerances
+    (gap_tol, delta_zero_tol, max_order), and gives the view, point, J,
+    Jhat and chain. A given mu must match the detected one (InputError),
+    unless trust_mu takes it as it is, with no detection. A trusted mu
+    whose chain value vanishes, so that nothing can be scaled by it, is a
     MathDomainError, and so is a system of degree above 170, whose
     coefficients would need a k! above the largest double.
 
@@ -70,51 +65,33 @@ class LocalModel:
     rotates; `v`, the view's e1 there.
     """
 
-    def __init__(
-        self,
-        source,
-        x,
-        mu=None,
-        frame=True,
-        rel_tol=NORMALIZED_RTOL,
-        trust_mu=False,
-        **tolerances,
-    ):
-        x = np.asarray(x, dtype=complex)
+    def __init__(self, source, x, mu=None, coords="auto", trust_mu=False, **tolerances):
         n = source.nvars
         if n < 2:
             raise InputError(
                 "a corank-one zero needs at least two variables, got %d" % n
             )
-        if mu is None or not trust_mu:
+        if coords not in ("auto", "refuse", "given"):
+            raise InputError("coords is auto, refuse or given, got %r" % (coords,))
+        basis = None
+        if coords == "given" or (trust_mu and mu is not None):
+            local = local_view(source, x, test_shape=coords != "given")[:4]
+        else:
             basis = compute_dual_basis(source, x, **tolerances)
             if mu is not None and basis.mu != mu:
                 raise InputError(
                     "requested order %d but the chain terminates at %d"
                     % (mu, basis.mu)
                 )
-            mu, J = basis.mu, basis.input_J
-            normalized = basis.normalized or is_normalized(J, rel_tol, basis.singular_values)
-            # the detection's own data, unless only a looser rel_tol keeps the input
-            local = None
-            if normalized == basis.normalized:
-                local = basis.view, basis.x, basis.J, basis.Jhat, basis.chain
-        else:
-            # a trusted mu takes no detection; one SVD of the input's
-            # Jacobian serves the shape test and the frame
-            J = source.jacobian(x)
-            res = svd(J)
-            normalized, local = is_normalized(J, rel_tol, res.s), None
-        if not (normalized or frame):
+            mu, local = basis.mu, (basis.view, basis.x, basis.J, basis.Jhat)
+        self.view, self.x, self.J, self.Jhat = local
+        if coords == "refuse" and self.view is not source:
             raise NotNormalizedError(
                 "point is not in the distinguished coordinate shape; "
                 "compute in a normalizing frame instead"
             )
-        if local is None:
-            view, x, J = (source, x, J) if normalized else _frame_view(source, x, res)
-            Jhat = LinearSolver(J[: n - 1, 1:])
-            local = view, x, J, Jhat, kernel_chain(view, x, _e1(n), Jhat, mu)
-        self.view, self.x, self.J, self.Jhat, self.chain = local
+        self.chain = (basis.chain if basis is not None
+                      else kernel_chain(self.view, self.x, _e1(n), self.Jhat, mu))
         self.mu = mu
         self.delta_mu = self.chain[-1][-1]
         if self.delta_mu == 0:
@@ -178,10 +155,11 @@ class LocalModel:
 def gamma_mu(source, x, mu=None, mode="estimate"):
     """Combined invariant at a point in the distinguished shape.
 
-    Refuses any other corank-one zero (NotNormalizedError) after
-    detecting its chain; `LocalModel` moves such a point to a normalizing
-    frame. mu, when supplied, must match the detected chain length (a
-    mismatch is an InputError). The Jacobian and each order 2..deg are
-    evaluated once, one kernel batch each.
+    Refuses a point that fails the strict shape test (NotNormalizedError,
+    `LocalModel`'s coords "refuse") after detecting its chain; `LocalModel`
+    with its default moves such a point to a normalizing frame. mu, when
+    supplied, must match the detected chain length (a mismatch is an
+    InputError). The Jacobian and each order 2..deg are evaluated once,
+    one kernel batch each.
     """
-    return LocalModel(source, x, mu, frame=False).gamma(mode)
+    return LocalModel(source, x, mu, coords="refuse").gamma(mode)

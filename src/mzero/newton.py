@@ -21,11 +21,15 @@ package itself, so the command line lists them without loading numpy.
 import numpy as np
 
 from . import DEFAULT_TOLERANCES as DEFAULTS, VARIANTS
-from .dualspace import LOOSE_NORMALIZED_RTOL, compute_dual_basis, is_normalized
-from .dualspace import kernel_chain, normalizing_frame
+from .dualspace import compute_dual_basis, is_normalized, kernel_chain, normalizing_frame
 from .errors import InputError, SingularMatrixError
 from .numkit import LinearSolver, solve_linear
 from .record import Record
+
+
+# shape test of `iterate_until`'s variant choice: a normalized step needs its
+# point only near the distinguished shape
+LOOSE_NORMALIZED_RTOL = 0.1
 
 
 class NewtonTrace(Record):

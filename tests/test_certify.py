@@ -283,6 +283,16 @@ def test_mu_two_has_no_intermediate_orders(ex_double):
     assert cert.holds
 
 
+def test_certificate_off_the_strict_shape_is_taken_in_the_frame(ex_triple):
+    # near the zero the Jacobian is near the shape but fails the strict
+    # test, so a trusted mu moves the point to its normalizing frame, whose
+    # first-order deviation is sigma_min of the Jacobian
+    x = np.array([1e-4, 2e-5], dtype=complex)
+    cert = certify_cluster(ex_triple, x, mu=3)
+    sigma_min = np.linalg.svd(ex_triple.jacobian(x), compute_uv=False)[-1]
+    assert cert.h_norms[0] == pytest.approx(sigma_min, rel=1e-12)
+
+
 def test_vanishing_terminating_value_is_domain_error():
     # a trusted mu = 3, but the chain of (X1^2, X2) ends at order 2: its
     # order-3 value is exactly zero and no bound can divide by it

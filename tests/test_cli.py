@@ -1138,6 +1138,37 @@ def test_one_import_path_per_name():
     assert found == ["__init__.py", "polycore.py"]
 
 
+def _names_read(tree, name):
+    """Whether an ast tree reads, imports or assigns the name."""
+    return any(
+        isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and name in (node.name, node.asname)
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_coordinate_rule_for_the_local_model():
+    # the strict shape test is `dualspace`'s alone, the loose one serves
+    # only refinement's variant choice, and the local model takes its
+    # coordinates from `coords`, not from a frame switch or a tolerance
+    src = Path(mzero.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    assert sorted(m for m, tree in trees.items() if _names_read(tree, "NORMALIZED_RTOL")) == [
+        "dualspace"]
+    assert sorted(m for m, tree in trees.items()
+                  if _names_read(tree, "LOOSE_NORMALIZED_RTOL")) == ["newton"]
+    assert any(isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "LOOSE_NORMALIZED_RTOL" for t in node.targets)
+               for node in trees["newton"].body)
+    init = next(node for cls in trees["gamma"].body
+                if isinstance(cls, ast.ClassDef) and cls.name == "LocalModel"
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    params = {a.arg for a in init.args.args + init.args.kwonlyargs}
+    assert "coords" in params and not params & {"frame", "rel_tol"}
+
+
 # sys.modules is read before this snippet's own `import json`
 LOADED = "\nimport sys; loaded = set(sys.modules)\nimport json; print(json.dumps(sorted(loaded & %r)))"
 
@@ -1171,17 +1202,19 @@ WATCHED = {"json", "mzero.constants", "mzero.thresholds", "mzero.functionals", "
         (["separation", "ORIGIN"], ["mzero.constants"]),
         (["separation", "--mu", "3"], ["mzero.constants"]),
         (["certify", "ORIGIN"], ["mzero.constants"]),
+        (["certify", "NEAR"], ["mzero.constants", "mzero.frames"]),
         (["refine", "NEAR", "--variant", "normalized_double"], []),
         (["refine", "NEAR"], []),
         (["refine", "NEAR", "--variant", "general"], ["mzero.frames"]),
         (["thresholds", "--variant", "general_triple"], ["mzero.constants", "mzero.thresholds"]),
     ],
-    ids=["dual", "gamma", "separation", "separation-constant", "certify", "refine-normalized",
-         "refine-auto", "refine-general", "thresholds"],
+    ids=["dual", "gamma", "separation", "separation-constant", "certify", "certify-near",
+         "refine-normalized", "refine-auto", "refine-general", "thresholds"],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     # at a normalized point of a scanned system only `dual` builds
-    # functionals and only a general step needs a frame; no command
+    # functionals; a general step needs a frame, and so does a certificate
+    # off the strict shape, with or without --mu; no command
     # imports json, refinement reads no universal constant, only
     # `thresholds` compiles the threshold equations, and no call loads
     # argparse

@@ -127,6 +127,21 @@ def test_trusted_mu_below_two_is_input_error(ex_triple):
         LocalModel(ex_triple, ORIGIN2, mu=0, trust_mu=True)
 
 
+def test_coords_choose_what_happens_off_the_shape(ex_double):
+    # off the shape "given" stays in the source's coordinates and reads
+    # the chain along e1 there, where "auto" moves to the frame and
+    # "refuse" raises; "given" detects nothing, so it needs a mu
+    model = LocalModel(ex_double, ORIGIN2, 3, coords="given")
+    assert model.view is ex_double and np.array_equal(model.x, ORIGIN2)
+    assert LocalModel(ex_double, ORIGIN2, 2, trust_mu=True).view is not ex_double
+    with pytest.raises(NotNormalizedError):
+        LocalModel(ex_double, ORIGIN2, 2, coords="refuse", trust_mu=True)
+    with pytest.raises(InputError, match="mu >= 2, got None"):
+        LocalModel(ex_double, ORIGIN2, coords="given")
+    with pytest.raises(InputError, match="coords"):
+        LocalModel(ex_double, ORIGIN2, coords="frame")
+
+
 def test_certified_mode_dominates_estimate():
     rng = np.random.default_rng(31)
     sys_ = make_normalized_system(3, 3, rng)
@@ -259,20 +274,29 @@ def test_local_model_is_unitary_and_shift_invariant_above_order_four(n, mu):
 
 
 def test_local_model_takes_one_svd_per_jacobian(monkeypatch, ex_double):
-    shapes, factor = [], np.linalg.svd
+    factored, factor = [], np.linalg.svd
 
     def counted(A, *args, **kwargs):
-        shapes.append(np.shape(A))
+        factored.append(np.array(A))
         return factor(A, *args, **kwargs)
+
+    def shapes():
+        return [A.shape for A in factored]
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     LocalModel(make_normalized_system(4, 3, np.random.default_rng(35)), np.zeros(4))
-    assert shapes.count((4, 4)) == 1
+    assert shapes().count((4, 4)) == 1
     # off the shape: one, of the input's Jacobian, which the corank test,
     # the shape test and the frame all read; the frame's is not factored
-    shapes.clear()
+    factored.clear()
     LocalModel(ex_double, ORIGIN2)
-    assert shapes.count((2, 2)) == 1
+    assert shapes().count((2, 2)) == 1
+    # a trusted mu takes no detection: one, of the input's Jacobian, which
+    # the shape test and the frame read
+    x = np.array([1e-3, 0], dtype=complex)
+    factored.clear()
+    assert certify_cluster(ex_double, x, mu=2).mu == 2
+    assert sum(np.array_equal(A, ex_double.jacobian(x)) for A in factored) == 1
 
 
 def test_one_svd_of_jhat_per_bound(monkeypatch):
@@ -306,7 +330,7 @@ def test_truncated_gamma_in_a_frame_matches_the_expanded_frame(mode):
     x = 0.02 * (rng.normal(size=3) + 1j * rng.normal(size=3))
     frame, w = normalizing_frame(system, x)
     views = [frame, frame.materialize()]
-    models = [LocalModel(v, w, 4, frame=False, rel_tol=0.1, trust_mu=True) for v in views]
+    models = [LocalModel(v, w, 4, coords="given", trust_mu=True) for v in views]
     reports = [model.gamma(mode, truncate=True) for model in models]
     assert reports[0].per_order != models[0].gamma(mode).per_order
     for got, want in zip(reports[0].per_order, reports[1].per_order):
