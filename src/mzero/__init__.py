@@ -39,7 +39,7 @@ _EXPORTS = {
     "polycore": ("Poly", "PolySystem", "parse_system"),
     "thresholds": ("ThresholdSet", "threshold_constants"),
 }
-_SUBMODULES = (*_EXPORTS, "cli")
+_SUBMODULES = (*_EXPORTS, "cli", "syscommands")
 
 __version__ = "0.1.0"
 

@@ -26,9 +26,15 @@ Each command imports only the layers it runs: `separation --mu k`
 without a system reads the numpy-free `constants` module alone, and
 `thresholds` the numpy-free `thresholds` module (with `constants` for its
 root finder); `separation` and `certify` never load `thresholds`, and
-`dual`, `gamma` and `refine` load neither. numpy is loaded where a point
-is parsed. Only `dual` loads `functionals`, and only a frame loads
-`frames`. No call imports `json` or `dataclasses`.
+`dual`, `gamma` and `refine` load neither. This module holds only what
+every call runs: the process entry, the flag tables with the parser, the
+JSON writer, and the two commands that read no file. The point and system
+readers and the handlers of `dual`, `gamma`, `certify`, `refine` and of
+`separation` with a system live in `syscommands`, which a call loads only
+when it gives a point or a system file, so `separation --mu k` and
+`thresholds` never compile them. numpy is loaded where a point is parsed.
+Only `dual` loads `functionals`, and only a frame loads `frames`. No call
+imports `json` or `dataclasses`.
 
 Each command has one flag table, and `parse_args` reads, explains and
 refuses every call from the tables: a command name, then only that
@@ -120,92 +126,6 @@ def canonical_json(obj):
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers
-
-
-def _coordinate(text, where=""):
-    try:
-        value = complex(text.replace(" ", "").replace("i", "j"))
-    except ValueError:
-        raise ParseError("bad coordinate %r%s" % (text, where))
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ParseError("non-finite coordinate %r%s" % (text, where))
-    return value
-
-
-def parse_point(text):
-    """Comma-separated finite complex coordinates; `i` or `j` marks the
-    imaginary unit, e.g. "-0.01,0.01" or "1+2i,0". An empty field, as in
-    "0,,0" or "0,0,", is refused."""
-    entries = [e.strip() for e in text.split(",")]
-    if "" in entries:
-        raise ParseError("empty coordinate in point %r" % text)
-    import numpy as np  # commands without a point never load numpy
-
-    return np.array([_coordinate(e) for e in entries], dtype=complex)
-
-
-def _read_text(path, what):
-    """A file's text, without a leading byte-order mark; a file that cannot
-    be opened or is not UTF-8 is an input error."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError("cannot read %s %s: %s" % (what, path, exc))
-
-
-def read_point_file(path):
-    values = []
-    for raw in _read_text(path, "point file").split("\n"):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            values.append(_coordinate(line, " in %s" % path))
-    if not values:
-        raise ParseError("no coordinates in %s" % path)
-    import numpy as np
-
-    return np.array(values, dtype=complex)
-
-
-def load_system(path):
-    from . import polycore
-
-    return polycore.parse_system(_read_text(path, "system file"))
-
-
-def _load_with_point(args):
-    """The system file, with the point checked against its variables."""
-    system = load_system(args.system)
-    if args.point is None:
-        raise ParseError("a point is required (--point or --point-file)")
-    if len(args.point) != system.nvars:
-        raise ParseError(
-            "point dimension %d does not match the %d variables of the system"
-            % (len(args.point), system.nvars)
-        )
-    if system.nvars < 2:
-        raise InputError(
-            "a corank-one zero needs at least two variables, got %d" % system.nvars
-        )
-    return system
-
-
-def _detection(args):
-    """The tolerances of the chain-length detection, from the flags."""
-    return {"gap_tol": args.gap_tol, "delta_zero_tol": args.delta_zero_tol}
-
-
-def _pick(record, names):
-    """A result record's fields named in `names`, by name."""
-    return {name: getattr(record, name) for name in names.split()}
-
-
-def _functional_json(fn):
-    return [{"alpha": list(alpha), "coeff": c} for alpha, c in fn.sorted_items()]
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -219,6 +139,8 @@ def _diagnostics(args, duality_residuals):
 
 
 def _input_block(args):
+    if args.command == "thresholds":
+        return {"variant": args.variant, "mode": args.mode}
     block = {"system": args.system}
     if args.point is not None:
         block["point"] = list(args.point)
@@ -228,11 +150,11 @@ def _input_block(args):
     return block
 
 
-def _emit(args, result, text_lines, inputs=None, duality_residuals=()):
+def _emit(args, result, text_lines, duality_residuals=()):
     if args.json:
         document = {
             "command": args.command,
-            "input": _input_block(args) if inputs is None else inputs,
+            "input": _input_block(args),
             "result": result,
             "diagnostics": _diagnostics(args, duality_residuals),
         }
@@ -243,65 +165,26 @@ def _emit(args, result, text_lines, inputs=None, duality_residuals=()):
     return 0
 
 
-def cmd_dual(args):
-    from . import dualspace
+def _system_command(args):
+    """`dual`, `gamma`, `certify` or `refine`, whose handler lives in
+    `syscommands` with the readers it needs."""
+    from . import syscommands
 
-    system = _load_with_point(args)
-    basis = dualspace.compute_dual_basis(
-        system, args.point, max_order=args.max_order, **_detection(args)
-    )
-    result = {
-        "mu": basis.mu,
-        "breadth_one": basis.breadth_one,
-        "normalized": basis.normalized,
-        "corank_gap": basis.corank_gap,
-        "singular_values": list(basis.singular_values),
-        "a_coeffs": basis.a_coeffs,
-        "delta_values": [list(v) for v in basis.delta_values],
-        "lambdas": [_functional_json(lam) for lam in basis.lambdas],
-    }
-    lines = [
-        "multiplicity: %d" % basis.mu,
-        "normalized coordinates: %s" % ("yes" if basis.normalized else "no"),
-        "corank gap (sigma_n / sigma_{n-1}): %.3e" % basis.corank_gap,
-        "terminating value on last equation: %s" % basis.delta_values[-1][-1],
-        "max duality residual: %.3e"
-        % (max(basis.duality_residuals) if len(basis.duality_residuals) else 0.0),
-    ]
-    return _emit(args, result, lines, duality_residuals=basis.duality_residuals)
-
-
-def cmd_gamma(args):
-    from . import gamma
-
-    system = _load_with_point(args)
-    model = gamma.LocalModel(system, args.point, args.mu, **_detection(args))
-    report = model.gamma(args.mode)
-    result = _pick(report, "gamma gamma_hat gamma_n mu delta_mu per_order")
-    lines = [
-        "mu: %d" % report.mu,
-        "gamma_hat: %.12g" % report.gamma_hat,
-        "gamma_n:   %.12g" % report.gamma_n,
-        "gamma:     %.12g  (mode=%s)" % (report.gamma, report.mode),
-    ]
-    return _emit(args, result, lines)
+    return getattr(syscommands, "cmd_" + args.command)(args)
 
 
 def cmd_separation(args):
     if args.system:
-        from . import certify
+        from .syscommands import separation_bound
 
-        system = _load_with_point(args)
-        sep = certify.separation_bound(
-            system, args.point, mu=args.mu, mode=args.mode, **_detection(args)
-        )
+        sep = separation_bound(args)
     else:
         if args.mu is None:
             raise ParseError("separation needs --mu when no system is given")
         from .constants import separation_constant
 
         sep = separation_constant(args.mu)
-    result = _pick(sep, "mu d d1 d2 d3")
+    result = sep.pick("mu d d1 d2 d3")
     if sep.bound is not None:
         result.update(bound=sep.bound, gamma=sep.gamma.gamma)
     lines = [
@@ -311,74 +194,19 @@ def cmd_separation(args):
     if sep.bound is not None:
         lines.append("gamma: %.12g" % sep.gamma.gamma)
         lines.append("exclusion radius d / (2 gamma^mu): %.12g" % sep.bound)
-    return _emit(args, result, lines)
-
-
-def cmd_certify(args):
-    from . import certify
-
-    system = _load_with_point(args)
-    cert = certify.certify_cluster(
-        system, args.point, mu=args.mu, mode=args.mode, **_detection(args)
-    )
-    result = _pick(cert, "holds radius mu lhs rhs d h_norms a_inv_norm")
-    result.update(_pick(cert.gamma_on_g, "gamma gamma_hat gamma_n"))
-    verdict = (
-        "certified: %d zeros (with multiplicity) in the ball" % cert.mu
-        if cert.holds
-        else "not certified at this point"
-    )
-    lines = [
-        "lhs: %.6e" % cert.lhs,
-        "rhs: %.6e" % cert.rhs,
-        "radius: %.6g" % cert.radius,
-        "gamma on truncation: %.12g (mode=%s)" % (cert.gamma_on_g.gamma, cert.mode),
-        verdict,
-    ]
-    return _emit(args, result, lines)
-
-
-def cmd_refine(args):
-    from . import newton
-
-    system = _load_with_point(args)
-    trace = newton.iterate_until(
-        system,
-        args.point,
-        mu=args.mu,
-        variant=args.variant,
-        eps=args.eps,
-        max_iter=args.max_iter,
-        **_detection(args),
-    )
-    result = _pick(trace, "converged stop_reason variant mu residual_norms step_norms warnings")
-    result.update(iterations=len(trace.iterates) - 1, iterates=[list(z) for z in trace.iterates])
-    lines = [
-        "variant: %s (mu=%d)" % (trace.variant, trace.mu),
-        "iterations: %d" % (len(trace.iterates) - 1),
-        "stop reason: %s" % trace.stop_reason,
-    ]
-    for i, (z, r) in enumerate(zip(trace.iterates, trace.residual_norms)):
-        lines.append(
-            "  %2d: %s   |f| = %.3e"
-            % (i, ", ".join("%.9g%+.9gi" % (c.real, c.imag) for c in z), r)
-        )
-    for w in trace.warnings:
-        lines.append("warning: %s" % w)
-    return _emit(args, result, lines)
+    return result, lines
 
 
 def cmd_thresholds(args):
     from . import thresholds
 
     ts = thresholds.threshold_constants(args.variant)
-    result = _pick(ts, "variant mu u_converge u_quadratic")
     lines = [
         "variant: %s" % ts.variant,
         "u_converge:  %.10g" % ts.u_converge,
         "u_quadratic: %.10g" % ts.u_quadratic,
     ]
-    return _emit(args, result, lines, inputs={"variant": ts.variant, "mode": args.mode})
+    return ts.pick("variant mu u_converge u_quadratic"), lines
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +248,12 @@ _DEFAULTS = dict(system=None, point=None, point_file=None, mu=None, mode="estima
 
 # name: (handler, help, flag table)
 COMMANDS = {
-    "dual": (cmd_dual, "dual basis and multiplicity at a point", _LOCATION + _TOLERANCES + [
+    "dual": (_system_command, "dual basis and multiplicity at a point", _LOCATION + _TOLERANCES + [
         _JSON, _flag("--max-order", int, "highest order to search")]),
-    "gamma": (cmd_gamma, "growth invariants at a normalized zero", _GROWTH),
+    "gamma": (_system_command, "growth invariants at a normalized zero", _GROWTH),
     "separation": (cmd_separation, "separation constant and radius", _GROWTH),
-    "certify": (cmd_certify, "cluster certificate at an approximate zero", _GROWTH),
-    "refine": (cmd_refine, "refine an approximate multiple zero", _REFINE),
+    "certify": (_system_command, "cluster certificate at an approximate zero", _GROWTH),
+    "refine": (_system_command, "refine an approximate multiple zero", _REFINE),
     "thresholds": (cmd_thresholds, "convergence threshold constants", [
         _flag("--variant", help="threshold equation", choices=THRESHOLD_VARIANTS, required=True),
         _JSON]),
@@ -528,8 +356,12 @@ def _check_args(args):
     if args.point is not None and args.point_file is not None:
         raise ParseError("--point and --point-file both give the point: give one")
     if args.point is not None:
+        from .syscommands import parse_point
+
         args.point = parse_point(args.point)
     elif args.point_file is not None:
+        from .syscommands import read_point_file
+
         args.point = read_point_file(args.point_file)
     if args.command in ("dual", "gamma", "certify", "refine") and not args.system:
         raise ParseError("a system file is required (--system)")
@@ -543,7 +375,7 @@ def main(argv=None):
         if args is None:
             return 0  # help was printed
         _check_args(args)
-        return COMMANDS[args.command][0](args)
+        return _emit(args, *COMMANDS[args.command][0](args))
     except BrokenPipeError:
         return 1  # the reader closed stdout: nothing more to say
     except InputError as exc:

@@ -12,10 +12,11 @@ chain values. It works in any coordinates and for any order.
 Each variant contracts quadratically once the scale-free start quality
 u = gamma^mu * distance is below the variant's threshold constant. The
 constants are the first positive roots of explicit one-variable rational
-equations; `thresholds.threshold_constants` solves them to ten digits.
-It lives in the numpy-free `thresholds` module, which refinement, reading
-no constant, never loads. The variant names, `VARIANTS`, live in the
-package itself, so the command line lists them without loading numpy.
+equations; `thresholds.threshold_constants` solves them to relative
+tolerance 1e-12. It lives in the numpy-free `thresholds` module, which
+refinement, reading no constant, never loads. The variant names,
+`VARIANTS`, live in the package itself, so the command line lists them
+without loading numpy.
 """
 
 import numpy as np

@@ -32,6 +32,10 @@ class Record:
                 raise TypeError("%s is missing the field %r" % (name, key))
             setattr(self, key, value)
 
+    def pick(self, names):
+        """The fields named in the space-separated `names`, by name."""
+        return {name: getattr(self, name) for name in names.split()}
+
     def _values(self):
         return tuple(getattr(self, key) for key in self._fields)
 

@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import mzero
 from mzero import frames, polycore, thresholds
-from mzero.cli import COMMANDS, _DEFAULTS, _quote, canonical_json, main, parse_args, parse_point
+from mzero.cli import COMMANDS, _DEFAULTS, _quote, canonical_json, main, parse_args
 from mzero.errors import MathDomainError, ParseError
+from mzero.syscommands import parse_point
 
 from conftest import EX_DOUBLE, EX_TRIPLE, make_planted_system, perfbench_module
 
@@ -463,6 +464,21 @@ def test_point_file_non_finite_is_input_error(capsys, ex_double_path, tmp_path):
     )
     assert code == 2
     assert "non-finite coordinate" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "infinity", "1+infi", "infj", "1e400"])
+@pytest.mark.parametrize("flag", ["--point", "--point-file"])
+def test_non_finite_coordinate_is_named(capsys, ex_double_path, tmp_path, flag, value):
+    # the `i` of "inf" is no imaginary unit
+    if flag == "--point-file":
+        path = tmp_path / "point.txt"
+        path.write_text("%s\n0\n" % value)
+        text = str(path)
+    else:
+        text = value + ",0"
+    code, out, err = run_cli(capsys, "gamma", "--system", ex_double_path, flag, text)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: non-finite coordinate %r" % value)
 
 
 @pytest.mark.parametrize(
@@ -1175,7 +1191,7 @@ LOADED = "\nimport sys; loaded = set(sys.modules)\nimport json; print(json.dumps
 
 def test_import_cli_loads_neither_dataclasses_nor_constants():
     watched = {"dataclasses", "mzero.constants", "mzero.thresholds", "mzero.record",
-               "argparse", "gettext", "locale"}
+               "mzero.syscommands", "argparse", "gettext", "locale"}
     assert run_fresh("import mzero.cli" + LOADED % watched) == []
 
 
@@ -1191,40 +1207,82 @@ def test_dual_and_gamma_do_not_load_constants(ex_triple_path, command):
 
 
 WATCHED = {"json", "mzero.constants", "mzero.thresholds", "mzero.functionals", "mzero.frames",
-           "argparse", "gettext", "locale"}
+           "mzero.syscommands", "argparse", "gettext", "locale"}
+
+# one call of each command, with the modules of WATCHED it loads; ORIGIN and
+# NEAR stand for a system file and a point (`dense_call`)
+COMMAND_CALLS = [
+    pytest.param(["dual", "ORIGIN"], ["mzero.functionals", "mzero.syscommands"], id="dual"),
+    pytest.param(["gamma", "ORIGIN"], ["mzero.syscommands"], id="gamma"),
+    pytest.param(["separation", "ORIGIN"], ["mzero.constants", "mzero.syscommands"],
+                 id="separation"),
+    pytest.param(["separation", "--mu", "3"], ["mzero.constants"], id="separation-constant"),
+    pytest.param(["certify", "ORIGIN"], ["mzero.constants", "mzero.syscommands"], id="certify"),
+    pytest.param(["certify", "NEAR"], ["mzero.constants", "mzero.frames", "mzero.syscommands"],
+                 id="certify-near"),
+    pytest.param(["refine", "NEAR", "--variant", "normalized_double"], ["mzero.syscommands"],
+                 id="refine-normalized"),
+    pytest.param(["refine", "NEAR"], ["mzero.syscommands"], id="refine-auto"),
+    pytest.param(["refine", "NEAR", "--variant", "general"],
+                 ["mzero.frames", "mzero.syscommands"], id="refine-general"),
+    pytest.param(["thresholds", "--variant", "general_triple"],
+                 ["mzero.constants", "mzero.thresholds"], id="thresholds"),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        (["dual", "ORIGIN"], ["mzero.functionals"]),
-        (["gamma", "ORIGIN"], []),
-        (["separation", "ORIGIN"], ["mzero.constants"]),
-        (["separation", "--mu", "3"], ["mzero.constants"]),
-        (["certify", "ORIGIN"], ["mzero.constants"]),
-        (["certify", "NEAR"], ["mzero.constants", "mzero.frames"]),
-        (["refine", "NEAR", "--variant", "normalized_double"], []),
-        (["refine", "NEAR"], []),
-        (["refine", "NEAR", "--variant", "general"], ["mzero.frames"]),
-        (["thresholds", "--variant", "general_triple"], ["mzero.constants", "mzero.thresholds"]),
-    ],
-    ids=["dual", "gamma", "separation", "separation-constant", "certify", "certify-near",
-         "refine-normalized", "refine-auto", "refine-general", "thresholds"],
-)
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
-    # at a normalized point of a scanned system only `dual` builds
-    # functionals; a general step needs a frame, and so does a certificate
-    # off the strict shape, with or without --mu; no command
-    # imports json, refinement reads no universal constant, only
-    # `thresholds` compiles the threshold equations, and no call loads
-    # argparse
+def dense_call(tmp_path, argv):
+    """argv with ORIGIN and NEAR spelled out on a planted n = 4, mu = 2
+    system, and --json."""
     gen = perfbench_module("gen")
     path = tmp_path / "dense.txt"
     path.write_text(gen.system_text(gen.planted_system(4, 2, np.random.default_rng(1))))
     places = {"ORIGIN": ["--system", str(path), "--point", "0,0,0,0"],
               "NEAR": ["--system", str(path), "--point", "1e-3,0,0,0", "--mu", "2"]}
-    argv = [a for arg in argv for a in places.get(arg, [arg])] + ["--json"]
+    return [a for arg in argv for a in places.get(arg, [arg])] + ["--json"]
+
+
+@pytest.mark.parametrize("argv, loaded", COMMAND_CALLS)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    # at a normalized point of a scanned system only `dual` builds
+    # functionals; a general step needs a frame, and so does a certificate
+    # off the strict shape, with or without --mu; no command
+    # imports json, refinement reads no universal constant, only
+    # `thresholds` compiles the threshold equations, only a call with a
+    # system file compiles the readers and handlers of `syscommands`, and
+    # no call loads argparse
+    argv = dense_call(tmp_path, argv)
     assert run_fresh(RUN_MAIN % argv + LOADED % WATCHED) == loaded
+
+
+@pytest.mark.parametrize("argv", [param.values[0] for param in COMMAND_CALLS],
+                         ids=[param.id for param in COMMAND_CALLS])
+def test_no_call_compiles_cli_twice(tmp_path, argv):
+    # under `python -m mzero.cli` the running module is `__main__`, so an
+    # import of `mzero.cli` would compile and run cli.py a second time
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "mzero.cli"] + dense_call(tmp_path, argv),
+        capture_output=True, text=True, env=fresh_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "mzero" in imported and "mzero.cli" not in imported
+
+
+def test_no_module_imports_cli():
+    # `-X importtime` logs import statements only, not a load through the
+    # package's lazy attributes, so the source is checked as well
+    src = Path(mzero.__file__).parent
+    found = sorted(
+        "%s:%d" % (path.name, node.lineno)
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module in ("cli", "mzero.cli")
+             or node.module in (None, "mzero") and any(a.name == "cli" for a in node.names))
+        or isinstance(node, ast.Import) and any(a.name == "mzero.cli" for a in node.names)
+    )
+    assert found == []
 
 
 @pytest.mark.parametrize(
