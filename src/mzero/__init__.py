@@ -31,7 +31,7 @@ _EXPORTS = {
     "gamma": ("GammaReport", "LocalModel", "gamma_mu"),
     "newton": (
         "NewtonTrace", "iterate_until", "n1_step", "refine_double",
-        "refine_general", "refine_triple",
+        "refine_general", "refine_triple", "value_and_jacobian",
     ),
     "numkit": (
         "LinearSolver", "SvdResult", "matrix_spectral_norm", "solve_linear", "svd",

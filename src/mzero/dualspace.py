@@ -199,10 +199,10 @@ def local_view(source, x, test_shape=True, gap_tol=None):
     `is_normalized` at NORMALIZED_RTOL, stays in source's coordinates
     (view is source, y is x); any other point moves to its normalizing
     frame, built from res (view the frame, y the point's coordinates
-    there). J is the view's Jacobian at y and Jhat the
-    `numkit.LinearSolver` of its block J[:n-1, 1:]. With test_shape off
-    the point stays in source's coordinates untested, and nothing is
-    factored (res is None).
+    there). J is the view's Jacobian at y, input_J mapped by the factors
+    of res (U^H input_J W), and Jhat the `numkit.LinearSolver` of its block
+    J[:n-1, 1:]. With test_shape off the point stays in source's
+    coordinates untested, and nothing is factored (res is None).
     """
     x = np.asarray(x, dtype=complex)
     view, y, J = source, x, source.jacobian(x)
@@ -213,7 +213,7 @@ def local_view(source, x, test_shape=True, gap_tol=None):
             _check_corank_one(res.s, gap_tol)
         if not is_normalized(J, NORMALIZED_RTOL, res.s):
             view, y = normalizing_frame(source, x, res=res)
-            J = view.jacobian(y)
+            J = res.U.conj().T @ J @ _kernel_first(res.V)
     return view, y, J, LinearSolver(J[: source.nvars - 1, 1:]), input_J, res
 
 
@@ -225,7 +225,9 @@ def _kernel_first(V):
 def normalizing_frame(source, x, res=None):
     """Rotated view whose Jacobian at x is the distinguished shape.
 
-    Returns (frame, w) where w are the coordinates of x in the frame. The
+    Returns (frame, w): w = W^H x, with W the right factor of res, are the
+    coordinates of x in the frame, also for a NormalizedFrame source,
+    whose composed frame maps the rotated system's coordinates. The
     kernel-most right singular vector becomes the first frame variable;
     the left factor is kept in its original order, which places the
     near-degenerate row last. res, the `numkit.svd` of the Jacobian of
@@ -236,5 +238,5 @@ def normalizing_frame(source, x, res=None):
         res = svd(source.jacobian(x))
     from .frames import unitary_pullback
 
-    frame = unitary_pullback(source, res.U, _kernel_first(res.V))
-    return frame, frame.to_frame(x)
+    W = _kernel_first(res.V)
+    return unitary_pullback(source, res.U, W), W.conj().T @ x

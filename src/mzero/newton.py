@@ -9,6 +9,10 @@ current point. Inside that frame it follows the kernel by a shear of the
 first frame variable and updates the kernel coordinate by a ratio of
 chain values. It works in any coordinates and for any order.
 
+Each point is evaluated once: `iterate_until` reads f and J at an
+iterate in one kernel call (`value_and_jacobian`) for the residual, the
+shape test and the next step, which evaluates only at its own point y.
+
 Each variant contracts quadratically once the scale-free start quality
 u = gamma^mu * distance is below the variant's threshold constant. The
 constants are the first positive roots of explicit one-variable rational
@@ -22,9 +26,10 @@ without loading numpy.
 import numpy as np
 
 from . import DEFAULT_TOLERANCES as DEFAULTS, VARIANTS
-from .dualspace import compute_dual_basis, is_normalized, kernel_chain, normalizing_frame
+from .dualspace import (_kernel_first, compute_dual_basis, is_normalized, kernel_chain,
+                        normalizing_frame)
 from .errors import InputError, SingularMatrixError
-from .numkit import LinearSolver, solve_linear
+from .numkit import LinearSolver, solve_linear, svd
 from .record import Record
 
 
@@ -38,65 +43,69 @@ class NewtonTrace(Record):
                "variant", "mu", "warnings")
 
 
+def value_and_jacobian(source, z):
+    """(f(z), J(z)) of a PolySystem or a NormalizedFrame U^H f(W y), read
+    in one kernel call at the multi-indices 0, e_1..e_n (a frame's on the
+    system it rotates, at W z)."""
+    alphas = np.eye(len(z) + 1, len(z), -1, dtype=np.intp)
+    base = getattr(source, "system", source)
+    if base is source:
+        D = source.partials(alphas, z)
+        return D[:, 0], D[:, 1:]
+    D = source.U.conj().T @ base.partials(alphas, source.W @ z)
+    return D[:, 0], D[:, 1:] @ source.W
+
+
 # ---------------------------------------------------------------------------
-# single steps
+# single steps: each takes fz and J, the values of f and its Jacobian at z,
+# and evaluates only at its own point y
 
 
-def n1_step(source, z):
-    """Correct the trailing coordinates by one regular step on the
+def n1_step(z, fz, J):
+    """Correct the trailing coordinates of z by one regular step on the
     leading equations, holding the first coordinate fixed."""
-    z = np.asarray(z, dtype=complex)
-    n = source.nvars
-    J = source.jacobian(z)
-    fz = source.eval_at(z)
-    y = z.copy()
-    y[1:] = z[1:] - solve_linear(J[: n - 1, 1:], fz[: n - 1])
+    y = np.array(z, dtype=complex)
+    y[1:] -= solve_linear(J[:-1, 1:], fz[:-1])
     return y
 
 
-def refine_double(source, z):
+def refine_double(source, z, fz, J):
     """One step of the order-two normalized iteration."""
-    z = np.asarray(z, dtype=complex)
-    n = source.nvars
-    y = n1_step(source, z)
-    e1 = (1,) + (0,) * (n - 1)
-    e11 = (2,) + (0,) * (n - 1)
-    d1 = source.partials_vector(e1, y)[n - 1]
-    d11 = source.partials_vector(e11, y)[n - 1]
+    y = n1_step(z, fz, J)
+    # d f_n / d x1 and d^2 f_n / d x1^2 at y
+    e1 = np.eye(1, len(y), dtype=np.intp)
+    d1, d11 = source.partials(np.vstack([e1, 2 * e1]), y)[-1]
     if d11 == 0:
         raise SingularMatrixError("vanishing second derivative in the kernel direction")
-    out = y.copy()
-    out[0] = z[0] - d1 / d11
-    return out
+    y[0] -= d1 / d11
+    return y
 
 
-def refine_triple(source, z):
+def refine_triple(source, z, fz, J):
     """One step of the order-three normalized iteration."""
-    z = np.asarray(z, dtype=complex)
-    n = source.nvars
-    y = n1_step(source, z)
-    J = source.jacobian(y)
-    Jhat = J[: n - 1, 1:]
-    # d^2 f at 2e1 and d^3 f at 3e1, then d^2 f_n at e1 + e_j for j > 1
+    y = n1_step(z, fz, J)
+    n = len(y)
+    # at y: the Jacobian, d^2 f at 2e1 and d^3 f at 3e1, then d^2 f_n at e1 + e_j for j > 1
     unit = np.eye(n, dtype=np.intp)
-    D = source.partials(np.vstack([2 * unit[:1], 3 * unit[:1], unit[0] + unit[1:]]), y)
+    D = source.partials(np.vstack([unit, 2 * unit[:1], 3 * unit[:1], unit[0] + unit[1:]]), y)
+    J, D = D[:, :n], D[:, n:]
     # correction shared by numerator and denominator
-    C = solve_linear(Jhat, 0.5 * D[: n - 1, 0])
+    C = solve_linear(J[: n - 1, 1:], 0.5 * D[: n - 1, 0])
     num = D[n - 1, 0] / 6.0 - J[n - 1, 1:] @ C
     den = D[n - 1, 1] / 6.0 - D[n - 1, 2:] @ C
     if den == 0:
         raise SingularMatrixError("vanishing third-order denominator")
-    out = y.copy()
-    out[0] = z[0] - num / den
-    return out
+    y[0] -= num / den
+    return y
 
 
-def refine_general(source, z, mu):
+def refine_general(source, z, fz, J, mu):
     """One step of the one-frame iteration for any order mu >= 2.
 
-    The normalizing frame is taken once, at z; its SVD is the only full
-    factorization of the step. In that frame the trailing coordinates
-    take the regular step to y. At y the chain runs along the
+    The normalizing frame is taken at z from the SVD of J, the only full
+    factorization of the step, and fz and J move into it by that SVD's
+    own factors: U^H fz and U^H J W. In that frame the trailing
+    coordinates take the regular step to y. At y the chain runs along the
     first-order kernel direction a1 = (1, -Jhat^-1 J[:n-1, 0]), a shear
     of the first frame variable rather than a second rotation, with
     corrections solved against Jhat = J(y)[:n-1, 1:]. The chain values of
@@ -105,12 +114,14 @@ def refine_general(source, z, mu):
     by their ratio. Jhat and its transpose share one solver's singular
     values, so the step tests Jhat's singularity at y once.
 
-    Returns the next point, in the coordinates of z.
+    Returns the next point, W times the frame's, in the coordinates of z;
+    for a NormalizedFrame source too.
     """
-    z = np.asarray(z, dtype=complex)
-    n = source.nvars
-    frame, w = normalizing_frame(source, z)
-    y = n1_step(frame, w)
+    n = len(z)
+    res = svd(J)
+    frame, w = normalizing_frame(source, z, res)
+    Uh, W = res.U.conj().T, _kernel_first(res.V)
+    y = n1_step(w, Uh @ fz, Uh @ J @ W)
     J = frame.jacobian(y)
     Jhat = LinearSolver(J[: n - 1, 1:])
     a1 = np.ones(n, dtype=complex)
@@ -122,37 +133,29 @@ def refine_general(source, z, mu):
     dmu = u @ values[-1]
     if dmu == 0:
         raise SingularMatrixError("vanishing terminating chain value")
-
-    out = y.copy()
-    out[0] = y[0] - prev / (mu * dmu)
-    return frame.from_frame(out)
+    y[0] -= prev / (mu * dmu)
+    return W @ y
 
 
 # ---------------------------------------------------------------------------
 # driver
 
-# variant -> (the mu it needs, None for any, and one step from z)
+# variant -> (the mu it needs, None for any, and one step from z, f(z) and J(z))
 _STEPS = dict(zip(VARIANTS, (
-    (2, lambda source, z, mu: refine_double(source, z)),
-    (3, lambda source, z, mu: refine_triple(source, z)),
+    (2, lambda source, z, fz, J, mu: refine_double(source, z, fz, J)),
+    (3, lambda source, z, fz, J, mu: refine_triple(source, z, fz, J)),
     (None, refine_general),
 )))
 
 
-def iterate_until(
-    source,
-    z0,
-    mu=None,
-    variant="auto",
-    eps=DEFAULTS["eps"],
-    max_iter=DEFAULTS["max_iter"],
-    **tolerances,
-):
+def iterate_until(source, z0, mu=None, variant="auto", eps=DEFAULTS["eps"],
+                  max_iter=DEFAULTS["max_iter"], **tolerances):
     """Run a refinement iteration to tolerance and report the trace.
 
     Without mu, the chain length is detected at z0 by
     `compute_dual_basis` with the given tolerances (gap_tol,
-    delta_zero_tol).
+    delta_zero_tol), and its Jacobian at z0 serves the first step.
+    Every other f and J is read once per iterate, by `value_and_jacobian`.
 
     Stops when the residual norm drops to eps ('tolerance', the only
     stop with converged=True), when a step of norm at most eps leaves the
@@ -168,16 +171,16 @@ def iterate_until(
         mu = basis.mu
     if mu < 2:
         raise InputError("a corank-one zero has mu >= 2, got %r" % mu)
+    fz, J = (value_and_jacobian(source, z) if basis is None
+             else (source.eval_at(z), basis.input_J))
     if variant == "auto":
         # the normalized variant of order mu at a point loosely in the
-        # distinguished shape, else the general one; a detection's Jacobian
-        # and singular values serve the shape test
+        # distinguished shape, else the general one; a detection's singular
+        # values serve the shape test
+        s = None if basis is None else basis.singular_values
         variant = VARIANTS[-1]
-        if mu in (2, 3):
-            J, s = ((source.jacobian(z), None) if basis is None
-                    else (basis.input_J, basis.singular_values))
-            if is_normalized(J, LOOSE_NORMALIZED_RTOL, s):
-                variant = VARIANTS[mu - 2]
+        if mu in (2, 3) and is_normalized(J, LOOSE_NORMALIZED_RTOL, s):
+            variant = VARIANTS[mu - 2]
     if variant not in _STEPS:
         raise InputError("unknown variant %r" % variant)
     order, step = _STEPS[variant]
@@ -185,11 +188,8 @@ def iterate_until(
         word = {2: "two", 3: "three"}[order]
         raise InputError("order-%s variant needs mu == %d" % (word, order))
 
-    iterates = [z.copy()]
-    residuals = [float(np.linalg.norm(source.eval_at(z)))]
-    steps = []
-    warnings = []
-    grow = 0
+    iterates, residuals = [z.copy()], [float(np.linalg.norm(fz))]
+    steps, warnings, grow = [], [], 0
     while True:
         if residuals[-1] <= eps:
             reason = "tolerance"
@@ -205,23 +205,17 @@ def iterate_until(
             reason = "max_iter"
             break
         try:
-            z_next = step(source, z, mu)
+            z_next = step(source, z, fz, J, mu)
         except SingularMatrixError as exc:
             reason = "singular_step"
             warnings.append(str(exc))
             break
         steps.append(float(np.linalg.norm(z_next - z)))
         z = z_next
+        fz, J = value_and_jacobian(source, z)
         iterates.append(z.copy())
-        residuals.append(float(np.linalg.norm(source.eval_at(z))))
+        residuals.append(float(np.linalg.norm(fz)))
 
-    return NewtonTrace(
-        iterates=iterates,
-        residual_norms=residuals,
-        step_norms=steps,
-        converged=reason == "tolerance",
-        stop_reason=reason,
-        variant=variant,
-        mu=mu,
-        warnings=warnings,
-    )
+    return NewtonTrace(iterates=iterates, residual_norms=residuals, step_norms=steps,
+                       converged=reason == "tolerance", stop_reason=reason, variant=variant,
+                       mu=mu, warnings=warnings)

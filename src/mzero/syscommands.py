@@ -20,11 +20,11 @@ from .polycore import parse_system
 
 
 def _coordinate(text, where=""):
-    # `i` marks the imaginary unit only as the last character, so that
-    # "inf" and "infinity" reach `complex` as they are
+    # `i` or `I` marks the imaginary unit only as the last character, so
+    # that "inf", "INF" and "infinity" reach `complex` as they are
     literal = text.replace(" ", "")
     try:
-        value = complex(literal[:-1] + "j" if literal.endswith("i") else literal)
+        value = complex(literal[:-1] + "j" if literal.endswith(("i", "I")) else literal)
     except ValueError:
         raise ParseError("bad coordinate %r%s" % (text, where))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -33,9 +33,9 @@ def _coordinate(text, where=""):
 
 
 def parse_point(text):
-    """Comma-separated finite complex coordinates; `i` or `j` marks the
-    imaginary unit, e.g. "-0.01,0.01" or "1+2i,0". An empty field, as in
-    "0,,0" or "0,0,", is refused."""
+    """Comma-separated finite complex coordinates; `i`, `j`, `I` or `J`
+    marks the imaginary unit, e.g. "-0.01,0.01" or "1+2i,0". An empty
+    field, as in "0,,0" or "0,0,", is refused."""
     entries = [e.strip() for e in text.split(",")]
     if "" in entries:
         raise ParseError("empty coordinate in point %r" % text)

@@ -62,6 +62,54 @@ def ex_triple_path(tmp_path):
     return str(p)
 
 
+class KernelCalls:
+    """What one run asked of the evaluation kernel and of LAPACK's SVD:
+    the multi-index array of every `PolySystem.partials` call, the (x, A,
+    k) of every `PolySystem.curve_taylor` call and every matrix passed to
+    `np.linalg.svd`, in call order."""
+
+    def __init__(self):
+        self.partials, self.curve_taylor, self.svd = [], [], []
+
+    def clear(self):
+        for calls in (self.partials, self.curve_taylor, self.svd):
+            calls.clear()
+
+    def jacobians(self):
+        """The partials calls that read the whole Jacobian: every first-order
+        multi-index e_j is among their multi-indices."""
+        return [A for A in self.partials
+                if {tuple(e) for e in np.eye(A.shape[1], dtype=int)} <= set(map(tuple, A))]
+
+    def svd_shapes(self):
+        return [A.shape for A in self.svd]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count the kernel's evaluations and the SVDs while a test runs; the
+    calls go through unchanged."""
+    calls = KernelCalls()
+    partials, curve_taylor, factor = PolySystem.partials, PolySystem.curve_taylor, np.linalg.svd
+
+    def counted_partials(self, alphas, x):
+        calls.partials.append(np.array(alphas, dtype=np.intp).reshape(-1, self.nvars))
+        return partials(self, alphas, x)
+
+    def counted_curve_taylor(self, x, A, k):
+        calls.curve_taylor.append((x, A, k))
+        return curve_taylor(self, x, A, k)
+
+    def counted_svd(A, *args, **kwargs):
+        calls.svd.append(np.array(A))
+        return factor(A, *args, **kwargs)
+
+    monkeypatch.setattr(PolySystem, "partials", counted_partials)
+    monkeypatch.setattr(PolySystem, "curve_taylor", counted_curve_taylor)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return calls
+
+
 def perfbench_module(name):
     """A module of the benchmark, `perfbench/<name>.py`, such as its seeded
     system generator `gen`."""

@@ -29,6 +29,7 @@ from mzero.newton import (
     refine_double,
     refine_general,
     refine_triple,
+    value_and_jacobian,
 )
 from mzero.thresholds import threshold_constants
 
@@ -274,7 +275,8 @@ def test_item_5_quadratic_convergence():
                 # genuinely satisfies the quadratic-start condition
                 start_norm = 0.8 * u_quad / gam**mu
                 run_trial(
-                    system, zero, lambda z: refine(system, z), start_norm, rng
+                    system, zero, lambda z: refine(system, z, *value_and_jacobian(system, z)),
+                    start_norm, rng,
                 )
 
     # frame-based iteration on rotated and shifted triple zeros
@@ -295,7 +297,7 @@ def test_item_5_quadratic_convergence():
             run_trial(
                 moved,
                 xi,
-                lambda z: refine_general(moved, z, mu=3),
+                lambda z: refine_general(moved, z, *value_and_jacobian(moved, z), mu=3),
                 start_norm,
                 rng,
             )
@@ -388,8 +390,8 @@ def test_item_7_equivariance(ex_triple):
             z0 = z_start.copy()
             z1 = W.conj().T @ z_start
             for _ in range(3):
-                z0 = refine_general(system, z0, mu=3)
-                z1 = refine_general(conjugated, z1, mu=3)
+                z0 = refine_general(system, z0, *value_and_jacobian(system, z0), mu=3)
+                z1 = refine_general(conjugated, z1, *value_and_jacobian(conjugated, z1), mu=3)
                 d0 = float(np.linalg.norm(z0))
                 d1 = float(np.linalg.norm(z1))
                 assert abs(d0 - d1) <= 1e-9, (

@@ -466,7 +466,9 @@ def test_point_file_non_finite_is_input_error(capsys, ex_double_path, tmp_path):
     assert "non-finite coordinate" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "infinity", "1+infi", "infj", "1e400"])
+@pytest.mark.parametrize(
+    "value", ["nan", "inf", "-inf", "infinity", "1+infi", "infj", "1e400", "INF", "INFINITY", "infI"]
+)
 @pytest.mark.parametrize("flag", ["--point", "--point-file"])
 def test_non_finite_coordinate_is_named(capsys, ex_double_path, tmp_path, flag, value):
     # the `i` of "inf" is no imaginary unit
@@ -479,6 +481,27 @@ def test_non_finite_coordinate_is_named(capsys, ex_double_path, tmp_path, flag, 
     code, out, err = run_cli(capsys, "gamma", "--system", ex_double_path, flag, text)
     assert code == 2 and out == ""
     assert err.startswith("input error: non-finite coordinate %r" % value)
+
+
+@pytest.mark.parametrize("value, lower", [("1+2I", "1+2i"), ("2I", "2i"), ("I", "i"),
+                                          ("1-2J", "1-2j")])
+@pytest.mark.parametrize("flag", ["--point", "--point-file"])
+def test_upper_case_imaginary_unit_reads_as_lower_case(capsys, ex_double_path, tmp_path, flag,
+                                                       value, lower):
+    # the trace of a refinement with no step holds the point as it was read
+    def start(text):
+        if flag == "--point-file":
+            path = tmp_path / "point.txt"
+            path.write_text("%s\n0\n" % text)
+            text = str(path)
+        else:
+            text += ",0"
+        code, out, err = run_cli(capsys, "refine", "--system", ex_double_path, flag, text,
+                                 "--mu", "2", "--max-iter", "0", "--json")
+        assert (code, err) == (0, "")
+        return json.loads(out)["result"]["iterates"][0]
+
+    assert start(value) == start(lower) != start("0")
 
 
 @pytest.mark.parametrize(

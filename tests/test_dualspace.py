@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mzero import dualspace
+from mzero.certify import separation_bound
 from mzero.dualspace import (
     compute_dual_basis,
     is_normalized,
@@ -20,7 +21,7 @@ from mzero.errors import (
 from mzero.frames import NormalizedFrame, unitary_pullback
 from mzero.functionals import apply_functional, chainrule_Lk
 from mzero.numkit import LinearSolver
-from mzero.newton import refine_general
+from mzero.newton import iterate_until, refine_general, value_and_jacobian
 from mzero.polycore import (
     PolySystem,
     parse_system,
@@ -149,6 +150,31 @@ def test_normalizing_frame_shape(ex_double):
     # rotation preserves singular values
     s = np.linalg.svd(ex_double.jacobian(ORIGIN2), compute_uv=False)
     assert np.allclose(np.linalg.svd(J, compute_uv=False), s, atol=1e-12)
+
+
+def test_a_lazy_frame_off_its_zero_agrees_with_its_expansion():
+    # a frame of a frame: the normalizing frame of a lazy view composes the
+    # two rotations over the base system, but the point it is taken at has
+    # coordinates in the view, not in the base system; with the zero off the
+    # origin a mix-up shows, which a zero at the origin (W^H 0 = 0) hides
+    rng = np.random.default_rng(7)
+    base = make_normalized_system(3, 3, rng)
+    s = 0.3 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+    U1, W1 = random_unitary(3, rng), random_unitary(3, rng)
+    view = unitary_pullback(base.shift(-s), U1, W1)
+    zero = W1.conj().T @ s
+    direction = rng.normal(size=3) + 1j * rng.normal(size=3)
+    start = zero + 1e-3 * direction / np.linalg.norm(direction)
+    lazy, expanded = (
+        (compute_dual_basis(v, zero).mu, separation_bound(v, zero).bound,
+         iterate_until(v, start, mu=3, variant="general"))
+        for v in (view, view.materialize())
+    )
+    assert lazy[0] == expanded[0] == 3
+    assert lazy[1] == pytest.approx(expanded[1], rel=1e-12)
+    for trace in (lazy[2], expanded[2]):
+        assert trace.stop_reason == "tolerance"
+        assert np.linalg.norm(trace.iterates[-1] - zero) <= 1e-12
 
 
 def test_chainrule_requires_normalized(ex_double):
@@ -283,7 +309,8 @@ def test_chain_values_take_no_derivative_tensor(monkeypatch):
         assert compute_dual_basis(source, x).mu == 5
         values = kernel_chain(source, x, e1, LinearSolver(source.jacobian(x)[:2, 1:]), 5)
         assert len(values) == 4
-        z = refine_general(source, np.full(3, 1e-3, dtype=complex), 5)
+        z0 = np.full(3, 1e-3, dtype=complex)
+        z = refine_general(source, z0, *value_and_jacobian(source, z0), 5)
         assert np.linalg.norm(z) < 1e-3
 
 

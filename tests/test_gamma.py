@@ -64,27 +64,22 @@ def test_double_zero_after_normalization(ex_double):
     assert report.gamma == pytest.approx(4 / math.sqrt(5), abs=1e-10)
 
 
-def test_gamma_mu_evaluates_each_order_once(monkeypatch):
+def test_gamma_mu_evaluates_each_order_once(monkeypatch, kernel_calls):
     system = make_normalized_system(4, 3, np.random.default_rng(31))
     x = np.zeros(4, dtype=complex)
     report = gamma_mu(system, x)
     # each half is the supremum of its per-order rows, clamped at one
     assert report.gamma_hat == max([1.0] + [r["hat"] for r in report.per_order])
     assert report.gamma_n == max([1.0] + [r["n"] for r in report.per_order])
-    batches = []
-    evaluate = PolySystem.partials
-
-    def counted(self, alphas, y):
-        batches.append(sorted(set(np.asarray(alphas).sum(axis=1).tolist())))
-        return evaluate(self, alphas, y)
 
     def refuse(self, y, k):
         raise AssertionError("an order-%d derivative tensor was built" % k)
 
-    monkeypatch.setattr(PolySystem, "partials", counted)
     monkeypatch.setattr(PolySystem, "derivative_tensor", refuse)
     monkeypatch.setattr(NormalizedFrame, "derivative_tensor", refuse)
+    kernel_calls.clear()
     assert gamma_mu(system, x) == report
+    batches = [sorted(set(A.sum(axis=1).tolist())) for A in kernel_calls.partials]
     # one batch for the Jacobian, then one per order of the local model
     assert batches == [[1]] + [[k] for k in range(2, system.max_degree() + 1)]
 
@@ -180,26 +175,19 @@ def test_supremum_over_unit_directions():
     assert best >= hat_row * 0.98
 
 
-def count_jacobians(monkeypatch, runs):
-    """Jacobian evaluations of the input system made by each run."""
-    calls = []
-    evaluate = PolySystem.jacobian
-
-    def counted(self, y):
-        calls.append(1)
-        return evaluate(self, y)
-
-    monkeypatch.setattr(PolySystem, "jacobian", counted)
+def count_jacobians(kernel_calls, runs):
+    """Jacobian evaluations of the input system made by each run: the
+    kernel calls that read every first-order partial."""
     counts = {}
     for name, run in runs.items():
-        calls.clear()
+        kernel_calls.clear()
         run()
-        counts[name] = len(calls)
+        counts[name] = len(kernel_calls.jacobians())
     return counts
 
 
 def test_one_jacobian_per_call_at_a_normalized_point(
-    monkeypatch, capsys, ex_triple, ex_triple_path
+    kernel_calls, capsys, ex_triple, ex_triple_path
 ):
     # the local model evaluates J once and hands it to the chain detection
     runs = {
@@ -210,25 +198,26 @@ def test_one_jacobian_per_call_at_a_normalized_point(
             ["gamma", "--system", ex_triple_path, "--point", "0,0", "--json"]
         ),
     }
-    counts = count_jacobians(monkeypatch, runs)
+    counts = count_jacobians(kernel_calls, runs)
     capsys.readouterr()
     assert counts == dict.fromkeys(runs, 1)
 
 
-def test_two_jacobians_per_call_at_an_off_shape_point(
-    monkeypatch, capsys, ex_double_path
+def test_one_jacobian_per_call_at_an_off_shape_point(
+    kernel_calls, capsys, ex_double_path
 ):
-    # one J at the input point, which the frame reuses, and one of the
-    # frame at the point's frame coordinates
+    # one J at the input point: the frame's SVD is taken of it, and the
+    # frame's Jacobian is that J mapped by the SVD's factors
     at0 = ["--system", ex_double_path, "--point", "0,0", "--json"]
     runs = {
+        "dual": lambda: main(["dual"] + at0),
         "gamma": lambda: main(["gamma"] + at0),
         "separation": lambda: main(["separation"] + at0),
         "certify": lambda: main(["certify"] + at0 + ["--mu", "2"]),
     }
-    counts = count_jacobians(monkeypatch, runs)
+    counts = count_jacobians(kernel_calls, runs)
     capsys.readouterr()
-    assert counts == dict.fromkeys(runs, 2)
+    assert counts == dict.fromkeys(runs, 1)
 
 
 def assert_local_model_is_unitary_and_shift_invariant(build, n, mu, seed):
@@ -273,49 +262,32 @@ def test_local_model_is_unitary_and_shift_invariant_above_order_four(n, mu):
     assert_local_model_is_unitary_and_shift_invariant(make_planted_system, n, mu, 1)
 
 
-def test_local_model_takes_one_svd_per_jacobian(monkeypatch, ex_double):
-    factored, factor = [], np.linalg.svd
-
-    def counted(A, *args, **kwargs):
-        factored.append(np.array(A))
-        return factor(A, *args, **kwargs)
-
-    def shapes():
-        return [A.shape for A in factored]
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+def test_local_model_takes_one_svd_per_jacobian(kernel_calls, ex_double):
     LocalModel(make_normalized_system(4, 3, np.random.default_rng(35)), np.zeros(4))
-    assert shapes().count((4, 4)) == 1
+    assert kernel_calls.svd_shapes().count((4, 4)) == 1
     # off the shape: one, of the input's Jacobian, which the corank test,
     # the shape test and the frame all read; the frame's is not factored
-    factored.clear()
+    kernel_calls.clear()
     LocalModel(ex_double, ORIGIN2)
-    assert shapes().count((2, 2)) == 1
+    assert kernel_calls.svd_shapes().count((2, 2)) == 1
     # a trusted mu takes no detection: one, of the input's Jacobian, which
     # the shape test and the frame read
     x = np.array([1e-3, 0], dtype=complex)
-    factored.clear()
+    kernel_calls.clear()
     assert certify_cluster(ex_double, x, mu=2).mu == 2
-    assert sum(np.array_equal(A, ex_double.jacobian(x)) for A in factored) == 1
+    assert sum(np.array_equal(A, ex_double.jacobian(x)) for A in kernel_calls.svd) == 1
 
 
-def test_one_svd_of_jhat_per_bound(monkeypatch):
+def test_one_svd_of_jhat_per_bound(kernel_calls):
     # at a normalized point Jhat is the only 3 x 3 matrix factored: the
     # chain corrections, gamma_hat's solves and the certificate's sigma_min
     # all read the singular values of its one solver
     system, x = make_normalized_system(4, 4, np.random.default_rng(36)), np.zeros(4)
-    shapes, factor = [], np.linalg.svd
-
-    def counted(A, *args, **kwargs):
-        shapes.append(np.shape(A))
-        return factor(A, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
     for bound in (lambda: LocalModel(system, x).gamma(), lambda: separation_bound(system, x),
                   lambda: certify_cluster(system, x)):
-        shapes.clear()
+        kernel_calls.clear()
         bound()
-        assert shapes.count((3, 3)) == 1
+        assert kernel_calls.svd_shapes().count((3, 3)) == 1
 
 
 @pytest.mark.parametrize("mode", ["estimate", "certified"])

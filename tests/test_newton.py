@@ -15,8 +15,10 @@ from mzero.newton import (
     refine_double,
     refine_general,
     refine_triple,
+    value_and_jacobian,
 )
-from mzero.polycore import PolySystem, parse_system
+from mzero.numkit import svd
+from mzero.polycore import parse_system
 
 from conftest import make_normalized_system, make_planted_system, random_unitary
 
@@ -84,20 +86,21 @@ def test_threshold_constants_unknown_variant():
 def test_double_step_is_exact_on_model():
     sys_ = parse_system("vars: X1 X2\nf1: X2\nf2: X1^2")
     for z in [np.array([0.3, 0.2]), np.array([0.05 - 0.02j, -0.04 + 0.01j])]:
-        out = refine_double(sys_, z)
+        out = refine_double(sys_, z, *value_and_jacobian(sys_, z))
         assert np.linalg.norm(out) <= 1e-15
 
 
 def test_triple_step_is_exact_on_model():
     sys_ = parse_system("vars: X1 X2\nf1: X2\nf2: X1^3")
     for z in [np.array([0.2, 0.1]), np.array([-0.03 + 0.01j, 0.02])]:
-        out = refine_triple(sys_, z)
+        out = refine_triple(sys_, z, *value_and_jacobian(sys_, z))
         assert np.linalg.norm(out) <= 1e-15
 
 
 def test_general_step_matches_model():
     sys_ = parse_system("vars: X1 X2\nf1: X2\nf2: X1^2")
-    out = refine_general(sys_, np.array([0.05, 0.03]), mu=2)
+    z = np.array([0.05, 0.03])
+    out = refine_general(sys_, z, *value_and_jacobian(sys_, z), mu=2)
     assert np.linalg.norm(out) <= 1e-12
 
 
@@ -105,7 +108,7 @@ def test_n1_step_clears_trailing_residual():
     rng = np.random.default_rng(61)
     sys_ = make_normalized_system(3, 2, rng)
     z = np.array([1e-3, 2e-3, -1e-3], dtype=complex)
-    y = n1_step(sys_, z)
+    y = n1_step(z, *value_and_jacobian(sys_, z))
     # the leading coordinate is untouched, the rest take a Newton update
     assert y[0] == z[0]
     resid_before = np.linalg.norm(sys_.eval_at(z)[:2])
@@ -156,27 +159,42 @@ def test_auto_variant_prefers_general_off_shape(ex_triple):
     assert trace.variant == "general"
 
 
-def test_detection_and_variant_choice_share_one_jacobian(monkeypatch):
+def test_detection_and_variant_choice_share_one_jacobian(kernel_calls):
     # without mu, the Jacobian at z0 and its SVD serve both the chain
     # detection and the auto variant's shape test
     system = make_normalized_system(4, 3, np.random.default_rng(35))
-    shapes, jacobians = [], []
-    factor, evaluate = np.linalg.svd, PolySystem.jacobian
-
-    def counted_svd(A, *args, **kwargs):
-        shapes.append(np.shape(A))
-        return factor(A, *args, **kwargs)
-
-    def counted_jacobian(self, x):
-        jacobians.append(1)
-        return evaluate(self, x)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(PolySystem, "jacobian", counted_jacobian)
     trace = iterate_until(system, np.zeros(4), max_iter=0)
     assert (trace.mu, trace.variant) == (3, "normalized_triple")
-    assert shapes.count((4, 4)) == 1
-    assert len(jacobians) == 1
+    assert kernel_calls.svd_shapes().count((4, 4)) == 1
+    assert len(kernel_calls.jacobians()) == 1
+
+
+@pytest.mark.parametrize("variant", ["normalized_double", "normalized_triple", "general", "auto"])
+def test_three_steps_take_seven_kernel_calls(kernel_calls, ex_triple, variant):
+    # one call reads f and J at each of the four iterates, and it serves the
+    # residual, the auto variant's shape test and the next step; each step
+    # makes one more, at its own point y
+    mu, system, z = 3, ex_triple, START
+    if variant == "normalized_double":
+        rng = np.random.default_rng(62)
+        mu, system = 2, make_normalized_system(3, 2, rng)
+        z = 1e-3 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+    trace = iterate_until(system, z, mu=mu, variant=variant, eps=1e-300, max_iter=3)
+    assert (len(trace.iterates), trace.stop_reason) == (4, "max_iter")
+    assert len(kernel_calls.partials) == 7
+    # the order-two step reads only the kernel direction's partials at y
+    assert len(kernel_calls.jacobians()) == (4 if variant == "normalized_double" else 7)
+
+
+def test_a_frame_reads_f_and_j_in_one_call_on_its_system(kernel_calls, ex_triple):
+    # one kernel call at W z with the multi-indices 0, e1, e2, no dense tensor
+    rng = np.random.default_rng(63)
+    frame = unitary_pullback(ex_triple, random_unitary(2, rng), random_unitary(2, rng))
+    z = frame.to_frame(START)
+    fz, J = value_and_jacobian(frame, z)
+    assert [A.tolist() for A in kernel_calls.partials] == [[[0, 0], [1, 0], [0, 1]]]
+    assert np.allclose(fz, frame.eval_at(z), rtol=0, atol=1e-15)
+    assert np.allclose(J, frame.jacobian(z), rtol=0, atol=1e-14)
 
 
 def test_detection_off_the_shape_finds_the_multiplicity():
@@ -199,7 +217,7 @@ def test_mu_below_two_is_input_error(ex_triple):
         with pytest.raises(InputError, match="mu >= 2"):
             iterate_until(ex_triple, z, mu=1, variant="general")
     with pytest.raises(InputError, match="mu >= 2"):
-        refine_general(ex_triple, START, 1)
+        refine_general(ex_triple, START, *value_and_jacobian(ex_triple, START), 1)
 
 
 def test_variants_tuple():
@@ -264,7 +282,7 @@ def test_double_contraction(n):
     z = np.zeros(n, dtype=complex)
     z += 1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
     for _ in range(3):
-        z = refine_double(sys_, z)
+        z = refine_double(sys_, z, *value_and_jacobian(sys_, z))
     assert np.linalg.norm(z) <= 1e-12
 
 
@@ -275,29 +293,28 @@ def test_triple_contraction(n):
     z = np.zeros(n, dtype=complex)
     z += 1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
     for _ in range(3):
-        z = refine_triple(sys_, z)
+        z = refine_triple(sys_, z, *value_and_jacobian(sys_, z))
     assert np.linalg.norm(z) <= 1e-11
 
 
-def test_general_step_tests_jhat_at_y_once(monkeypatch):
+def test_general_step_tests_jhat_at_y_once(kernel_calls):
     # the shear direction, the chain corrections and the transposed solve
     # for the left vector u at y share one solver's singular values
     rng = np.random.default_rng(37)
     system = unitary_pullback(make_normalized_system(4, 4, rng), random_unitary(4, rng),
                               random_unitary(4, rng))
     z = 1e-2 * (rng.normal(size=4) + 1j * rng.normal(size=4))
-    frame, w = normalizing_frame(system, z)
-    Jhat = frame.jacobian(n1_step(frame, w))[:3, 1:]
-    factored, factor = [], np.linalg.svd
-
-    def counted(A, *args, **kwargs):
-        factored.append(np.array(A))
-        return factor(A, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    refine_general(system, z, 4)
-    assert sum(np.array_equal(A, Jhat) for A in factored) == 1
-    assert sum(np.array_equal(A, Jhat.T) for A in factored) == 0
+    fz, J = value_and_jacobian(system, z)
+    # the step's Jhat: f and J at z move into the frame by the factors of
+    # J's SVD, the kernel-most right singular vector first
+    res = svd(J)
+    frame, w = normalizing_frame(system, z, res)
+    Uh, W = res.U.conj().T, res.V[:, [3, 0, 1, 2]]
+    Jhat = frame.jacobian(n1_step(w, Uh @ fz, Uh @ J @ W))[:3, 1:]
+    kernel_calls.clear()
+    refine_general(system, z, fz, J, 4)
+    assert sum(np.array_equal(A, Jhat) for A in kernel_calls.svd) == 1
+    assert sum(np.array_equal(A, Jhat.T) for A in kernel_calls.svd) == 0
 
 
 @pytest.mark.parametrize("mu", [3, 4])
@@ -316,7 +333,7 @@ def test_general_contraction_rotated(n, mu):
     z = xi + 1e-3 * direction / np.linalg.norm(direction)
     errs = []
     for _ in range(3):
-        z = refine_general(moved, z, mu)
+        z = refine_general(moved, z, *value_and_jacobian(moved, z), mu)
         errs.append(np.linalg.norm(z - xi))
     # roughly quadratic contraction down to rounding level
     assert errs[1] <= errs[0] ** 2 * 10 + 1e-14
@@ -336,7 +353,7 @@ def test_general_contraction_order_on_planted_zeros(mu):
         z = 1e-2 * direction / np.linalg.norm(direction)
         errs = [np.linalg.norm(z)]
         for _ in range(5):
-            z = refine_general(source, z, mu)
+            z = refine_general(source, z, *value_and_jacobian(source, z), mu)
             errs.append(np.linalg.norm(z))
         e0, e1, e2 = [e for e in errs if e > 1e-11][-3:]
         assert math.log(e2 / e1) / math.log(e1 / e0) >= 1.8
