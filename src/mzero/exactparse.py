@@ -1,80 +1,93 @@
 """Exact parser for the statements the term scanner in `polycore` declines.
 
-It works over rational complex numbers, so that `1/3` or `1e-20*X + X - X`
-loses nothing before each coefficient is rounded once; `sqrt` of a
-non-square is kept to 2^-200 relative. A literal whose exponent has more
-than `polycore.MAX_EXPONENT_DIGITS` digits is refused before its exact
-value is built, and a power of a sum whose expansion can have more than
-`polycore.MAX_POWER_TERMS` terms, or whose exact coefficients can need more
-than `polycore.MAX_POWER_BITS` bits, is refused before it is built. An
-expression becomes one term table, a dict from exponent tuples to
+It works over complex rationals held as three ints, (re + im*i)/den in
+lowest terms, so that `(1/3 + 1/6)*X` or `1e-20*X + X - X` loses nothing
+before each coefficient is rounded once, by int / int, the correctly
+rounded quotient; `sqrt` of a non-square is kept to 2^-200 relative. A
+decimal literal is its digits over a power of ten, split from its text. A
+literal with more than `polycore.MAX_LITERAL_DIGITS` digits, or whose
+exponent has more than `polycore.MAX_EXPONENT_DIGITS`, is refused before
+its exact value is built, and a power of a sum whose expansion can have
+more than `polycore.MAX_POWER_TERMS` terms, or whose exact coefficients
+can need more than `polycore.MAX_POWER_BITS` bits, is refused before it is
+built. An expression becomes one term table, a dict from exponent tuples to
 nonzero `_QC` coefficients in the order in which the monomials first
 appear: sums accumulate in place and a product with a single-term factor
 adds exponent tuples, so parse cost is linear in the number of terms;
 only a product of two sums, such as `(8*X1 - 3*X2)^2`, expands pairwise.
-`parse_system` imports this module the first time a statement
-needs it, so a system the scanner reads whole never loads it, `decimal` or
-`fractions`.
+`parse_system` imports this module the first time a statement needs it,
+so a system the scanner reads whole never loads it; the module itself
+loads neither `fractions` nor `decimal`.
 """
 
 import math
 import operator
 import re
-from fractions import Fraction
 
 from .errors import ParseError
-from .polycore import MAX_EXPONENT_DIGITS, MAX_POWER_BITS, MAX_POWER_TERMS
+from .polycore import MAX_EXPONENT_DIGITS, MAX_LITERAL_DIGITS, MAX_POWER_BITS, MAX_POWER_TERMS
 
 
 class _QC:
-    """Complex number with exact rational real and imaginary parts; both
-    parts are Fractions."""
+    """Complex rational (re + im*i)/den, three ints in lowest terms with
+    den > 0; every operation reduces its result by one gcd."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("re", "im", "den")
 
-    def __init__(self, re, im=Fraction(0)):
-        self.re = re
-        self.im = im
+    def __init__(self, re, im=0, den=1):
+        g = math.gcd(re, im, den)
+        self.re, self.im, self.den = re // g, im // g, den // g
 
     def __add__(self, other):
-        return _QC(self.re + other.re, self.im + other.im)
+        d, f = self.den, other.den
+        return _QC(self.re * f + other.re * d, self.im * f + other.im * d, d * f)
 
     def __neg__(self):
-        return _QC(-self.re, -self.im)
+        return _QC(-self.re, -self.im, self.den)
 
     def __mul__(self, other):
         # a factor of exactly one takes no arithmetic
-        if self.re == 1 and not self.im:
+        if self.re == self.den == 1 and not self.im:
             return other
-        if other.re == 1 and not other.im:
+        if other.re == other.den == 1 and not other.im:
             return self
         a, b, c, d = self.re, self.im, other.re, other.im
-        return _QC(a * c - b * d, a * d + b * c)
+        return _QC(a * c - b * d, a * d + b * c, self.den * other.den)
 
     def __truediv__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        den = c * c + d * d
-        return _QC((a * c + b * d) / den, (b * c - a * d) / den)
+        # (a + bi)/u / ((c + di)/v) = (a + bi)(c - di) v / (u (c^2 + d^2))
+        a, b, c, d, v = self.re, self.im, other.re, other.im, other.den
+        return _QC((a * c + b * d) * v, (b * c - a * d) * v, self.den * (c * c + d * d))
 
     def is_zero(self):
         return not self.re and not self.im
 
     def to_complex(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded: one rounding of each exact part
+        return complex(self.re / self.den, self.im / self.den)
 
 
-_ONE = _QC(Fraction(1))
+_ONE = _QC(1)
 
 
-def _sqrt_fraction(q):
-    """Square root of a non-negative Fraction p/d, isqrt(p*d*4^s)/(d*2^s) with
-    a 200-bit or longer root: exact for squares, else within 2^-200 relative."""
-    if q < 0:
+def _literal(text):
+    """Exact value of a decimal literal, digits / 10^k read from its text."""
+    mantissa, _, exp = text.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    shift = int(exp or 0) - len(frac)
+    digits = int(whole + frac)
+    return _QC(digits * 10**shift) if shift >= 0 else _QC(digits, 0, 10**-shift)
+
+
+def _sqrt(c):
+    """Square root of a non-negative real p/d, isqrt(p*d*4^s)/(d*2^s) with a
+    200-bit or longer root: exact for squares, else within 2^-200 relative."""
+    num, den = c.re, c.den
+    if num < 0:
         raise ParseError("sqrt of a negative value")
-    float(q)  # an argument beyond the double range raises OverflowError
-    num, den = q.numerator, q.denominator
+    num / den  # an argument beyond the double range raises OverflowError
     shift = max(0, 201 - (num * den).bit_length() // 2)
-    return Fraction(math.isqrt(num * den << 2 * shift), den << shift)
+    return _QC(math.isqrt(num * den << 2 * shift), 0, den << shift)
 
 
 def _accumulate(terms, mono, c):
@@ -115,7 +128,7 @@ def _product(a, b):
 _TOKEN_RE = re.compile(
     r"""
     \s*(?:
-      (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?(?P<exp>\d+))?)(?P<imag>i(?![A-Za-z0-9_]))?
+      (?P<num>(?P<digits>\d+(?:\.\d+)?)(?:[eE][+-]?(?P<exp>\d+))?)(?P<imag>i(?![A-Za-z0-9_]))?
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>[-+*/^(),])
     | (?P<bad>\S)
@@ -127,8 +140,9 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(stmt):
     """(kind, text) tokens of one expression in a single regex scan; kind
-    is num, imag (text without the `i`), ident or op. A literal whose
-    exponent has more than MAX_EXPONENT_DIGITS digits is refused here."""
+    is num, imag (text without the `i`), ident or op. A literal with more
+    than MAX_LITERAL_DIGITS digits, or whose exponent has more than
+    MAX_EXPONENT_DIGITS, is refused here."""
     tokens = []
     for m in _TOKEN_RE.finditer(stmt):
         kind = m.lastgroup
@@ -136,6 +150,10 @@ def _tokenize(stmt):
             raise ParseError(
                 "unexpected character %r in %r" % (m.group(kind), stmt.strip())
             )
+        digits = m.group("digits") or ""
+        if len(digits) - ("." in digits) > MAX_LITERAL_DIGITS:
+            raise ParseError("the literal %s... has more than %d digits"
+                             % (digits[:20], MAX_LITERAL_DIGITS))
         if len(m.group("exp") or "") > MAX_EXPONENT_DIGITS:
             raise ParseError("the exponent of %r has more than %d digits"
                              % (m.group("num"), MAX_EXPONENT_DIGITS))
@@ -173,22 +191,22 @@ class _ExprParser:
         """The scalar of a table without variable terms, else None."""
         if any(map(any, terms)):
             return None
-        return terms.get(self.zero, _QC(Fraction(0)))
+        return terms.get(self.zero, _QC(0))
 
     def power(self, base, e):
         """base^e by repeated squaring. A base of t >= 2 terms is refused
         when its expansion can have more than MAX_POWER_TERMS terms, one per
         multiset of e base terms: C(t + e - 1, e). So is a base with a
         coefficient other than 1, -1, i or -i when e times the largest bit
-        length of its coefficients' parts is above MAX_POWER_BITS: each
-        unit of e can add that many bits to a coefficient of the power."""
+        length of its coefficients' re, im and den is above MAX_POWER_BITS:
+        each unit of e can add that many bits to a coefficient of the power."""
         t = len(base)
         if t > 1 and math.comb(t + e - 1, t - 1) > MAX_POWER_TERMS:
             raise ParseError("a power of a %d-term sum can expand to more than %d terms"
                              % (t, MAX_POWER_TERMS))
-        bits = max((p.bit_length() for c in base.values() for q in (c.re, c.im)
-                    for p in (q.numerator, q.denominator)), default=0)
-        if e * bits > MAX_POWER_BITS and any(c.re * c.im or abs(c.re + c.im) != 1
+        bits = max((p.bit_length() for c in base.values() for p in (c.re, c.im, c.den)),
+                   default=0)
+        if e * bits > MAX_POWER_BITS and any(c.den != 1 or c.re * c.im or abs(c.re + c.im) != 1
                                              for c in base.values()):
             raise ParseError("a power ^%d of a coefficient can need more than %d bits"
                              % (e, MAX_POWER_BITS))
@@ -255,25 +273,23 @@ class _ExprParser:
     def parse_exponent(self):
         kind, val = self.take()
         if kind == "num":
-            q = Fraction(val)
+            c = _literal(val)
         elif kind == "op" and val == "(":
             c = self.constant_value(self.parse_expr())
             self.expect_op(")")
-            if c is None or c.im:
-                raise ParseError("exponent must be a non-negative integer")
-            q = c.re
         else:
             raise ParseError("expected an exponent after '^'")
-        if q.denominator != 1 or q < 0:
+        if c is None or c.im or c.den != 1 or c.re < 0:
             raise ParseError("exponent must be a non-negative integer")
-        return int(q)
+        return c.re
 
     def parse_atom(self):
         kind, val = self.take()
         if kind == "num":
-            return self.constant(_QC(Fraction(val)))
+            return self.constant(_literal(val))
         if kind == "imag":
-            return self.constant(_QC(Fraction(0), Fraction(val)))
+            c = _literal(val)
+            return self.constant(_QC(0, c.re, c.den))
         if kind == "ident":
             if val == "sqrt":
                 self.expect_op("(")
@@ -281,7 +297,7 @@ class _ExprParser:
                 self.expect_op(")")
                 if c is None or c.im:
                     raise ParseError("sqrt takes a constant rational argument")
-                return self.constant(_QC(_sqrt_fraction(c.re)))
+                return self.constant(_sqrt(c))
             if val not in self.variables:
                 raise ParseError("unknown identifier %r" % val)
             return {self.variables[val]: _ONE}

@@ -3,11 +3,12 @@ term scanner that parses them.
 
 A system is a square list of polynomials in declared variables. Points and
 coefficients are complex doubles once parsed. A statement of distinct
-monomials with signed decimal, `<num>i` or `(<num>±<num>i)` coefficients is
-read by one regex match per term, about 3 us a term; float() of a literal is
-the correctly rounded double that the exact path's one final rounding also
-gives. Other statements go to the exact parser in `mzero.exactparse` (35-50
-us a term, rational arithmetic), imported on the first statement that needs
+monomials with signed decimal, `<int>/<int>`, `<num>i` or `(<num>±<num>i)`
+coefficients is read by one regex match per term, about 3 us a term;
+float() of a literal and int / int of a ratio are the correctly rounded
+doubles that the exact path's one final rounding also gives. Other
+statements go to the exact parser in `mzero.exactparse` (about 30 us a term,
+integer rational arithmetic), imported on the first statement that needs
 it. Terms keep the order in which their monomials first appear (a term that
 cancels and comes back counts as new).
 
@@ -309,24 +310,31 @@ class PolySystem:
 # ---------------------------------------------------------------------------
 # parsing: the term scanner; other statements go to `exactparse`
 #
-# One term: a sign, a decimal, `<num>i` or `(<num>±<num>i)` coefficient and
-# `*`-joined `name^k` factors, then a sign or the end. Any other character
-# matches alone with empty groups, so findall tiles the statement. A literal
-# with a longer exponent than MAX_EXPONENT_DIGITS is left to `exactparse`,
-# which refuses it, as it refuses a power of a sum whose expansion can have
-# more than MAX_POWER_TERMS terms and a power whose exact coefficients can
-# need more than MAX_POWER_BITS bits, far beyond a double's range. A
-# statement of degree above MAX_DEGREE is refused once read, before the
-# kernel tabulates powers up to it.
+# One term: a sign, a decimal, `<int>/<int>`, `<num>i` or `(<num>±<num>i)`
+# coefficient and `*`-joined `name^k` factors, then a sign or the end. The
+# first character outside every term matches together with the rest of the
+# statement and empty groups, so findall tiles the statement and stops
+# there, rather than retrying terms inside a long run of digits. A literal
+# with a longer exponent than MAX_EXPONENT_DIGITS, or with more than
+# MAX_LITERAL_DIGITS digits, is left to `exactparse`, which refuses it, as
+# it refuses a power of a sum whose expansion can have more than
+# MAX_POWER_TERMS terms and a power whose exact coefficients can need more
+# than MAX_POWER_BITS bits, far beyond a double's range. A statement of
+# degree above MAX_DEGREE is refused once read, before the kernel tabulates
+# powers up to it.
 MAX_EXPONENT_DIGITS = 5
+MAX_LITERAL_DIGITS = 4300  # the longest decimal string int() reads by default
 MAX_POWER_TERMS = 500
 MAX_POWER_BITS = 1 << 16
 MAX_DEGREE = 1000
-_NUM = r"\d+(?:\.\d+)?(?:[eE][+-]?\d{1,%d}(?!\d))?" % MAX_EXPONENT_DIGITS
+_NUM = r"(?![\d.]{%d})\d+(?:\.\d+)?(?:[eE][+-]?\d{1,%d}(?!\d))?" % (
+    MAX_LITERAL_DIGITS + 1, MAX_EXPONENT_DIGITS)
+_INT = r"\d{1,%d}" % MAX_LITERAL_DIGITS
 _MONO = r"[A-Za-z_]\w*(?:\s*\^\s*\d+)?(?:\s*\*\s*[A-Za-z_]\w*(?:\s*\^\s*\d+)?)*"
 _TERM_RE = re.compile(
-    r"\s*([+-]?)\s*(?:(?:\(\s*([+-]?)\s*({0})\s*([+-])\s*({0})i\s*\)|({0})(i?))"
-    r"(?:\s*\*\s*({1}))?|({1}))\s*(?=[+-]|\Z)|[\s\S]".format(_NUM, _MONO), re.ASCII)
+    r"\s*([+-]?)\s*(?:(?:\(\s*([+-]?)\s*({0})\s*([+-])\s*({0})i\s*\)|({2}\s*/\s*{2})"
+    r"|({0})(i?))(?:\s*\*\s*({1}))?|({1}))\s*(?=[+-]|\Z)|[\s\S]+".format(_NUM, _MONO, _INT),
+    re.ASCII)
 
 
 def _nonzero(literal):
@@ -342,23 +350,31 @@ def _is_name(text):
 
 def _scan_terms(text, index, monos):
     """Term table of one statement read by `_TERM_RE`, or None when it needs
-    the exact parser: other syntax, a repeated monomial, an overflowing literal,
-    a nonzero `(a±bi)` part that rounds to a signed 0. `monos` caches exponents."""
+    the exact parser: other syntax, a repeated monomial, an overflowing literal
+    or ratio, a zero denominator, a nonzero `(a±bi)` part that rounds to a
+    signed 0. `monos` caches exponents. int / int is correctly rounded, as is
+    the exact parser's one rounding of the same ratio."""
     found = _TERM_RE.findall(text)
     terms = {}
-    for sign, rsign, re_text, isign, im_text, num, imag, mono, bare in found:
+    for sign, rsign, re_text, isign, im_text, ratio, num, imag, mono, bare in found:
         if re_text:
             a, b = float(re_text), float(im_text)
             if not a and _nonzero(re_text) or not b and _nonzero(im_text):
                 return None
             # 0.0 - x negates without a signed zero, which exact zeros lack
             c = complex(0.0 - a if rsign == "-" else a, 0.0 - b if isign == "-" else b)
+        elif ratio:
+            top, bottom = ratio.split("/")
+            try:
+                c = complex(int(top) / int(bottom))  # int() skips the spaces
+            except (ZeroDivisionError, OverflowError):
+                return None  # the exact parser names this or another fault
         elif num:
             c = complex(0.0, float(num)) if imag else complex(float(num))
         elif bare:
             c, mono = 1 + 0j, bare
         else:
-            return None  # a character outside every term
+            return None  # the rest of the statement, from a character outside every term
         if sign == "-":
             c = 0j - c
         key = monos.get(mono)

@@ -43,11 +43,12 @@ def parse_point(text):
 
 
 def _read_text(path, what):
-    """A file's text, without a leading byte-order mark; a file that cannot
-    be opened or is not UTF-8 is an input error."""
+    """A file's text, without a leading byte-order mark (removed here, so the
+    utf-8-sig codec is not loaded); a file that cannot be opened or is not
+    UTF-8 is an input error."""
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read %s %s: %s" % (what, path, exc))
 

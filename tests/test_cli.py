@@ -413,6 +413,23 @@ def test_literal_with_a_long_exponent_is_refused_at_once(capsys, tmp_path, expr)
     assert err.startswith("input error: ") and "more than 5 digits" in err
 
 
+@pytest.mark.parametrize("coefficient", ["1" * 5000, "0." + "1" * 5000, "1" * 5000 + "/7"],
+                         ids=["integer", "decimal", "ratio"])
+def test_literal_with_too_many_digits_is_refused(tmp_path, coefficient):
+    # int() refuses a string of more than 4300 digits, which ended the call
+    # as an internal error with a traceback
+    path = tmp_path / "long.mz"
+    path.write_text("vars: X1 X2\nf1: 1/3*X1 + %s*X2^2\nf2: X2\n" % coefficient)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mzero.cli", "dual", "--system", str(path), "--point", "0,0"],
+        capture_output=True, text=True, env=fresh_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error: the literal %s..." % coefficient[:20])
+    assert proc.stderr.endswith("has more than %d digits\n" % polycore.MAX_LITERAL_DIGITS)
+
+
 @pytest.mark.parametrize("expr", ["(X1+X2+1)^120", "(X1+X2)^3000"])
 def test_power_of_a_sum_above_the_term_budget_is_refused_at_once(capsys, tmp_path, expr):
     # expanding either exactly takes minutes; both can have more than
@@ -1110,24 +1127,29 @@ def test_a_command_with_a_point_loads_numpy(ex_triple_path):
 
 
 EXACT_MODULES = "\nimport json, sys; print(json.dumps(sorted(set(sys.modules) & %r)))" % {
-    "mzero.exactparse", "fractions", "decimal"
+    "mzero.exactparse", "fractions", "decimal", "encodings.utf_8_sig"
 }
 
 
 def test_a_scanned_system_does_not_load_the_exact_parser(tmp_path):
+    # the worked double's `1/4` and `1/2` are integer ratios the scanner reads
     gen = perfbench_module("gen")
-    path = tmp_path / "dense.txt"
-    path.write_text(gen.system_text(gen.planted_system(4, 2, np.random.default_rng(1))))
-    path = str(path)
-    parse = "from mzero.polycore import parse_system; parse_system(open(%r).read())" % path
-    assert run_fresh(parse + EXACT_MODULES) == []
-    argv = ["dual", "--system", path, "--point", "0,0,0,0", "--json"]
-    assert run_fresh(RUN_MAIN % argv + EXACT_MODULES) == []
+    dense = gen.system_text(gen.planted_system(4, 2, np.random.default_rng(1)))
+    for name, text, origin in [("dense", dense, "0,0,0,0"), ("double", EX_DOUBLE, "0,0")]:
+        path = tmp_path / (name + ".txt")
+        path.write_text(text)
+        path = str(path)
+        parse = "from mzero.polycore import parse_system; parse_system(open(%r).read())" % path
+        assert run_fresh(parse + EXACT_MODULES) == []
+        argv = ["dual", "--system", path, "--point", origin, "--json"]
+        assert run_fresh(RUN_MAIN % argv + EXACT_MODULES) == []
 
 
-def test_a_statement_the_scanner_declines_loads_the_exact_parser():
+def test_a_statement_the_scanner_declines_loads_the_exact_parser(ex_triple_path):
     parse = "from mzero.polycore import parse_system; parse_system(%r)" % EX_TRIPLE
-    assert run_fresh(parse + EXACT_MODULES) == ["decimal", "fractions", "mzero.exactparse"]
+    assert run_fresh(parse + EXACT_MODULES) == ["mzero.exactparse"]
+    argv = ["dual", "--system", ex_triple_path, "--point", "0,0", "--json"]
+    assert run_fresh(RUN_MAIN % argv + EXACT_MODULES) == ["mzero.exactparse"]
 
 
 def test_package_names_resolve_to_their_home_modules():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -6,6 +7,7 @@ import re
 import shutil
 import subprocess
 from decimal import Context, Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -250,12 +252,92 @@ def test_parse_round_trips_repr_coefficients(case):
             assert poly.terms[mono].imag == c.imag
 
 
+# exact parser against fractions.Fraction: each expression is drawn with its
+# value as a pair of Fractions (real, imaginary), or None after a division
+# by zero
+
+
+def _fraction_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _fraction_div(a, b):
+    den = b[0] * b[0] + b[1] * b[1]
+    if not den:
+        return None
+    return (a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den
+
+
+_FRACTION_OPS = {
+    "+": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "-": lambda a, b: (a[0] - b[0], a[1] - b[1]),
+    "*": _fraction_mul,
+    "/": _fraction_div,
+}
+decimal_text = st.builds(
+    lambda whole, frac, e, exp: "%d%s%s" % (whole, frac and "." + frac,
+                                            "" if exp is None else e + str(exp)),
+    st.integers(min_value=0, max_value=10**9),
+    st.text("0123456789", max_size=8),
+    st.sampled_from("eE"),
+    st.none() | st.integers(min_value=-30, max_value=30),
+)
+exact_leaves = st.one_of(
+    st.integers(min_value=0, max_value=10**12).map(lambda k: (str(k), (Fraction(k), Fraction(0)))),
+    decimal_text.map(lambda t: (t, (Fraction(t), Fraction(0)))),
+    decimal_text.map(lambda t: (t + "i", (Fraction(0), Fraction(t)))),
+    st.tuples(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=999))
+    .map(lambda pq: ("sqrt(%d/%d)" % (pq[0] ** 2, pq[1] ** 2),
+                     (Fraction(*pq), Fraction(0)))),
+)
+
+
+def _exact_node(children):
+    def combine(op, a, b, k):
+        (ta, va), (tb, vb) = a, b
+        if op == "^":
+            one = (Fraction(1), Fraction(0))
+            return "(%s)^%d" % (ta, k), va and functools.reduce(_fraction_mul, [va] * k, one)
+        value = va and vb and _FRACTION_OPS[op](va, vb)
+        return "(%s)%s(%s)" % (ta, op, tb), value
+
+    return st.builds(combine, st.sampled_from("+-*/^"), children, children,
+                     st.integers(min_value=0, max_value=3))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.recursive(exact_leaves, _exact_node, max_leaves=12))
+def test_exact_parser_matches_fraction_arithmetic(case):
+    text, value = case
+    try:
+        got = exactparse.parse_terms("(%s)*X" % text, {"X": (1,)})
+    except ParseError as exc:
+        assert value is None and str(exc) == "division by zero"
+        return
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float(value[0]), float(value[1])
+        return
+    assert value is not None
+    if not any(value):
+        assert got == {}
+        return
+    c = got[(1,)]
+    assert (c.real.hex(), c.imag.hex()) == (float(value[0]).hex(), float(value[1]).hex())
+
+
 # term scanner: statements of single terms skip the exact parser
 
 LITERALS = ["0", "0.000", "0.0", "1", "12", "2.5", "0.1", "3.25e-5", "5e-324",
             "1e-400", "1e+300", "1e400", "1.7976931348623157e308"]
 literals = st.one_of(st.sampled_from(LITERALS), st.floats(min_value=0, allow_infinity=False).map(repr))
 edge = st.sampled_from(["0", "1e-400", "1e400"])
+# integers for `<int>/<int>`: zero, leading zeros, 400 digits (an overflowing
+# or underflowing ratio) and 4301 digits, beyond MAX_LITERAL_DIGITS
+ratio_ints = st.one_of(
+    st.sampled_from(["0", "1", "4", "73", "007", "9" * 400, "1" + "0" * 400, "1" * 4301]),
+    st.integers(min_value=0, max_value=10**30).map(str),
+)
 spaces = st.sampled_from(["", "", " ", "  ", "\t"])
 
 
@@ -263,12 +345,13 @@ spaces = st.sampled_from(["", "", " ", "  ", "\t"])
 def scanner_statements(draw):
     """Random sums of single terms over X, Y, Z, U, V in every form the scanner
     reads, with repeated monomials, zero, underflowing and overflowing
-    literals, and now and then a factor only the exact parser reads."""
+    literals and ratios, zero denominators, and now and then a factor or an
+    `i` after a ratio that only the exact parser reads."""
     def ws(text):
         return draw(spaces) + text + draw(spaces)
 
     def term():
-        form = draw(st.sampled_from(["real", "imag", "complex", "none"]))
+        form = draw(st.sampled_from(["real", "imag", "complex", "ratio", "none"]))
         if form == "real":
             coef = ws(draw(st.one_of(literals, edge)))
         elif form == "imag":
@@ -279,6 +362,10 @@ def scanner_statements(draw):
             re_lit, im_lit = draw(st.one_of(literals, edge)), draw(st.one_of(literals, edge))
             coef = ws("(" + ws(re_sign) + ws(re_lit) + ws(draw(st.sampled_from("+-")))
                       + ws(im_lit + "i") + ")")
+        elif form == "ratio":
+            # `1/2i` is 1/(2i)
+            coef = ws(ws(draw(ratio_ints)) + "/" + ws(draw(ratio_ints))
+                      + draw(st.sampled_from([""] * 19 + ["i"])))
         else:
             coef = None
         factors = [
@@ -316,8 +403,8 @@ def _bits(system):
 def _outcome(text):
     try:
         return _bits(parse_system(text))
-    except ParseError:
-        return ParseError
+    except ParseError as exc:
+        return "ParseError: %s" % exc
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -328,6 +415,9 @@ def _outcome(text):
 @example("- X + 0*Y + -0.0*Z + 5e-324*U + 1e+300*V")
 @example("X + 1e400*Y")
 @example("X Y + 2iX")
+@example("9" * 400 + "/7*X")                  # overflows
+@example("-1/1" + "0" * 400 + "*X + 1/3*Y")   # underflows
+@example("9" * 400 + "/1*X - 1/0*Y")          # overflow, then a zero denominator
 def test_term_scanner_matches_exact_parser(stmt):
     text = "vars: X Y Z U V\nf: %s\ng: Y\nh: Z\nu: U\nv: V" % stmt
     with pytest.MonkeyPatch.context() as mp:
@@ -341,10 +431,19 @@ def test_term_scanner_matches_exact_parser(stmt):
     [
         ("(-1.5-2e-3i)*X^2*Y + 2i*Z - 3 + X", True),
         (" - ( 0.25 + 1i ) * X ^ 0 * Y\t+ Z", True),
+        ("1/4*X", True),
+        ("-64/73*X^2*Y", True),
         ("(1e-400+2i)*X", False),    # underflow: the exact path keeps its sign
         ("1e400*X", False),          # overflow: the exact path reports it
         ("X + 2*X", False),          # a repeated monomial needs an exact sum
         ("X/2", False),
+        ("X/4", False),
+        ("1/2i*X", False),           # 1/(2i)
+        ("0.5/3*X", False),          # a decimal over an integer
+        ("1/0*X", False),            # the exact path reports the zero denominator
+        ("1/4/2*X", False),
+        pytest.param("9" * 400 + "/7*X", False, id="400-digit-ratio-overflows"),
+        pytest.param("1" * 4301 + "*X", False, id="4301-digit-literal"),
         ("sqrt(2)*X", False),
         ("(X+Y)^2", False),
         ("2*W", False),              # unknown identifier
