@@ -6,7 +6,9 @@ The package loads lazily (PEP 562): `import mzero` imports no layer, and
 a name below, or a layer module such as `mzero.certify`, is imported from
 its home module on first use. So the numpy-free `constants` and
 `thresholds` layers can be used without paying for numpy and the numeric
-layers.
+layers. Both read the universal constants from tables; the numpy-free
+`derivations` module derives every entry from the paper's equations, for
+the tests and for a reader, and no command loads it.
 """
 
 import importlib
@@ -16,9 +18,10 @@ _EXPORTS = {
         "ClusterCertificate", "ResidualBound", "certify_cluster",
         "residual_lower_bound", "separation_bound",
     ),
-    "constants": (
-        "CoefficientTable", "SeparationResult", "coefficient_table", "p_of_d",
-        "separation_constant", "smallest_positive_root",
+    "constants": ("SeparationResult", "separation_constant"),
+    "derivations": (
+        "CoefficientTable", "coefficient_table", "derive_separation_constant",
+        "derive_threshold_constants", "p_of_d", "smallest_positive_root",
     ),
     "dualspace": ("DualBasis", "compute_dual_basis", "is_normalized", "normalizing_frame"),
     "errors": (

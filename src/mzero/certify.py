@@ -3,8 +3,8 @@
 For a multiplicity-mu zero in normalized coordinates, a universal
 constant d(mu) in (0, 1) controls a punctured ball around the zero that
 contains no other zero: the exclusion radius is d / (2 gamma^mu). The
-constant and its coefficient table live in the numpy-free `constants`
-module.
+constant is read from the table of the numpy-free `constants` module;
+its derivation from a coefficient table lives in `derivations`.
 
 For an approximate zero x, `certify_cluster` builds the order-mu
 truncation of the system at x (exactly normalized there by construction),

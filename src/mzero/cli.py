@@ -23,16 +23,18 @@ length; they and `--eps` must be finite and positive, `--max-order` at
 least 1 and `--max-iter` at least 0.
 
 Each command imports only the layers it runs: `separation --mu k`
-without a system reads the numpy-free `constants` module alone, and
-`thresholds` the numpy-free `thresholds` module (with `constants` for its
-root finder); `separation` and `certify` never load `thresholds`, and
-`dual`, `gamma` and `refine` load neither. This module holds only what
-every call runs: the process entry, the flag tables with the parser, the
-JSON writer, and the two commands that read no file. The point and system
-readers and the handlers of `dual`, `gamma`, `certify`, `refine` and of
-`separation` with a system live in `syscommands`, which a call loads only
-when it gives a point or a system file, so `separation --mu k` and
-`thresholds` never compile them. numpy is loaded where a point is parsed.
+without a system reads d(mu) from the table of the numpy-free
+`constants` module alone, and `thresholds` its constants from the table
+of the numpy-free `thresholds` module alone; `separation` and `certify`
+never load `thresholds`, `dual`, `gamma` and `refine` load neither, and
+no call loads `derivations`, which derives both tables. This module
+holds only what every call runs: the process entry, the flag tables with
+the parser, the JSON writer, and the two commands that read no file. The
+point and system readers and the handlers of `dual`, `gamma`, `certify`,
+`refine` and of `separation` with a system live in `syscommands`, which a
+call loads only when it gives a point or a system file, so `separation
+--mu k` and `thresholds` never compile them. numpy is loaded where a
+point is parsed.
 Only `dual` loads `functionals`, and only a frame loads `frames`. No call
 imports `json` or `dataclasses`.
 

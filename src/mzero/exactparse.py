@@ -10,11 +10,13 @@ exponent has more than `polycore.MAX_EXPONENT_DIGITS`, is refused before
 its exact value is built, and a power of a sum whose expansion can have
 more than `polycore.MAX_POWER_TERMS` terms, or whose exact coefficients
 can need more than `polycore.MAX_POWER_BITS` bits, is refused before it is
-built. An expression becomes one term table, a dict from exponent tuples to
-nonzero `_QC` coefficients in the order in which the monomials first
-appear: sums accumulate in place and a product with a single-term factor
-adds exponent tuples, so parse cost is linear in the number of terms;
-only a product of two sums, such as `(8*X1 - 3*X2)^2`, expands pairwise.
+built, and so is a power of a non-constant expression with an exponent
+above `polycore.MAX_DEGREE`. An expression becomes one term table, a
+dict from exponent tuples to nonzero `_QC` coefficients in the order in
+which the monomials first appear: sums accumulate in place and a product
+with a single-term factor adds exponent tuples, so parse cost is linear
+in the number of terms; only a product of two sums, such as
+`(8*X1 - 3*X2)^2`, expands pairwise.
 `parse_system` imports this module the first time a statement needs it,
 so a system the scanner reads whole never loads it; the module itself
 loads neither `fractions` nor `decimal`.
@@ -25,7 +27,8 @@ import operator
 import re
 
 from .errors import ParseError
-from .polycore import MAX_EXPONENT_DIGITS, MAX_LITERAL_DIGITS, MAX_POWER_BITS, MAX_POWER_TERMS
+from .polycore import (MAX_DEGREE, MAX_EXPONENT_DIGITS, MAX_LITERAL_DIGITS, MAX_POWER_BITS,
+                       MAX_POWER_TERMS)
 
 
 class _QC:
@@ -199,17 +202,26 @@ class _ExprParser:
         multiset of e base terms: C(t + e - 1, e). So is a base with a
         coefficient other than 1, -1, i or -i when e times the largest bit
         length of its coefficients' re, im and den is above MAX_POWER_BITS:
-        each unit of e can add that many bits to a coefficient of the power."""
+        each unit of e can add that many bits to a coefficient of the power.
+        Then a base with a non-constant term is refused when e is above
+        MAX_DEGREE, since the power's degree is at least e. All three are
+        refused before any squaring, and no message prints e, which may
+        have more digits than int-to-string conversion allows."""
         t = len(base)
-        if t > 1 and math.comb(t + e - 1, t - 1) > MAX_POWER_TERMS:
+        # C(t + e - 1, t - 1) > e for t >= 2, so an e capped at the budget
+        # decides alike, without a binomial of a huge e
+        if t > 1 and math.comb(t + min(e, MAX_POWER_TERMS) - 1, t - 1) > MAX_POWER_TERMS:
             raise ParseError("a power of a %d-term sum can expand to more than %d terms"
                              % (t, MAX_POWER_TERMS))
         bits = max((p.bit_length() for c in base.values() for p in (c.re, c.im, c.den)),
                    default=0)
         if e * bits > MAX_POWER_BITS and any(c.den != 1 or c.re * c.im or abs(c.re + c.im) != 1
                                              for c in base.values()):
-            raise ParseError("a power ^%d of a coefficient can need more than %d bits"
-                             % (e, MAX_POWER_BITS))
+            raise ParseError("a power of a coefficient can need more than %d bits"
+                             % MAX_POWER_BITS)
+        if e > MAX_DEGREE and any(map(any, base)):
+            raise ParseError("a power of a non-constant expression has an exponent above "
+                             "the limit of %d" % MAX_DEGREE)
         result = {self.zero: _ONE}
         while True:
             if e & 1:

@@ -80,13 +80,6 @@ class NormalizedFrame:
     def max_degree(self):
         return self.system.max_degree()
 
-    def to_frame(self, x):
-        """Coordinates of an ambient point x in this frame."""
-        return self.W.conj().T @ np.asarray(x, dtype=complex)
-
-    def from_frame(self, y):
-        return self.W @ np.asarray(y, dtype=complex)
-
     def compose(self, U2, W2):
         """Frame of this frame: (U @ U2, W @ W2) over the same base system."""
         return NormalizedFrame(self.system, self.U @ U2, self.W @ W2)

@@ -16,9 +16,10 @@ shape test and the next step, which evaluates only at its own point y.
 Each variant contracts quadratically once the scale-free start quality
 u = gamma^mu * distance is below the variant's threshold constant. The
 constants are the first positive roots of explicit one-variable rational
-equations; `thresholds.threshold_constants` solves them to relative
-tolerance 1e-12. It lives in the numpy-free `thresholds` module, which
-refinement, reading no constant, never loads. The variant names,
+equations, solved to relative tolerance 1e-12 by
+`derivations.derive_threshold_constants`; `thresholds.threshold_constants`
+reads them from a table. It lives in the numpy-free `thresholds` module,
+which refinement, reading no constant, never loads. The variant names,
 `VARIANTS`, live in the package itself, so the command line lists them
 without loading numpy.
 """

@@ -42,6 +42,7 @@ polynomials' terms after the first evaluation are not seen.
 import functools
 import math
 import re
+import sys
 import numpy as np
 
 from . import _reexport
@@ -319,11 +320,15 @@ class PolySystem:
 # MAX_LITERAL_DIGITS digits, is left to `exactparse`, which refuses it, as
 # it refuses a power of a sum whose expansion can have more than
 # MAX_POWER_TERMS terms and a power whose exact coefficients can need more
-# than MAX_POWER_BITS bits, far beyond a double's range. A statement of
+# than MAX_POWER_BITS bits, far beyond a double's range, and a power of a
+# non-constant expression with an exponent above MAX_DEGREE. A statement of
 # degree above MAX_DEGREE is refused once read, before the kernel tabulates
 # powers up to it.
 MAX_EXPONENT_DIGITS = 5
-MAX_LITERAL_DIGITS = 4300  # the longest decimal string int() reads by default
+# the longest decimal string int() reads: 4300 digits by default, fewer
+# under PYTHONINTMAXSTRDIGITS or -X int_max_str_digits; with no limit (0,
+# as on an interpreter without get_int_max_str_digits) it stays 4300
+MAX_LITERAL_DIGITS = min(4300, getattr(sys, "get_int_max_str_digits", int)() or 4300)
 MAX_POWER_TERMS = 500
 MAX_POWER_BITS = 1 << 16
 MAX_DEGREE = 1000

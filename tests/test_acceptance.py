@@ -19,7 +19,7 @@ from mzero.certify import (
     separation_bound,
     separation_constant,
 )
-from mzero.constants import p_of_d
+from mzero.derivations import p_of_d
 from mzero.dualspace import compute_dual_basis, normalizing_frame
 from mzero.frames import unitary_pullback
 from mzero.functionals import chainrule_Lk
@@ -85,7 +85,7 @@ def test_item_2_double_zero_end_to_end(ex_double):
 
     # the system's other zero sits at (1/4, 0); its distance survives the
     # unitary change of coordinates and must respect the exclusion bound
-    other = frame.to_frame(np.array([0.25, 0.0], dtype=complex))
+    other = frame.W.conj().T @ np.array([0.25, 0.0], dtype=complex)
     distance = float(np.linalg.norm(other - w))
     assert distance == pytest.approx(0.25, abs=1e-12)
     assert distance > sep.bound

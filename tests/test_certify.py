@@ -9,7 +9,13 @@ from mzero.certify import (
     separation_bound,
     separation_constant,
 )
-from mzero.constants import ANCHORED_MAX, coefficient_table, p_of_d, smallest_positive_root
+from mzero.constants import ANCHORED_MAX
+from mzero.derivations import (
+    coefficient_table,
+    derive_separation_constant,
+    p_of_d,
+    smallest_positive_root,
+)
 from mzero.dualspace import normalizing_frame
 from mzero.errors import InputError, MathDomainError
 from mzero.frames import unitary_pullback
@@ -152,9 +158,24 @@ def test_separation_constant_refuses_orders_above_the_anchored_range():
         separation_constant(21)
 
 
+def test_separation_constant_below_order_two_is_value_error():
+    for mu in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            separation_constant(mu)
+
+
+@pytest.mark.parametrize("mu", range(2, ANCHORED_MAX + 1))
+def test_separation_table_keeps_every_bit_of_its_derivation(mu):
+    # every call reads the table; the derivation from p is its reference
+    read, derived = separation_constant(mu), derive_separation_constant(mu)
+    assert read.mu == derived.mu == mu
+    assert [v.hex() for v in read.pick("d d1 d2 d3").values()] == [
+        v.hex() for v in derived.pick("d d1 d2 d3").values()]
+
+
 def test_first_scan_finds_d3_below_d2_at_every_anchored_order():
-    # separation_constant scans p only over (0, d2]; an order whose first
-    # root lies beyond d2 would raise NoRootError at run time
+    # the derivation of d3 scans p only over (0, d2]; an order whose first
+    # root lies beyond d2 would raise NoRootError there
     for mu in range(2, ANCHORED_MAX + 1):
         d2 = math.sqrt(1.0 / (mu - 1.0))
         assert 0.0 < smallest_positive_root(p_of_d(mu), d2) < d2
@@ -169,7 +190,7 @@ def test_separation_bound_double_zero(ex_double):
     assert sep.bound == pytest.approx(0.0447799019138983, abs=1e-9)
     # the known second zero sits at distance 1/4, outside the exclusion ball
     frame, w = normalizing_frame(ex_double, ORIGIN2)
-    other = frame.to_frame(np.array([0.25, 0.0]))
+    other = frame.W.conj().T @ np.array([0.25, 0.0])
     assert np.linalg.norm(other - w) == pytest.approx(0.25, abs=1e-12)
     assert np.linalg.norm(other - w) > sep.bound
 

@@ -413,27 +413,41 @@ def test_literal_with_a_long_exponent_is_refused_at_once(capsys, tmp_path, expr)
     assert err.startswith("input error: ") and "more than 5 digits" in err
 
 
-@pytest.mark.parametrize("coefficient", ["1" * 5000, "0." + "1" * 5000, "1" * 5000 + "/7"],
-                         ids=["integer", "decimal", "ratio"])
-def test_literal_with_too_many_digits_is_refused(tmp_path, coefficient):
-    # int() refuses a string of more than 4300 digits, which ended the call
-    # as an internal error with a traceback
+@pytest.mark.parametrize(
+    "coefficient, int_digits, limit",
+    [("1" * 5000, None, polycore.MAX_LITERAL_DIGITS),
+     ("0." + "1" * 5000, None, polycore.MAX_LITERAL_DIGITS),
+     ("1" * 5000 + "/7", None, polycore.MAX_LITERAL_DIGITS),
+     ("1" * 1000, "640", 640), ("1" * 1000 + "/3", "640", 640), ("1" * 5000, "0", 4300)],
+    ids=["integer", "decimal", "ratio", "integer-int-limit-640", "ratio-int-limit-640",
+         "integer-no-int-limit"],
+)
+def test_literal_with_too_many_digits_is_refused(tmp_path, coefficient, int_digits, limit):
+    # int() refuses a string of more than 4300 digits, or of more than
+    # PYTHONINTMAXSTRDIGITS when that is set, which ended the call as an
+    # internal error with a traceback
     path = tmp_path / "long.mz"
     path.write_text("vars: X1 X2\nf1: 1/3*X1 + %s*X2^2\nf2: X2\n" % coefficient)
+    env = fresh_env() if int_digits is None else fresh_env(PYTHONINTMAXSTRDIGITS=int_digits)
     proc = subprocess.run(
         [sys.executable, "-m", "mzero.cli", "dual", "--system", str(path), "--point", "0,0"],
-        capture_output=True, text=True, env=fresh_env(), timeout=120,
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error: the literal %s..." % coefficient[:20])
-    assert proc.stderr.endswith("has more than %d digits\n" % polycore.MAX_LITERAL_DIGITS)
+    assert proc.stderr.endswith("has more than %d digits\n" % limit)
 
 
-@pytest.mark.parametrize("expr", ["(X1+X2+1)^120", "(X1+X2)^3000"])
+@pytest.mark.parametrize(
+    "expr", ["(X1+X2+1)^120", "(X1+X2)^3000",
+             "(%s)^1e99999" % "+".join("X1^%d*X2" % k for k in range(30))],
+    ids=["(X1+X2+1)^120", "(X1+X2)^3000", "30-terms^1e99999"],
+)
 def test_power_of_a_sum_above_the_term_budget_is_refused_at_once(capsys, tmp_path, expr):
-    # expanding either exactly takes minutes; both can have more than
-    # polycore.MAX_POWER_TERMS = 500 terms
+    # expanding any exactly takes minutes; all can have more than
+    # polycore.MAX_POWER_TERMS = 500 terms, and the count is bounded without
+    # a binomial of the huge exponent, which took seconds
     path = tmp_path / "power.mz"
     path.write_text("vars: X1 X2\nf1: %s\nf2: X2\n" % expr)
     start = time.perf_counter()
@@ -713,11 +727,13 @@ def test_derivative_above_a_double_is_domain_error(capsys, tmp_path):
 @pytest.mark.parametrize(
     "term, code",
     [("X^99999999999999999999*Y", 2), ("X^(2^40)*Y", 2), ("X^2000000*Y", 2), ("X^1000*Y", 2),
-     ("X^999*Y", 0)],
+     ("X^999*Y", 0), ("X^1e99999*Y", 2), ("X^1e4400*Y", 2)],
 )
 def test_degree_above_the_limit_is_refused_at_parse(capsys, tmp_path, term, code):
     # the scanner reads X^2000000 and X^1000, the exact parser the others;
-    # degree 1001 is refused and degree 1000 accepted
+    # degree 1001 is refused and degree 1000 accepted; the exact parser
+    # refuses an exponent above the limit before squaring, and never prints
+    # one of more digits than int-to-string conversion allows
     path = tmp_path / "steep.mz"
     path.write_text("vars: X Y; f: Y + X^2; g: %s + X^3\n" % term)
     t0 = time.monotonic()
@@ -1235,8 +1251,8 @@ LOADED = "\nimport sys; loaded = set(sys.modules)\nimport json; print(json.dumps
 
 
 def test_import_cli_loads_neither_dataclasses_nor_constants():
-    watched = {"dataclasses", "mzero.constants", "mzero.thresholds", "mzero.record",
-               "mzero.syscommands", "argparse", "gettext", "locale"}
+    watched = {"dataclasses", "mzero.constants", "mzero.thresholds", "mzero.derivations",
+               "mzero.record", "mzero.syscommands", "argparse", "gettext", "locale"}
     assert run_fresh("import mzero.cli" + LOADED % watched) == []
 
 
@@ -1251,8 +1267,9 @@ def test_dual_and_gamma_do_not_load_constants(ex_triple_path, command):
     assert run_fresh(RUN_MAIN % argv + LOADED % {"mzero.constants"}) == []
 
 
-WATCHED = {"json", "mzero.constants", "mzero.thresholds", "mzero.functionals", "mzero.frames",
-           "mzero.syscommands", "argparse", "gettext", "locale"}
+WATCHED = {"json", "mzero.constants", "mzero.thresholds", "mzero.derivations",
+           "mzero.functionals", "mzero.frames", "mzero.syscommands", "argparse", "gettext",
+           "locale"}
 
 # one call of each command, with the modules of WATCHED it loads; ORIGIN and
 # NEAR stand for a system file and a point (`dense_call`)
@@ -1270,8 +1287,8 @@ COMMAND_CALLS = [
     pytest.param(["refine", "NEAR"], ["mzero.syscommands"], id="refine-auto"),
     pytest.param(["refine", "NEAR", "--variant", "general"],
                  ["mzero.frames", "mzero.syscommands"], id="refine-general"),
-    pytest.param(["thresholds", "--variant", "general_triple"],
-                 ["mzero.constants", "mzero.thresholds"], id="thresholds"),
+    pytest.param(["thresholds", "--variant", "general_triple"], ["mzero.thresholds"],
+                 id="thresholds"),
 ]
 
 
@@ -1291,12 +1308,30 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     # at a normalized point of a scanned system only `dual` builds
     # functionals; a general step needs a frame, and so does a certificate
     # off the strict shape, with or without --mu; no command
-    # imports json, refinement reads no universal constant, only
-    # `thresholds` compiles the threshold equations, only a call with a
-    # system file compiles the readers and handlers of `syscommands`, and
-    # no call loads argparse
+    # imports json, refinement reads no universal constant, `separation`
+    # and `certify` read d(mu) from the `constants` table and only
+    # `thresholds` reads the `thresholds` table, no call compiles the
+    # derivation of either table, only a call with a system file compiles
+    # the readers and handlers of `syscommands`, and no call loads argparse
     argv = dense_call(tmp_path, argv)
     assert run_fresh(RUN_MAIN % argv + LOADED % WATCHED) == loaded
+
+
+PACKAGE_LOADED = ("\nimport sys; loaded = sorted(m for m in sys.modules if m.startswith('mzero'))"
+                  "\nimport json; print(json.dumps(loaded))")
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["separation", "--mu", "%d" % mu], "mzero.constants") for mu in (2, 20)
+] + [
+    (["thresholds", "--variant", variant], "mzero.thresholds")
+    for variant in mzero.THRESHOLD_VARIANTS
+], ids=["separation-2", "separation-20"] + list(mzero.THRESHOLD_VARIANTS))
+def test_a_universal_constant_loads_its_table_alone(argv, table):
+    # the constants are looked up: besides the entry, a call loads the one
+    # table module and the record base, and never the derivation
+    assert run_fresh(RUN_MAIN % (argv + ["--json"]) + PACKAGE_LOADED) == sorted(
+        ["mzero", "mzero.cli", "mzero.errors", "mzero.record", table])
 
 
 @pytest.mark.parametrize("argv", [param.values[0] for param in COMMAND_CALLS],

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mzero import thresholds
+import mzero
+from mzero import derivations
 from mzero.thresholds import threshold_constants
 from mzero.dualspace import normalizing_frame
 from mzero.errors import InputError
@@ -58,19 +59,30 @@ def test_threshold_values_keep_every_bit(variant, conv, quad):
     assert (ts.u_converge.hex(), ts.u_quadratic.hex()) == (conv, quad)
 
 
+@pytest.mark.parametrize("variant", mzero.THRESHOLD_VARIANTS)
+def test_threshold_table_keeps_every_bit_of_its_derivation(variant):
+    # every call reads the table; the derivation from the equations is its
+    # reference
+    read = threshold_constants(variant)
+    derived = derivations.derive_threshold_constants(variant)
+    assert (read.variant, read.mu) == (derived.variant, derived.mu)
+    assert (read.u_converge.hex(), read.u_quadratic.hex()) == (
+        derived.u_converge.hex(), derived.u_quadratic.hex())
+
+
 def test_threshold_solves_its_equation():
     for variant in ("normalized_double", "normalized_triple"):
         ts = threshold_constants(variant)
-        second = thresholds._b23 if variant == "normalized_double" else thresholds._b33
+        second = derivations._b23 if variant == "normalized_double" else derivations._b33
         for u, target in ((ts.u_converge, 1.0), (ts.u_quadratic, 0.25)):
-            value = 2 * thresholds._b21(u) ** 2 + 2 * second(u) ** 2
+            value = 2 * derivations._b21(u) ** 2 + 2 * second(u) ** 2
             assert value == pytest.approx(target, abs=1e-9)
 
 
 def test_general_threshold_solves_its_equation():
     ts = threshold_constants("general_triple")
     for u, target in ((ts.u_converge, 1.0), (ts.u_quadratic, 0.25)):
-        value = thresholds._general_eq(u)
+        value = derivations._general_eq(u)
         assert value == pytest.approx(target, abs=1e-9)
 
 
@@ -190,7 +202,7 @@ def test_a_frame_reads_f_and_j_in_one_call_on_its_system(kernel_calls, ex_triple
     # one kernel call at W z with the multi-indices 0, e1, e2, no dense tensor
     rng = np.random.default_rng(63)
     frame = unitary_pullback(ex_triple, random_unitary(2, rng), random_unitary(2, rng))
-    z = frame.to_frame(START)
+    z = frame.W.conj().T @ START
     fz, J = value_and_jacobian(frame, z)
     assert [A.tolist() for A in kernel_calls.partials] == [[[0, 0], [1, 0], [0, 1]]]
     assert np.allclose(fz, frame.eval_at(z), rtol=0, atol=1e-15)

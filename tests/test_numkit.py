@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mzero import numkit
-from mzero.constants import smallest_positive_root
+from mzero.derivations import smallest_positive_root
 from mzero.errors import MathDomainError, NoRootError
 from mzero.errors import SingularMatrixError
 from mzero.numkit import (

@@ -870,15 +870,6 @@ def test_frame_matches_materialized():
     assert np.allclose(T_frame, T_flat, atol=1e-10)
 
 
-def test_frame_round_trip_coordinates():
-    rng = np.random.default_rng(26)
-    sys_ = parse_system(EX_DOUBLE)
-    W = random_unitary(2, rng)
-    frame = unitary_pullback(sys_, np.eye(2), W)
-    x = rng.normal(size=2) + 1j * rng.normal(size=2)
-    assert np.allclose(frame.from_frame(frame.to_frame(x)), x, atol=1e-14)
-
-
 def test_frames_compose():
     rng = np.random.default_rng(27)
     sys_ = parse_system(EX_DOUBLE)
