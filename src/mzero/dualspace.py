@@ -189,7 +189,7 @@ def compute_dual_basis(source, x, max_order=DEFAULTS["max_order"], gap_tol=DEFAU
     return DualBasis(input_J, res.s, normalized, a_rows, values, view, y, J, Jhat, chain)
 
 
-def local_view(source, x, test_shape=True, gap_tol=None):
+def local_view(source, x, gap_tol=None):
     """The coordinates every local computation at x runs in, by one rule:
     (view, y, J, Jhat, input_J, res).
 
@@ -201,19 +201,17 @@ def local_view(source, x, test_shape=True, gap_tol=None):
     frame, built from res (view the frame, y the point's coordinates
     there). J is the view's Jacobian at y, input_J mapped by the factors
     of res (U^H input_J W), and Jhat the `numkit.LinearSolver` of its block
-    J[:n-1, 1:]. With test_shape off the point stays in source's
-    coordinates untested, and nothing is factored (res is None).
+    J[:n-1, 1:]. A caller that works only in the shape refuses a moved
+    point, `view is not source`.
     """
     x = np.asarray(x, dtype=complex)
     view, y, J = source, x, source.jacobian(x)
-    input_J, res = J, None
-    if test_shape:
-        res = svd(J)
-        if gap_tol is not None:
-            _check_corank_one(res.s, gap_tol)
-        if not is_normalized(J, NORMALIZED_RTOL, res.s):
-            view, y = normalizing_frame(source, x, res=res)
-            J = res.U.conj().T @ J @ _kernel_first(res.V)
+    input_J, res = J, svd(J)
+    if gap_tol is not None:
+        _check_corank_one(res.s, gap_tol)
+    if not is_normalized(J, NORMALIZED_RTOL, res.s):
+        view, y = normalizing_frame(source, x, res=res)
+        J = res.U.conj().T @ J @ _kernel_first(res.V)
     return view, y, J, LinearSolver(J[: source.nvars - 1, 1:]), input_J, res
 
 

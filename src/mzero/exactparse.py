@@ -11,12 +11,13 @@ its exact value is built, and a power of a sum whose expansion can have
 more than `polycore.MAX_POWER_TERMS` terms, or whose exact coefficients
 can need more than `polycore.MAX_POWER_BITS` bits, is refused before it is
 built, and so is a power of a non-constant expression with an exponent
-above `polycore.MAX_DEGREE`. An expression becomes one term table, a
-dict from exponent tuples to nonzero `_QC` coefficients in the order in
-which the monomials first appear: sums accumulate in place and a product
-with a single-term factor adds exponent tuples, so parse cost is linear
-in the number of terms; only a product of two sums, such as
-`(8*X1 - 3*X2)^2`, expands pairwise.
+above `polycore.MAX_DEGREE`, and so are parentheses nested deeper than
+`polycore.MAX_NESTING`. An expression becomes one term table, a dict from
+exponent tuples to nonzero `_QC` coefficients in the order in which the
+monomials first appear: sums accumulate in place and a product with a
+single-term factor adds exponent tuples, so parse cost is linear in the
+number of terms; only a product of two sums, such as `(8*X1 - 3*X2)^2`,
+expands pairwise.
 `parse_system` imports this module the first time a statement needs it,
 so a system the scanner reads whole never loads it; the module itself
 loads neither `fractions` nor `decimal`.
@@ -27,8 +28,8 @@ import operator
 import re
 
 from .errors import ParseError
-from .polycore import (MAX_DEGREE, MAX_EXPONENT_DIGITS, MAX_LITERAL_DIGITS, MAX_POWER_BITS,
-                       MAX_POWER_TERMS)
+from .polycore import (MAX_DEGREE, MAX_EXPONENT_DIGITS, MAX_LITERAL_DIGITS, MAX_NESTING,
+                       MAX_POWER_BITS, MAX_POWER_TERMS)
 
 
 class _QC:
@@ -64,6 +65,9 @@ class _QC:
 
     def is_zero(self):
         return not self.re and not self.im
+
+    def is_unit(self):  # 1, -1, i or -i, whose powers repeat with period 4
+        return self.den == 1 and not self.re * self.im and abs(self.re + self.im) == 1
 
     def to_complex(self):
         # int / int is correctly rounded: one rounding of each exact part
@@ -173,7 +177,7 @@ class _ExprParser:
 
     def __init__(self, tokens, variables):
         self.tokens = tokens + [(None, None)]  # end marker
-        self.pos = 0
+        self.pos = self.depth = 0
         self.variables = variables
         self.zero = (0,) * len(variables)
 
@@ -206,7 +210,8 @@ class _ExprParser:
         Then a base with a non-constant term is refused when e is above
         MAX_DEGREE, since the power's degree is at least e. All three are
         refused before any squaring, and no message prints e, which may
-        have more digits than int-to-string conversion allows."""
+        have more digits than int-to-string conversion allows. For a base
+        of 0 or a unit, e is first reduced to min(e, 1) or e % 4."""
         t = len(base)
         # C(t + e - 1, t - 1) > e for t >= 2, so an e capped at the budget
         # decides alike, without a binomial of a huge e
@@ -215,13 +220,15 @@ class _ExprParser:
                              % (t, MAX_POWER_TERMS))
         bits = max((p.bit_length() for c in base.values() for p in (c.re, c.im, c.den)),
                    default=0)
-        if e * bits > MAX_POWER_BITS and any(c.den != 1 or c.re * c.im or abs(c.re + c.im) != 1
-                                             for c in base.values()):
+        if e * bits > MAX_POWER_BITS and not all(c.is_unit() for c in base.values()):
             raise ParseError("a power of a coefficient can need more than %d bits"
                              % MAX_POWER_BITS)
         if e > MAX_DEGREE and any(map(any, base)):
             raise ParseError("a power of a non-constant expression has an exponent above "
                              "the limit of %d" % MAX_DEGREE)
+        c = self.constant_value(base)
+        if c is not None and (c.is_zero() or c.is_unit()):
+            e = min(e, 1) if c.is_zero() else e % 4
         result = {self.zero: _ONE}
         while True:
             if e & 1:
@@ -238,10 +245,15 @@ class _ExprParser:
         return value
 
     def parse_expr(self):
+        # every parenthesis, of a group, sqrt or an exponent, recurses through here
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("an expression nests parentheses more than %d deep" % MAX_NESTING)
         terms = self.parse_term()
         while True:
             kind, val = self.tokens[self.pos]
             if kind != "op" or val not in "+-":
+                self.depth -= 1
                 return terms
             self.pos += 1
             rhs = self.parse_term()
@@ -267,12 +279,12 @@ class _ExprParser:
             value = {m: v / c for m, v in value.items()}
 
     def parse_factor(self):
-        kind, val = self.tokens[self.pos]
-        if kind == "op" and val in "+-":
-            self.pos += 1
-            inner = self.parse_factor()
-            return inner if val == "+" else {m: -c for m, c in inner.items()}
-        return self.parse_power()
+        # a run of signs is read in a loop, so it takes no recursion
+        negate = False
+        while self.tokens[self.pos] in (("op", "+"), ("op", "-")):
+            negate ^= self.take()[1] == "-"
+        value = self.parse_power()
+        return {m: -c for m, c in value.items()} if negate else value
 
     def parse_power(self):
         base = self.parse_atom()

@@ -6,8 +6,9 @@ the kernel's batched partials. `chainrule_Lk` runs the chain loop of
 `dualspace` on a rotated view, but reads each raw value from a
 functional built by a derivative-level product rule and applied through
 contracted derivative tensors; the tests check that it agrees with the
-curve route, which forms no functional. So only the `dual` command's
-printed chain and the tests load this module.
+curve route, which forms no functional. It takes its coordinates from
+`dualspace.local_view` and refuses a point that rule moves. So only the
+`dual` command's printed chain and the tests load this module.
 """
 
 import math
@@ -15,9 +16,8 @@ import math
 import numpy as np
 
 from . import DEFAULT_TOLERANCES as DEFAULTS
-from .dualspace import DualBasis, _chain, _check_corank_one, _e1, _terminates, is_normalized
+from .dualspace import DualBasis, _chain, _e1, _terminates, local_view
 from .errors import NotNormalizedError
-from .numkit import LinearSolver, svd
 from .polycore import Poly
 
 
@@ -154,28 +154,24 @@ def chainrule_Lk(frame, w, kmax=None, max_order=DEFAULTS["max_order"],
     recursion is the loop of `compute_dual_basis`, `dualspace._chain`, fed
     with these values.
 
+    `dualspace.local_view` reads one Jacobian and its one SVD and refuses
+    a corank other than one (CorankError); a point it moves to a frame is
+    refused here (NotNormalizedError).
+
     With kmax=None the recursion terminates like `compute_dual_basis` and
     returns the multiplicity. With an explicit kmax it runs to exactly
     that order with no membership test.
     """
-    w = np.asarray(w, dtype=complex)
-    n = frame.nvars
-    J = frame.jacobian(w)
-    # one SVD serves the shape test, the corank test and the basis
-    s = svd(J).s
-    if not is_normalized(J, s=s):
-        raise NotNormalizedError(
-            "frame Jacobian at the point is not in the distinguished shape"
-        )
-    _check_corank_one(s, gap_tol)
-    Jhat = LinearSolver(J[: n - 1, 1:])
+    view, w, J, Jhat, _, res = local_view(frame, w, gap_tol=gap_tol)
+    if view is not frame:
+        raise NotNormalizedError("frame Jacobian at the point is not in the distinguished shape")
 
     def stop(k, vals):
         return k == kmax if kmax is not None else _terminates(vals, delta_zero_tol)
 
     a_rows, values = _chain(
-        frame, w, _e1(n), Jhat, stop, max_order if kmax is None else kmax,
+        frame, w, _e1(frame.nvars), Jhat, stop, max_order if kmax is None else kmax,
         lambda rows, k: _chain_functionals(rows, _product_rule_delta)[1][-1].apply(frame, w))
-    basis = DualBasis(J, s, True, a_rows, values, frame, w, J, Jhat, values)
+    basis = DualBasis(J, res.s, True, a_rows, values, frame, w, J, Jhat, values)
     basis.functionals = _chain_functionals(a_rows, _product_rule_delta)
     return basis

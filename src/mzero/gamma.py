@@ -18,6 +18,7 @@ of the terminating chain functional instead of a Jacobian block. Both are
 clamped below by one.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -39,59 +40,38 @@ class LocalModel:
 
     One coordinate rule, `dualspace.local_view`'s: a point whose Jacobian
     passes the strict shape test stays in its coordinates, and any other
-    point moves to its normalizing frame. `coords` says what happens off
-    the shape: "auto" computes in the frame; "refuse" raises
-    NotNormalizedError instead, after the detection, so a point that also
-    fails detection raises that error (CorankError,
-    MultiplicityNotFoundError); "given" takes the source's coordinates
-    with no shape test and mu as it is (mu is required, InputError
-    otherwise). The frame is unitary, so distances, radii and the
-    invariants hold in the original coordinates. Without mu,
-    `compute_dual_basis` detects the chain, with the keyword tolerances
-    (gap_tol, delta_zero_tol, max_order), and gives the view, point, J,
-    Jhat and chain. A given mu must match the detected one (InputError),
-    unless trust_mu takes it as it is, with no detection. A trusted mu
-    whose chain value vanishes, so that nothing can be scaled by it, is a
-    MathDomainError, and so is a system of degree above 170, whose
-    coefficients would need a k! above the largest double.
+    point moves to its normalizing frame. The frame is unitary, so
+    distances, radii and the invariants hold in the original coordinates.
+    Without mu, `compute_dual_basis` detects the chain, with the keyword
+    tolerances (gap_tol, delta_zero_tol, max_order), and gives the view,
+    point, J, Jhat and chain. A given mu must match the detected one
+    (InputError), unless trust_mu takes it as it is, with no detection. A
+    trusted mu whose chain value vanishes, so that nothing can be scaled
+    by it, is a MathDomainError.
 
     Attributes: `view` and `x`, the system worked in and the point in its
     coordinates; `J` there; `Jhat`, the `numkit.LinearSolver` of J[:n-1, 1:],
     so that every solve against the block and the certificate's sigma_min
     read one SVD; `mu`; `chain`, the raw chain values along e1 (entry k-2
     holds order k, for k = 2..mu); `delta_mu`, the order-mu value on the
-    last equation; `coeffs`, per order k = 2..deg, d^alpha f / k! at the
-    alphas of `symmetric_layout`, in the inputs of the system a frame
-    rotates; `v`, the view's e1 there.
+    last equation; `v`, the view's e1 in the inputs of the system a frame
+    rotates; `coeffs`, built on first use.
     """
 
-    def __init__(self, source, x, mu=None, coords="auto", trust_mu=False, **tolerances):
+    def __init__(self, source, x, mu=None, trust_mu=False, **tolerances):
         n = source.nvars
         if n < 2:
-            raise InputError(
-                "a corank-one zero needs at least two variables, got %d" % n
-            )
-        if coords not in ("auto", "refuse", "given"):
-            raise InputError("coords is auto, refuse or given, got %r" % (coords,))
-        basis = None
-        if coords == "given" or (trust_mu and mu is not None):
-            local = local_view(source, x, test_shape=coords != "given")[:4]
+            raise InputError("a corank-one zero needs at least two variables, got %d" % n)
+        if trust_mu and mu is not None:
+            self.view, self.x, self.J, self.Jhat = local_view(source, x)[:4]
+            self.chain = kernel_chain(self.view, self.x, _e1(n), self.Jhat, mu)
         else:
             basis = compute_dual_basis(source, x, **tolerances)
             if mu is not None and basis.mu != mu:
-                raise InputError(
-                    "requested order %d but the chain terminates at %d"
-                    % (mu, basis.mu)
-                )
-            mu, local = basis.mu, (basis.view, basis.x, basis.J, basis.Jhat)
-        self.view, self.x, self.J, self.Jhat = local
-        if coords == "refuse" and self.view is not source:
-            raise NotNormalizedError(
-                "point is not in the distinguished coordinate shape; "
-                "compute in a normalizing frame instead"
-            )
-        self.chain = (basis.chain if basis is not None
-                      else kernel_chain(self.view, self.x, _e1(n), self.Jhat, mu))
+                raise InputError("requested order %d but the chain terminates at %d"
+                                 % (mu, basis.mu))
+            mu, self.chain = basis.mu, basis.chain
+            self.view, self.x, self.J, self.Jhat = basis.view, basis.x, basis.J, basis.Jhat
         self.mu = mu
         self.delta_mu = self.chain[-1][-1]
         if self.delta_mu == 0:
@@ -100,7 +80,14 @@ class LocalModel:
                 "the terminating value delta_mu is 0 at order %d: the chain does not end there"
                 % mu
             )
-        view = self.view
+        self.v = getattr(self.view, "W", np.eye(n))[:, 0].conj()
+
+    @functools.cached_property
+    def coeffs(self):
+        """Per order k = 2..deg, d^alpha f / k! at the alphas of
+        `symmetric_layout`, one kernel batch each; a degree above MAX_ORDER,
+        whose k! overflows a double, is a MathDomainError."""
+        view, n = self.view, self.view.nvars
         degree = view.max_degree()
         if degree > MAX_ORDER:
             raise MathDomainError("the system has degree %d, and k! for an order k above %d "
@@ -109,8 +96,7 @@ class LocalModel:
         # a frame U^H f(W y) needs only its output map, at the point W y
         base = getattr(view, "system", view)
         U, W = (np.eye(n), np.eye(n)) if base is view else (view.U, view.W)
-        self.v = W[:, 0].conj()
-        self.coeffs = {
+        return {
             k: U.conj().T @ base.partials(symmetric_layout(n, k)[0], W @ self.x) / math.factorial(k)
             for k in range(2, degree + 1)
         }
@@ -155,11 +141,14 @@ class LocalModel:
 def gamma_mu(source, x, mu=None, mode="estimate"):
     """Combined invariant at a point in the distinguished shape.
 
-    Refuses a point that fails the strict shape test (NotNormalizedError,
-    `LocalModel`'s coords "refuse") after detecting its chain; `LocalModel`
-    with its default moves such a point to a normalizing frame. mu, when
-    supplied, must match the detected chain length (a mismatch is an
-    InputError). The Jacobian and each order 2..deg are evaluated once,
-    one kernel batch each.
+    After the detection's errors (CorankError, MultiplicityNotFoundError),
+    and before any order-k batch, a point that `local_view` moved to its
+    normalizing frame is refused (NotNormalizedError); `LocalModel`
+    computes in the frame instead. A given mu must match the detected one
+    (InputError). The Jacobian and each order 2..deg take one kernel batch.
     """
-    return LocalModel(source, x, mu, coords="refuse").gamma(mode)
+    model = LocalModel(source, x, mu)
+    if model.view is not source:
+        raise NotNormalizedError("point is not in the distinguished coordinate shape; "
+                                 "compute in a normalizing frame instead")
+    return model.gamma(mode)

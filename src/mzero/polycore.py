@@ -321,7 +321,8 @@ class PolySystem:
 # it refuses a power of a sum whose expansion can have more than
 # MAX_POWER_TERMS terms and a power whose exact coefficients can need more
 # than MAX_POWER_BITS bits, far beyond a double's range, and a power of a
-# non-constant expression with an exponent above MAX_DEGREE. A statement of
+# non-constant expression with an exponent above MAX_DEGREE, and a nesting
+# of parentheses deeper than MAX_NESTING. A statement of
 # degree above MAX_DEGREE is refused once read, before the kernel tabulates
 # powers up to it.
 MAX_EXPONENT_DIGITS = 5
@@ -332,6 +333,7 @@ MAX_LITERAL_DIGITS = min(4300, getattr(sys, "get_int_max_str_digits", int)() or 
 MAX_POWER_TERMS = 500
 MAX_POWER_BITS = 1 << 16
 MAX_DEGREE = 1000
+MAX_NESTING = 100
 _NUM = r"(?![\d.]{%d})\d+(?:\.\d+)?(?:[eE][+-]?\d{1,%d}(?!\d))?" % (
     MAX_LITERAL_DIGITS + 1, MAX_EXPONENT_DIGITS)
 _INT = r"\d{1,%d}" % MAX_LITERAL_DIGITS

@@ -778,6 +778,41 @@ def test_constant_power_above_the_bit_limit_is_refused(capsys, tmp_path, term):
         polycore.parse_system("vars: X Y; f: Y; g: (-1i*X)^(2^40)")
 
 
+@pytest.mark.parametrize(
+    "statement, terms",
+    [("1^1e99999*X + Y^2", {(1, 0): 1, (0, 2): 1}), ("0^1e99999*X + Y", {(0, 1): 1}),
+     ("(1+0i)^1e99999*X^2", {(2, 0): 1}), ("(-1i)^(1e99999 + 3)*X", {(1, 0): 1j}),
+     ("0^0*X", {(1, 0): 1})],
+)
+def test_power_of_zero_or_a_unit_takes_its_exponent_reduced(statement, terms):
+    # 0^e is 0 for e > 0 and a unit's powers repeat with period 4; squaring
+    # once per bit of 1e99999 took about 2 s
+    t0 = time.monotonic()
+    g = polycore.parse_system("vars: X Y; f: Y; g: %s" % statement).polys[1]
+    assert time.monotonic() - t0 < 0.1
+    assert g.terms == terms
+
+
+@pytest.mark.parametrize("nested", ["(" * 400 + "X" + ")" * 400 + "*Y",
+                                    "sqrt(" * 300 + "4" + ")" * 300, "X^(" * 300 + "1" + ")" * 300])
+def test_deep_nesting_is_input_error(capsys, tmp_path, nested):
+    # each level recursed in the exact parser, which ended the call as an
+    # internal error (exit 4) at the interpreter's recursion limit
+    path = tmp_path / "deep.mz"
+    path.write_text("vars: X Y\nf1: %s\nf2: Y^2\n" % nested)
+    code, out, err = run_cli(capsys, "dual", "--system", str(path), "--point", "0,0")
+    assert code == 2, err
+    assert "input error" in err and "more than %d deep" % polycore.MAX_NESTING in err
+    assert out == ""
+    # one level less than the limit still parses
+    inner = "(" * (polycore.MAX_NESTING - 1) + "X" + ")" * (polycore.MAX_NESTING - 1)
+    assert polycore.parse_system("vars: X Y; f: Y; g: %s*Y" % inner).polys[1].terms == {
+        (1, 1): 1}
+    # a run of signs takes no nesting: it is read in a loop
+    assert polycore.parse_system("vars: X Y; f: Y; g: %sX*Y" % ("-" * 2001)).polys[1].terms == {
+        (1, 1): -1}
+
+
 # gamma at the origin is 1e300 in the first system, whose gamma^3 is above
 # the largest double, and 1e12 in the second, whose separation radius
 # d / (2 gamma^6) is fine but whose certificate rhs needs (4 gamma^6)^6
@@ -959,6 +994,64 @@ def test_regular_point_is_domain_error(capsys, ex_triple_path):
     )
     assert code == 3
     assert "numerical-domain error" in err
+
+
+# grammar fuzz: systems of one to three variables built from nested sums,
+# products, powers, sqrt and parentheses, with coefficients from 1e-300 to
+# 1e308; whatever the system, a numeric command ends with a documented exit
+# code (0 to 3), never as an internal error (4), and within the deadline
+FUZZ_LEAVES = st.one_of(st.sampled_from(["0", "1", "-1", "1i"]),
+                        st.sampled_from(["2", "1/3", "(1-2i)", "X1", "X2", "X3"]),
+                        st.floats(1e-300, 1e308).map(repr))
+FUZZ_EXPONENTS = st.sampled_from(["0", "1", "2", "3", "(1+1)"]) | st.just("1e99999")
+
+
+@st.composite
+def fuzz_expressions(draw, depth=3):
+    if not depth or not draw(st.integers(0, 3)):
+        return draw(FUZZ_LEAVES)
+    kind = draw(st.sampled_from(["+", "-", "*", "^", "sqrt", "()"]))
+    if kind == "^":
+        base = draw(FUZZ_LEAVES | fuzz_expressions(depth - 1))
+        return "(%s)^%s" % (base, draw(FUZZ_EXPONENTS))
+    inner = draw(fuzz_expressions(depth - 1))
+    if kind == "sqrt":
+        return "sqrt(%s)" % inner
+    if kind == "()":
+        # Hypothesis lifts the recursion limit by 2000 frames while it runs a
+        # test, so a nesting that exhausts the default limit must go deeper
+        levels = draw(st.integers(1, 3) | st.integers(600, 1000))
+        return "(" * levels + inner + ")" * levels
+    return "%s %s %s" % (inner, kind, draw(fuzz_expressions(depth - 1)))
+
+
+@st.composite
+def fuzz_calls(draw):
+    n = draw(st.integers(1, 3))
+    names = ["X1", "X2", "X3"][:n]
+    rows = [draw(fuzz_expressions()) for _ in range(n)]
+    # a variable the system does not declare is an input error; keep most
+    # systems to their own variables
+    if draw(st.integers(0, 3)):
+        for extra in ["X1", "X2", "X3"][n:]:
+            rows = [row.replace(extra, names[-1]) for row in rows]
+    text = "vars: %s\n" % " ".join(names) + "".join(
+        "f%d: %s\n" % (i + 1, row) for i, row in enumerate(rows))
+    command = draw(st.sampled_from(["dual", "gamma", "separation", "certify", "refine"]))
+    point = ",".join(draw(st.sampled_from(["0", "1e-3", "-0.5+1i"])) for _ in names)
+    return text, [command, "--point", point] + draw(st.sampled_from([[], ["--mu", "2"]]))
+
+
+@settings(max_examples=200, deadline=1000, derandomize=True)
+@given(fuzz_calls())
+def test_grammar_fuzz_ends_with_a_documented_exit_code(tmp_path_factory, call):
+    text, argv = call
+    path = tmp_path_factory.getbasetemp() / "fuzz.mz"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--system", str(path)])
+    assert code in (0, 1, 2, 3), (text, argv, err.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -1227,8 +1320,9 @@ def _names_read(tree, name):
 
 def test_one_coordinate_rule_for_the_local_model():
     # the strict shape test is `dualspace`'s alone, the loose one serves
-    # only refinement's variant choice, and the local model takes its
-    # coordinates from `coords`, not from a frame switch or a tolerance
+    # only refinement's variant choice, and neither the local model nor
+    # `local_view` takes a coordinate option: no mode, frame switch or
+    # tolerance
     src = Path(mzero.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
     assert sorted(m for m, tree in trees.items() if _names_read(tree, "NORMALIZED_RTOL")) == [
@@ -1243,7 +1337,12 @@ def test_one_coordinate_rule_for_the_local_model():
                 for node in cls.body
                 if isinstance(node, ast.FunctionDef) and node.name == "__init__")
     params = {a.arg for a in init.args.args + init.args.kwonlyargs}
-    assert "coords" in params and not params & {"frame", "rel_tol"}
+    assert not params & {"coords", "frame", "rel_tol"}
+    view = next(node for node in trees["dualspace"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "local_view")
+    assert [a.arg for a in view.args.args] == ["source", "x", "gap_tol"]
+    assert sorted(m for m, tree in trees.items() if _names_read(tree, "is_normalized")) == [
+        "dualspace", "newton"]
 
 
 # sys.modules is read before this snippet's own `import json`

@@ -177,18 +177,24 @@ def test_a_lazy_frame_off_its_zero_agrees_with_its_expansion():
         assert np.linalg.norm(trace.iterates[-1] - zero) <= 1e-12
 
 
-def test_chainrule_requires_normalized(ex_double):
+def test_chainrule_requires_normalized(kernel_calls, ex_double):
+    # refused from one Jacobian and its one SVD, by `local_view`'s rule
     with pytest.raises(NotNormalizedError):
         chainrule_Lk(ex_double, ORIGIN2)
+    assert len(kernel_calls.jacobians()) == 1
+    assert kernel_calls.svd_shapes() == [(2, 2)]
 
 
-def test_chainrule_rejects_corank_two():
+def test_chainrule_rejects_corank_two(kernel_calls):
     # the frame Jacobian at the origin, [[0,1,0],[0,0,0],[0,0,0]], has the
-    # distinguished shape but a two-dimensional kernel
+    # distinguished shape but a two-dimensional kernel; one Jacobian and its
+    # one SVD serve the corank test, which comes before the shape test
     sys_ = parse_system("vars: X Y Z\nf: Y + X^2\ng: X^3\nh: Z^2")
     frame = unitary_pullback(sys_, np.eye(3), np.eye(3))
     with pytest.raises(CorankError):
         chainrule_Lk(frame, np.zeros(3, dtype=complex))
+    assert len(kernel_calls.jacobians()) == 1
+    assert kernel_calls.svd_shapes() == [(3, 3)]
 
 
 def test_chainrule_agrees_with_direct_chain(ex_triple):

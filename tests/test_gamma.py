@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mzero.certify import certify_cluster, separation_bound
 from mzero.cli import main
 from mzero.dualspace import compute_dual_basis, normalizing_frame
-from mzero.errors import CorankError, InputError, NotNormalizedError
+from mzero.errors import CorankError, InputError, MathDomainError, NotNormalizedError
 from mzero.gamma import LocalModel, gamma_mu
 from mzero.frames import NormalizedFrame, unitary_pullback
 from mzero.polycore import PolySystem, parse_system
@@ -84,9 +84,18 @@ def test_gamma_mu_evaluates_each_order_once(monkeypatch, kernel_calls):
     assert batches == [[1]] + [[k] for k in range(2, system.max_degree() + 1)]
 
 
-def test_requires_normalized_shape(ex_double):
+def test_requires_normalized_shape(kernel_calls, ex_double):
+    # the refusal runs no derivative batch of order two or more, so it
+    # comes before the degree's k! limit too
     with pytest.raises(NotNormalizedError):
         gamma_mu(ex_double, ORIGIN2)
+    assert kernel_calls.partials
+    assert all(A.sum(axis=1).max() <= 1 for A in kernel_calls.partials)
+    high = parse_system("vars: X Y\nf: X^2 - X/4 - Y/2\ng: X*Y/2 + X^171*Y")
+    with pytest.raises(NotNormalizedError):
+        gamma_mu(high, ORIGIN2)
+    with pytest.raises(MathDomainError, match="overflows a double"):
+        LocalModel(high, ORIGIN2).gamma()
     # detection comes first: an off-shape point that is not corank one
     # is refused for its corank
     system = parse_system("vars: X1 X2 X3\nf1: X1\nf2: X2^2\nf3: X3^2")
@@ -122,19 +131,13 @@ def test_trusted_mu_below_two_is_input_error(ex_triple):
         LocalModel(ex_triple, ORIGIN2, mu=0, trust_mu=True)
 
 
-def test_coords_choose_what_happens_off_the_shape(ex_double):
-    # off the shape "given" stays in the source's coordinates and reads
-    # the chain along e1 there, where "auto" moves to the frame and
-    # "refuse" raises; "given" detects nothing, so it needs a mu
-    model = LocalModel(ex_double, ORIGIN2, 3, coords="given")
-    assert model.view is ex_double and np.array_equal(model.x, ORIGIN2)
-    assert LocalModel(ex_double, ORIGIN2, 2, trust_mu=True).view is not ex_double
-    with pytest.raises(NotNormalizedError):
-        LocalModel(ex_double, ORIGIN2, 2, coords="refuse", trust_mu=True)
-    with pytest.raises(InputError, match="mu >= 2, got None"):
-        LocalModel(ex_double, ORIGIN2, coords="given")
-    with pytest.raises(InputError, match="coords"):
-        LocalModel(ex_double, ORIGIN2, coords="frame")
+def test_a_trusted_mu_off_the_shape_moves_to_the_frame(ex_double):
+    # the one coordinate rule holds with or without detection: off the
+    # shape a trusted mu computes in the frame, as a detected one does
+    model = LocalModel(ex_double, ORIGIN2, 2, trust_mu=True)
+    frame, w = normalizing_frame(ex_double, ORIGIN2)
+    assert model.view is not ex_double and np.array_equal(model.x, w)
+    assert model.gamma() == gamma_mu(frame, w)
 
 
 def test_certified_mode_dominates_estimate():
@@ -294,7 +297,8 @@ def test_one_svd_of_jhat_per_bound(kernel_calls):
 def test_truncated_gamma_in_a_frame_matches_the_expanded_frame(mode):
     # off the zero the truncation removes nonzero terms along the frame's
     # first axis; the frame reads the rotated system's derivatives in the
-    # original inputs, the expansion in its own, and both must agree
+    # original inputs, the expansion in its own, and both must agree; at w
+    # neither passes the strict shape test, so each moves to its own frame
     rng = np.random.default_rng(41)
     system = unitary_pullback(
         make_normalized_system(3, 4, rng), random_unitary(3, rng), random_unitary(3, rng)
@@ -302,7 +306,7 @@ def test_truncated_gamma_in_a_frame_matches_the_expanded_frame(mode):
     x = 0.02 * (rng.normal(size=3) + 1j * rng.normal(size=3))
     frame, w = normalizing_frame(system, x)
     views = [frame, frame.materialize()]
-    models = [LocalModel(v, w, 4, coords="given", trust_mu=True) for v in views]
+    models = [LocalModel(v, w, 4, trust_mu=True) for v in views]
     reports = [model.gamma(mode, truncate=True) for model in models]
     assert reports[0].per_order != models[0].gamma(mode).per_order
     for got, want in zip(reports[0].per_order, reports[1].per_order):
