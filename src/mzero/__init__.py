@@ -30,7 +30,7 @@ _EXPORTS = {
         "SingularMatrixError",
     ),
     "frames": ("NormalizedFrame", "unitary_pullback"),
-    "functionals": ("DualFunctional", "apply_functional", "chainrule_Lk"),
+    "functionals": ("DualFunctional", "chainrule_Lk"),
     "gamma": ("GammaReport", "LocalModel", "gamma_mu"),
     "newton": (
         "NewtonTrace", "iterate_until", "n1_step", "refine_double",

@@ -20,7 +20,7 @@ built (`gamma`, `separation`, `certify`); `dual` prints the chain in the
 input's coordinates.
 `--gap-tol` and `--delta-zero-tol` reach every detection of the chain
 length; they and `--eps` must be finite and positive, `--max-order` at
-least 1 and `--max-iter` at least 0.
+least 2 and `--max-iter` at least 0.
 
 Each command imports only the layers it runs: `separation --mu k`
 without a system reads d(mu) from the table of the numpy-free
@@ -348,7 +348,7 @@ def _check_args(args):
                 "--mu must be at most %d, the largest order whose constant d(mu) "
                 "is cross-checked" % ANCHORED_MAX
             )
-    for key, low, high in (("mu", 2, MAX_ORDER), ("max_order", 1, MAX_ORDER),
+    for key, low, high in (("mu", 2, MAX_ORDER), ("max_order", 2, MAX_ORDER),
                            ("max_iter", 0, math.inf)):
         value = getattr(args, key)
         if value is not None and value < low:

@@ -80,10 +80,6 @@ class NormalizedFrame:
     def max_degree(self):
         return self.system.max_degree()
 
-    def compose(self, U2, W2):
-        """Frame of this frame: (U @ U2, W @ W2) over the same base system."""
-        return NormalizedFrame(self.system, self.U @ U2, self.W @ W2)
-
     def eval_at(self, y):
         y = np.asarray(y, dtype=complex)
         return self.U.conj().T @ self.system.eval_at(self.W @ y)
@@ -150,7 +146,8 @@ class NormalizedFrame:
 
 
 def unitary_pullback(system, U, W):
-    """Rotated view g(Y) = U^H f(W @ Y); frames of frames compose."""
+    """Rotated view g(Y) = U^H f(W @ Y); a view of a frame (U1, W1) is the
+    frame (U1 @ U, W1 @ W) over the same base system."""
     if isinstance(system, NormalizedFrame):
-        return system.compose(U, W)
+        system, U, W = system.system, system.U @ U, system.W @ W
     return NormalizedFrame(system, U, W)

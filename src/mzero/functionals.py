@@ -1,14 +1,15 @@
 """Dual functionals: the symbolic record of a chain, and a second route.
 
 `DualBasis.lambdas` and `deltas` are built here from the correction rows
-by the order-raising map `psi`; `apply_functional` evaluates one through
-the kernel's batched partials. `chainrule_Lk` runs the chain loop of
-`dualspace` on a rotated view, but reads each raw value from a
-functional built by a derivative-level product rule and applied through
-contracted derivative tensors; the tests check that it agrees with the
-curve route, which forms no functional. It takes its coordinates from
-`dualspace.local_view` and refuses a point that rule moves. So only the
-`dual` command's printed chain and the tests load this module.
+by the order-raising map `psi`; `DualFunctional.apply` evaluates one on
+a system or frame through its batched partials. `chainrule_Lk` runs the
+chain loop of `dualspace` on a rotated view, but reads each raw value
+from a functional built by a derivative-level product rule and applied
+through contracted derivative tensors; the tests check that it agrees
+with the curve route, which forms no functional. It takes its
+coordinates from `dualspace.local_view` and refuses a point that rule
+moves. So only the `dual` command's printed chain and the tests load
+this module.
 """
 
 import math
@@ -18,7 +19,6 @@ import numpy as np
 from . import DEFAULT_TOLERANCES as DEFAULTS
 from .dualspace import DualBasis, _chain, _e1, _terminates, local_view
 from .errors import NotNormalizedError
-from .polycore import Poly
 
 
 class DualFunctional:
@@ -70,29 +70,21 @@ class DualFunctional:
         return DualFunctional(self.nvars, out)
 
     def apply(self, target, x):
-        return apply_functional(self.coeffs, target, x)
+        """The functional at x on a system or frame, a vector: its
+        `partials` evaluates every multi-index in one batch."""
+        if not self.coeffs:
+            return np.zeros(target.n, dtype=complex)
+        alphas = list(self.coeffs)
+        weights = np.array(
+            [self.coeffs[a] / math.prod(map(math.factorial, a)) for a in alphas], dtype=complex
+        )
+        return target.partials(alphas, x) @ weights
 
     def __repr__(self):
         parts = []
         for alpha, c in self.sorted_items():
             parts.append("%r*d%s" % (c, "".join(str(a) for a in alpha)))
         return "DualFunctional(" + (" + ".join(parts) if parts else "0") + ")"
-
-
-def apply_functional(coeffs, target, x):
-    """Apply a dual functional sum_alpha c_alpha (1/alpha!) d^alpha at x.
-
-    `coeffs` maps multi-index tuples to complex weights. `target` may be a
-    Poly (returns a scalar) or a system or frame (returns a vector); its
-    `partials` evaluates every multi-index in one batch.
-    """
-    if not coeffs:
-        return 0j if isinstance(target, Poly) else np.zeros(target.n, dtype=complex)
-    alphas = list(coeffs)
-    weights = np.array(
-        [coeffs[a] / math.prod(map(math.factorial, a)) for a in alphas], dtype=complex
-    )
-    return target.partials(alphas, x) @ weights
 
 
 def _delta_from_chain(a_rows, lambdas, k, nvars):

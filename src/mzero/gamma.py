@@ -23,9 +23,9 @@ import math
 
 import numpy as np
 
-from . import MAX_ORDER
+from . import DEFAULT_TOLERANCES as DEFAULTS, MAX_ORDER
 from .dualspace import _e1, compute_dual_basis, kernel_chain, local_view
-from .errors import InputError, MathDomainError, NotNormalizedError
+from .errors import InputError, MathDomainError, MultiplicityNotFoundError, NotNormalizedError
 from .numkit import unfolding_norm
 from .polycore import symmetric_layout
 from .record import Record
@@ -44,10 +44,11 @@ class LocalModel:
     distances, radii and the invariants hold in the original coordinates.
     Without mu, `compute_dual_basis` detects the chain, with the keyword
     tolerances (gap_tol, delta_zero_tol, max_order), and gives the view,
-    point, J, Jhat and chain. A given mu must match the detected one
-    (InputError), unless trust_mu takes it as it is, with no detection. A
-    trusted mu whose chain value vanishes, so that nothing can be scaled
-    by it, is a MathDomainError.
+    point, J, Jhat and chain. A given mu must match the detected one, and
+    the search runs to at least mu: a chain that ends before mu, after it
+    or not within the search is an InputError naming mu. trust_mu takes a
+    given mu as it is, with no detection. A trusted mu whose chain value
+    vanishes, so that nothing can be scaled by it, is a MathDomainError.
 
     Attributes: `view` and `x`, the system worked in and the point in its
     coordinates; `J` there; `Jhat`, the `numkit.LinearSolver` of J[:n-1, 1:],
@@ -66,7 +67,17 @@ class LocalModel:
             self.view, self.x, self.J, self.Jhat = local_view(source, x)[:4]
             self.chain = kernel_chain(self.view, self.x, _e1(n), self.Jhat, mu)
         else:
-            basis = compute_dual_basis(source, x, **tolerances)
+            if mu is not None:
+                # the search reaches a given mu, so every disagreement shows
+                tolerances["max_order"] = max(
+                    mu, tolerances.get("max_order", DEFAULTS["max_order"]))
+            try:
+                basis = compute_dual_basis(source, x, **tolerances)
+            except MultiplicityNotFoundError:
+                if mu is None:
+                    raise
+                raise InputError("requested order %d but the chain does not terminate by order %d"
+                                 % (mu, tolerances["max_order"])) from None
             if mu is not None and basis.mu != mu:
                 raise InputError("requested order %d but the chain terminates at %d"
                                  % (mu, basis.mu))
@@ -141,11 +152,12 @@ class LocalModel:
 def gamma_mu(source, x, mu=None, mode="estimate"):
     """Combined invariant at a point in the distinguished shape.
 
-    After the detection's errors (CorankError, MultiplicityNotFoundError),
-    and before any order-k batch, a point that `local_view` moved to its
-    normalizing frame is refused (NotNormalizedError); `LocalModel`
-    computes in the frame instead. A given mu must match the detected one
-    (InputError). The Jacobian and each order 2..deg take one kernel batch.
+    After the detection's errors (CorankError, and
+    MultiplicityNotFoundError without mu, or InputError for a mu that
+    disagrees with the chain), and before any order-k batch, a point that
+    `local_view` moved to its normalizing frame is refused
+    (NotNormalizedError); `LocalModel` computes in the frame instead. The
+    Jacobian and each order 2..deg take one kernel batch.
     """
     model = LocalModel(source, x, mu)
     if model.view is not source:

@@ -63,7 +63,8 @@ class Poly:
     """Sparse polynomial with complex coefficients.
 
     terms maps exponent tuples to nonzero complex coefficients; instances
-    are treated as immutable.
+    are treated as immutable. A polynomial evaluates as a system of one,
+    `PolySystem([p])`; `partial_at` is that call for one partial.
     """
 
     __slots__ = ("nvars", "terms")
@@ -82,16 +83,9 @@ class Poly:
             return 0
         return max(sum(m) for m in self.terms)
 
-    def partials(self, alphas, x):
-        """Raw partials d^alpha f(x) as a vector, one entry per multi-index."""
-        return PolySystem([self]).partials(alphas, x)[0]
-
-    def eval_at(self, x):
-        return complex(self.partials([(0,) * self.nvars], x)[0])
-
     def partial_at(self, alpha, x):
         """Raw partial derivative d^alpha f evaluated at x (no factorials)."""
-        return complex(self.partials([alpha], x)[0])
+        return complex(PolySystem([self]).partials([alpha], x)[0, 0])
 
     def __repr__(self):
         return "Poly(nvars=%d, nterms=%d, degree=%d)" % (

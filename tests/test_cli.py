@@ -645,6 +645,8 @@ def test_order_above_the_limit_is_refused_at_once(tmp_path, text, argv):
         ("separation", "--delta-zero-tol", "inf"),
         ("dual", "--delta-zero-tol", "-0.5"),
         ("dual", "--max-order", "0"),
+        # a corank-one chain has mu >= 2, so no order-1 search can end
+        ("dual", "--max-order", "1"),
         ("refine", "--eps", "-1"),
         ("refine", "--eps", "nan"),
         ("refine", "--max-iter", "-1"),
@@ -669,14 +671,39 @@ def test_separation_takes_the_largest_anchored_order(capsys):
     assert json.loads(out)["result"]["mu"] == 20
 
 
+# a corank-one zero of multiplicity 12 at the origin, past the default
+# search of 10 orders
+MU_12 = "vars: X Y\nf1: Y + X^2*Y\nf2: X^12 + Y^2\n"
+
+
 @pytest.mark.parametrize("command", ["gamma", "separation"])
-def test_mu_disagreeing_with_the_chain_is_input_error(capsys, ex_triple_path, command):
+def test_mu_disagreeing_with_the_chain_is_input_error(capsys, tmp_path, ex_triple_path, command):
     code, out, err = run_cli(
         capsys, command, "--system", ex_triple_path, "--point", "0,0", "--mu", "2"
     )
     assert code == 2
     assert "input error" in err and "terminates at 3" in err
     assert out == ""
+    # the chain ends after a given mu, beyond the default search, or before it
+    path = tmp_path / "mu12.mz"
+    path.write_text(MU_12)
+    for mu, found in (("5", "does not terminate by order 10"), ("13", "terminates at 12")):
+        code, out, err = run_cli(capsys, command, "--system", str(path), "--point", "0,0",
+                                 "--mu", mu)
+        assert code == 2
+        assert "input error: requested order %s but the chain %s" % (mu, found) in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("command", ["gamma", "separation"])
+def test_a_given_mu_past_the_default_search_is_found(capsys, tmp_path, command):
+    # the check of a given mu searches up to it, not only to max_order = 10
+    path = tmp_path / "mu12.mz"
+    path.write_text(MU_12)
+    code, out, err = run_cli(capsys, command, "--system", str(path), "--point", "0,0",
+                             "--mu", "12", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["mu"] == 12
 
 
 @pytest.mark.parametrize("variant, mu", [("normalized_double", "3"), ("normalized_triple", "2")])
@@ -1073,6 +1100,7 @@ def test_console_script(ex_triple_path):
         ],
         capture_output=True,
         text=True,
+        env=fresh_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["mu"] == 3
@@ -1343,6 +1371,19 @@ def test_one_coordinate_rule_for_the_local_model():
     assert [a.arg for a in view.args.args] == ["source", "x", "gap_tol"]
     assert sorted(m for m, tree in trees.items() if _names_read(tree, "is_normalized")) == [
         "dualspace", "newton"]
+
+
+def test_only_systems_and_frames_evaluate():
+    # a polynomial evaluates as a system of one, a functional is applied
+    # only by `DualFunctional.apply` on a system or frame, and a frame of a
+    # frame is built only by `unitary_pullback`
+    assert not hasattr(polycore.Poly, "partials") and not hasattr(polycore.Poly, "eval_at")
+    tree = ast.parse(Path(mzero.functionals.__file__).read_text())
+    assert not _names_read(tree, "apply_functional") and "apply_functional" not in mzero.__all__
+    assert not _names_read(tree, "isinstance")
+    assert not any(isinstance(node, ast.ImportFrom) and node.module == "polycore"
+                   for node in ast.walk(tree))
+    assert not hasattr(frames.NormalizedFrame, "compose")
 
 
 # sys.modules is read before this snippet's own `import json`

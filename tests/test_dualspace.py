@@ -19,7 +19,7 @@ from mzero.errors import (
     NotNormalizedError,
 )
 from mzero.frames import NormalizedFrame, unitary_pullback
-from mzero.functionals import apply_functional, chainrule_Lk
+from mzero.functionals import chainrule_Lk
 from mzero.numkit import LinearSolver
 from mzero.newton import iterate_until, refine_general, value_and_jacobian
 from mzero.polycore import (
@@ -290,7 +290,7 @@ def assert_values_are_the_functionals(basis, source, x):
     """The chain values of basis, read along the kernel curve, are its
     symbolic functionals applied to source at x through partials."""
     for delta, vals in zip(basis.deltas, basis.delta_values):
-        want = apply_functional(delta.coeffs, source, x)
+        want = delta.apply(source, x)
         assert np.linalg.norm(vals - want) <= 1e-14 * np.linalg.norm(want)
     J = source.jacobian(x)
     for k, lam in enumerate(basis.lambdas[1:], start=1):
