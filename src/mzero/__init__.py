@@ -54,12 +54,11 @@ THRESHOLD_VARIANTS = ("normalized_double", "normalized_triple", "general_triple"
 
 # defaults of the chain-length detection and of refinement, for the layers
 # and the command line
-DEFAULT_TOLERANCES = {"gap_tol": 1e-8, "delta_zero_tol": 1e-8, "max_order": 10,
-                      "eps": 1e-10, "max_iter": 50}
+DEFAULT_TOLERANCES = {"gap_tol": 1e-8, "delta_zero_tol": 1e-8, "eps": 1e-10, "max_iter": 50}
 
 # the one order limit of the package: the largest order k whose Taylor
-# scaling 1/k! the local model takes (171! is above the largest double),
-# and the largest --mu and --max-order the command line accepts
+# scaling 1/k! the local model takes (171! overflows a double), the last
+# order any chain search reaches, and the largest --mu of the command line
 MAX_ORDER = 170
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

@@ -9,18 +9,17 @@ that disagrees with the chain length found at the point), 3 for
 numerical-domain problems, 4 for internal errors. Points are checked on
 entry: one finite coordinate per system variable, no empty field, and at
 least two variables, and --point and --point-file exclude each other.
-Every --mu and --max-order is at most `MAX_ORDER` (170), and
-`separation` and `certify` take a --mu of at most
-`constants.ANCHORED_MAX`, the orders whose universal constant is
-cross-checked. A system or point file is read as UTF-8, with or without
-a byte-order mark. A point outside the distinguished shape moves to a
-normalizing frame wherever the chain is detected (`dual`, and `gamma`,
-`separation`, `certify` and `refine` without --mu) or a local model is
-built (`gamma`, `separation`, `certify`); `dual` prints the chain in the
-input's coordinates.
+Every --mu is at most `MAX_ORDER` (170), and `separation` and `certify`
+take a --mu of at most `constants.ANCHORED_MAX`, the orders whose
+universal constant is cross-checked. A system or point file is read as
+UTF-8, with or without a byte-order mark. A point outside the
+distinguished shape moves to a normalizing frame wherever the chain is
+detected (`dual`, and `gamma`, `separation`, `certify` and `refine`
+without --mu) or a local model is built (`gamma`, `separation`,
+`certify`); `dual` prints the chain in the input's coordinates.
 `--gap-tol` and `--delta-zero-tol` reach every detection of the chain
-length; they and `--eps` must be finite and positive, `--max-order` at
-least 2 and `--max-iter` at least 0.
+length, which runs to the order cap that the system's degrees imply;
+they and `--eps` must be finite and positive, `--max-iter` at least 0.
 
 Each command imports only the layers it runs: `separation --mu k`
 without a system reads d(mu) from the table of the numpy-free
@@ -250,8 +249,8 @@ _DEFAULTS = dict(system=None, point=None, point_file=None, mu=None, mode="estima
 
 # name: (handler, help, flag table)
 COMMANDS = {
-    "dual": (_system_command, "dual basis and multiplicity at a point", _LOCATION + _TOLERANCES + [
-        _JSON, _flag("--max-order", int, "highest order to search")]),
+    "dual": (_system_command, "dual basis and multiplicity at a point",
+             _LOCATION + _TOLERANCES + [_JSON]),
     "gamma": (_system_command, "growth invariants at a normalized zero", _GROWTH),
     "separation": (cmd_separation, "separation constant and radius", _GROWTH),
     "certify": (_system_command, "cluster certificate at an approximate zero", _GROWTH),
@@ -348,8 +347,7 @@ def _check_args(args):
                 "--mu must be at most %d, the largest order whose constant d(mu) "
                 "is cross-checked" % ANCHORED_MAX
             )
-    for key, low, high in (("mu", 2, MAX_ORDER), ("max_order", 2, MAX_ORDER),
-                           ("max_iter", 0, math.inf)):
+    for key, low, high in (("mu", 2, MAX_ORDER), ("max_iter", 0, math.inf)):
         value = getattr(args, key)
         if value is not None and value < low:
             raise ParseError("--%s must be at least %d" % (key.replace("_", "-"), low))

@@ -31,7 +31,7 @@ import functools
 
 import numpy as np
 
-from . import DEFAULT_TOLERANCES as DEFAULTS
+from . import DEFAULT_TOLERANCES as DEFAULTS, MAX_ORDER
 from .errors import CorankError, InputError, MultiplicityNotFoundError
 from .numkit import LinearSolver, matrix_spectral_norm, scaled_norm, svd
 
@@ -126,6 +126,12 @@ def _terminates(vals, delta_zero_tol):
     return abs(vals[-1]) > delta_zero_tol * scaled_norm(vals) + 1e-14
 
 
+def _order_cap(source):
+    """The order every chain search stops at: min(D^n, MAX_ORDER), D the
+    largest degree of source, as an isolated zero has mu <= D^n (Bezout)."""
+    return min(source.max_degree() ** source.nvars, MAX_ORDER)
+
+
 def _chain(source, x, a1, Jhat, stop, max_order, raw=None):
     """The breadth-one recursion (Li & Zhi, J. Symb. Comput. 2012) from
     Lambda_1 = sum a1 d.
@@ -145,7 +151,20 @@ def _chain(source, x, a1, Jhat, stop, max_order, raw=None):
         if stop(k, vals):
             return a_rows, values
         a_rows.append(np.concatenate([[0], Jhat.solve(-vals[: len(a1) - 1])]))
-    raise MultiplicityNotFoundError("no terminating order found up to max_order=%d" % max_order)
+    raise MultiplicityNotFoundError(
+        "no terminating order found up to %d, the order cap that the system's degrees imply: "
+        "the point is not an isolated zero, or the tolerances miss the chain's end" % max_order)
+
+
+def check_order(source, mu):
+    """Refuse (InputError) a mu that no corank-one chain at an isolated
+    zero of source has: none, one below 2, or one above `_order_cap`."""
+    if mu is None or mu < 2:
+        raise InputError("a corank-one chain has order mu >= 2, got %r" % mu)
+    cap = _order_cap(source)
+    if mu > cap:
+        raise InputError("an isolated zero of this system has mu <= %d, the order cap that "
+                         "its degrees imply, got %d" % (cap, mu))
 
 
 def kernel_chain(source, x, a1, Jhat, order):
@@ -157,15 +176,13 @@ def kernel_chain(source, x, a1, Jhat, order):
     `numkit.LinearSolver` of the block J[:n-1, 1:] of the Jacobian, which
     tests that block for singularity once. Returns the list whose entry
     k-2 is the raw order-k functional applied to source at x, for k =
-    2..order. An order below 2, or none, is an InputError: a corank-one
-    chain has mu >= 2.
+    2..order. An order that `check_order` refuses is an InputError.
     """
-    if order is None or order < 2:
-        raise InputError("a corank-one chain has order mu >= 2, got %r" % order)
+    check_order(source, order)
     return _chain(source, x, a1, Jhat, lambda k, vals: k == order, order)[1]
 
 
-def compute_dual_basis(source, x, max_order=DEFAULTS["max_order"], gap_tol=DEFAULTS["gap_tol"],
+def compute_dual_basis(source, x, gap_tol=DEFAULTS["gap_tol"],
                        delta_zero_tol=DEFAULTS["delta_zero_tol"]):
     """Multiplicity structure of an isolated zero with corank-one Jacobian.
 
@@ -176,11 +193,11 @@ def compute_dual_basis(source, x, max_order=DEFAULTS["max_order"], gap_tol=DEFAU
     normalizing frame. The recursion runs there and ends at the first raw
     value whose last entry exceeds delta_zero_tol, relative. Raises
     CorankError without a clean one-dimensional kernel and
-    MultiplicityNotFoundError past max_order.
+    MultiplicityNotFoundError past the order cap, `_order_cap(source)`.
     """
     view, y, J, Jhat, input_J, res = local_view(source, x, gap_tol=gap_tol)
     a_rows, chain = _chain(view, y, _e1(source.nvars), Jhat,
-                           lambda k, vals: _terminates(vals, delta_zero_tol), max_order)
+                           lambda k, vals: _terminates(vals, delta_zero_tol), _order_cap(source))
     values, normalized = chain, view is source
     if not normalized:
         # back to the input's coordinates, by this frame's own factors

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import DEFAULT_TOLERANCES as DEFAULTS
-from .dualspace import DualBasis, _chain, _e1, _terminates, local_view
+from .dualspace import DualBasis, _chain, _e1, _order_cap, _terminates, local_view
 from .errors import NotNormalizedError
 
 
@@ -134,8 +134,7 @@ def _product_rule_delta(a_rows, lambdas, k, n):
     return pk
 
 
-def chainrule_Lk(frame, w, kmax=None, max_order=DEFAULTS["max_order"],
-                 gap_tol=DEFAULTS["gap_tol"], delta_zero_tol=DEFAULTS["delta_zero_tol"]):
+def chainrule_Lk(frame, w, gap_tol=DEFAULTS["gap_tol"], delta_zero_tol=DEFAULTS["delta_zero_tol"]):
     """Dual chain on a rotated view, via the derivative product rule.
 
     The raw order-k functionals are accumulated as P_k = sum over j and
@@ -144,25 +143,18 @@ def chainrule_Lk(frame, w, kmax=None, max_order=DEFAULTS["max_order"],
     variable. Derivatives of the rotated system come from contracted
     tensors of the original system; nothing is expanded symbolically. The
     recursion is the loop of `compute_dual_basis`, `dualspace._chain`, fed
-    with these values.
+    with these values, and it ends by the same test and order cap.
 
     `dualspace.local_view` reads one Jacobian and its one SVD and refuses
     a corank other than one (CorankError); a point it moves to a frame is
     refused here (NotNormalizedError).
-
-    With kmax=None the recursion terminates like `compute_dual_basis` and
-    returns the multiplicity. With an explicit kmax it runs to exactly
-    that order with no membership test.
     """
     view, w, J, Jhat, _, res = local_view(frame, w, gap_tol=gap_tol)
     if view is not frame:
         raise NotNormalizedError("frame Jacobian at the point is not in the distinguished shape")
-
-    def stop(k, vals):
-        return k == kmax if kmax is not None else _terminates(vals, delta_zero_tol)
-
     a_rows, values = _chain(
-        frame, w, _e1(frame.nvars), Jhat, stop, max_order if kmax is None else kmax,
+        frame, w, _e1(frame.nvars), Jhat, lambda k, vals: _terminates(vals, delta_zero_tol),
+        _order_cap(frame),
         lambda rows, k: _chain_functionals(rows, _product_rule_delta)[1][-1].apply(frame, w))
     basis = DualBasis(J, res.s, True, a_rows, values, frame, w, J, Jhat, values)
     basis.functionals = _chain_functionals(a_rows, _product_rule_delta)

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from . import DEFAULT_TOLERANCES as DEFAULTS, MAX_ORDER
+from . import MAX_ORDER
 from .dualspace import _e1, compute_dual_basis, kernel_chain, local_view
 from .errors import InputError, MathDomainError, MultiplicityNotFoundError, NotNormalizedError
 from .numkit import unfolding_norm
@@ -43,11 +43,11 @@ class LocalModel:
     point moves to its normalizing frame. The frame is unitary, so
     distances, radii and the invariants hold in the original coordinates.
     Without mu, `compute_dual_basis` detects the chain, with the keyword
-    tolerances (gap_tol, delta_zero_tol, max_order), and gives the view,
-    point, J, Jhat and chain. A given mu must match the detected one, and
-    the search runs to at least mu: a chain that ends before mu, after it
-    or not within the search is an InputError naming mu. trust_mu takes a
-    given mu as it is, with no detection. A trusted mu whose chain value
+    tolerances (gap_tol, delta_zero_tol), and gives the view, point, J,
+    Jhat and chain. A given mu must match the detected one: a chain that
+    ends before mu, after it or not by the order cap is an InputError
+    naming mu. trust_mu takes a given mu as it is, with no detection, once
+    `dualspace.check_order` passes it. A trusted mu whose chain value
     vanishes, so that nothing can be scaled by it, is a MathDomainError.
 
     Attributes: `view` and `x`, the system worked in and the point in its
@@ -67,17 +67,12 @@ class LocalModel:
             self.view, self.x, self.J, self.Jhat = local_view(source, x)[:4]
             self.chain = kernel_chain(self.view, self.x, _e1(n), self.Jhat, mu)
         else:
-            if mu is not None:
-                # the search reaches a given mu, so every disagreement shows
-                tolerances["max_order"] = max(
-                    mu, tolerances.get("max_order", DEFAULTS["max_order"]))
             try:
                 basis = compute_dual_basis(source, x, **tolerances)
-            except MultiplicityNotFoundError:
+            except MultiplicityNotFoundError as exc:
                 if mu is None:
                     raise
-                raise InputError("requested order %d but the chain does not terminate by order %d"
-                                 % (mu, tolerances["max_order"])) from None
+                raise InputError("requested order %d but %s" % (mu, exc)) from None
             if mu is not None and basis.mu != mu:
                 raise InputError("requested order %d but the chain terminates at %d"
                                  % (mu, basis.mu))

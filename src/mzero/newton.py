@@ -27,8 +27,8 @@ without loading numpy.
 import numpy as np
 
 from . import DEFAULT_TOLERANCES as DEFAULTS, VARIANTS
-from .dualspace import (_kernel_first, compute_dual_basis, is_normalized, kernel_chain,
-                        normalizing_frame)
+from .dualspace import (_kernel_first, check_order, compute_dual_basis, is_normalized,
+                        kernel_chain, normalizing_frame)
 from .errors import InputError, SingularMatrixError
 from .numkit import LinearSolver, solve_linear, svd
 from .record import Record
@@ -155,7 +155,8 @@ def iterate_until(source, z0, mu=None, variant="auto", eps=DEFAULTS["eps"],
 
     Without mu, the chain length is detected at z0 by
     `compute_dual_basis` with the given tolerances (gap_tol,
-    delta_zero_tol), and its Jacobian at z0 serves the first step.
+    delta_zero_tol), and its Jacobian at z0 serves the first step; a mu
+    that `dualspace.check_order` refuses is an InputError before any step.
     Every other f and J is read once per iterate, by `value_and_jacobian`.
 
     Stops when the residual norm drops to eps ('tolerance', the only
@@ -170,8 +171,7 @@ def iterate_until(source, z0, mu=None, variant="auto", eps=DEFAULTS["eps"],
     if mu is None:
         basis = compute_dual_basis(source, z, **tolerances)
         mu = basis.mu
-    if mu < 2:
-        raise InputError("a corank-one zero has mu >= 2, got %r" % mu)
+    check_order(source, mu)
     fz, J = (value_and_jacobian(source, z) if basis is None
              else (source.eval_at(z), basis.input_J))
     if variant == "auto":

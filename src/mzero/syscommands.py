@@ -98,9 +98,7 @@ def cmd_dual(args):
     from . import dualspace
 
     system = _load_with_point(args)
-    basis = dualspace.compute_dual_basis(
-        system, args.point, max_order=args.max_order, **_detection(args)
-    )
+    basis = dualspace.compute_dual_basis(system, args.point, **_detection(args))
     result = {
         "mu": basis.mu,
         "breadth_one": basis.breadth_one,

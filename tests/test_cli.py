@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import gc
+import inspect
 import io
 import json
 import os
@@ -616,14 +617,17 @@ def test_mu_above_the_anchored_orders_is_input_error(capsys, ex_double_path, arg
 
 
 @pytest.mark.parametrize(
-    "text, argv",
+    "text, argv, code, message",
     [("vars: X Y\nf: Y\ng: X^2\n", ["refine", "--point", "0.1,0", "--variant", "general",
-                                     "--max-iter", "1", "--mu", "1000000"]),
-     ("vars: X Y\nf: X\ng: 0\n", ["dual", "--point", "0,0", "--max-order", "3000"])],
-    ids=["refine-mu", "dual-max-order"],
+                                     "--max-iter", "1", "--mu", "1000000"],
+      2, "input error: --mu must be at most 170"),
+     # a chain with no end stops at the order cap, 1^2 = 1 for a linear system
+     ("vars: X Y\nf: X\ng: 0\n", ["dual", "--point", "0,0"],
+      3, "numerical-domain error: no terminating order found up to 1, the order cap")],
+    ids=["refine-mu", "dual-cap"],
 )
-def test_order_above_the_limit_is_refused_at_once(tmp_path, text, argv):
-    # a chain of such an order would take minutes and hundreds of MB
+def test_order_above_the_limit_is_refused_at_once(tmp_path, text, argv, code, message):
+    # a chain of a thousand orders would take minutes and hundreds of MB
     path = tmp_path / "system.mz"
     path.write_text(text)
     start = time.perf_counter()
@@ -631,8 +635,8 @@ def test_order_above_the_limit_is_refused_at_once(tmp_path, text, argv):
         [sys.executable, "-m", "mzero.cli", argv[0], "--system", str(path)] + argv[1:],
         capture_output=True, text=True, env=fresh_env(), timeout=120,
     )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("input error: %s must be at most 170" % argv[-2])
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith(message)
     assert time.perf_counter() - start < 20
 
 
@@ -644,9 +648,6 @@ def test_order_above_the_limit_is_refused_at_once(tmp_path, text, argv):
         ("gamma", "--gap-tol", "0"),
         ("separation", "--delta-zero-tol", "inf"),
         ("dual", "--delta-zero-tol", "-0.5"),
-        ("dual", "--max-order", "0"),
-        # a corank-one chain has mu >= 2, so no order-1 search can end
-        ("dual", "--max-order", "1"),
         ("refine", "--eps", "-1"),
         ("refine", "--eps", "nan"),
         ("refine", "--max-iter", "-1"),
@@ -671,8 +672,8 @@ def test_separation_takes_the_largest_anchored_order(capsys):
     assert json.loads(out)["result"]["mu"] == 20
 
 
-# a corank-one zero of multiplicity 12 at the origin, past the default
-# search of 10 orders
+# a corank-one zero of multiplicity 12 at the origin, whose order cap is
+# 12^2 = 144
 MU_12 = "vars: X Y\nf1: Y + X^2*Y\nf2: X^12 + Y^2\n"
 
 
@@ -684,10 +685,10 @@ def test_mu_disagreeing_with_the_chain_is_input_error(capsys, tmp_path, ex_tripl
     assert code == 2
     assert "input error" in err and "terminates at 3" in err
     assert out == ""
-    # the chain ends after a given mu, beyond the default search, or before it
+    # the chain ends after a given mu or before it
     path = tmp_path / "mu12.mz"
     path.write_text(MU_12)
-    for mu, found in (("5", "does not terminate by order 10"), ("13", "terminates at 12")):
+    for mu, found in (("5", "terminates at 12"), ("13", "terminates at 12")):
         code, out, err = run_cli(capsys, command, "--system", str(path), "--point", "0,0",
                                  "--mu", mu)
         assert code == 2
@@ -697,13 +698,58 @@ def test_mu_disagreeing_with_the_chain_is_input_error(capsys, tmp_path, ex_tripl
 
 @pytest.mark.parametrize("command", ["gamma", "separation"])
 def test_a_given_mu_past_the_default_search_is_found(capsys, tmp_path, command):
-    # the check of a given mu searches up to it, not only to max_order = 10
+    # the check of a given mu searches to the order cap, past mu
     path = tmp_path / "mu12.mz"
     path.write_text(MU_12)
     code, out, err = run_cli(capsys, command, "--system", str(path), "--point", "0,0",
                              "--mu", "12", "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["result"]["mu"] == 12
+
+
+@pytest.mark.parametrize("command", ["dual", "gamma", "separation", "certify", "refine"])
+def test_a_multiplicity_above_ten_is_detected(capsys, tmp_path, command):
+    # every detection searches to the order cap, 144 here
+    path = tmp_path / "mu12.mz"
+    path.write_text(MU_12)
+    code, out, err = run_cli(capsys, command, "--system", str(path), "--point", "0,0", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["mu"] == 12
+
+
+@pytest.mark.parametrize(
+    "system, argv",
+    [(EX_DOUBLE, ["certify", "--point", "0,0", "--mu", "5"]),
+     (EX_TRIPLE, ["refine", "--point", "-0.01,0.01", "--mu", "20", "--variant", "general"])],
+    ids=["certify", "refine"],
+)
+def test_a_trusted_mu_above_the_order_cap_is_input_error(capsys, tmp_path, system, argv):
+    # no isolated zero of a system of degree D in n variables has mu above D^n:
+    # 4 for the double example, 9 for the triple one
+    path = tmp_path / "system.mz"
+    path.write_text(system)
+    code, out, err = run_cli(capsys, argv[0], "--system", str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    cap = {EX_DOUBLE: 4, EX_TRIPLE: 9}[system]
+    assert err == ("input error: an isolated zero of this system has mu <= %d, the order cap "
+                   "that its degrees imply, got %s\n" % (cap, argv[argv.index("--mu") + 1]))
+
+
+def test_no_flag_or_parameter_sets_the_chain_search_order(capsys, ex_triple_path):
+    for names in mzero._EXPORTS.values():
+        for name in names:
+            value = getattr(mzero, name)
+            # an error class has no signature to read
+            if callable(value) and not (isinstance(value, type)
+                                        and issubclass(value, Exception)):
+                assert not {"max_order", "kmax"} & set(inspect.signature(value).parameters), name
+    assert set(mzero.DEFAULT_TOLERANCES) == {"gap_tol", "delta_zero_tol", "eps", "max_iter"}
+    code, out, err = run_cli(capsys, "dual", "--help")
+    assert (code, err) == (0, "") and "--max-order" not in out
+    code, out, err = run_cli(capsys, "dual", "--system", ex_triple_path, "--point", "0,0",
+                             "--max-order", "3")
+    assert (code, out) == (2, "")
+    assert err == "input error: dual: unknown flag '--max-order'\n"
 
 
 @pytest.mark.parametrize("variant, mu", [("normalized_double", "3"), ("normalized_triple", "2")])

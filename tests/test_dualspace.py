@@ -123,11 +123,16 @@ def test_corank_check_rejects_wider_kernel():
 
 
 def test_multiplicity_cap():
-    sys_ = parse_system("vars: X Y\nf: Y\ng: X^5")
+    # an isolated zero has mu <= D^n (Bezout): both routes find the mu = 5
+    # of (Y, X^5), whose cap is 25, and stop at the cap 4 of (Y, X*Y),
+    # whose zero at the origin lies on the line Y = 0
+    isolated = parse_system("vars: X Y\nf: Y\ng: X^5")
+    on_a_line = parse_system("vars: X Y\nf: Y\ng: X*Y")
     for route in (compute_dual_basis, chainrule_Lk):
-        with pytest.raises(MultiplicityNotFoundError, match="max_order=4"):
-            route(sys_, ORIGIN2, max_order=4)
-        assert route(sys_, ORIGIN2, max_order=6).mu == 5
+        assert route(isolated, ORIGIN2).mu == 5
+        with pytest.raises(MultiplicityNotFoundError,
+                           match="no terminating order found up to 4, the order cap"):
+            route(on_a_line, ORIGIN2)
 
 
 @pytest.mark.filterwarnings("error")
@@ -223,9 +228,10 @@ def test_chainrule_matches_materialized_on_rotated_views(n, mu):
 
 
 def test_chainrule_forced_order(ex_triple):
-    chain = chainrule_Lk(ex_triple, ORIGIN2, kmax=5)
-    assert chain.mu == 5
-    assert len(chain.deltas) == 4  # orders 2 through 5, no membership stop
+    # no caller sets the order: the chain stops where its membership test ends it
+    chain = chainrule_Lk(ex_triple, ORIGIN2)
+    assert chain.mu == 3
+    assert len(chain.deltas) == 2  # orders 2 through 3
     natural = compute_dual_basis(ex_triple, ORIGIN2)
     assert chain.delta_values[1][-1] == pytest.approx(
         natural.delta_values[1][-1], rel=1e-12
