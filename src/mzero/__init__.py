@@ -58,7 +58,8 @@ DEFAULT_TOLERANCES = {"gap_tol": 1e-8, "delta_zero_tol": 1e-8, "eps": 1e-10, "ma
 
 # the one order limit of the package: the largest order k whose Taylor
 # scaling 1/k! the local model takes (171! overflows a double), the last
-# order any chain search reaches, and the largest --mu of the command line
+# order any chain search reaches whatever the system's Bezout number, and
+# the largest --mu of the command line
 MAX_ORDER = 170
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

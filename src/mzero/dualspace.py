@@ -17,8 +17,8 @@ strict shape test alone, for the detection and for every local model of
 the package. The chain found there (rows b_k, raw values v) is reported
 in the input's coordinates as a_k = W b_k and U v. That is exact:
 Lambda_k(f) is the t^k Taylor coefficient of f along x + a_1 t + ... +
-a_k t^k in any coordinates, so the one recursion loop, `_chain`, reads
-each raw value from the kernel's `curve_taylor` and forms no
+a_k t^k in any coordinates, so the one recursion loop, `kernel_chain`,
+reads each raw value from the kernel's `curve_taylor` and forms no
 functional. The functionals, by `psi`, are the symbolic record
 that a `DualBasis` builds on first use.
 They and the product-rule route `chainrule_Lk`, which runs the same loop
@@ -28,6 +28,7 @@ compile it. `normalizing_frame` loads `mzero.frames` where it runs.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -120,40 +121,13 @@ def _e1(n):
     return e1
 
 
-def _terminates(vals, delta_zero_tol):
-    """Whether a raw value in the distinguished shape leaves the column
-    space of the Jacobian: its last entry is above delta_zero_tol, relative."""
-    return abs(vals[-1]) > delta_zero_tol * scaled_norm(vals) + 1e-14
-
-
 def _order_cap(source):
-    """The order every chain search stops at: min(D^n, MAX_ORDER), D the
-    largest degree of source, as an isolated zero has mu <= D^n (Bezout)."""
-    return min(source.max_degree() ** source.nvars, MAX_ORDER)
-
-
-def _chain(source, x, a1, Jhat, stop, max_order, raw=None):
-    """The breadth-one recursion (Li & Zhi, J. Symb. Comput. 2012) from
-    Lambda_1 = sum a1 d.
-
-    `raw(a_rows, k)` gives the raw value of order k from the rows a_1 ..
-    a_{k-1}; by default the t^k Taylor coefficient of source along x +
-    a_1 t + ... + a_{k-1} t^(k-1). `stop(k, vals)` ends the chain there;
-    otherwise a_k is (0, -Jhat^-1 vals[:n-1]), with Jhat the
-    `numkit.LinearSolver` of the block J[:n-1, 1:] of the Jacobian.
-    Returns (a_rows, values); raises MultiplicityNotFoundError when no
-    stop came by max_order.
-    """
-    a_rows, values = [a1], []
-    for k in range(2, max_order + 1):
-        vals = source.curve_taylor(x, a_rows, k)[:, k] if raw is None else raw(a_rows, k)
-        values.append(vals)
-        if stop(k, vals):
-            return a_rows, values
-        a_rows.append(np.concatenate([[0], Jhat.solve(-vals[: len(a1) - 1])]))
-    raise MultiplicityNotFoundError(
-        "no terminating order found up to %d, the order cap that the system's degrees imply: "
-        "the point is not an isolated zero, or the tolerances miss the chain's end" % max_order)
+    """The order every chain search stops at: min(deg f_1 ... deg f_n,
+    MAX_ORDER), as an isolated zero has mu at most the Bezout number of
+    the system; a frame takes its system's, since a unitary map of the
+    equations and the variables moves no zero and no multiplicity."""
+    degrees = (p.degree() for p in getattr(source, "system", source).polys)
+    return min(math.prod(degrees), MAX_ORDER)
 
 
 def check_order(source, mu):
@@ -167,19 +141,39 @@ def check_order(source, mu):
                          "its degrees imply, got %d" % (cap, mu))
 
 
-def kernel_chain(source, x, a1, Jhat, order):
-    """Raw chain values at x along the first-order direction a1.
+def kernel_chain(source, x, a1, Jhat, mu=None, delta_zero_tol=DEFAULTS["delta_zero_tol"],
+                 raw=None):
+    """The breadth-one recursion (Li & Zhi, J. Symb. Comput. 2012) from
+    Lambda_1 = sum a1 d at x: (a_rows, values), the rows a_1 .. a_{k-1}
+    and the raw values of orders 2 .. k for the last order k reached.
 
-    Runs the recursion of `compute_dual_basis` from Lambda_1 = sum a1 d
-    with no membership test: every order below `order` is corrected by
-    the trailing-coordinate solve against Jhat, the caller's
-    `numkit.LinearSolver` of the block J[:n-1, 1:] of the Jacobian, which
-    tests that block for singularity once. Returns the list whose entry
-    k-2 is the raw order-k functional applied to source at x, for k =
-    2..order. An order that `check_order` refuses is an InputError.
+    `raw(a_rows, k)` gives the raw value of order k from the rows a_1 ..
+    a_{k-1}; by default the t^k Taylor coefficient of source along x +
+    a_1 t + ... + a_{k-1} t^(k-1). Each order below the last is corrected
+    by a_k = (0, -Jhat^-1 vals[:n-1]), with Jhat the `numkit.LinearSolver`
+    of the block J[:n-1, 1:] of the Jacobian, which tests that block for
+    singularity once. Given mu, the chain runs to order mu, once
+    `check_order` passes it (InputError otherwise). Without mu, it ends at
+    the first raw value that leaves the column space of the Jacobian in
+    the distinguished shape: its last entry is above delta_zero_tol
+    relative to the value, with a floor of 1e-14 relative to Jhat, so that
+    no scaling of the equations moves the end. No end by `_order_cap` is
+    a MultiplicityNotFoundError.
     """
-    check_order(source, order)
-    return _chain(source, x, a1, Jhat, lambda k, vals: k == order, order)[1]
+    if mu is not None:
+        check_order(source, mu)
+    last = _order_cap(source) if mu is None else mu
+    floor = 1e-14 * float(np.max(np.abs(Jhat.A), initial=0.0))
+    a_rows, values = [a1], []
+    for k in range(2, last + 1):
+        vals = source.curve_taylor(x, a_rows, k)[:, k] if raw is None else raw(a_rows, k)
+        values.append(vals)
+        if k == mu or mu is None and abs(vals[-1]) > delta_zero_tol * scaled_norm(vals) + floor:
+            return a_rows, values
+        a_rows.append(np.concatenate([[0], Jhat.solve(-vals[: len(a1) - 1])]))
+    raise MultiplicityNotFoundError(
+        "no terminating order found up to %d, the order cap that the system's degrees imply: "
+        "the point is not an isolated zero, or the tolerances miss the chain's end" % last)
 
 
 def compute_dual_basis(source, x, gap_tol=DEFAULTS["gap_tol"],
@@ -190,14 +184,13 @@ def compute_dual_basis(source, x, gap_tol=DEFAULTS["gap_tol"],
     coordinates. `local_view` picks the coordinates, with the corank test
     at gap_tol: the recursion along e1 finds the kernel's chain only where
     e1 is the kernel, so a point off the strict shape moves to its
-    normalizing frame. The recursion runs there and ends at the first raw
-    value whose last entry exceeds delta_zero_tol, relative. Raises
-    CorankError without a clean one-dimensional kernel and
-    MultiplicityNotFoundError past the order cap, `_order_cap(source)`.
+    normalizing frame. `kernel_chain` runs there to the first raw value
+    that leaves the column space, by delta_zero_tol. Raises CorankError
+    without a clean one-dimensional kernel and MultiplicityNotFoundError
+    past the order cap, `_order_cap(source)`.
     """
     view, y, J, Jhat, input_J, res = local_view(source, x, gap_tol=gap_tol)
-    a_rows, chain = _chain(view, y, _e1(source.nvars), Jhat,
-                           lambda k, vals: _terminates(vals, delta_zero_tol), _order_cap(source))
+    a_rows, chain = kernel_chain(view, y, _e1(source.nvars), Jhat, delta_zero_tol=delta_zero_tol)
     values, normalized = chain, view is source
     if not normalized:
         # back to the input's coordinates, by this frame's own factors

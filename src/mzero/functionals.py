@@ -3,9 +3,9 @@
 `DualBasis.lambdas` and `deltas` are built here from the correction rows
 by the order-raising map `psi`; `DualFunctional.apply` evaluates one on
 a system or frame through its batched partials. `chainrule_Lk` runs the
-chain loop of `dualspace` on a rotated view, but reads each raw value
-from a functional built by a derivative-level product rule and applied
-through contracted derivative tensors; the tests check that it agrees
+chain loop, `dualspace.kernel_chain`, on a rotated view, but reads each
+raw value from a functional built by a derivative-level product rule and
+applied through contracted derivative tensors; the tests check that it agrees
 with the curve route, which forms no functional. It takes its
 coordinates from `dualspace.local_view` and refuses a point that rule
 moves. So only the `dual` command's printed chain and the tests load
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import DEFAULT_TOLERANCES as DEFAULTS
-from .dualspace import DualBasis, _chain, _e1, _order_cap, _terminates, local_view
+from .dualspace import DualBasis, _e1, kernel_chain, local_view
 from .errors import NotNormalizedError
 
 
@@ -142,8 +142,8 @@ def chainrule_Lk(frame, w, gap_tol=DEFAULTS["gap_tol"], delta_zero_tol=DEFAULTS[
     first-order correction and L_1 the derivative along the first frame
     variable. Derivatives of the rotated system come from contracted
     tensors of the original system; nothing is expanded symbolically. The
-    recursion is the loop of `compute_dual_basis`, `dualspace._chain`, fed
-    with these values, and it ends by the same test and order cap.
+    recursion is the loop of `compute_dual_basis`, `dualspace.kernel_chain`,
+    fed with these values, and it ends by the same test and order cap.
 
     `dualspace.local_view` reads one Jacobian and its one SVD and refuses
     a corank other than one (CorankError); a point it moves to a frame is
@@ -152,10 +152,9 @@ def chainrule_Lk(frame, w, gap_tol=DEFAULTS["gap_tol"], delta_zero_tol=DEFAULTS[
     view, w, J, Jhat, _, res = local_view(frame, w, gap_tol=gap_tol)
     if view is not frame:
         raise NotNormalizedError("frame Jacobian at the point is not in the distinguished shape")
-    a_rows, values = _chain(
-        frame, w, _e1(frame.nvars), Jhat, lambda k, vals: _terminates(vals, delta_zero_tol),
-        _order_cap(frame),
-        lambda rows, k: _chain_functionals(rows, _product_rule_delta)[1][-1].apply(frame, w))
+    a_rows, values = kernel_chain(
+        frame, w, _e1(frame.nvars), Jhat, delta_zero_tol=delta_zero_tol,
+        raw=lambda rows, k: _chain_functionals(rows, _product_rule_delta)[1][-1].apply(frame, w))
     basis = DualBasis(J, res.s, True, a_rows, values, frame, w, J, Jhat, values)
     basis.functionals = _chain_functionals(a_rows, _product_rule_delta)
     return basis

@@ -46,8 +46,9 @@ class LocalModel:
     tolerances (gap_tol, delta_zero_tol), and gives the view, point, J,
     Jhat and chain. A given mu must match the detected one: a chain that
     ends before mu, after it or not by the order cap is an InputError
-    naming mu. trust_mu takes a given mu as it is, with no detection, once
-    `dualspace.check_order` passes it. A trusted mu whose chain value
+    naming mu. trust_mu takes a given mu as it is, with no detection:
+    `dualspace.kernel_chain` runs to it once `dualspace.check_order`
+    passes it (at most the Bezout number). A trusted mu whose chain value
     vanishes, so that nothing can be scaled by it, is a MathDomainError.
 
     Attributes: `view` and `x`, the system worked in and the point in its
@@ -65,7 +66,7 @@ class LocalModel:
             raise InputError("a corank-one zero needs at least two variables, got %d" % n)
         if trust_mu and mu is not None:
             self.view, self.x, self.J, self.Jhat = local_view(source, x)[:4]
-            self.chain = kernel_chain(self.view, self.x, _e1(n), self.Jhat, mu)
+            self.chain = kernel_chain(self.view, self.x, _e1(n), self.Jhat, mu)[1]
         else:
             try:
                 basis = compute_dual_basis(source, x, **tolerances)

@@ -108,8 +108,10 @@ def refine_general(source, z, fz, J, mu):
     own factors: U^H fz and U^H J W. In that frame the trailing
     coordinates take the regular step to y. At y the chain runs along the
     first-order kernel direction a1 = (1, -Jhat^-1 J[:n-1, 0]), a shear
-    of the first frame variable rather than a second rotation, with
-    corrections solved against Jhat = J(y)[:n-1, 1:]. The chain values of
+    of the first frame variable rather than a second rotation, to order
+    mu by `dualspace.kernel_chain`, with corrections solved against
+    Jhat = J(y)[:n-1, 1:]; a mu that `dualspace.check_order` refuses, none
+    included, is an InputError before the step. The chain values of
     orders mu-1 and mu are read along u = (-Jhat^-T J[n-1, 1:], 1), the
     left vector with u . J(y)[:, 1:] = 0, and the kernel coordinate moves
     by their ratio. Jhat and its transpose share one solver's singular
@@ -118,6 +120,7 @@ def refine_general(source, z, fz, J, mu):
     Returns the next point, W times the frame's, in the coordinates of z;
     for a NormalizedFrame source too.
     """
+    check_order(source, mu)
     n = len(z)
     res = svd(J)
     frame, w = normalizing_frame(source, z, res)
@@ -129,7 +132,7 @@ def refine_general(source, z, fz, J, mu):
     a1[1:] = -Jhat.solve(J[: n - 1, 0])
     u = np.ones(n, dtype=complex)
     u[:-1] = -Jhat.T.solve(J[n - 1, 1:])
-    values = kernel_chain(frame, y, a1, Jhat, mu)
+    values = kernel_chain(frame, y, a1, Jhat, mu)[1]
     prev = u @ (J @ a1 if mu == 2 else values[-2])
     dmu = u @ values[-1]
     if dmu == 0:
@@ -156,7 +159,8 @@ def iterate_until(source, z0, mu=None, variant="auto", eps=DEFAULTS["eps"],
     Without mu, the chain length is detected at z0 by
     `compute_dual_basis` with the given tolerances (gap_tol,
     delta_zero_tol), and its Jacobian at z0 serves the first step; a mu
-    that `dualspace.check_order` refuses is an InputError before any step.
+    that `dualspace.check_order` refuses, below 2 or above the Bezout
+    number deg f_1 ... deg f_n, is an InputError before any step.
     Every other f and J is read once per iterate, by `value_and_jacobian`.
 
     Stops when the residual norm drops to eps ('tolerance', the only

@@ -315,10 +315,14 @@ def test_certificate_off_the_strict_shape_is_taken_in_the_frame(ex_triple):
 
 
 def test_vanishing_terminating_value_is_domain_error():
-    # a trusted mu = 3, but the chain of (X1^2, X2) ends at order 2: its
-    # order-3 value is exactly zero and no bound can divide by it
+    # a trusted mu = 2 on (X2, X1^3), whose chain ends at order 3: its
+    # order-2 value is exactly zero and no bound can divide by it
+    system = parse_system("vars: X1 X2; f1: X2; f2: X1^3")
+    with pytest.raises(MathDomainError, match="delta_mu is 0 at order 2"):
+        certify_cluster(system, ORIGIN2, mu=2)
+    # a trusted mu = 3 on (X1^2, X2) is above its Bezout number 2*1
     system = parse_system("vars: X1 X2; f1: X1^2; f2: X2")
-    with pytest.raises(MathDomainError, match="delta_mu is 0 at order 3"):
+    with pytest.raises(InputError, match="has mu <= 2, the order cap"):
         certify_cluster(system, ORIGIN2, mu=3)
 
 

@@ -621,9 +621,9 @@ def test_mu_above_the_anchored_orders_is_input_error(capsys, ex_double_path, arg
     [("vars: X Y\nf: Y\ng: X^2\n", ["refine", "--point", "0.1,0", "--variant", "general",
                                      "--max-iter", "1", "--mu", "1000000"],
       2, "input error: --mu must be at most 170"),
-     # a chain with no end stops at the order cap, 1^2 = 1 for a linear system
+     # a chain with no end stops at the order cap, 1*0 = 0 when an equation is 0
      ("vars: X Y\nf: X\ng: 0\n", ["dual", "--point", "0,0"],
-      3, "numerical-domain error: no terminating order found up to 1, the order cap")],
+      3, "numerical-domain error: no terminating order found up to 0, the order cap")],
     ids=["refine-mu", "dual-cap"],
 )
 def test_order_above_the_limit_is_refused_at_once(tmp_path, text, argv, code, message):
@@ -673,7 +673,7 @@ def test_separation_takes_the_largest_anchored_order(capsys):
 
 
 # a corank-one zero of multiplicity 12 at the origin, whose order cap is
-# 12^2 = 144
+# its Bezout number 3*12 = 36
 MU_12 = "vars: X Y\nf1: Y + X^2*Y\nf2: X^12 + Y^2\n"
 
 
@@ -709,7 +709,7 @@ def test_a_given_mu_past_the_default_search_is_found(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("command", ["dual", "gamma", "separation", "certify", "refine"])
 def test_a_multiplicity_above_ten_is_detected(capsys, tmp_path, command):
-    # every detection searches to the order cap, 144 here
+    # every detection searches to the order cap, 36 here
     path = tmp_path / "mu12.mz"
     path.write_text(MU_12)
     code, out, err = run_cli(capsys, command, "--system", str(path), "--point", "0,0", "--json")
@@ -720,17 +720,20 @@ def test_a_multiplicity_above_ten_is_detected(capsys, tmp_path, command):
 @pytest.mark.parametrize(
     "system, argv",
     [(EX_DOUBLE, ["certify", "--point", "0,0", "--mu", "5"]),
-     (EX_TRIPLE, ["refine", "--point", "-0.01,0.01", "--mu", "20", "--variant", "general"])],
-    ids=["certify", "refine"],
+     (EX_TRIPLE, ["refine", "--point", "-0.01,0.01", "--mu", "20", "--variant", "general"]),
+     # above the Bezout number 6, below the largest degree squared, 9
+     (EX_TRIPLE, ["certify", "--point", "0,0", "--mu", "7"]),
+     (EX_TRIPLE, ["refine", "--point", "-0.01,0.01", "--mu", "7", "--variant", "general"])],
+    ids=["certify", "refine", "certify-bezout", "refine-bezout"],
 )
 def test_a_trusted_mu_above_the_order_cap_is_input_error(capsys, tmp_path, system, argv):
-    # no isolated zero of a system of degree D in n variables has mu above D^n:
-    # 4 for the double example, 9 for the triple one
+    # no isolated zero has mu above deg f_1 ... deg f_n (Bezout): 2*2 = 4 for
+    # the double example, 2*3 = 6 for the triple one
     path = tmp_path / "system.mz"
     path.write_text(system)
     code, out, err = run_cli(capsys, argv[0], "--system", str(path), *argv[1:])
     assert (code, out) == (2, "")
-    cap = {EX_DOUBLE: 4, EX_TRIPLE: 9}[system]
+    cap = {EX_DOUBLE: 4, EX_TRIPLE: 6}[system]
     assert err == ("input error: an isolated zero of this system has mu <= %d, the order cap "
                    "that its degrees imply, got %s\n" % (cap, argv[argv.index("--mu") + 1]))
 
@@ -1738,6 +1741,10 @@ AT_ZERO = ["--system", "SYSTEM", "--point", "0,0"]
 WORKED = (("double", EX_DOUBLE, "2"), ("triple", EX_TRIPLE, "3"))
 
 
+# a chain that ends at order 3, so its order-2 value vanishes; its Bezout
+# number 1*3 admits a trusted mu = 2
+CUBE = "vars: X1 X2\nf1: X2\nf2: X1^3\n"
+
 # chain values above 1e154, whose squares overflow a double
 HUGE = "vars: X Y\nf: Y + 1e155*X^2\ng: 1e150*X^2\n"
 
@@ -1753,8 +1760,10 @@ HUGE = "vars: X Y\nf: Y + 1e155*X^2\ng: 1e150*X^2\n"
                     id="thresholds")]
     + [pytest.param(SQUARE, [command, "--system", "SYSTEM", "--point", "1e200,0"], 3, None,
                     id=command + "-overflow") for command in ("gamma", "refine", "certify")]
-    + [pytest.param(SQUARE, ["certify"] + AT_ZERO + ["--mu", "3"], 3, None,
+    + [pytest.param(SQUARE, ["certify"] + AT_ZERO + ["--mu", "3"], 2, None,
                     id="certify-delta-zero")]
+    + [pytest.param(CUBE, ["certify"] + AT_ZERO + ["--mu", "2"], 3, None,
+                    id="certify-delta-zero-bezout")]
     + [pytest.param(HUGE, ["dual"] + AT_ZERO, 0, "2", id="dual-huge-chain-values")]
     + [pytest.param(STEEP["1e300"], [command] + AT_ZERO, 3, None, id=command + "-gamma-1e300")
        for command in ("separation", "certify")],
@@ -1776,5 +1785,7 @@ def test_no_warning_reaches_stderr(tmp_path, text, argv, code, mu):
     if mu is not None:
         assert proc.stdout.startswith("multiplicity: %s\n" % mu)
     if code:
-        # the overflow and the vanishing delta_mu each get one line
-        assert err.startswith("numerical-domain error: ") and err.count("\n") == 1
+        # the overflow, the vanishing delta_mu and a mu above the Bezout
+        # number each get one line
+        prefix = {2: "input error: ", 3: "numerical-domain error: "}[code]
+        assert err.startswith(prefix) and err.count("\n") == 1

@@ -23,6 +23,7 @@ from mzero.functionals import chainrule_Lk
 from mzero.numkit import LinearSolver
 from mzero.newton import iterate_until, refine_general, value_and_jacobian
 from mzero.polycore import (
+    Poly,
     PolySystem,
     parse_system,
 )
@@ -123,15 +124,15 @@ def test_corank_check_rejects_wider_kernel():
 
 
 def test_multiplicity_cap():
-    # an isolated zero has mu <= D^n (Bezout): both routes find the mu = 5
-    # of (Y, X^5), whose cap is 25, and stop at the cap 4 of (Y, X*Y),
-    # whose zero at the origin lies on the line Y = 0
+    # an isolated zero has mu <= deg f_1 ... deg f_n (Bezout): both routes
+    # find the mu = 5 of (Y, X^5), whose cap is 1*5 = 5, and stop at the
+    # cap 1*2 = 2 of (Y, X*Y), whose zero at the origin lies on the line Y = 0
     isolated = parse_system("vars: X Y\nf: Y\ng: X^5")
     on_a_line = parse_system("vars: X Y\nf: Y\ng: X*Y")
     for route in (compute_dual_basis, chainrule_Lk):
         assert route(isolated, ORIGIN2).mu == 5
         with pytest.raises(MultiplicityNotFoundError,
-                           match="no terminating order found up to 4, the order cap"):
+                           match="no terminating order found up to 2, the order cap"):
             route(on_a_line, ORIGIN2)
 
 
@@ -319,7 +320,7 @@ def test_chain_values_take_no_derivative_tensor(monkeypatch):
     e1 = np.array([1, 0, 0], dtype=complex)
     for source in (system, frame):
         assert compute_dual_basis(source, x).mu == 5
-        values = kernel_chain(source, x, e1, LinearSolver(source.jacobian(x)[:2, 1:]), 5)
+        values = kernel_chain(source, x, e1, LinearSolver(source.jacobian(x)[:2, 1:]), 5)[1]
         assert len(values) == 4
         z0 = np.full(3, 1e-3, dtype=complex)
         z = refine_general(source, z0, *value_and_jacobian(source, z0), 5)
@@ -412,12 +413,12 @@ def function_lines(path, name):
 
 
 def test_one_chain_loop():
-    # every chain, the product-rule route included, runs dualspace._chain:
-    # apart from the kernel in polycore and a frame handing the call on to
-    # its system, only that loop reads values along the chain's curve, and
-    # it alone refuses a chain with no terminating order
+    # every chain, the product-rule route included, runs
+    # dualspace.kernel_chain: apart from the kernel in polycore and a frame
+    # handing the call on to its system, only that loop reads values along
+    # the chain's curve, and it alone refuses a chain with no terminating order
     src = Path(dualspace.__file__).parent
-    loop = function_lines(src / "dualspace.py", "_chain")
+    loop = function_lines(src / "dualspace.py", "kernel_chain")
     handed_on = function_lines(src / "frames.py", "curve_taylor")
     reads, raises = [], []
     for path in sorted(src.glob("*.py")):
@@ -430,3 +431,35 @@ def test_one_chain_loop():
                 raises.append((path.name, number))
     assert reads == []
     assert len(raises) == 1 and raises[0] in loop
+
+
+def test_one_chain_call_with_no_stop_or_order_parameter():
+    # one chain function, steered by mu alone: no stop callback, no search
+    # order, and no private chain helper that the functionals reach into
+    src = Path(dualspace.__file__).parent
+    for name in ("dualspace.py", "functionals.py"):
+        tree = ast.parse((src / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                assert not {"stop", "max_order"} & params, (name, getattr(node, "name", "lambda"))
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in ("_chain", "_terminates"), (name, node.name)
+    imported = {alias.name
+                for node in ast.walk(ast.parse((src / "functionals.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "dualspace"
+                for alias in node.names}
+    assert {name for name in imported if name.startswith("_")} == {"_e1"}
+
+
+@pytest.mark.parametrize("c", [1e-20, 1e-13, 1e-10, 1.0, 1e10, 1e20])
+def test_scaling_the_equations_keeps_the_multiplicity(ex_double, ex_triple, c):
+    # c f has the zeros and multiplicities of f, so the chain's end test
+    # must not read an absolute size; the double example moves to its frame
+    for system, mu in ((ex_double, 2), (ex_triple, 3)):
+        scaled = PolySystem([Poly(p.nvars, {m: c * a for m, a in p.terms.items()})
+                             for p in system.polys])
+        assert compute_dual_basis(scaled, ORIGIN2).mu == mu
+        view, y = dualspace.local_view(scaled, ORIGIN2)[:2]
+        assert chainrule_Lk(view, y).mu == mu

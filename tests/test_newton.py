@@ -228,8 +228,10 @@ def test_mu_below_two_is_input_error(ex_triple):
     for z in (START, np.zeros(2, dtype=complex)):
         with pytest.raises(InputError, match="mu >= 2"):
             iterate_until(ex_triple, z, mu=1, variant="general")
-    with pytest.raises(InputError, match="mu >= 2"):
-        refine_general(ex_triple, START, *value_and_jacobian(ex_triple, START), 1)
+    # a step takes mu as given: none is refused, not detected
+    for mu in (1, None):
+        with pytest.raises(InputError, match="mu >= 2"):
+            refine_general(ex_triple, START, *value_and_jacobian(ex_triple, START), mu)
 
 
 def test_variants_tuple():
