@@ -47,10 +47,12 @@ _SUBMODULES = (*_EXPORTS, "cli", "syscommands")
 __version__ = "0.1.0"
 
 # the iterations of `newton.iterate_until` (normalized of order 2, of order
-# 3, general) and the variants of `thresholds.threshold_constants`, named
-# here so that the command line reads its choices without loading a layer
+# 3, general), the variants of `thresholds.threshold_constants` and the
+# tensor norm modes of `gamma.LocalModel.gamma`, named here so that the
+# command line reads its choices without loading a layer
 VARIANTS = ("normalized_double", "normalized_triple", "general")
 THRESHOLD_VARIANTS = ("normalized_double", "normalized_triple", "general_triple")
+NORM_MODES = ("estimate", "certified")
 
 # defaults of the chain-length detection and of refinement, for the layers
 # and the command line

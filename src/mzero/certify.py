@@ -50,8 +50,8 @@ def separation_bound(source, x, mu=None, mode="estimate", **tolerances):
     Unnormalized input is moved to a normalizing frame first (distances
     are invariant under the rotation, so the radius applies unchanged in
     the original coordinates). mu, when given, must match the detected
-    chain length; tolerances (gap_tol, delta_zero_tol) go to that
-    detection.
+    chain length; the tolerances go to `LocalModel` (gap_tol and
+    delta_zero_tol; any other name is a TypeError).
     """
     report = LocalModel(source, x, mu, **tolerances).gamma(mode)
     sep = separation_constant(report.mu)
@@ -101,16 +101,16 @@ def certify_cluster(system, x, mu=None, mode="estimate", **tolerances):
     """Certificate that a ball around x holds exactly mu zeros.
 
     The input point should be an approximate zero; mu defaults to the
-    chain length detected at x (tolerances, gap_tol and delta_zero_tol,
-    go to that detection) and a given mu is taken as it is. With or
-    without mu, a point whose Jacobian fails the strict shape test is
-    first moved to its normalizing frame (`LocalModel`'s one coordinate
-    rule), so a certificate off the zero is taken in that frame, where
-    h_norms[0] is sigma_min of the Jacobian at x; the radius is the same in
-    the original coordinates. The certificate compares the deviation of
-    the system from its order-mu truncation at x against a threshold;
-    `holds` reports the comparison, and the radius d / (4 gamma^mu) is
-    meaningful only when it holds.
+    chain length detected at x and a given mu is taken as it is. The
+    tolerances go to `LocalModel` (gap_tol and delta_zero_tol; any other
+    name is a TypeError). With or without mu, a point whose Jacobian
+    fails the strict shape test is first moved to its normalizing frame
+    (`LocalModel`'s one coordinate rule), so a certificate off the zero is
+    taken in that frame, where h_norms[0] is sigma_min of the Jacobian at
+    x; the radius is the same in the original coordinates. The
+    certificate compares the deviation of the system from its order-mu
+    truncation at x against a threshold; `holds` reports the comparison,
+    and the radius d / (4 gamma^mu) is meaningful only when it holds.
     """
     center = np.asarray(x, dtype=complex)
     model = LocalModel(system, center, mu, trust_mu=True, **tolerances)

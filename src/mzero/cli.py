@@ -66,7 +66,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import DEFAULT_TOLERANCES, MAX_ORDER, THRESHOLD_VARIANTS, VARIANTS
+from . import DEFAULT_TOLERANCES, MAX_ORDER, NORM_MODES, THRESHOLD_VARIANTS, VARIANTS
 from .errors import InputError, MathDomainError, ParseError
 
 
@@ -227,8 +227,7 @@ _LOCATION = [
     _flag("--point-file", help="file with one coordinate per line"),
 ]
 _MU = _flag("--mu", int, "multiplicity (detected if omitted)")
-_MODE = _flag("--mode", help="tensor norm handling for growth invariants",
-              choices=("estimate", "certified"))
+_MODE = _flag("--mode", help="tensor norm handling for growth invariants", choices=NORM_MODES)
 _TOLERANCES = [
     _flag("--gap-tol", float, "corank test of the multiplicity detection"),
     _flag("--delta-zero-tol", float, "chain termination test of the multiplicity detection"),

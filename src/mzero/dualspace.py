@@ -47,19 +47,18 @@ class DualBasis:
     of orders 2 .. mu, and duality_residuals the largest entry of
     Lambda_k(f), k = 1 .. mu-1, by input_J, the Jacobian there, whose
     singular_values, corank_gap (sigma_n / sigma_{n-1}) and shape
-    (normalized) are kept. The recursion's own data, which
-    `gamma.LocalModel` takes over: `view` (the input, or its normalizing
-    frame), `x`, `J` and `Jhat` (the `numkit.LinearSolver` of J[:n-1, 1:])
-    there, and `chain`, the raw values along e1. `lambdas` (Lambda_0 ..
-    Lambda_{mu-1}) and `deltas` (the raw functionals of orders 2 .. mu)
-    are built from a_coeffs on first use. A plain class: a dataclass costs
-    every process that loads this module the exec of its methods.
+    (normalized) are kept; `lambdas` (Lambda_0 .. Lambda_{mu-1}) and
+    `deltas` (the raw functionals of orders 2 .. mu) are built from
+    a_coeffs on first use. The `dual` report and refinement's detection
+    read it; `gamma.LocalModel` runs the chain itself. A plain class: a
+    dataclass costs every process that loads this module the exec of its
+    methods.
     """
 
     # a corank-one chain, the only structure found here, has breadth one
     breadth_one = True
 
-    def __init__(self, input_J, s, normalized, a_rows, delta_values, view, x, J, Jhat, chain):
+    def __init__(self, input_J, s, normalized, a_rows, delta_values):
         a_coeffs = np.array(a_rows)
         # Lambda_k(f) is the raw value of order k plus J a_k (J a_1 for k = 1)
         lam_vals = input_J @ a_coeffs.T
@@ -72,7 +71,6 @@ class DualBasis:
         self.input_J = input_J
         self.normalized = normalized
         self.singular_values = np.array(s, dtype=float)
-        self.view, self.x, self.J, self.Jhat, self.chain = view, x, J, Jhat, chain
 
     @functools.cached_property
     def functionals(self):
@@ -189,14 +187,13 @@ def compute_dual_basis(source, x, gap_tol=DEFAULTS["gap_tol"],
     without a clean one-dimensional kernel and MultiplicityNotFoundError
     past the order cap, `_order_cap(source)`.
     """
-    view, y, J, Jhat, input_J, res = local_view(source, x, gap_tol=gap_tol)
-    a_rows, chain = kernel_chain(view, y, _e1(source.nvars), Jhat, delta_zero_tol=delta_zero_tol)
-    values, normalized = chain, view is source
-    if not normalized:
+    view, y, _, Jhat, input_J, res = local_view(source, x, gap_tol=gap_tol)
+    a_rows, values = kernel_chain(view, y, _e1(source.nvars), Jhat, delta_zero_tol=delta_zero_tol)
+    if view is not source:
         # back to the input's coordinates, by this frame's own factors
         W = _kernel_first(res.V)
-        a_rows, values = [W @ b for b in a_rows], [res.U @ v for v in chain]
-    return DualBasis(input_J, res.s, normalized, a_rows, values, view, y, J, Jhat, chain)
+        a_rows, values = [W @ b for b in a_rows], [res.U @ v for v in values]
+    return DualBasis(input_J, res.s, view is source, a_rows, values)
 
 
 def local_view(source, x, gap_tol=None):

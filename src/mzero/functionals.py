@@ -155,6 +155,6 @@ def chainrule_Lk(frame, w, gap_tol=DEFAULTS["gap_tol"], delta_zero_tol=DEFAULTS[
     a_rows, values = kernel_chain(
         frame, w, _e1(frame.nvars), Jhat, delta_zero_tol=delta_zero_tol,
         raw=lambda rows, k: _chain_functionals(rows, _product_rule_delta)[1][-1].apply(frame, w))
-    basis = DualBasis(J, res.s, True, a_rows, values, frame, w, J, Jhat, values)
+    basis = DualBasis(J, res.s, True, a_rows, values)
     basis.functionals = _chain_functionals(a_rows, _product_rule_delta)
     return basis

@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from . import MAX_ORDER
-from .dualspace import _e1, compute_dual_basis, kernel_chain, local_view
+from . import DEFAULT_TOLERANCES as DEFAULTS, MAX_ORDER, NORM_MODES
+from .dualspace import _e1, kernel_chain, local_view
 from .errors import InputError, MathDomainError, MultiplicityNotFoundError, NotNormalizedError
 from .numkit import unfolding_norm
 from .polycore import symmetric_layout
@@ -42,12 +42,12 @@ class LocalModel:
     passes the strict shape test stays in its coordinates, and any other
     point moves to its normalizing frame. The frame is unitary, so
     distances, radii and the invariants hold in the original coordinates.
-    Without mu, `compute_dual_basis` detects the chain, with the keyword
-    tolerances (gap_tol, delta_zero_tol), and gives the view, point, J,
-    Jhat and chain. A given mu must match the detected one: a chain that
-    ends before mu, after it or not by the order cap is an InputError
-    naming mu. trust_mu takes a given mu as it is, with no detection:
-    `dualspace.kernel_chain` runs to it once `dualspace.check_order`
+    One route: `local_view` reads the Jacobian and its one SVD, with the
+    corank test at gap_tol (CorankError), and `dualspace.kernel_chain`
+    ends the chain along e1 there by delta_zero_tol. A given mu must match
+    that end: a chain that ends before mu, after it or not by the order
+    cap is an InputError naming mu. trust_mu takes a given mu as it is,
+    with no corank test: the chain runs to it once `dualspace.check_order`
     passes it (at most the Bezout number). A trusted mu whose chain value
     vanishes, so that nothing can be scaled by it, is a MathDomainError.
 
@@ -60,32 +60,30 @@ class LocalModel:
     rotates; `coeffs`, built on first use.
     """
 
-    def __init__(self, source, x, mu=None, trust_mu=False, **tolerances):
+    def __init__(self, source, x, mu=None, trust_mu=False, gap_tol=DEFAULTS["gap_tol"],
+                 delta_zero_tol=DEFAULTS["delta_zero_tol"]):
         n = source.nvars
         if n < 2:
             raise InputError("a corank-one zero needs at least two variables, got %d" % n)
-        if trust_mu and mu is not None:
-            self.view, self.x, self.J, self.Jhat = local_view(source, x)[:4]
-            self.chain = kernel_chain(self.view, self.x, _e1(n), self.Jhat, mu)[1]
-        else:
-            try:
-                basis = compute_dual_basis(source, x, **tolerances)
-            except MultiplicityNotFoundError as exc:
-                if mu is None:
-                    raise
-                raise InputError("requested order %d but %s" % (mu, exc)) from None
-            if mu is not None and basis.mu != mu:
-                raise InputError("requested order %d but the chain terminates at %d"
-                                 % (mu, basis.mu))
-            mu, self.chain = basis.mu, basis.chain
-            self.view, self.x, self.J, self.Jhat = basis.view, basis.x, basis.J, basis.Jhat
-        self.mu = mu
+        trusted = trust_mu and mu is not None
+        self.view, self.x, self.J, self.Jhat = local_view(
+            source, x, gap_tol=None if trusted else gap_tol)[:4]
+        try:
+            self.chain = kernel_chain(self.view, self.x, _e1(n), self.Jhat,
+                                      mu if trusted else None, delta_zero_tol)[1]
+        except MultiplicityNotFoundError as exc:
+            if mu is None:
+                raise
+            raise InputError("requested order %d but %s" % (mu, exc)) from None
+        self.mu = len(self.chain) + 1
+        if mu not in (None, self.mu):
+            raise InputError("requested order %d but the chain terminates at %d" % (mu, self.mu))
         self.delta_mu = self.chain[-1][-1]
         if self.delta_mu == 0:
             # only a trusted mu gets here: a detected chain ends on a nonzero value
             raise MathDomainError(
                 "the terminating value delta_mu is 0 at order %d: the chain does not end there"
-                % mu
+                % self.mu
             )
         self.v = getattr(self.view, "W", np.eye(n))[:, 0].conj()
 
@@ -114,8 +112,11 @@ class LocalModel:
         With truncate, the last equation loses its pure first-variable
         terms of orders 2..mu-1 (their coefficients are the chain values
         below mu): the invariant of the order-mu truncation that
-        `certify.certify_cluster` compares the system against.
+        `certify.certify_cluster` compares the system against. A mode
+        outside `NORM_MODES` is an InputError before any derivative batch.
         """
+        if mode not in NORM_MODES:
+            raise InputError("unknown norm mode %r, not one of %s" % (mode, ", ".join(NORM_MODES)))
         n = self.view.nvars
         scale = abs(self.delta_mu)
         ghat = gn = 1.0

@@ -153,14 +153,15 @@ _STEPS = dict(zip(VARIANTS, (
 
 
 def iterate_until(source, z0, mu=None, variant="auto", eps=DEFAULTS["eps"],
-                  max_iter=DEFAULTS["max_iter"], **tolerances):
+                  max_iter=DEFAULTS["max_iter"], gap_tol=DEFAULTS["gap_tol"],
+                  delta_zero_tol=DEFAULTS["delta_zero_tol"]):
     """Run a refinement iteration to tolerance and report the trace.
 
-    Without mu, the chain length is detected at z0 by
-    `compute_dual_basis` with the given tolerances (gap_tol,
-    delta_zero_tol), and its Jacobian at z0 serves the first step; a mu
-    that `dualspace.check_order` refuses, below 2 or above the Bezout
-    number deg f_1 ... deg f_n, is an InputError before any step.
+    A variant outside "auto" and `VARIANTS` is an InputError before any
+    evaluation. Without mu, the chain length is detected at z0 by
+    `compute_dual_basis` with gap_tol and delta_zero_tol, and its Jacobian
+    at z0 serves the first step; a mu that `dualspace.check_order` refuses,
+    below 2 or above the Bezout number, is an InputError before any step.
     Every other f and J is read once per iterate, by `value_and_jacobian`.
 
     Stops when the residual norm drops to eps ('tolerance', the only
@@ -170,10 +171,12 @@ def iterate_until(source, z0, mu=None, variant="auto", eps=DEFAULTS["eps"],
     ('singular_step'), or at max_iter. A point that already meets the
     residual tolerance returns a zero-iteration trace.
     """
+    if variant != "auto" and variant not in _STEPS:
+        raise InputError("unknown variant %r" % variant)
     z = np.asarray(z0, dtype=complex)
     basis = None
     if mu is None:
-        basis = compute_dual_basis(source, z, **tolerances)
+        basis = compute_dual_basis(source, z, gap_tol, delta_zero_tol)
         mu = basis.mu
     check_order(source, mu)
     fz, J = (value_and_jacobian(source, z) if basis is None
@@ -186,8 +189,6 @@ def iterate_until(source, z0, mu=None, variant="auto", eps=DEFAULTS["eps"],
         variant = VARIANTS[-1]
         if mu in (2, 3) and is_normalized(J, LOOSE_NORMALIZED_RTOL, s):
             variant = VARIANTS[mu - 2]
-    if variant not in _STEPS:
-        raise InputError("unknown variant %r" % variant)
     order, step = _STEPS[variant]
     if order not in (None, mu):
         word = {2: "two", 3: "three"}[order]

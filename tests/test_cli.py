@@ -1422,6 +1422,21 @@ def test_one_coordinate_rule_for_the_local_model():
         "dualspace", "newton"]
 
 
+def test_one_route_to_the_local_model():
+    # `LocalModel` runs `local_view` and `kernel_chain` itself on every
+    # path: `gamma` reads no `compute_dual_basis`, `DualBasis` hands over
+    # no view, point, Jacobian, Jhat or chain, and the detection
+    # tolerances are named parameters, so a misspelt one is a TypeError
+    from mzero import dualspace, gamma, newton
+
+    assert not _names_read(ast.parse(Path(gamma.__file__).read_text()), "compute_dual_basis")
+    assert list(inspect.signature(dualspace.DualBasis.__init__).parameters) == [
+        "self", "input_J", "s", "normalized", "a_rows", "delta_values"]
+    for fn in (gamma.LocalModel.__init__, newton.iterate_until):
+        assert not any(p.kind is p.VAR_KEYWORD for p in inspect.signature(fn).parameters.values())
+        assert {"gap_tol", "delta_zero_tol"} <= set(inspect.signature(fn).parameters)
+
+
 def test_only_systems_and_frames_evaluate():
     # a polynomial evaluates as a system of one, a functional is applied
     # only by `DualFunctional.apply` on a system or frame, and a frame of a

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzero.certify import certify_cluster, separation_bound
+from mzero import NORM_MODES
+from mzero.certify import certify_cluster, residual_lower_bound, separation_bound
 from mzero.cli import main
 from mzero.dualspace import compute_dual_basis, normalizing_frame
 from mzero.errors import CorankError, InputError, MathDomainError, NotNormalizedError
 from mzero.gamma import LocalModel, gamma_mu
 from mzero.frames import NormalizedFrame, unitary_pullback
+from mzero.newton import iterate_until
 from mzero.polycore import PolySystem, parse_system
 
 from conftest import make_normalized_system, make_planted_system, random_unitary
@@ -138,6 +140,61 @@ def test_a_trusted_mu_off_the_shape_moves_to_the_frame(ex_double):
     frame, w = normalizing_frame(ex_double, ORIGIN2)
     assert model.view is not ex_double and np.array_equal(model.x, w)
     assert model.gamma() == gamma_mu(frame, w)
+
+
+@pytest.mark.parametrize("example, mu, moves", [("ex_double", 2, True), ("ex_triple", 3, False)])
+def test_a_trusted_and_a_detected_mu_build_one_model(request, example, mu, moves):
+    # the worked double zero moves to its frame and the triple stays; both
+    # routes read the same view, Jacobian, Jhat and chain to the bit
+    system = request.getfixturevalue(example)
+    detected, trusted = (LocalModel(system, ORIGIN2, mu, trust_mu=t) for t in (False, True))
+    assert (detected.view is not system) == moves
+    assert type(detected.view) is type(trusted.view)
+    for name in ("x", "J"):
+        assert np.array_equal(getattr(detected, name), getattr(trusted, name))
+    assert np.array_equal(detected.Jhat.A, trusted.Jhat.A)
+    assert len(detected.chain) == len(trusted.chain) == mu - 1
+    assert all(np.array_equal(a, b) for a, b in zip(detected.chain, trusted.chain))
+    assert detected.gamma() == trusted.gamma()
+
+
+TOLERANCE_CALLS = {
+    "model": lambda s, mu, **kw: LocalModel(s, ORIGIN2, mu, **kw),
+    "trusted-model": lambda s, mu, **kw: LocalModel(s, ORIGIN2, mu, trust_mu=True, **kw),
+    "certify": lambda s, mu, **kw: certify_cluster(s, ORIGIN2, mu, **kw),
+    "separation": lambda s, mu, **kw: separation_bound(s, ORIGIN2, mu, **kw),
+    "refine": lambda s, mu, **kw: iterate_until(s, ORIGIN2, mu, **kw),
+}
+
+
+@pytest.mark.parametrize("mu", [None, 2])
+@pytest.mark.parametrize("entry", sorted(TOLERANCE_CALLS))
+def test_a_misspelt_tolerance_is_a_type_error(ex_double, entry, mu):
+    call = TOLERANCE_CALLS[entry]
+    call(ex_double, mu, gap_tol=1e-8, delta_zero_tol=1e-8)
+    with pytest.raises(TypeError, match="gap_tl"):
+        call(ex_double, mu, gap_tl=5)
+
+
+MODE_CALLS = {
+    "gamma_mu": lambda s, x, mode: gamma_mu(s, x, mode=mode),
+    "separation": lambda s, x, mode: separation_bound(s, x, mode=mode),
+    "residual": lambda s, x, mode: residual_lower_bound(s, x, x, mode=mode),
+    "certify": lambda s, x, mode: certify_cluster(s, x, mode=mode),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODE_CALLS))
+def test_a_misspelt_norm_mode_is_input_error(kernel_calls, entry):
+    # refused before any derivative batch above the Jacobian's order
+    system = make_planted_system(3, 3, np.random.default_rng(0), coeff_scale=3.0)
+    x = np.zeros(3, dtype=complex)
+    for mode in NORM_MODES:
+        MODE_CALLS[entry](system, x, mode)
+    kernel_calls.clear()
+    with pytest.raises(InputError, match="unknown norm mode 'certifed'"):
+        MODE_CALLS[entry](system, x, "certifed")
+    assert kernel_calls.partials and all(A.sum(axis=1).max() <= 1 for A in kernel_calls.partials)
 
 
 def test_certified_mode_dominates_estimate():

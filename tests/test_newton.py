@@ -223,6 +223,15 @@ def test_variant_mu_mismatch(ex_triple):
         iterate_until(ex_triple, START, mu=3, variant="thirdorder")
 
 
+def test_unknown_variant_is_refused_before_any_kernel_call(kernel_calls, ex_triple):
+    # at START the detection would raise CorankError first; the name is
+    # checked before any evaluation, with mu or without
+    for mu in (None, 3):
+        with pytest.raises(InputError, match="unknown variant 'bogus'"):
+            iterate_until(ex_triple, START, mu=mu, variant="bogus")
+    assert kernel_calls.partials == [] and kernel_calls.svd == []
+
+
 def test_mu_below_two_is_input_error(ex_triple):
     # also at a point that already meets the tolerance, where no step runs
     for z in (START, np.zeros(2, dtype=complex)):
